@@ -18,7 +18,6 @@ from .circuits import (
     delay,
     global_phase_distance,
     measure,
-    merge_adjacent_vz,
     param_request,
     phases_equal_matrices,
     u3_decompose,
@@ -73,7 +72,6 @@ from .asm import (
 from .control import (
     ControlSession,
     ParameterMemory,
-    PulseEvent,
     PulseTrace,
     ShotData,
     StitchConfig,

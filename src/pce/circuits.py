@@ -258,23 +258,3 @@ def circuit_unitary(c: Circuit, max_qubits: int = 10) -> np.ndarray:
         else:
             raise UnsupportedGateError(f"{g.kind.value} gate has no unitary")
     return U
-
-
-def merge_adjacent_vz(c: Circuit) -> Circuit:
-    """Sum runs of virtual-Z gates on a qubit when nothing else touches it in between."""
-    out: list[Gate] = []
-    pending: dict[int, int] = {}  # qubit -> index in `out` of its trailing VZ
-    for g in c.gates:
-        if g.kind is GateKind.VIRTUAL_Z:
-            q = g.qubits[0]
-            at = pending.get(q)
-            if at is not None:
-                out[at] = vz(q, out[at].phase + g.phase)
-            else:
-                pending[q] = len(out)
-                out.append(g)
-        else:
-            for q in g.qubits:
-                pending.pop(q, None)
-            out.append(g)
-    return Circuit(tuple(out), c.n_qubits, c.shots)

@@ -31,7 +31,6 @@ from .asm import MachineProgram
 from .errors import (
     AddressError,
     CapacityError,
-    PceError,
     RoutingError,
     SchedulingError,
     UnderflowError,
@@ -46,7 +45,6 @@ MCM_CORE_BASE = 8  # core ids below this address parameter banks
 
 ENVELOPE_CAPACITY = 4096
 FREQ_CAPACITY = 64
-COMMAND_BUFFER_WORDS = 1024
 
 EVENT_KIND_NAMES = {
     kernels.EV_X90: "X90",
@@ -74,9 +72,8 @@ def addr_map(axi: int) -> tuple[int, int]:
 class ParameterMemory:
     """Eight parallel 2048-word banks of 32-bit parameters, one per qubit."""
 
-    def __init__(self, debug: bool = False):
+    def __init__(self):
         self.banks = np.zeros((N_BANKS, BANK_CAPACITY), dtype=np.uint32)
-        self.debug = debug
 
     def _check_bank(self, bank: int) -> None:
         if not 0 <= bank < N_BANKS:
@@ -98,24 +95,18 @@ class ParameterMemory:
             raise AddressError(f"offset {offset} outside 0..{BANK_CAPACITY - 1}")
         return int(self.banks[bank, offset])
 
-    # dual-port debug paths; the mirrored directions exist only for bring-up
-    def debug_read_controller(self, bank: int, offset: int) -> int:
-        if not self.debug:
-            raise PceError("controller read-back is a debug-only path")
-        return self.read_param(bank, offset)
-
-    def debug_write_stitch(self, bank: int, offset: int, word: int) -> None:
-        if not self.debug:
-            raise PceError("stitch-side write is a debug-only path")
-        self._check_bank(bank)
-        if not 0 <= offset < BANK_CAPACITY:
-            raise AddressError(f"offset {offset} outside 0..{BANK_CAPACITY - 1}")
-        self.banks[bank, offset] = np.uint32(word)
-
 
 @dataclass(frozen=True)
 class StitchConfig:
-    """Per-circuit control codes: words per bank, shot count, optional repeat window."""
+    """Per-circuit control codes: words per bank, shot count, optional repeat window.
+
+    Bank ``q`` serves one full pass over its ``param_counts[q]`` words, then
+    repeats ``windows[q] = (start, count)`` (the full set when ``None``) once
+    per further shot; see ``kernels.stitch_offset`` and
+    ``kernels.stitch_budget``.  Windows are reachable only here and through
+    ``execute``: LOAD_PARAMS carries none, and ``ControlSession`` always
+    repeats the full set.
+    """
 
     param_counts: tuple[int, ...]
     shots: int
@@ -156,30 +147,24 @@ class StitchConfig:
                     start[q], count[q] = w
         return start, count
 
-    def budget(self, bank: int) -> int:
-        """Total serviceable requests: one full pass, then shots-1 window passes."""
-        pc = self.param_counts[bank]
-        if pc == 0:
-            return 0
-        _, count = self.window_arrays()
-        return pc + (self.shots - 1) * int(count[bank])
-
 
 class StitchUnit:
     """Serves phase words to executing circuits and routes mid-circuit measurements.
 
-    Parameter cursors walk each bank FIFO: the first pass covers the circuit's
-    full word set, every later pass repeats the configured window (the full
-    set by default), once per shot.  Mid-circuit-measurement core ids never
-    touch the cursors; they pop from their own bit queues.
+    Each bank serves its k-th request from ``kernels.stitch_offset`` until
+    ``kernels.stitch_budget`` runs out, the same law the executor runs.
+    Mid-circuit-measurement core ids never count as bank requests; they pop
+    from their own bit queues.
     """
 
     def __init__(self, memory: ParameterMemory, config: StitchConfig):
         self.memory = memory
         self.config = config
-        self.win_start, self.win_count = config.window_arrays()
-        self.cursor = np.zeros(N_BANKS, dtype=np.int64)
-        self.pass_idx = np.zeros(N_BANKS, dtype=np.int64)
+        self.win_start, self.win_count = (a.tolist() for a in config.window_arrays())
+        self.budget = [
+            kernels.stitch_budget(pc, wc, config.shots)
+            for pc, wc in zip(config.param_counts, self.win_count)
+        ]
         self.served = np.zeros(N_BANKS, dtype=np.int64)
         self._mcm_bits: dict[int, list[int]] = {cid: [] for cid in config.mcm_core_ids}
 
@@ -197,26 +182,15 @@ class StitchUnit:
             if not queue:
                 raise RoutingError(f"mcm route {core_id} has no measurement pending")
             return queue.pop(0), REQUEST_LATENCY_CYCLES
-        pc = self.config.param_counts[core_id]
-        if pc == 0 or self.pass_idx[core_id] >= self.config.shots:
+        k = int(self.served[core_id])
+        if k >= self.budget[core_id]:
             raise UnderflowError(core_id)
-        word = self.memory.read_param(core_id, int(self.cursor[core_id]))
-        self.served[core_id] += 1
-        self.cursor[core_id] += 1
-        limit = pc if self.pass_idx[core_id] == 0 else self.win_start[core_id] + self.win_count[core_id]
-        if self.cursor[core_id] >= limit:
-            self.pass_idx[core_id] += 1
-            self.cursor[core_id] = self.win_start[core_id]
+        offset = kernels.stitch_offset(
+            k, self.config.param_counts[core_id], self.win_start[core_id], self.win_count[core_id]
+        )
+        word = self.memory.read_param(core_id, offset)
+        self.served[core_id] = k + 1
         return word, REQUEST_LATENCY_CYCLES
-
-
-@dataclass(frozen=True)
-class PulseEvent:
-    time_ns: int
-    channel: int
-    kind: str
-    frame_phase_word: int
-    channel2: int | None = None
 
 
 @dataclass(frozen=True)
@@ -234,16 +208,6 @@ class PulseTrace:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def event(self, i: int) -> PulseEvent:
-        ch2 = int(self.channels2[i])
-        return PulseEvent(
-            int(self.times[i]),
-            int(self.channels[i]),
-            EVENT_KIND_NAMES[int(self.kinds[i])],
-            int(self.phases[i]),
-            None if ch2 < 0 else ch2,
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PulseTrace):
@@ -478,13 +442,11 @@ class ControlSession:
         seed: int = 0,
         timing: TimingConfig = TimingConfig(),
         record=None,
-        debug: bool = False,
     ):
         self.seed = int(seed)
         self.timing = timing
         self.record = record
-        self.memory = ParameterMemory(debug=debug)
-        self.command_buffer = np.zeros(COMMAND_BUFFER_WORDS, dtype=np.uint64)
+        self.memory = ParameterMemory()
         self.envelope_table = np.zeros(0, dtype=complex)
         self.freq_table = np.zeros(0, dtype=np.float64)
         self.program: MachineProgram | None = None
@@ -512,9 +474,6 @@ class ControlSession:
         with self._scope("Load Batch"):
             with self._scope("Load circuit"):
                 self.program = program
-                n = min(len(program.words), COMMAND_BUFFER_WORDS)
-                self.command_buffer[:] = 0
-                self.command_buffer[:n] = program.words[:n]
                 self.current_index = int(index)
                 self.load_circuit_calls += 1
 
@@ -544,7 +503,8 @@ class ControlSession:
                 with self._scope("Load freq."):
                     self.freq_table = frq.copy()
                 with self._scope("Load zero"):
-                    self.command_buffer[:] = 0
+                    # new definitions invalidate the loaded program
+                    self.program = None
 
     def handle_run(self, shots: int) -> None:
         if self.program is None:
@@ -595,10 +555,6 @@ class ControlSession:
                 self._run_batch_open = False
         self._pending = None
         return data
-
-    # debug accessor used by verification tooling, not part of the RPC surface
-    def trace_of(self, index: int) -> PulseTrace:
-        return self.results[index].trace
 
 
 def deft_run(

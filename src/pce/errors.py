@@ -13,7 +13,7 @@ class PceError(Exception):
 
 
 class ConfigError(PceError):
-    """Invalid batch spec, experiment config, or malformed generator input."""
+    """Invalid batch spec or malformed generator input."""
 
 
 class ValidationError(PceError):

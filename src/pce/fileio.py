@@ -22,15 +22,11 @@ per-width groups with ``|`` and elements with ``,``:
     randomizations = 30     # int, or per-width groups for CB
     shots = 100
     seed = 7
-
-Experiment configs use the same syntax with keys: batch, mode, seed, shots,
-reset_ns, out, socket.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 
 from .circuits import Circuit, Gate, GateKind, cz, delay, measure, param_request, vz, x90
@@ -251,40 +247,3 @@ def parse_batchspec(text: str, where: str = "<config>") -> BatchSpec:
         shots=shots,
         seed=seed,
     )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    batch: str
-    mode: str = "baseline"
-    seed: int = 0
-    shots: int | None = None
-    reset_ns: int = 500
-    out: str | None = None
-    socket: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("baseline", "pce"):
-            raise ConfigError(f"mode must be 'baseline' or 'pce', got {self.mode!r}")
-        if self.shots is not None and self.shots <= 0:
-            raise ConfigError("shots must be positive")
-        if self.reset_ns < 0:
-            raise ConfigError("reset_ns must be non-negative")
-
-
-def parse_experiment(text: str, where: str = "<config>") -> ExperimentConfig:
-    kv = _parse_keyvals(text, where)
-    if "batch" not in kv:
-        raise ConfigError(f"{where}: missing 'batch' key")
-    try:
-        return ExperimentConfig(
-            batch=kv["batch"],
-            mode=kv.get("mode", "baseline"),
-            seed=int(kv.get("seed", 0)),
-            shots=int(kv["shots"]) if "shots" in kv else None,
-            reset_ns=int(kv.get("reset_ns", 500)),
-            out=kv.get("out"),
-            socket=kv.get("socket", "false").lower() in ("1", "true", "yes"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None

@@ -1,10 +1,20 @@
 """Machine-program executor inner loop, compiled with numba when available.
 
 This is the one genuinely hot numeric loop in the package: every op of every
-shot updates integer phase accumulators, per-channel clocks, and stitch
-cursors.  The same function body is used twice: ``run_program_py`` is the
-plain interpreted fallback, ``run_program_jit`` the ``@njit`` compilation of
-the identical code, so the two paths cannot drift apart semantically.
+shot updates integer phase accumulators, per-channel clocks, and per-bank
+request counts.  The same function body is used twice: ``run_program_py`` is
+the plain interpreted fallback, ``run_program_jit`` the ``@njit`` compilation
+of the identical code, so the two paths cannot drift apart semantically.
+
+Stitch serving law (the one implementation; ``control.StitchUnit`` calls the
+same two functions).  A bank holding ``pc`` words with repeat window
+``(ws, wc)`` serves its ``k``-th request (``k`` from 0) from offset
+``stitch_offset(k) = k if k < pc else ws + (k - pc) % wc`` and can serve
+``stitch_budget = 0 if pc == 0 else pc + (shots - 1) * wc`` requests in all:
+one full pass, then one window pass per further shot.  The window defaults to
+the full set (``ws = 0``, ``wc = pc``); a narrower one is reachable only
+through ``control.StitchConfig`` and ``control.execute``, since LOAD_PARAMS
+carries no window and ``ControlSession`` always repeats the full set.
 
 Selection: the jit path is used when numba imports and the environment
 variable ``PCE_NO_NUMBA`` is unset/empty; setting ``PCE_NO_NUMBA=1`` forces
@@ -45,6 +55,20 @@ STATUS_BAD_CHANNEL = 3
 CYCLES_PER_OP = 2  # every issued instruction costs 2 cycles at 500 MHz (4 ns)
 
 
+def stitch_offset(k, pc, ws, wc):
+    """Bank offset of a bank's k-th served word: first pass, then the window."""
+    if k < pc:
+        return k
+    return ws + (k - pc) % wc
+
+
+def stitch_budget(pc, wc, shots):
+    """Requests a bank can serve: one full pass, then shots-1 window passes."""
+    if pc == 0:
+        return 0
+    return pc + (shots - 1) * wc
+
+
 def _run_program(
     words,  # uint64[n_ops]
     n_qubits,  # int
@@ -63,14 +87,16 @@ def _run_program(
     ev_ch2,  # out: int16[...]
     ev_kind,  # out: uint8[...]
     ev_phase,  # out: uint32[...]
-    served,  # out: int64[n_banks]
+    served,  # out: int64[n_banks], requests served per bank (zeroed here)
 ):
     """Returns (status, err_shot, err_op, err_core, n_events, cycle_count, final_clock)."""
     n_ops = words.shape[0]
     clocks = np.zeros(n_qubits, np.int64)
     acc = np.zeros(n_qubits, np.uint64)
-    cursor = np.zeros(banks.shape[0], np.int64)
-    pass_idx = np.zeros(banks.shape[0], np.int64)
+    budget = np.zeros(banks.shape[0], np.int64)
+    for b in range(banks.shape[0]):
+        served[b] = 0
+        budget[b] = stitch_budget(param_count[b], win_count[b], budget_shots)
     mask32 = np.uint64(0xFFFFFFFF)
     pos = 0
     cycles = 0
@@ -99,20 +125,12 @@ def _run_program(
                 pos += 1
                 clocks[ch] += x90_ns
             elif op == OP_REQ_PARAM:
-                pc = param_count[ch]
-                if pc == 0 or pass_idx[ch] >= budget_shots:
+                k = served[ch]
+                if k >= budget[ch]:
                     return (STATUS_UNDERFLOW, shot, i, ch, pos, cycles, np.int64(0))
-                word = banks[ch, cursor[ch]]
+                word = banks[ch, stitch_offset(k, param_count[ch], win_start[ch], win_count[ch])]
                 acc[ch] = (acc[ch] + np.uint64(word)) & mask32
-                served[ch] += 1
-                cursor[ch] += 1
-                if pass_idx[ch] == 0:
-                    limit = pc
-                else:
-                    limit = win_start[ch] + win_count[ch]
-                if cursor[ch] >= limit:
-                    pass_idx[ch] += 1
-                    cursor[ch] = win_start[ch]
+                served[ch] = k + 1
             elif op == OP_TWO_QUBIT:
                 t = clocks[ch]
                 if clocks[ch2] > t:
@@ -162,6 +180,9 @@ try:
         raise ImportError("numba disabled via PCE_NO_NUMBA")
     from numba import njit
 
+    # the law is compiled too, so the jit kernel calls compiled code
+    stitch_offset = njit(cache=True)(stitch_offset)
+    stitch_budget = njit(cache=True)(stitch_budget)
     run_program_jit = njit(cache=True)(_run_program)
     USING_NUMBA = True
 except ImportError:

@@ -78,10 +78,6 @@ class StructuralGraph:
     chains: tuple[tuple[tuple, ...], ...]
     fingerprint: int
 
-    @property
-    def node_count(self) -> int:
-        return sum(len(c) for c in self.chains)
-
 
 def build_graph(c: Circuit) -> StructuralGraph:
     chains: list[list[tuple]] = [[] for _ in range(c.n_qubits)]

@@ -191,15 +191,21 @@ def rpc_encode(msg) -> bytes:
     return struct.pack("<IH", 2 + len(payload), int(mtype)) + payload
 
 
-def rpc_decode(buf: bytes) -> tuple[object, int]:
-    """Decode one frame; returns (message, bytes consumed)."""
-    if len(buf) < 4:
-        raise DecodeError("frame shorter than its length prefix", 0)
-    (length,) = struct.unpack_from("<I", buf, 0)
+def _check_length(header: bytes) -> int:
+    """The frame length a 4-byte prefix declares, checked before reading the body."""
+    (length,) = struct.unpack("<I", header)
     if length < 2:
         raise DecodeError(f"frame length {length} below minimum", 0)
     if length > MAX_FRAME_BYTES:
         raise DecodeError(f"frame length {length} exceeds limit", 0)
+    return length
+
+
+def rpc_decode(buf: bytes) -> tuple[object, int]:
+    """Decode one frame; returns (message, bytes consumed)."""
+    if len(buf) < 4:
+        raise DecodeError("frame shorter than its length prefix", 0)
+    length = _check_length(buf[:4])
     if len(buf) < 4 + length:
         raise DecodeError(f"frame declares {length} bytes but only {len(buf) - 4} follow", 4)
     (raw_type,) = struct.unpack_from("<H", buf, 4)
@@ -268,8 +274,12 @@ def _decode_payload(mtype: MsgType, payload: bytes):
         return Ack()
     if mtype is MsgType.ERROR:
         code, msg_len = take("<HI", "error header")
+        msg_off = FRAME_OVERHEAD + r_off
         raw = take_bytes(msg_len, "error message")
-        return ErrorMsg(code, raw.decode("utf-8"))
+        try:
+            return ErrorMsg(code, raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"error message is not UTF-8: {exc.reason}", msg_off) from None
     raise DecodeError(f"unhandled message type {mtype}", 4)
 
 
@@ -307,19 +317,28 @@ class ControlServer:
         raise ValidationError(f"server cannot handle {type(msg).__name__}")
 
     def serve_socket(self, conn: socket.socket) -> None:
-        """Serve one connection until EOF; one in-flight request at a time."""
+        """Serve one connection until EOF; one in-flight request at a time.
+
+        A declared frame length outside ``[2, MAX_FRAME_BYTES]`` gets one ERROR
+        reply and ends the session; a peer that closes mid-frame ends it
+        quietly.  The caller owns and closes ``conn``.
+        """
         while True:
             try:
                 header = _read_exact(conn, 4)
                 if header is None:
                     return
-                (length,) = struct.unpack("<I", header)
+                try:
+                    length = _check_length(header)
+                except DecodeError as exc:
+                    conn.sendall(rpc_encode(ErrorMsg(_ERR_DECODE, str(exc))))
+                    return
                 body = _read_exact(conn, length)
                 if body is None:
                     return
                 conn.sendall(self.handle_frame(header + body))
-            except OSError:
-                return  # peer tore the connection down
+            except (OSError, DecodeError):
+                return  # peer tore the connection down or closed mid-frame
 
 
 def _read_exact(conn: socket.socket, n: int) -> bytes | None:
@@ -374,13 +393,14 @@ class SocketChannel:
     def call(self, frame: bytes) -> bytes:
         t0 = time.perf_counter_ns()
         self.conn.sendall(frame)
-        (length,) = struct.unpack("<I", self._read(4))
+        header = self._read(4)
+        length = _check_length(header)
         body = self._read(length)
         self.transfer_ns += time.perf_counter_ns() - t0
         self.bytes_sent += len(frame)
         self.bytes_received += 4 + len(body)
         self.frames += 1
-        return struct.pack("<I", length) + body
+        return header + body
 
     def _read(self, n: int) -> bytes:
         out = _read_exact(self.conn, n)

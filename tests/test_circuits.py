@@ -18,12 +18,10 @@ from pce.circuits import (
     delay,
     global_phase_distance,
     measure,
-    merge_adjacent_vz,
     phases_equal_matrices,
     u3_decompose,
     u3_from_unitary,
     u3_matrix,
-    vz,
     x90,
     z_matrix,
 )
@@ -206,46 +204,6 @@ class TestCircuitUnitary:
     def test_qubit_count_cap(self):
         with pytest.raises(ValidationError):
             circuit_unitary(Circuit((), n_qubits=5), max_qubits=4)
-
-
-class TestMergeAdjacentVz:
-    def test_merges_adjacent_pair(self):
-        c = Circuit((vz(0, 1.0), vz(0, 2.0)), n_qubits=1)
-        m = merge_adjacent_vz(c)
-        assert len(m.gates) == 1
-        assert m.gates[0].phase == pytest.approx(3.0)
-
-    def test_intervening_pulse_blocks_merge(self):
-        c = Circuit((vz(0, 1.0), x90(0), vz(0, 2.0)), n_qubits=1)
-        assert len(merge_adjacent_vz(c).gates) == 3
-
-    def test_other_qubit_does_not_block(self):
-        c = Circuit((vz(0, 1.0), x90(1), vz(0, 2.0)), n_qubits=2)
-        m = merge_adjacent_vz(c)
-        assert sum(g.kind is GateKind.VIRTUAL_Z for g in m.gates) == 1
-
-    def test_cz_blocks_merge_on_both_qubits(self):
-        c = Circuit((vz(0, 1.0), vz(1, 0.5), cz(0, 1), vz(0, 2.0), vz(1, 0.25)), n_qubits=2)
-        m = merge_adjacent_vz(c)
-        assert sum(g.kind is GateKind.VIRTUAL_Z for g in m.gates) == 4
-
-    def test_idempotent_and_unitary_preserving(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            gates = []
-            for _ in range(50):
-                r = rng.integers(0, 4)
-                q = int(rng.integers(0, 3))
-                if r == 0:
-                    gates.append(x90(q))
-                elif r <= 2:
-                    gates.append(vz(q, float(rng.uniform(0, TAU))))
-                else:
-                    gates.append(cz(q, (q + 1) % 3))
-            c = Circuit(tuple(gates), n_qubits=3)
-            m = merge_adjacent_vz(c)
-            assert merge_adjacent_vz(m).gates == m.gates
-            assert global_phase_distance(circuit_unitary(m), circuit_unitary(c)) < 1e-10
 
 
 class TestInvariantSweeps:

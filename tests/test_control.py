@@ -69,14 +69,6 @@ class TestParameterMemory:
         mem = ParameterMemory()
         assert mem.write_params(0, np.zeros(BANK_CAPACITY, dtype=np.uint32)) == BANK_CAPACITY
 
-    def test_debug_paths_gated(self):
-        mem = ParameterMemory()
-        with pytest.raises(PceError):
-            mem.debug_read_controller(0, 0)
-        dbg = ParameterMemory(debug=True)
-        dbg.debug_write_stitch(1, 4, 99)
-        assert dbg.debug_read_controller(1, 4) == 99
-
 
 def make_stitch(words_per_bank, shots, windows=None, mcm=frozenset()):
     mem = ParameterMemory()
@@ -245,6 +237,77 @@ class TestExecute:
         assert list(res.trace.times) == [0, 500_016]
 
 
+def requests_then_pulses(q, n_req, shots):
+    """A 2-qubit program whose every request on q is followed by a pulse on q."""
+    ops = [AsmOp(Opcode.PULSE_X90, 1 - q)]
+    for _ in range(n_req):
+        ops += [AsmOp(Opcode.REQ_PARAM, q), AsmOp(Opcode.PULSE_X90, q)]
+    return assemble(program_of(*ops, n_qubits=2, shots=shots))
+
+
+def served_stream(trace, q):
+    """Words the executor served to q, recovered from the frame word of each pulse on q.
+
+    The accumulator restarts every shot, so each pulse's frame word minus the
+    previous one in its shot is the word the request before it added."""
+    stream = []
+    k = trace.events_per_shot
+    for shot in range(trace.shots):
+        lo = shot * k
+        on_q = (trace.channels[lo : lo + k] == q) & (trace.kinds[lo : lo + k] == 1)
+        prev = 0
+        for phase in trace.phases[lo : lo + k][on_q]:
+            stream.append((int(phase) - prev) & 0xFFFFFFFF)
+            prev = int(phase)
+    return stream
+
+
+class TestServingLawThroughExecute:
+    def test_windowed_stream_is_the_closed_form(self):
+        words = [11, 22, 33, 44, 55]
+        mem = ParameterMemory()
+        mem.write_params(1, np.asarray(words, dtype=np.uint32))
+        # pc 5, window (1, 2), 3 stitch shots: 5 + 2 * 2 = 9 = 3 requests x 3 shots
+        cfg = StitchConfig((0, 5), 3, windows=(None, (1, 2)))
+        res = execute(requests_then_pulses(1, 3, 3), cfg, mem, seed=0)
+        assert served_stream(res.trace, 1) == words[:5] + words[1:3] * 2
+        assert int(res.served[1]) == 9
+
+    def test_random_windows_and_short_stitch_budgets(self):
+        rng = np.random.default_rng(91)
+        underflows = 0
+        for _ in range(200):
+            q = int(rng.integers(0, 2))
+            pc = int(rng.integers(1, 9))
+            ws = int(rng.integers(0, pc))
+            wc = int(rng.integers(1, pc - ws + 1))
+            stitch_shots = int(rng.integers(1, 4))
+            shots = stitch_shots + int(rng.integers(0, 3))  # stitch.shots <= shots
+            n_req = int(rng.integers(1, 7))
+            words = [int(w) for w in rng.integers(0, 1 << 32, size=pc)]
+            mem = ParameterMemory()
+            mem.write_params(q, np.asarray(words, dtype=np.uint32))
+            counts = [0, 0]
+            counts[q] = pc
+            windows = [None, None]
+            windows[q] = (ws, wc)
+            cfg = StitchConfig(tuple(counts), stitch_shots, windows=tuple(windows))
+            law = words[:pc] + words[ws : ws + wc] * (stitch_shots - 1)
+            program = requests_then_pulses(q, n_req, shots)
+            if n_req * shots <= len(law):
+                res = execute(program, cfg, mem, shots=shots, seed=0)
+                assert served_stream(res.trace, q) == law[: n_req * shots]
+                assert int(res.served[q]) == n_req * shots
+                continue
+            underflows += 1
+            with pytest.raises(UnderflowError) as err:
+                execute(program, cfg, mem, shots=shots, seed=0)
+            # the request after the budget's last word is the first to fail
+            shot, j = divmod(len(law), n_req)
+            assert (err.value.core_id, err.value.shot, err.value.op_index) == (q, shot, 1 + 2 * j)
+        assert underflows > 50
+
+
 class TestSessionAndDeft:
     def run_batch(self, spec_seed=6):
         spec = BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 3, shots=4, seed=spec_seed)
@@ -319,11 +382,13 @@ class TestSessionAndDeft:
         session, client = self.make_client()
         env = np.exp(1j * np.linspace(0, 3, 32))
         freq = np.linspace(4e9, 5e9, 6)
-        session.command_buffer[:4] = 7
+        client.load_circuit(0, assemble(program_of(AsmOp(Opcode.PULSE_X90, 0))))
         client.load_defs(env, freq)
         assert np.allclose(session.envelope_table, env)
         assert np.allclose(session.freq_table, freq)
-        assert not session.command_buffer.any()
+        # new definitions zero the loaded program: a run needs a fresh load
+        with pytest.raises(SchedulingError):
+            session.handle_run(2)
 
     def test_oversize_defs_rejected(self):
         from pce.rpc import RemoteError

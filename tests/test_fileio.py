@@ -5,12 +5,10 @@ import pytest
 from pce.circuits import Circuit, cz, delay, measure, param_request, vz, x90
 from pce.errors import ConfigError, DecodeError
 from pce.fileio import (
-    ExperimentConfig,
     batch_hash,
     circuit_from_text,
     circuit_to_text,
     parse_batchspec,
-    parse_experiment,
     read_batch,
     write_batch,
 )
@@ -151,23 +149,3 @@ class TestBatchSpecConfig:
     def test_bad_line(self):
         with pytest.raises(ConfigError):
             parse_batchspec("kind RB\n")
-
-
-class TestExperimentConfig:
-    def test_parse(self):
-        cfg = parse_experiment(
-            "batch = ./b\nmode = pce\nseed = 3\nshots = 10\nreset_ns = 800\nsocket = true\n"
-        )
-        assert cfg == ExperimentConfig("./b", "pce", 3, 10, 800, None, True)
-
-    def test_defaults(self):
-        cfg = parse_experiment("batch = ./b\n")
-        assert cfg.mode == "baseline" and cfg.shots is None and cfg.reset_ns == 500
-
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            parse_experiment("batch = ./b\nmode = turbo\n")
-
-    def test_missing_batch(self):
-        with pytest.raises(ConfigError):
-            parse_experiment("mode = pce\n")

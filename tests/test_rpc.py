@@ -6,11 +6,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pce.asm import AsmOp, AssemblyProgram, Opcode, assemble
 from pce.control import ControlSession, ShotData
-from pce.errors import DecodeError
+from pce.errors import DecodeError, PceError
 from pce.rpc import (
+    MAX_FRAME_BYTES,
+    Ack,
     ControlServer,
     Data,
     DeftClient,
@@ -39,7 +43,11 @@ def small_program(n_qubits=2, shots=3):
 
 
 def random_message(rng):
-    k = rng.integers(0, 7)
+    return message_of_kind(rng.integers(0, 7), rng)
+
+
+def message_of_kind(k, rng):
+    """A random message of kind k: the six request/data messages, then ERROR, then ACK."""
     if k == 0:
         return LoadCircuit(int(rng.integers(0, 1000)), small_program())
     if k == 1:
@@ -63,7 +71,21 @@ def random_message(rng):
         qubits = tuple(sorted(rng.choice(8, size=m, replace=False).tolist()))
         bits = rng.integers(0, 2, size=(shots, m)).astype(np.uint8)
         return Data(ShotData(qubits, bits))
-    return ErrorMsg(int(rng.integers(0, 10)), "boom " * int(rng.integers(0, 4)))
+    if k == 6:
+        return ErrorMsg(int(rng.integers(0, 10)), "boom " * int(rng.integers(0, 4)))
+    return Ack()
+
+
+@st.composite
+def damaged_frames(draw):
+    """An encoded frame of any of the eight kinds, truncated or with one bit flipped."""
+    kind = draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frame = bytearray(rpc_encode(message_of_kind(kind, rng)))
+    if draw(st.booleans()):
+        return bytes(frame[: draw(st.integers(0, len(frame) - 1))])
+    frame[draw(st.integers(0, len(frame) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(frame)
 
 
 class TestFraming:
@@ -103,6 +125,21 @@ class TestFraming:
         frame = struct.pack("<IH", 1 << 30, 4)
         with pytest.raises(DecodeError):
             rpc_decode(frame)
+
+    def test_non_utf8_error_message(self):
+        raw = b"bo\xc0m"
+        frame = struct.pack("<IHHI", 2 + 6 + len(raw), 8, 1, len(raw)) + raw
+        with pytest.raises(DecodeError) as err:
+            rpc_decode(frame)
+        assert err.value.offset == 12  # the message follows the 6-byte error header
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(damaged_frames())
+    def test_damaged_frames_raise_only_typed_errors(self, frame):
+        try:
+            rpc_decode(frame)
+        except PceError:
+            pass
 
 
 class TestServerDispatch:
@@ -164,3 +201,49 @@ class TestSocketTransport:
         sock.close()
         right.close()
         thread.join(timeout=5)
+
+
+def read_to_eof(conn):
+    out = b""
+    while chunk := conn.recv(4096):
+        out += chunk
+    return out
+
+
+class TestSocketPeerFaults:
+    # every socket gets a timeout, so a transport that waits for a body the
+    # peer never sends fails the test instead of hanging it
+
+    @pytest.mark.parametrize("cut", [2, 5, 9])
+    def test_peer_closing_mid_frame_ends_serving_quietly(self, cut):
+        left, right = socket.socketpair()
+        right.settimeout(2)
+        left.sendall(rpc_encode(Run(3))[:cut])
+        left.close()
+        ControlServer(ControlSession()).serve_socket(right)  # returns, raises nothing
+        right.close()
+
+    @pytest.mark.parametrize("length", [0, 1, MAX_FRAME_BYTES + 1])
+    def test_server_answers_bad_length_with_error_and_stops(self, length):
+        left, right = socket.socketpair()
+        left.settimeout(2)
+        right.settimeout(2)
+        left.sendall(struct.pack("<I", length))
+        ControlServer(ControlSession()).serve_socket(right)
+        right.close()
+        reply = read_to_eof(left)
+        left.close()
+        msg, consumed = rpc_decode(reply)
+        assert consumed == len(reply)
+        assert isinstance(msg, ErrorMsg)
+        assert msg.code == 7  # decode error
+
+    @pytest.mark.parametrize("length", [0, 1, MAX_FRAME_BYTES + 1])
+    def test_client_rejects_bad_reply_length(self, length):
+        left, right = socket.socketpair()
+        left.settimeout(2)
+        right.sendall(struct.pack("<I", length))
+        with pytest.raises(DecodeError):
+            SocketChannel(left).call(rpc_encode(GetData()))
+        left.close()
+        right.close()
