@@ -49,6 +49,7 @@ class Opcode(IntEnum):
 
 
 _VALID_OPCODES = frozenset(int(o) for o in Opcode)
+_OPCODE_VALUES = np.array(sorted(_VALID_OPCODES), dtype=np.uint64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +200,37 @@ def machine_to_bytes(m: MachineProgram) -> bytes:
     return header + np.asarray(m.words, dtype="<u8").tobytes()
 
 
+def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
+    """First word that ``disassemble`` would reject, with the reason; None if none.
+
+    Accepts exactly the word sequences that ``disassemble`` accepts (it reads
+    no channel byte an op does not use), so a bad image names its word instead
+    of escaping as a ``ValidationError`` from the op constructors.
+    """
+    op = words >> np.uint64(56)
+    ch = (words >> np.uint64(48)) & np.uint64(0xFF)
+    ch2 = (words >> np.uint64(40)) & np.uint64(0xFF)
+    end = op == Opcode.END
+    misplaced_end = end.copy()  # an END before the last word, or a last word that is not END
+    misplaced_end[-1] = not end[-1]
+    imm = words & np.uint64(0xFFFFFFFF)
+    checks = (
+        (~np.isin(op, _OPCODE_VALUES), "unknown opcode"),
+        ((words >> np.uint64(32)) & np.uint64(0xFF) != 0, "nonzero reserved byte"),
+        ((op == Opcode.REQ_PARAM) & (imm != 0), "REQ_PARAM carries an immediate"),
+        (misplaced_end, "program must contain exactly one END, as the last op"),
+        (~end & (ch >= n_qubits), f"channel outside 0..{n_qubits - 1}"),
+        ((op == Opcode.TWO_QUBIT) & ((ch2 >= n_qubits) | (ch2 == ch)), "invalid channel pair"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, next(reason for mask, reason in checks if mask[i])
+
+
 def machine_from_bytes(data: bytes) -> MachineProgram:
+    """Decode a PCEM image; any fault is a ``DecodeError`` at its image offset."""
     if len(data) < MACHINE_HEADER_LEN:
         raise DecodeError("machine image shorter than header", len(data))
     if data[:4] != MACHINE_MAGIC:
@@ -213,8 +244,14 @@ def machine_from_bytes(data: bytes) -> MachineProgram:
             f"word section is {len(body)} bytes, header declares {count} words",
             MACHINE_HEADER_LEN,
         )
+    if count == 0:
+        raise DecodeError("program has no END op", 12)  # the header's word count
     words = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-    program = disassemble(
-        MachineProgram(words, n_qubits, shots, (), 0)
-    )  # validates opcodes and layout
-    return MachineProgram(words, n_qubits, shots, program.param_counts(), _mix_checksum(words))
+    fault = _word_fault(words, n_qubits)
+    if fault is not None:
+        i, reason = fault
+        raise DecodeError(f"word {i}: {reason}", MACHINE_HEADER_LEN + 8 * i)
+    req = words[words >> np.uint64(56) == Opcode.REQ_PARAM]
+    channels = ((req >> np.uint64(48)) & np.uint64(0xFF)).astype(np.int64)
+    param_counts = tuple(np.bincount(channels, minlength=n_qubits).tolist())
+    return MachineProgram(words, n_qubits, shots, param_counts, _mix_checksum(words))

@@ -193,8 +193,14 @@ run_program = run_program_jit if USING_NUMBA else run_program_py
 
 
 def count_emitting_ops(words: np.ndarray) -> int:
-    """Number of ops per shot that emit a trace event."""
+    """Number of ops per shot that emit a trace event.
+
+    Only ops before the first END count: the executor never runs the rest.
+    """
     op = (np.asarray(words, dtype=np.uint64) >> np.uint64(56)).astype(np.int64)
+    ends = np.flatnonzero(op == OP_END)
+    if ends.size:
+        op = op[: ends[0]]
     return int(
         np.isin(op, (OP_PULSE_X90, OP_TWO_QUBIT, OP_MEASURE, OP_DELAY)).sum()
     )

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pce.asm import (
     AsmOp,
     AssemblyProgram,
+    MachineProgram,
     Opcode,
     assemble,
     compile_circuit,
@@ -37,6 +40,27 @@ def random_program(rng, n_qubits=4, n_ops=30) -> AssemblyProgram:
             ops.append(AsmOp(Opcode.DELAY, q, imm=int(rng.integers(0, 10_000))))
     ops.append(AsmOp(Opcode.END))
     return AssemblyProgram(tuple(ops), n_qubits, shots=10)
+
+
+def word(op, ch=0, ch2=0, imm=0) -> int:
+    return (int(op) << 56) | (ch << 48) | (ch2 << 40) | imm
+
+
+def image_of(words, n_qubits) -> bytes:
+    """A PCEM image of raw words, with no validation on the way out."""
+    return machine_to_bytes(MachineProgram(np.array(words, dtype=np.uint64), n_qubits, 1, (), 0))
+
+
+@st.composite
+def damaged_images(draw):
+    """The PCEM image of a random 6-op program, truncated or with one bit flipped."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    program = random_program(rng, n_qubits=int(rng.integers(1, 5)), n_ops=6)
+    image = bytearray(machine_to_bytes(assemble(program)))
+    if draw(st.booleans()):
+        return bytes(image[: draw(st.integers(0, len(image) - 1))])
+    image[draw(st.integers(0, len(image) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(image)
 
 
 class TestCompile:
@@ -177,16 +201,12 @@ class TestDisassemble:
         m = assemble(random_program(np.random.default_rng(4)))
         words = m.words.copy()
         words[5] = np.uint64(0xFF) << np.uint64(56)
-        from pce.asm import MachineProgram
-
         bad = MachineProgram(words, m.n_qubits, m.shots, m.param_counts, m.checksum)
         with pytest.raises(DecodeError) as err:
             disassemble(bad)
         assert "word 5" in str(err.value)
 
     def test_empty_words_invalid(self):
-        from pce.asm import MachineProgram
-
         empty = MachineProgram(np.zeros(0, dtype=np.uint64), 1, 1, (0,), 0)
         with pytest.raises(ValidationError):
             disassemble(empty)
@@ -217,3 +237,51 @@ class TestMachineFile:
         data = machine_to_bytes(m)
         with pytest.raises(DecodeError):
             machine_from_bytes(data[:-3])
+
+    @pytest.mark.parametrize(
+        "words, n_qubits, offset",
+        [
+            ([word(Opcode.PULSE_X90), word(Opcode.END), word(Opcode.PULSE_X90)], 1, 32),
+            ([word(Opcode.PULSE_X90), word(Opcode.PULSE_X90)], 1, 32),  # no END
+            ([word(Opcode.PULSE_X90, 2), word(Opcode.END)], 2, 24),
+            ([word(Opcode.TWO_QUBIT, 1, 1), word(Opcode.END)], 2, 24),
+            ([word(Opcode.PULSE_X90), word(Opcode.REQ_PARAM, imm=5), word(Opcode.END)], 1, 32),
+            ([word(Opcode.PULSE_X90), word(0xFF), word(Opcode.END)], 1, 32),
+            ([word(Opcode.PULSE_X90) | 1 << 32, word(Opcode.END)], 1, 24),
+            ([], 1, 12),  # the header's word count
+        ],
+    )
+    def test_bad_word_reports_its_image_offset(self, words, n_qubits, offset):
+        with pytest.raises(DecodeError) as err:
+            machine_from_bytes(image_of(words, n_qubits))
+        assert err.value.offset == offset
+
+    def test_accepts_exactly_what_disassemble_accepts(self):
+        rng = np.random.default_rng(12)
+        rejected = 0
+        for _ in range(600):
+            m = assemble(random_program(rng, n_qubits=int(rng.integers(1, 5)), n_ops=6))
+            words = m.words.copy()
+            words[rng.integers(0, len(words))] ^= np.uint64(1) << np.uint64(rng.integers(0, 64))
+            try:
+                expected = disassemble(MachineProgram(words, m.n_qubits, m.shots, (), 0))
+            except (DecodeError, ValidationError):
+                expected = None
+            try:
+                decoded = machine_from_bytes(image_of(words, m.n_qubits))
+            except DecodeError:
+                decoded = None
+                rejected += 1
+            assert (decoded is None) == (expected is None)
+            if decoded is not None:
+                assert decoded.param_counts == expected.param_counts()
+                assert np.array_equal(decoded.words, words)
+        assert rejected > 100
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(damaged_images())
+    def test_damaged_images_raise_only_decode_errors(self, image):
+        try:
+            machine_from_bytes(image)
+        except DecodeError as err:
+            assert 0 <= err.offset <= len(image)

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from pce.asm import AsmOp, AssemblyProgram, Opcode, assemble, compile_circuit
+from pce import kernels
+from pce.asm import AsmOp, AssemblyProgram, MachineProgram, Opcode, assemble, compile_circuit
 from pce.circuits import Circuit, U3Params, circuit_unitary, cz, measure, u3_decompose, vz, x90
 from pce.control import (
     BANK_CAPACITY,
     ControlSession,
     N_BANKS,
     ParameterMemory,
+    PulseTrace,
     StitchConfig,
     StitchUnit,
     TimingConfig,
+    _trace_shot_distribution,
     addr_map,
     deft_run,
     execute,
@@ -26,7 +29,7 @@ from pce.errors import (
     UnderflowError,
 )
 from pce.generators import BatchSpec, gen_rb
-from pce.rip import binarize, modify, peel, rip
+from pce.rip import binarize, dequantize_words, modify, peel, rip
 from pce.rpc import ControlServer, DeftClient, LoopbackChannel
 
 
@@ -235,6 +238,110 @@ class TestExecute:
         prog = assemble(program_of(AsmOp(Opcode.PULSE_X90, 0), n_qubits=1, shots=2))
         res = execute(prog, seed=0, timing=TimingConfig(reset_ns=500_000))
         assert list(res.trace.times) == [0, 500_016]
+
+    def test_ops_after_end_never_run(self):
+        x90_word, end_word = 1 << 56, 7 << 56
+        full = MachineProgram(np.array([x90_word, end_word, x90_word], np.uint64), 1, 2, (0,), 0)
+        cut = MachineProgram(np.array([x90_word, end_word], np.uint64), 1, 2, (0,), 0)
+        a, b = execute(full, shots=2), execute(cut, shots=2)
+        assert a.trace == b.trace and a.trace.events_per_shot == 1
+        assert (a.cycle_count, a.sim_time_ns) == (b.cycle_count, b.sim_time_ns)
+
+
+def _reference_distribution(trace, shot, n):
+    """Test-only oracle: one X90 matrix per event, built from its own scalar
+    phase and contracted into the state with ``tensordot``.  The batched
+    sampler must match it bit for bit."""
+    k = trace.events_per_shot
+    lo, hi = shot * k, (shot + 1) * k
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    measured = []
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(lo, hi):
+        kind = int(trace.kinds[i])
+        ch = int(trace.channels[i])
+        if kind == kernels.EV_X90:
+            phi = dequantize_words(trace.phases[i : i + 1])[0]
+            e = np.exp(1j * phi)
+            m = np.array([[1.0, -1j / e], [-1j * e, 1.0]], dtype=complex) * inv_sqrt2
+            T = np.tensordot(m, state.reshape((2,) * n), axes=([1], [ch]))
+            state = np.moveaxis(T, 0, ch).reshape(-1)
+        elif kind == kernels.EV_CZ:
+            T = state.reshape((2,) * n)
+            idx = [slice(None)] * n
+            idx[ch] = 1
+            idx[int(trace.channels2[i])] = 1
+            T[tuple(idx)] *= -1.0
+            state = T.reshape(-1)
+        elif kind == kernels.EV_MEASURE:
+            measured.append(ch)
+    return np.abs(state) ** 2, tuple(sorted(measured))
+
+
+def random_trace(rng, n, k, shots):
+    """Events of all four kinds on n qubits; 30 % of the traces use quadrant phases."""
+    total = k * shots
+    kinds = rng.choice([1, 1, 1, 2, 3, 4] if n > 1 else [1, 1, 3, 4], size=total).astype(np.uint8)
+    channels = rng.integers(0, n, size=total).astype(np.int16)
+    channels2 = np.full(total, -1, dtype=np.int16)
+    cz_at = kinds == kernels.EV_CZ
+    if n > 1:
+        channels2[cz_at] = (channels[cz_at] + rng.integers(1, n, size=int(cz_at.sum()))) % n
+    if rng.random() < 0.3:
+        phases = (rng.integers(0, 4, size=total) << 30).astype(np.uint32)
+    else:
+        phases = rng.integers(0, 1 << 32, size=total, dtype=np.uint64).astype(np.uint32)
+    phases[kinds != kernels.EV_X90] = 0
+    times = np.zeros(total, dtype=np.int64)
+    return PulseTrace(times, channels, channels2, kinds, phases, n, shots, k)
+
+
+def reference_bits(trace, n, seed, circuit_index):
+    """Shot bits drawn as the sampler draws them, one reference solve per shot."""
+    rows = []
+    for s in range(trace.shots):
+        probs, measured = _reference_distribution(trace, s, n)
+        cum = np.cumsum(probs)
+        r = np.random.default_rng((seed, circuit_index, s)).random()
+        idx = min(int(np.searchsorted(cum, r * cum[-1], side="right")), (1 << n) - 1)
+        rows.append([(idx >> (n - 1 - q)) & 1 for q in measured])
+    return np.array(rows, dtype=np.uint8).reshape(trace.shots, -1)
+
+
+class TestSamplerMatchesReference:
+    def test_random_traces_bitwise(self):
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            n = int(rng.integers(1, 5))
+            shots = int(rng.integers(1, 4))
+            trace = random_trace(rng, n, int(rng.integers(0, 80)), shots)
+            for shot in {0, shots - 1}:
+                probs, measured = _trace_shot_distribution(trace, shot, n)
+                ref_probs, ref_measured = _reference_distribution(trace, shot, n)
+                assert measured == ref_measured
+                assert np.array_equal(probs.view(np.uint64), ref_probs.view(np.uint64))
+
+    def test_windowed_stitch_bits_match_per_shot_reference(self):
+        rng = np.random.default_rng(23)
+        n, shots = 3, 12
+        ops = []
+        for q in range(n):
+            ops += [AsmOp(Opcode.REQ_PARAM, q), AsmOp(Opcode.PULSE_X90, q)] * 2
+        ops += [AsmOp(Opcode.TWO_QUBIT, 0, channel2=1), AsmOp(Opcode.TWO_QUBIT, 1, channel2=2)]
+        for q in range(n):
+            ops += [AsmOp(Opcode.REQ_PARAM, q), AsmOp(Opcode.PULSE_X90, q)]
+        ops += [AsmOp(Opcode.MEASURE, q) for q in range(n)]
+        program = assemble(program_of(*ops, n_qubits=n, shots=shots))
+        mem = ParameterMemory()
+        for q in range(n):
+            mem.write_params(q, rng.integers(0, 1 << 32, size=6, dtype=np.uint64).astype(np.uint32))
+        cfg = StitchConfig((6,) * n, shots, windows=((1, 3),) * n)
+        for seed in range(5):
+            res = execute(program, cfg, mem, seed=seed, circuit_index=4)
+            rows = res.trace.phases.reshape(shots, -1)
+            assert len({row.tobytes() for row in rows}) > 1
+            assert np.array_equal(res.data.bits, reference_bits(res.trace, n, seed, 4))
 
 
 def requests_then_pulses(q, n_req, shots):
