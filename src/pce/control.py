@@ -228,16 +228,20 @@ class PulseTrace:
         )
 
     def to_text(self) -> str:
-        lines = []
-        for i in range(len(self.times)):
-            ch = int(self.channels[i])
-            ch2 = int(self.channels2[i])
-            chs = f"{ch}" if ch2 < 0 else f"{ch},{ch2}"
-            lines.append(
-                f"t={int(self.times[i])} ch={chs} "
-                f"kind={EVENT_KIND_NAMES[int(self.kinds[i])]} phase=0x{int(self.phases[i]):08x}"
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        columns = zip(
+            self.times.tolist(),
+            self.channels.tolist(),
+            self.channels2.tolist(),
+            self.kinds.tolist(),
+            self.phases.tolist(),
+        )
+        return "".join(
+            [
+                f"t={t} ch={ch if ch2 < 0 else f'{ch},{ch2}'} "
+                f"kind={EVENT_KIND_NAMES[kind]} phase=0x{phase:08x}\n"
+                for t, ch, ch2, kind, phase in columns
+            ]
+        )
 
 
 @dataclass(frozen=True)

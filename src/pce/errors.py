@@ -62,9 +62,10 @@ class EncodeError(PceError):
 
 
 class DecodeError(PceError):
-    """A blob, machine file, or RPC frame failed to parse."""
+    """A blob, machine file, RPC frame, or non-UTF-8 text file failed to parse."""
 
     def __init__(self, message: str, offset: int = -1):
+        self.detail = message  # without the offset suffix, for re-raising at another base
         self.offset = offset
         if offset >= 0:
             message = f"{message} (at byte offset {offset})"

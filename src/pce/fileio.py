@@ -13,6 +13,11 @@ Circuit files are UTF-8 with LF endings, one gate per line after a header:
 ``#`` starts a comment.  Phases are written with ``repr`` so parsing returns
 the identical double and re-encoding is byte-stable.
 
+``read_batch`` parses each distinct raw gate line once per batch: one dict,
+shared by every file, maps the raw line to its (frozen) ``Gate``, so circuits
+share gate objects and most lines cost one lookup.  Errors name the circuit
+file's path relative to the manifest and the line.
+
 Batch spec configs are ``key = value`` lines; list-valued keys separate
 per-width groups with ``|`` and elements with ``,``:
 
@@ -30,7 +35,7 @@ import hashlib
 from pathlib import Path
 
 from .circuits import Circuit, Gate, GateKind, cz, delay, measure, param_request, vz, x90
-from .errors import ConfigError, DecodeError
+from .errors import ConfigError, DecodeError, ValidationError
 from .generators import BatchSpec, CircuitBatch, Label
 
 MANIFEST_NAME = "manifest.txt"
@@ -63,43 +68,65 @@ def _parse_qubit(token: str, line_no: int) -> int:
     return int(token[1:])
 
 
-def circuit_from_text(text: str) -> Circuit:
-    gates: list[Gate] = []
-    n_qubits = shots = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if n_qubits is None:
-            if len(tokens) != 4 or tokens[0] != "qubits" or tokens[2] != "shots":
-                raise ConfigError(f"line {line_no}: expected header 'qubits <n> shots <s>'")
-            try:
-                n_qubits, shots = int(tokens[1]), int(tokens[3])
-            except ValueError:
-                raise ConfigError(f"line {line_no}: non-integer header field") from None
-            continue
-        op = tokens[0]
-        try:
-            if op == "X90" and len(tokens) == 2:
-                gates.append(x90(_parse_qubit(tokens[1], line_no)))
-            elif op == "VZ" and len(tokens) == 3:
-                gates.append(vz(_parse_qubit(tokens[1], line_no), float(tokens[2])))
-            elif op == "CZ" and len(tokens) == 3:
-                gates.append(cz(_parse_qubit(tokens[1], line_no), _parse_qubit(tokens[2], line_no)))
-            elif op == "MEAS" and len(tokens) == 2:
-                gates.append(measure(_parse_qubit(tokens[1], line_no)))
-            elif op == "DELAY" and len(tokens) == 3:
-                gates.append(delay(_parse_qubit(tokens[1], line_no), int(tokens[2])))
-            elif op == "PREQ" and len(tokens) == 2:
-                gates.append(param_request(_parse_qubit(tokens[1], line_no)))
-            else:
-                raise ConfigError(f"line {line_no}: unrecognized gate line {line!r}")
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from None
-    if n_qubits is None:
+def _gate_from_line(raw: str, line_no: int) -> Gate | None:
+    """Parse one gate line; ``None`` for a blank or comment-only line."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return None
+    tokens = line.split()
+    op = tokens[0]
+    try:
+        if op == "X90" and len(tokens) == 2:
+            return x90(_parse_qubit(tokens[1], line_no))
+        if op == "VZ" and len(tokens) == 3:
+            return vz(_parse_qubit(tokens[1], line_no), float(tokens[2]))
+        if op == "CZ" and len(tokens) == 3:
+            return cz(_parse_qubit(tokens[1], line_no), _parse_qubit(tokens[2], line_no))
+        if op == "MEAS" and len(tokens) == 2:
+            return measure(_parse_qubit(tokens[1], line_no))
+        if op == "DELAY" and len(tokens) == 3:
+            return delay(_parse_qubit(tokens[1], line_no), int(tokens[2]))
+        if op == "PREQ" and len(tokens) == 2:
+            return param_request(_parse_qubit(tokens[1], line_no))
+        raise ConfigError(f"line {line_no}: unrecognized gate line {line!r}")
+    except (ValueError, ValidationError) as exc:
+        raise ConfigError(f"line {line_no}: {exc}") from None
+
+
+def _circuit_from_text(text: str, gate_cache: dict[str, Gate]) -> Circuit:
+    """Parse a circuit, looking each raw gate line up in ``gate_cache`` first.
+
+    Only successful parses enter the cache, so a bad line always fails with
+    its own line number; gates are frozen, so circuits may share them.
+    """
+    lines = text.splitlines()
+    for header_no, raw in enumerate(lines, start=1):
+        header = raw.split("#", 1)[0].strip()
+        if header:
+            break
+    else:
         raise ConfigError("circuit file has no header line")
+    tokens = header.split()
+    if len(tokens) != 4 or tokens[0] != "qubits" or tokens[2] != "shots":
+        raise ConfigError(f"line {header_no}: expected header 'qubits <n> shots <s>'")
+    try:
+        n_qubits, shots = int(tokens[1]), int(tokens[3])
+    except ValueError:
+        raise ConfigError(f"line {header_no}: non-integer header field") from None
+    gates: list[Gate] = []
+    for line_no, raw in enumerate(lines[header_no:], start=header_no + 1):
+        gate = gate_cache.get(raw)
+        if gate is None:
+            gate = _gate_from_line(raw, line_no)
+            if gate is None:
+                continue
+            gate_cache[raw] = gate
+        gates.append(gate)
     return Circuit(tuple(gates), n_qubits, shots)
+
+
+def circuit_from_text(text: str) -> Circuit:
+    return _circuit_from_text(text, {})
 
 
 def _width_str(width: tuple[int, ...]) -> str:
@@ -152,6 +179,13 @@ def write_batch(batch: CircuitBatch, outdir: str | Path) -> Path:
     return manifest
 
 
+def _decode_utf8(data: bytes, where: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{where}: not UTF-8 ({exc.reason})", exc.start) from None
+
+
 def read_batch(path: str | Path) -> CircuitBatch:
     """Load a batch from a manifest file or the directory containing one."""
     path = Path(path)
@@ -161,7 +195,8 @@ def read_batch(path: str | Path) -> CircuitBatch:
     root = manifest.parent
     entries: list[tuple[str, Label]] = []
     declared: dict[str, str] = {}
-    for line_no, raw in enumerate(manifest.read_text("utf-8").splitlines(), start=1):
+    manifest_text = _decode_utf8(manifest.read_bytes(), str(manifest))
+    for line_no, raw in enumerate(manifest_text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -184,10 +219,14 @@ def read_batch(path: str | Path) -> CircuitBatch:
         )
     circuits = []
     h = hashlib.sha256()
+    gate_cache: dict[str, Gate] = {}  # shared by every file of the batch
     for rel, _ in entries:
         data = (root / rel).read_bytes()
         h.update(data)
-        circuits.append(circuit_from_text(data.decode("utf-8")))
+        try:
+            circuits.append(_circuit_from_text(_decode_utf8(data, rel), gate_cache))
+        except (ConfigError, ValidationError) as exc:
+            raise type(exc)(f"{rel}: {exc}") from None
     if "hash" in declared and declared["hash"] != h.hexdigest():
         raise DecodeError(f"{manifest}: circuit files do not match the manifest hash")
     return CircuitBatch(tuple(circuits), tuple(l for _, l in entries))

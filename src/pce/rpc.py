@@ -239,7 +239,10 @@ def _decode_payload(mtype: MsgType, payload: bytes):
 
     if mtype is MsgType.LOAD_CIRCUIT:
         (index,) = take("<I", "circuit index")
-        return LoadCircuit(index, machine_from_bytes(payload[r_off:]))
+        try:
+            return LoadCircuit(index, machine_from_bytes(payload[r_off:]))
+        except DecodeError as exc:  # image offset -> frame offset
+            raise DecodeError(exc.detail, FRAME_OVERHEAD + r_off + exc.offset) from None
     if mtype is MsgType.LOAD_PARAMS:
         index, n_banks = take("<IH", "parameter header")
         words = []

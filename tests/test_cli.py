@@ -128,6 +128,36 @@ class TestRun:
         assert rc == 3
 
 
+class TestUnreadableBatch:
+    """Bad bytes or lines in a batch exit 2 with the file named, for run and verify."""
+
+    COMMANDS = {
+        "run": lambda b, o: ["run", "--batch", str(b), "--mode", "pce", "--out", str(o)],
+        "verify": lambda b, o: ["verify", "--batch", str(b)],
+    }
+
+    def exits_2_naming(self, batch_dir, tmp_path, capsys, command, name):
+        assert main(self.COMMANDS[command](batch_dir, tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_utf8_circuit_file(self, batch_dir, tmp_path, capsys, command):
+        (batch_dir / "circuits" / "c00000.txt").write_bytes(b"qubits 1 shots 5\nX90 q0\xff\n")
+        self.exits_2_naming(batch_dir, tmp_path, capsys, command, "circuits/c00000.txt: not UTF-8")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_utf8_manifest(self, batch_dir, tmp_path, capsys, command):
+        manifest = batch_dir / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes().replace(b"# circuit", b"# circ\xe9uit", 1))
+        self.exits_2_naming(batch_dir, tmp_path, capsys, command, "not UTF-8")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_bad_gate_line_names_file_and_line(self, batch_dir, tmp_path, capsys, command):
+        (batch_dir / "circuits" / "c00003.txt").write_text("qubits 2 shots 4\nCZ q1 q1\n")
+        self.exits_2_naming(batch_dir, tmp_path, capsys, command, "circuits/c00003.txt: line 2: ")
+
+
 class TestVerifyAndCompare:
     def test_verify_passes_on_pristine_batch(self, batch_dir, capsys):
         assert main(["verify", "--batch", str(batch_dir), "--shots", "3"]) == 0

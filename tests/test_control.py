@@ -8,6 +8,7 @@ from pce.asm import AsmOp, AssemblyProgram, MachineProgram, Opcode, assemble, co
 from pce.circuits import Circuit, U3Params, circuit_unitary, cz, measure, u3_decompose, vz, x90
 from pce.control import (
     BANK_CAPACITY,
+    EVENT_KIND_NAMES,
     ControlSession,
     N_BANKS,
     ParameterMemory,
@@ -342,6 +343,50 @@ class TestSamplerMatchesReference:
             rows = res.trace.phases.reshape(shots, -1)
             assert len({row.tobytes() for row in rows}) > 1
             assert np.array_equal(res.data.bits, reference_bits(res.trace, n, seed, 4))
+
+
+def _reference_trace_text(trace):
+    """Oracle: the per-event trace dump, one indexed read per field."""
+    lines = []
+    for i in range(len(trace.times)):
+        ch = int(trace.channels[i])
+        ch2 = int(trace.channels2[i])
+        chs = f"{ch}" if ch2 < 0 else f"{ch},{ch2}"
+        lines.append(
+            f"t={int(trace.times[i])} ch={chs} "
+            f"kind={EVENT_KIND_NAMES[int(trace.kinds[i])]} phase=0x{int(trace.phases[i]):08x}"
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+class TestTraceText:
+    def test_random_traces_match_reference(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            shots = int(rng.integers(1, 4))
+            trace = random_trace(rng, n, int(rng.integers(0, 40)), shots)
+            trace.times[:] = np.cumsum(rng.integers(0, 1 << 20, size=len(trace)))
+            trace.phases[rng.random(len(trace)) < 0.2] = 0xFFFFFFFF
+            trace.phases[rng.random(len(trace)) < 0.2] = 0
+            assert trace.to_text() == _reference_trace_text(trace)
+
+    def test_cz_and_extreme_phases(self):
+        rng = np.random.default_rng(3)
+        trace = random_trace(rng, 4, 50, 2)
+        trace.phases[::2] = 0xFFFFFFFF
+        trace.times[:] = np.arange(len(trace)) * 1_000_000_007
+        text = trace.to_text()
+        assert text == _reference_trace_text(trace)
+        cz_at = int(np.flatnonzero(trace.channels2 >= 0)[0])
+        ch, ch2 = int(trace.channels[cz_at]), int(trace.channels2[cz_at])
+        assert f"ch={ch},{ch2} kind=CZ phase=0x{int(trace.phases[cz_at]):08x}\n" in text
+        assert "phase=0xffffffff\n" in text
+
+    def test_empty_trace(self):
+        empty = random_trace(np.random.default_rng(0), 2, 0, 1)
+        assert len(empty) == 0
+        assert empty.to_text() == _reference_trace_text(empty) == ""
 
 
 def requests_then_pulses(q, n_req, shots):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from pce.circuits import Circuit, cz, delay, measure, param_request, vz, x90
-from pce.errors import ConfigError, DecodeError
+from pce.circuits import Circuit, Gate, cz, delay, measure, param_request, vz, x90
+from pce.errors import ConfigError, DecodeError, ValidationError
 from pce.fileio import (
     batch_hash,
     circuit_from_text,
@@ -12,7 +12,67 @@ from pce.fileio import (
     read_batch,
     write_batch,
 )
-from pce.generators import BatchSpec, gen_rb
+from pce.generators import BatchSpec, gen_batch, gen_rb
+
+
+def _reference_qubit(token: str, line_no: int) -> int:
+    if not token.startswith("q") or not token[1:].isdigit():
+        raise ConfigError(f"line {line_no}: expected qubit token like 'q0', got {token!r}")
+    return int(token[1:])
+
+
+def _reference_circuit_from_text(text: str) -> Circuit:
+    """Oracle: the per-line parser that builds a fresh Gate for every line."""
+    gates: list[Gate] = []
+    n_qubits = shots = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if n_qubits is None:
+            if len(tokens) != 4 or tokens[0] != "qubits" or tokens[2] != "shots":
+                raise ConfigError(f"line {line_no}: expected header 'qubits <n> shots <s>'")
+            try:
+                n_qubits, shots = int(tokens[1]), int(tokens[3])
+            except ValueError:
+                raise ConfigError(f"line {line_no}: non-integer header field") from None
+            continue
+        op = tokens[0]
+        try:
+            if op == "X90" and len(tokens) == 2:
+                gates.append(x90(_reference_qubit(tokens[1], line_no)))
+            elif op == "VZ" and len(tokens) == 3:
+                gates.append(vz(_reference_qubit(tokens[1], line_no), float(tokens[2])))
+            elif op == "CZ" and len(tokens) == 3:
+                gates.append(
+                    cz(_reference_qubit(tokens[1], line_no), _reference_qubit(tokens[2], line_no))
+                )
+            elif op == "MEAS" and len(tokens) == 2:
+                gates.append(measure(_reference_qubit(tokens[1], line_no)))
+            elif op == "DELAY" and len(tokens) == 3:
+                gates.append(delay(_reference_qubit(tokens[1], line_no), int(tokens[2])))
+            elif op == "PREQ" and len(tokens) == 2:
+                gates.append(param_request(_reference_qubit(tokens[1], line_no)))
+            else:
+                raise ConfigError(f"line {line_no}: unrecognized gate line {line!r}")
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+    if n_qubits is None:
+        raise ConfigError("circuit file has no header line")
+    return Circuit(tuple(gates), n_qubits, shots)
+
+
+def write_hand_batch(root, texts):
+    """Circuit files with the given texts plus a manifest that declares no hash."""
+    (root / "circuits").mkdir(parents=True)
+    lines = ["version 1", f"count {len(texts)}"]
+    for i, text in enumerate(texts):
+        rel = f"circuits/c{i:05d}.txt"
+        (root / rel).write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        lines.append(f"circuit {i} {rel} width 0 depth 1 rand {i} role hand")
+    (root / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return root
 
 
 def sample_circuit():
@@ -109,6 +169,111 @@ class TestBatchFiles:
         manifest = write_batch(batch, tmp_path)
         declared = [l.split()[1] for l in manifest.read_text().splitlines() if l.startswith("hash ")]
         assert declared == [batch_hash(batch)]
+
+
+class TestReaderMatchesReference:
+    SPECS = {
+        "RB": BatchSpec("RB", ((0,), (0, 1)), ((2, 5),), 2, shots=7, seed=5),
+        "CB": BatchSpec("CB", ((0, 1), (0, 1, 2, 3)), ((2, 4),), (2, 3), shots=3, seed=6),
+        "RC": BatchSpec("RC", ((0, 1), (0, 1, 2)), ((1, 4),), 3, shots=9, seed=7),
+        "FRC": BatchSpec("FRC", ((0, 1), (0, 1, 2, 3)), ((1, 6),), 4, shots=1, seed=8),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_written_batches_of_every_kind(self, tmp_path, kind):
+        batch = gen_batch(self.SPECS[kind])
+        manifest = write_batch(batch, tmp_path)
+        loaded = read_batch(tmp_path)
+        assert loaded.circuits == batch.circuits
+        assert loaded.labels == batch.labels
+        rels = [l.split()[2] for l in manifest.read_text().splitlines() if l.startswith("circuit ")]
+        for rel, c in zip(rels, loaded.circuits):
+            assert c == _reference_circuit_from_text((tmp_path / rel).read_text("utf-8"))
+
+    def test_hand_made_files_with_comments_and_blank_lines(self, tmp_path):
+        texts = [
+            "# lead comment\n\nqubits 2 shots 3  # header\nX90 q0\n\n  VZ q1 0.5 # turn\n",
+            "qubits 2 shots 3\n#X90 q0\nX90 q0\n  X90 q0  \nCZ q0 q1\nDELAY q1 40\n",
+            "qubits 2 shots 3\nX90 q0\r\nPREQ q1\nMEAS q0\n# tail\nMEAS q1",
+        ]
+        loaded = read_batch(write_hand_batch(tmp_path, texts))
+        assert loaded.circuits == tuple(_reference_circuit_from_text(t) for t in texts)
+        assert [len(c.gates) for c in loaded.circuits] == [2, 4, 4]
+        for t in texts:
+            assert circuit_from_text(t) == _reference_circuit_from_text(t)
+
+    def test_equal_lines_in_different_files_share_gates(self, tmp_path):
+        texts = ["qubits 1 shots 1\nX90 q0\nVZ q0 1.5\n", "qubits 2 shots 1\nVZ q0 1.5\nX90 q0\n"]
+        a, b = read_batch(write_hand_batch(tmp_path, texts)).circuits
+        assert a.gates[0] is b.gates[1] and a.gates[1] is b.gates[0]
+
+    def test_bad_line_after_cached_lines_names_its_own_line(self, tmp_path):
+        texts = [
+            "qubits 2 shots 1\nX90 q0\nX90 q1\n",
+            "qubits 2 shots 1\n\nX90 q0\nX90 q1\nX90 q0\nX90 1\n",
+        ]
+        with pytest.raises(ConfigError) as err:
+            read_batch(write_hand_batch(tmp_path, texts))
+        assert str(err.value) == (
+            "circuits/c00001.txt: line 6: expected qubit token like 'q0', got '1'"
+        )
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize(
+        "gate_line, reason",
+        [
+            ("VZ q0 nan", "phase must be finite"),
+            ("VZ q0 x", "could not convert"),
+            ("CZ q0 q0", "2 distinct qubits"),
+            ("DELAY q0 -4", "non-negative"),
+            ("FOO q0", "unrecognized gate line"),
+        ],
+    )
+    def test_gate_errors_name_file_and_line(self, tmp_path, gate_line, reason):
+        text = f"qubits 2 shots 1\nX90 q0\n{gate_line}\n"
+        with pytest.raises(ConfigError) as err:
+            circuit_from_text(text)
+        assert str(err.value).startswith("line 3: ") and reason in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            read_batch(write_hand_batch(tmp_path, ["qubits 1 shots 1\nX90 q0\n", text]))
+        assert str(err.value).startswith("circuits/c00001.txt: line 3: ")
+        assert reason in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("qubits 1 shots 1\nX90 q3\n", "outside 0..0"),
+            ("qubits 1 shots 1\nMEAS q0\nX90 q0\n", "used after its measurement"),
+        ],
+    )
+    def test_circuit_errors_name_file(self, tmp_path, text, reason):
+        with pytest.raises(ValidationError) as err:
+            read_batch(write_hand_batch(tmp_path, [text]))
+        assert str(err.value).startswith("circuits/c00000.txt: ")
+        assert reason in str(err.value)
+
+    def test_header_error_names_file_and_line(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            read_batch(write_hand_batch(tmp_path, ["# c\nqubits 1 shots x\nX90 q0\n"]))
+        assert str(err.value) == "circuits/c00000.txt: line 2: non-integer header field"
+
+    def test_non_utf8_circuit_file(self, tmp_path):
+        data = b"qubits 1 shots 5\nX90 q0\xff\n"
+        with pytest.raises(DecodeError) as err:
+            read_batch(write_hand_batch(tmp_path, [data]))
+        assert err.value.offset == data.index(b"\xff")
+        assert str(err.value).startswith("circuits/c00000.txt: not UTF-8")
+
+    def test_non_utf8_manifest(self, tmp_path):
+        write_hand_batch(tmp_path, ["qubits 1 shots 5\nX90 q0\n"])
+        manifest = tmp_path / "manifest.txt"
+        data = manifest.read_bytes().replace(b"hand", b"h\xc3nd")
+        manifest.write_bytes(data)
+        with pytest.raises(DecodeError) as err:
+            read_batch(tmp_path)
+        assert err.value.offset == data.index(b"\xc3")
+        assert str(manifest) in str(err.value)
 
 
 class TestBatchSpecConfig:

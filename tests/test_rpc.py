@@ -133,11 +133,22 @@ class TestFraming:
             rpc_decode(frame)
         assert err.value.offset == 12  # the message follows the 6-byte error header
 
+    def test_machine_fault_offset_is_a_frame_offset(self):
+        frame = bytearray(rpc_encode(LoadCircuit(0, small_program(n_qubits=1))))
+        word0 = 6 + 4 + 24  # frame header, circuit index, PCEM header
+        frame[word0 + 6] = 5  # the channel byte of word 0; the program has 1 qubit
+        with pytest.raises(DecodeError) as err:
+            rpc_decode(bytes(frame))
+        assert err.value.offset == 34
+        assert "word 0" in str(err.value)
+
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(damaged_frames())
     def test_damaged_frames_raise_only_typed_errors(self, frame):
         try:
             rpc_decode(frame)
+        except DecodeError as exc:
+            assert 0 <= exc.offset <= len(frame)
         except PceError:
             pass
 
