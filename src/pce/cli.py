@@ -128,24 +128,23 @@ def _cmd_run(args) -> int:
 
     def channel_factory(session):
         nonlocal harness
-        if not args.socket:
-            return None
         harness = _SocketHarness(session, out)
         return harness.channel
 
-    factory = channel_factory if args.socket else None
     manifest_src = batch_path / "manifest.txt" if batch_path.is_dir() else batch_path
-    outcome = run_experiment(
-        lambda: manifest_src,
-        lambda path: read_batch(path),
-        args.mode,
-        seed=args.seed,
-        shots=args.shots,
-        timing=timing,
-        channel_factory=factory,
-    )
-    if harness is not None:
-        harness.close()
+    try:
+        outcome = run_experiment(
+            lambda: manifest_src,
+            lambda path: read_batch(path),
+            args.mode,
+            seed=args.seed,
+            shots=args.shots,
+            timing=timing,
+            channel_factory=channel_factory if args.socket else None,
+        )
+    finally:
+        if harness is not None:
+            harness.close()
     (out / "manifest.txt").write_bytes(manifest_src.read_bytes())
     traces_dir = out / "traces"
     data_dir = out / "shotdata"

@@ -1,10 +1,7 @@
-"""Machine-program executor inner loop, compiled with numba when available.
+"""Machine-program executor: one interpreted loop, ``run_program``.
 
-This is the one genuinely hot numeric loop in the package: every op of every
-shot updates integer phase accumulators, per-channel clocks, and per-bank
-request counts.  The same function body is used twice: ``run_program_py`` is
-the plain interpreted fallback, ``run_program_jit`` the ``@njit`` compilation
-of the identical code, so the two paths cannot drift apart semantically.
+Every op of every shot updates integer phase accumulators, per-channel
+clocks, and per-bank request counts.
 
 Stitch serving law (the one implementation; ``control.StitchUnit`` calls the
 same two functions).  A bank holding ``pc`` words with repeat window
@@ -16,10 +13,6 @@ the full set (``ws = 0``, ``wc = pc``); a narrower one is reachable only
 through ``control.StitchConfig`` and ``control.execute``, since LOAD_PARAMS
 carries no window and ``ControlSession`` always repeats the full set.
 
-Selection: the jit path is used when numba imports and the environment
-variable ``PCE_NO_NUMBA`` is unset/empty; setting ``PCE_NO_NUMBA=1`` forces
-the fallback.  ``benchmarks/bench_kernels.py`` compares the two.
-
 All arithmetic is integer: times are int64 nanoseconds, phase frames uint64
 masked to 32 bits.  No floating point enters the kernel, which is what makes
 stitched and baseline executions comparable bit-for-bit.
@@ -27,18 +20,19 @@ stitched and baseline executions comparable bit-for-bit.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-# opcode byte values, mirrored from asm.Opcode (kept as plain ints for numba)
-OP_PULSE_X90 = 0x01
-OP_INC_PHASE = 0x02
-OP_REQ_PARAM = 0x03
-OP_TWO_QUBIT = 0x04
-OP_MEASURE = 0x05
-OP_DELAY = 0x06
-OP_END = 0x07
+from .asm import Opcode
+
+# opcode byte values as plain ints, not IntEnum members: the loop compares
+# each decoded op with them, and IntEnum comparison is slower
+OP_PULSE_X90 = int(Opcode.PULSE_X90)
+OP_INC_PHASE = int(Opcode.INC_PHASE)
+OP_REQ_PARAM = int(Opcode.REQ_PARAM)
+OP_TWO_QUBIT = int(Opcode.TWO_QUBIT)
+OP_MEASURE = int(Opcode.MEASURE)
+OP_DELAY = int(Opcode.DELAY)
+OP_END = int(Opcode.END)
 
 # trace event kind codes
 EV_X90 = 1
@@ -69,7 +63,7 @@ def stitch_budget(pc, wc, shots):
     return pc + (shots - 1) * wc
 
 
-def _run_program(
+def run_program(
     words,  # uint64[n_ops]
     n_qubits,  # int
     shots,  # int
@@ -168,28 +162,6 @@ def _run_program(
         for q in range(n_qubits):
             clocks[q] = shot_end + reset_ns
     return (STATUS_OK, -1, -1, -1, pos, cycles, clocks[0])
-
-
-run_program_py = _run_program
-
-_flag = os.environ.get("PCE_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in ("1", "true", "yes", "on")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via PCE_NO_NUMBA")
-    from numba import njit
-
-    # the law is compiled too, so the jit kernel calls compiled code
-    stitch_offset = njit(cache=True)(stitch_offset)
-    stitch_budget = njit(cache=True)(stitch_budget)
-    run_program_jit = njit(cache=True)(_run_program)
-    USING_NUMBA = True
-except ImportError:
-    run_program_jit = None
-    USING_NUMBA = False
-
-run_program = run_program_jit if USING_NUMBA else run_program_py
 
 
 def count_emitting_ops(words: np.ndarray) -> int:

@@ -24,7 +24,8 @@ from .errors import ComparisonError, IncompleteRecordError, InstrumentationError
 
 ROOT_STAGE = "Total"
 
-# child -> parent; every known stage except the root appears exactly once
+# child -> parent; every known stage except the root appears exactly once,
+# in canonical serialization order: parents before children, fixed tie order
 STAGE_PARENT = {
     "Pre-compile": "Total",
     "Get circuit": "Pre-compile",
@@ -36,8 +37,6 @@ STAGE_PARENT = {
     "Assemble": "Build Run",
     "RunAll on Host": "Build Run",
     "Run on Host": "RunAll on Host",
-    "Data Sort": "RunAll on Host",
-    "Client/Server": "Build Run",
     "Load Batch": "Run on Host",
     "Load circuit": "Load Batch",
     "Load definition": "Load Batch",
@@ -49,37 +48,12 @@ STAGE_PARENT = {
     "Start Run": "Run Batch",
     "Get data": "Run Batch",
     "Stitch": "Run on Host",
+    "Data Sort": "RunAll on Host",
+    "Client/Server": "Build Run",
 }
 
 STAGE_NAMES = frozenset(STAGE_PARENT) | {ROOT_STAGE}
-
-# canonical serialization order: parents before children, fixed tie order
-STAGE_ORDER = (
-    "Total",
-    "Pre-compile",
-    "Get circuit",
-    "Transpile",
-    "RIP",
-    "Active",
-    "Build Run",
-    "Compile",
-    "Assemble",
-    "RunAll on Host",
-    "Run on Host",
-    "Load Batch",
-    "Load circuit",
-    "Load definition",
-    "Load env.",
-    "Load freq.",
-    "Load zero",
-    "Load para",
-    "Run Batch",
-    "Start Run",
-    "Get data",
-    "Stitch",
-    "Data Sort",
-    "Client/Server",
-)
+STAGE_ORDER = (ROOT_STAGE, *STAGE_PARENT)
 
 _ORDER_INDEX = {name: i for i, name in enumerate(STAGE_ORDER)}
 

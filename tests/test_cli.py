@@ -4,6 +4,7 @@ import zlib
 
 import pytest
 
+from pce import cli
 from pce.cli import main
 from pce.fileio import read_batch
 from pce.rip import binarize, debinarize, rip
@@ -126,6 +127,34 @@ class TestRun:
         write_batch(batch, bdir)
         rc = main(["run", "--batch", str(bdir), "--mode", "pce", "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    @pytest.mark.parametrize("mode", ["baseline", "pce"])
+    def test_socket_server_fault_exits_2_and_closes(self, tmp_path, capsys, monkeypatch, mode):
+        # the server refuses a 9-qubit program (8 banks); the harness still closes
+        from pce.circuits import Circuit, measure, x90
+        from pce.fileio import write_batch
+        from pce.generators import CircuitBatch, Label
+
+        closes = []
+        close = cli._SocketHarness.close
+
+        def counting_close(self):
+            closes.append(self)
+            close(self)
+
+        monkeypatch.setattr(cli._SocketHarness, "close", counting_close)
+        batch = CircuitBatch((Circuit((x90(8), measure(8)), 9, 2),), (Label((8,), 1, 0, "x"),))
+        bdir = tmp_path / "wide"
+        write_batch(batch, bdir)
+        rc = main(
+            ["run", "--batch", str(bdir), "--mode", mode, "--socket", "--out", str(tmp_path / "o")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "9 qubits exceed the 8-bank design" in err
+        assert "Traceback" not in err
+        assert len(closes) == 1
+        assert not closes[0].thread.is_alive()
 
 
 class TestUnreadableBatch:

@@ -28,6 +28,7 @@ from pce.errors import (
     RoutingError,
     SchedulingError,
     UnderflowError,
+    ValidationError,
 )
 from pce.generators import BatchSpec, gen_rb
 from pce.rip import binarize, dequantize_words, modify, peel, rip
@@ -247,6 +248,48 @@ class TestExecute:
         a, b = execute(full, shots=2), execute(cut, shots=2)
         assert a.trace == b.trace and a.trace.events_per_shot == 1
         assert (a.cycle_count, a.sim_time_ns) == (b.cycle_count, b.sim_time_ns)
+
+
+def word(op, ch=0, ch2=0, imm=0):
+    return (op << 56) | (ch << 48) | (ch2 << 40) | imm
+
+
+X90_0, REQ_0, END = word(Opcode.PULSE_X90), word(Opcode.REQ_PARAM), word(Opcode.END)
+BAD_OPCODE = word(0x09)
+
+
+class TestExecutorFaults:
+    """A MachineProgram built directly skips machine_from_bytes' word checks,
+    so the executor itself must report the first bad word."""
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            ((X90_0, BAD_OPCODE, END), "unknown opcode at op 1 (shot 0)"),
+            ((X90_0, word(Opcode.PULSE_X90, ch=2), END), "channel out of range at op 1 (shot 0)"),
+            ((word(Opcode.TWO_QUBIT, 0, 5), END), "channel out of range at op 0 (shot 0)"),
+            # a bad word in shot 0 wins over the underflow shot 1 would hit
+            ((REQ_0, BAD_OPCODE, END), "unknown opcode at op 1 (shot 0)"),
+        ],
+    )
+    def test_bad_word_names_op_and_shot(self, words, message):
+        prog = MachineProgram(np.array(words, np.uint64), 2, 2, (1,), 0)
+        mem = ParameterMemory()
+        mem.write_params(0, np.array([5], dtype=np.uint32))
+        with pytest.raises(ValidationError) as err:
+            execute(prog, StitchConfig((1,), 1), mem, seed=0)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "bad_word", [BAD_OPCODE, word(Opcode.PULSE_X90, ch=2), word(Opcode.TWO_QUBIT, 0, 5)]
+    )
+    def test_underflow_before_a_later_bad_word_wins(self, bad_word):
+        prog = MachineProgram(np.array((REQ_0, REQ_0, bad_word, END), np.uint64), 2, 2, (1,), 0)
+        mem = ParameterMemory()
+        mem.write_params(0, np.array([5], dtype=np.uint32))
+        with pytest.raises(UnderflowError) as err:
+            execute(prog, StitchConfig((1,), 1), mem, seed=0)
+        assert (err.value.core_id, err.value.shot, err.value.op_index) == (0, 0, 1)
 
 
 def _reference_distribution(trace, shot, n):

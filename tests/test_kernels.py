@@ -1,36 +1,13 @@
-"""The jit kernel and the interpreted fallback must agree bit-for-bit."""
+"""The executor pulls parameter words by the same law as StitchUnit."""
 
 import numpy as np
-import pytest
 
 from pce import kernels
 from pce.asm import AsmOp, AssemblyProgram, Opcode, assemble
-from pce.control import BANK_CAPACITY, N_BANKS, ParameterMemory, StitchConfig, StitchUnit
+from pce.control import N_BANKS, ParameterMemory, StitchConfig, StitchUnit
 
 
-def random_program(rng, n_qubits, n_ops, req_weight=0.3):
-    ops = []
-    for _ in range(n_ops):
-        q = int(rng.integers(0, n_qubits))
-        r = rng.random()
-        if r < req_weight:
-            ops.append(AsmOp(Opcode.REQ_PARAM, q))
-        elif r < 0.5:
-            ops.append(AsmOp(Opcode.INC_PHASE, q, imm=int(rng.integers(0, 1 << 32))))
-        elif r < 0.75:
-            ops.append(AsmOp(Opcode.PULSE_X90, q))
-        elif r < 0.85 and n_qubits > 1:
-            ops.append(AsmOp(Opcode.TWO_QUBIT, q, channel2=(q + 1) % n_qubits))
-        elif r < 0.95:
-            ops.append(AsmOp(Opcode.DELAY, q, imm=int(rng.integers(0, 200))))
-        else:
-            ops.append(AsmOp(Opcode.MEASURE, q))
-    ops.append(AsmOp(Opcode.END))
-    return AssemblyProgram(tuple(ops), n_qubits, shots=int(rng.integers(1, 5)))
-
-
-def run_path(fn, program, banks, param_counts, shots):
-    machine = program if hasattr(program, "words") else assemble(program)
+def run_path(machine, banks, param_counts, shots):
     words = np.ascontiguousarray(machine.words, dtype=np.uint64)
     n_emit = kernels.count_emitting_ops(words)
     total = n_emit * shots
@@ -42,7 +19,7 @@ def run_path(fn, program, banks, param_counts, shots):
         ev_phase=np.zeros(total, np.uint32),
         served=np.zeros(N_BANKS, np.int64),
     )
-    ret = fn(
+    ret = kernels.run_program(
         words,
         machine.n_qubits,
         shots,
@@ -65,36 +42,6 @@ def run_path(fn, program, banks, param_counts, shots):
     return ret, out
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba unavailable or disabled")
-class TestJitMatchesFallback:
-    def test_random_programs_identical(self):
-        rng = np.random.default_rng(55)
-        for _ in range(25):
-            n_qubits = int(rng.integers(1, 6))
-            program = random_program(rng, n_qubits, int(rng.integers(1, 80)))
-            shots = program.shots
-            banks = rng.integers(0, 1 << 32, size=(N_BANKS, BANK_CAPACITY)).astype(np.uint32)
-            # cover each qubit's request budget so runs complete
-            counts = [0] * N_BANKS
-            for q, c in enumerate(program.param_counts()):
-                counts[q] = c
-            ret_py, out_py = run_path(kernels.run_program_py, program, banks, counts, shots)
-            ret_jit, out_jit = run_path(kernels.run_program_jit, program, banks, counts, shots)
-            assert tuple(int(v) for v in ret_py) == tuple(int(v) for v in ret_jit)
-            for key in out_py:
-                assert np.array_equal(out_py[key], out_jit[key]), key
-
-    def test_underflow_agrees(self):
-        program = AssemblyProgram(
-            (AsmOp(Opcode.REQ_PARAM, 0), AsmOp(Opcode.END)), 1, shots=3
-        )
-        banks = np.zeros((N_BANKS, BANK_CAPACITY), np.uint32)
-        counts = [0] * N_BANKS
-        ret_py, _ = run_path(kernels.run_program_py, program, banks, counts, 3)
-        ret_jit, _ = run_path(kernels.run_program_jit, program, banks, counts, 3)
-        assert ret_py[0] == ret_jit[0] == kernels.STATUS_UNDERFLOW
-
-
 class TestServingLawMatchesStitchUnit:
     def test_kernel_request_stream_equals_unit(self):
         # the executor must pull words in exactly the order StitchUnit serves them
@@ -111,7 +58,7 @@ class TestServingLawMatchesStitchUnit:
             mem = ParameterMemory()
             mem.write_params(0, words)
             counts = [pc] + [0] * (N_BANKS - 1)
-            ret, out = run_path(kernels.run_program, program, mem.banks, counts, shots)
+            ret, out = run_path(program, mem.banks, counts, shots)
             assert ret[0] == kernels.STATUS_OK
             unit = StitchUnit(mem, StitchConfig(tuple(counts), shots))
             expected_phases = []
@@ -124,35 +71,3 @@ class TestServingLawMatchesStitchUnit:
             assert got == expected_phases
             assert int(out["served"][0]) == int(unit.served[0]) == pc * shots
 
-
-class TestEnvFlag:
-    def test_flag_selects_fallback(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        # the child imports the same pce as this process, from any cwd,
-        # whether or not the package is installed
-        src = str(Path(kernels.__file__).resolve().parents[1])
-        env = dict(os.environ, PCE_NO_NUMBA="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        code = (
-            "import pce.kernels as k; "
-            "print(k.USING_NUMBA, k.run_program is k.run_program_py); "
-            "print(k.NUMBA_DISABLED)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        lines = out.stdout.splitlines()
-        assert len(lines) == 2, out.stderr
-        assert lines[0].strip() == "False True", out.stderr
-        # without numba the line above holds with or without the flag;
-        # this one holds only if the flag was read
-        assert lines[1].strip() == "True", out.stderr

@@ -1,5 +1,7 @@
 """Tests for stage scoping, report serialization, and record comparison."""
 
+import json
+
 import pytest
 
 from pce.errors import ComparisonError, IncompleteRecordError, InstrumentationError
@@ -124,6 +126,30 @@ class TestReportSerialization:
         text = report(rec)
         parsed, _ = parse_report(text)
         assert parsed.duration_ns("Total") == 0
+
+    def test_every_stage_in_canonical_order(self):
+        # the order profile.json has always used; stages are added in
+        # reverse so insertion order cannot produce it by accident
+        canonical = [
+            "Total", "Pre-compile", "Get circuit", "Transpile", "RIP", "Active",
+            "Build Run", "Compile", "Assemble", "RunAll on Host", "Run on Host",
+            "Load Batch", "Load circuit", "Load definition", "Load env.",
+            "Load freq.", "Load zero", "Load para", "Run Batch", "Start Run",
+            "Get data", "Stitch", "Data Sort", "Client/Server",
+        ]
+        rec, _ = make_record()
+        for name in reversed(canonical):
+            rec.add_computed(name, 1)
+        names = []
+
+        def walk(node):
+            names.append(node["name"])
+            for child in node["children"]:
+                walk(child)
+
+        walk(json.loads(report(rec))["stages"])
+        assert names == canonical
+        assert [r.name for r in compare(rec, rec).rows] == canonical
 
     def test_unparseable_report(self):
         with pytest.raises(IncompleteRecordError):

@@ -1,9 +1,13 @@
 """Tests for structural grouping, phase peeling, and the parameter blob format."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pce.circuits import (
     TAU,
@@ -277,6 +281,42 @@ class TestPeelModify:
                     assert len(result.table.words_for(i)[q]) == reqs
 
 
+def _fuzz_seed_blob() -> tuple[bytes, tuple[int, ...]]:
+    """A real blob and the byte offset of each of its per-bank word counts."""
+    result = rip(gen_rb(BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 2, shots=5, seed=8)))
+    n = result.table.n_circuits
+    pos = 16 + 4 * n + (n + 7) // 8
+    counts = []
+    for row in result.table.rows:
+        for words in row:
+            counts.append(pos)
+            pos += 2 + 4 * len(words)
+    return binarize(result.report, result.table), tuple(counts)
+
+
+FUZZ_BLOB, FUZZ_COUNT_OFFSETS = _fuzz_seed_blob()
+# (format, offset) of the header's qubit, circuit and group counts
+HEADER_COUNTS = (("<H", 6), ("<I", 8), ("<I", 12))
+
+
+@st.composite
+def damaged_blobs(draw):
+    """FUZZ_BLOB truncated, bit-flipped or given an absurd count, CRC re-sealed."""
+    body = bytearray(FUZZ_BLOB[:-4])
+    how = draw(st.sampled_from(("truncate", "flip", "header", "word count")))
+    if how == "truncate":
+        body = body[: draw(st.integers(0, len(body) - 1))]
+    elif how == "flip":
+        body[draw(st.integers(0, len(body) - 1))] ^= 1 << draw(st.integers(0, 7))
+    elif how == "header":
+        fmt, at = draw(st.sampled_from(HEADER_COUNTS))
+        struct.pack_into(fmt, body, at, draw(st.integers(0, 256 ** struct.calcsize(fmt) - 1)))
+    else:
+        at = draw(st.sampled_from(FUZZ_COUNT_OFFSETS))
+        struct.pack_into("<H", body, at, draw(st.integers(0, 0xFFFF)))
+    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 class TestBlob:
     def round_trip(self, report, table):
         blob = binarize(report, table)
@@ -346,6 +386,14 @@ class TestBlob:
         with pytest.raises(DecodeError) as err:
             debinarize(b"PCEB\x01\x00")
         assert err.value.offset >= 0
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(damaged_blobs())
+    def test_damaged_blobs_raise_only_decode_errors(self, blob):
+        try:
+            debinarize(blob)
+        except DecodeError as exc:
+            assert 0 <= exc.offset <= len(blob)
 
 
 class TestParamTableBuild:
