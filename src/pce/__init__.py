@@ -74,10 +74,7 @@ from .control import (
     ParameterMemory,
     PulseTrace,
     ShotData,
-    StitchConfig,
-    StitchUnit,
     TimingConfig,
-    addr_map,
     deft_run,
     execute,
 )

@@ -88,20 +88,12 @@ class AssemblyProgram:
                 if not 0 <= op.channel2 < limit or op.channel2 == op.channel:
                     raise ValidationError(f"op {i} has invalid channel pair")
 
-    def param_counts(self) -> tuple[int, ...]:
-        counts = [0] * self.n_qubits
-        for op in self.ops:
-            if op.opcode is Opcode.REQ_PARAM:
-                counts[op.channel] += 1
-        return tuple(counts)
-
 
 @dataclass(frozen=True)
 class MachineProgram:
     words: np.ndarray = field(repr=False)  # uint64
     n_qubits: int
     shots: int
-    param_counts: tuple[int, ...]
     checksum: int
 
     def __eq__(self, other) -> bool:
@@ -111,7 +103,6 @@ class MachineProgram:
             np.array_equal(self.words, other.words)
             and self.n_qubits == other.n_qubits
             and self.shots == other.shots
-            and self.param_counts == other.param_counts
             and self.checksum == other.checksum
         )
 
@@ -168,7 +159,7 @@ def assemble(p: AssemblyProgram) -> MachineProgram:
     ch2 = np.array([op.channel2 for op in p.ops], dtype=np.uint64)
     imm = np.array([op.imm for op in p.ops], dtype=np.uint64)
     words = (opcodes << np.uint64(56)) | (ch << np.uint64(48)) | (ch2 << np.uint64(40)) | imm
-    return MachineProgram(words, p.n_qubits, p.shots, p.param_counts(), _mix_checksum(words))
+    return MachineProgram(words, p.n_qubits, p.shots, _mix_checksum(words))
 
 
 def disassemble(m: MachineProgram) -> AssemblyProgram:
@@ -251,7 +242,4 @@ def machine_from_bytes(data: bytes) -> MachineProgram:
     if fault is not None:
         i, reason = fault
         raise DecodeError(f"word {i}: {reason}", MACHINE_HEADER_LEN + 8 * i)
-    req = words[words >> np.uint64(56) == Opcode.REQ_PARAM]
-    channels = ((req >> np.uint64(48)) & np.uint64(0xFF)).astype(np.int64)
-    param_counts = tuple(np.bincount(channels, minlength=n_qubits).tolist())
-    return MachineProgram(words, n_qubits, shots, param_counts, _mix_checksum(words))
+    return MachineProgram(words, n_qubits, shots, _mix_checksum(words))

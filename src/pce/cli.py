@@ -117,6 +117,7 @@ class _SocketHarness:
         self.channel.close()
         self.thread.join(timeout=5)
         self.listener.close()
+        Path(self.path).unlink(missing_ok=True)  # a later run binds the same path
 
 
 def _cmd_run(args) -> int:

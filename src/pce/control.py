@@ -1,9 +1,10 @@
-"""Deterministic control-stack model: parameter memory, stitch logic, executor,
-and the deft scheduler.
+"""Deterministic control-stack model: parameter memory, executor, and the deft
+scheduler.
 
 The executor interprets assembled machine words with one integer phase
 accumulator per qubit (32-bit wraparound, reset each shot).  INC_PHASE adds
-its immediate, REQ_PARAM adds the next stitched word for that qubit, and
+its immediate, REQ_PARAM adds the next stitched word for that qubit (bank
+``q`` serves its ``counts[q]`` words once per shot, see ``kernels``), and
 every physical pulse is logged as a trace event stamped with the current
 accumulator.  Because both sides work on the same quantized words, a directly
 compiled circuit and its stitched representative produce bit-identical traces.
@@ -33,7 +34,6 @@ import numpy as np
 from . import kernels
 from .asm import MachineProgram
 from .errors import (
-    AddressError,
     CapacityError,
     RoutingError,
     SchedulingError,
@@ -45,7 +45,6 @@ from .rip import BANK_CAPACITY, debinarize, dequantize_words
 N_BANKS = 8
 CYCLE_NS = 2  # 500 MHz clock
 REQUEST_LATENCY_CYCLES = 2  # prefetch always hits: 4 ns per request
-MCM_CORE_BASE = 8  # core ids below this address parameter banks
 
 ENVELOPE_CAPACITY = 4096
 FREQ_CAPACITY = 64
@@ -66,136 +65,33 @@ class TimingConfig:
     reset_ns: int = 500
 
 
-def addr_map(axi: int) -> tuple[int, int]:
-    """Split a 32-bit AXI address into (bank, offset): top 3 of 14 bits select the bank."""
-    if axi < 0 or axi >> 14:
-        raise AddressError(f"address {axi:#x} uses bits above the 14-bit window")
-    return axi >> 11, axi & 0x7FF
+def _fit_bank(bank: int, words) -> np.ndarray:
+    """The words as uint32, if they fit bank ``bank``."""
+    if not 0 <= bank < N_BANKS:
+        raise RoutingError(f"bank {bank} outside 0..{N_BANKS - 1}")
+    arr = np.asarray(words, dtype=np.uint32)
+    if arr.size > BANK_CAPACITY:
+        raise CapacityError(bank, int(arr.size))
+    return arr
 
 
 class ParameterMemory:
-    """Eight parallel 2048-word banks of 32-bit parameters, one per qubit."""
+    """Eight parallel 2048-word banks of 32-bit parameters, one per qubit.
+
+    ``counts[q]`` is the number of words bank ``q`` serves per shot: the
+    length of its last write, until a run consumes the parameters.
+    """
 
     def __init__(self):
         self.banks = np.zeros((N_BANKS, BANK_CAPACITY), dtype=np.uint32)
-
-    def _check_bank(self, bank: int) -> None:
-        if not 0 <= bank < N_BANKS:
-            raise RoutingError(f"bank {bank} outside 0..{N_BANKS - 1}")
+        self.counts = np.zeros(N_BANKS, dtype=np.int64)
 
     def write_params(self, bank: int, words) -> int:
         """Controller-side write of a circuit's words at the start of a bank."""
-        self._check_bank(bank)
-        arr = np.asarray(words, dtype=np.uint32)
-        if arr.size > BANK_CAPACITY:
-            raise CapacityError(bank, int(arr.size))
+        arr = _fit_bank(bank, words)
         self.banks[bank, : arr.size] = arr
+        self.counts[bank] = arr.size
         return int(arr.size)
-
-    def read_param(self, bank: int, offset: int) -> int:
-        """Stitch-side read."""
-        self._check_bank(bank)
-        if not 0 <= offset < BANK_CAPACITY:
-            raise AddressError(f"offset {offset} outside 0..{BANK_CAPACITY - 1}")
-        return int(self.banks[bank, offset])
-
-
-@dataclass(frozen=True)
-class StitchConfig:
-    """Per-circuit control codes: words per bank, shot count, optional repeat window.
-
-    Bank ``q`` serves one full pass over its ``param_counts[q]`` words, then
-    repeats ``windows[q] = (start, count)`` (the full set when ``None``) once
-    per further shot; see ``kernels.stitch_offset`` and
-    ``kernels.stitch_budget``.  Windows are reachable only here and through
-    ``execute``: LOAD_PARAMS carries none, and ``ControlSession`` always
-    repeats the full set.
-    """
-
-    param_counts: tuple[int, ...]
-    shots: int
-    windows: tuple[tuple[int, int] | None, ...] | None = None  # (start, count) per bank
-    mcm_core_ids: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if len(self.param_counts) > N_BANKS:
-            raise ValidationError(f"{len(self.param_counts)} banks configured, have {N_BANKS}")
-        pcs = tuple(int(p) for p in self.param_counts) + (0,) * (N_BANKS - len(self.param_counts))
-        object.__setattr__(self, "param_counts", pcs)
-        for q, pc in enumerate(pcs):
-            if not 0 <= pc <= BANK_CAPACITY:
-                raise CapacityError(q, pc)
-        if self.shots <= 0:
-            raise ValidationError("shots must be positive")
-        if self.windows is not None:
-            wins = tuple(self.windows) + (None,) * (N_BANKS - len(self.windows))
-            for q, w in enumerate(wins):
-                if w is None:
-                    continue
-                start, count = w
-                if count < 1 or start < 0 or start + count > pcs[q]:
-                    raise ValidationError(
-                        f"window {w} on bank {q} outside its {pcs[q]}-word parameter set"
-                    )
-            object.__setattr__(self, "windows", wins)
-        for cid in self.mcm_core_ids:
-            if cid < MCM_CORE_BASE:
-                raise ValidationError(f"core id {cid} is a parameter bank, not an mcm route")
-
-    def window_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        start = np.zeros(N_BANKS, dtype=np.int64)
-        count = np.asarray(self.param_counts, dtype=np.int64).copy()
-        if self.windows is not None:
-            for q, w in enumerate(self.windows):
-                if w is not None:
-                    start[q], count[q] = w
-        return start, count
-
-
-class StitchUnit:
-    """Serves phase words to executing circuits and routes mid-circuit measurements.
-
-    Each bank serves its k-th request from ``kernels.stitch_offset`` until
-    ``kernels.stitch_budget`` runs out, the same law the executor runs.
-    Mid-circuit-measurement core ids never count as bank requests; they pop
-    from their own bit queues.
-    """
-
-    def __init__(self, memory: ParameterMemory, config: StitchConfig):
-        self.memory = memory
-        self.config = config
-        self.win_start, self.win_count = (a.tolist() for a in config.window_arrays())
-        self.budget = [
-            kernels.stitch_budget(pc, wc, config.shots)
-            for pc, wc in zip(config.param_counts, self.win_count)
-        ]
-        self.served = np.zeros(N_BANKS, dtype=np.int64)
-        self._mcm_bits: dict[int, list[int]] = {cid: [] for cid in config.mcm_core_ids}
-
-    def push_mcm(self, core_id: int, bit: int) -> None:
-        if core_id not in self._mcm_bits:
-            raise RoutingError(f"core id {core_id} is not an mcm route")
-        self._mcm_bits[core_id].append(int(bit) & 1)
-
-    def request(self, core_id: int) -> tuple[int, int]:
-        """Return (word, latency_cycles) for a parameter or mcm request."""
-        if core_id >= MCM_CORE_BASE or core_id < 0:
-            queue = self._mcm_bits.get(core_id)
-            if queue is None:
-                raise RoutingError(f"unknown core id {core_id}")
-            if not queue:
-                raise RoutingError(f"mcm route {core_id} has no measurement pending")
-            return queue.pop(0), REQUEST_LATENCY_CYCLES
-        k = int(self.served[core_id])
-        if k >= self.budget[core_id]:
-            raise UnderflowError(core_id)
-        offset = kernels.stitch_offset(
-            k, self.config.param_counts[core_id], self.win_start[core_id], self.win_count[core_id]
-        )
-        word = self.memory.read_param(core_id, offset)
-        self.served[core_id] = k + 1
-        return word, REQUEST_LATENCY_CYCLES
-
 
 @dataclass(frozen=True)
 class PulseTrace:
@@ -376,24 +272,23 @@ def _sample_bits(
 
 def execute(
     program: MachineProgram,
-    stitch: StitchConfig | None = None,
     memory: ParameterMemory | None = None,
     shots: int | None = None,
     timing: TimingConfig = TimingConfig(),
     seed: int = 0,
     circuit_index: int = 0,
-    sample_bits: bool = True,
 ) -> ExecResult:
-    """Run a machine program for N shots against the parameter memory."""
+    """Run a machine program for N shots against the parameter memory.
+
+    Bank ``q`` serves its ``memory.counts[q]`` words once per shot; with no
+    memory every bank is empty.
+    """
     n_qubits = program.n_qubits
     shots = int(shots if shots is not None else program.shots)
     if shots <= 0:
         raise ValidationError("shots must be positive")
-    banks = (memory.banks if memory is not None else np.zeros((N_BANKS, BANK_CAPACITY), np.uint32))
-    if stitch is None:
-        stitch = StitchConfig((0,) * N_BANKS, shots)
-    win_start, win_count = stitch.window_arrays()
-    param_count = np.asarray(stitch.param_counts, dtype=np.int64)
+    if memory is None:
+        memory = ParameterMemory()
     words = np.ascontiguousarray(program.words, dtype=np.uint64)
     if n_qubits > N_BANKS:
         ops = (words >> np.uint64(56)).astype(np.int64)
@@ -414,11 +309,8 @@ def execute(
         words,
         n_qubits,
         shots,
-        stitch.shots,
-        banks,
-        param_count,
-        win_start,
-        win_count,
+        memory.banks,
+        memory.counts,
         timing.x90_ns,
         timing.cz_ns,
         timing.measure_ns,
@@ -438,16 +330,13 @@ def execute(
             f"(shot {int(err_shot)})"
         )
     trace = PulseTrace(ev_time, ev_ch, ev_ch2, ev_kind, ev_phase, n_qubits, shots, n_emit)
-    if sample_bits:
-        data = _sample_bits(trace, n_qubits, shots, seed, circuit_index)
-    else:
-        data = ShotData((), np.zeros((shots, 0), dtype=np.uint8))
+    data = _sample_bits(trace, n_qubits, shots, seed, circuit_index)
     sim_ns = int(cycles) * CYCLE_NS + int(final_clock)
     return ExecResult(trace, data, int(cycles), served, sim_ns)
 
 
 class ControlSession:
-    """Server-side state: memories, loaded program, stitch configuration, results.
+    """Server-side state: memories, loaded program, results.
 
     A session is single-threaded and externally synchronized; independent
     sessions share nothing.
@@ -467,8 +356,6 @@ class ControlSession:
         self.freq_table = np.zeros(0, dtype=np.float64)
         self.program: MachineProgram | None = None
         self.current_index = -1
-        self.param_counts: tuple[int, ...] = (0,) * N_BANKS
-        self.params_loaded = False
         self.results: dict[int, ExecResult] = {}
         self._pending: ExecResult | None = None
         self._run_batch_open = False
@@ -494,14 +381,14 @@ class ControlSession:
                 self.load_circuit_calls += 1
 
     def handle_load_params(self, index: int, words_per_bank: Sequence) -> None:
+        # every bank is checked before any is written; a refused load leaves none counted
+        self.memory.counts[:] = 0
         if len(words_per_bank) > N_BANKS:
             raise ValidationError(f"{len(words_per_bank)} banks supplied, have {N_BANKS}")
         with self._scope("Load para"):
-            counts = [0] * N_BANKS
-            for bank, words in enumerate(words_per_bank):
-                counts[bank] = self.memory.write_params(bank, words)
-            self.param_counts = tuple(counts)
-            self.params_loaded = True
+            arrays = [_fit_bank(bank, words) for bank, words in enumerate(words_per_bank)]
+            for bank, arr in enumerate(arrays):
+                self.memory.write_params(bank, arr)
             self.current_index = int(index)
             self.load_params_calls += 1
 
@@ -525,7 +412,6 @@ class ControlSession:
     def handle_run(self, shots: int) -> None:
         if self.program is None:
             raise SchedulingError("run requested before any circuit was loaded")
-        stitch = StitchConfig(self.param_counts if self.params_loaded else (0,) * N_BANKS, shots)
         if self.record is not None:
             self.record.push("Run Batch")
             self._run_batch_open = True
@@ -533,7 +419,6 @@ class ControlSession:
             with self._scope("Start Run"):
                 result = execute(
                     self.program,
-                    stitch,
                     self.memory,
                     shots=shots,
                     timing=self.timing,
@@ -557,7 +442,7 @@ class ControlSession:
         self.total_served += int(result.served.sum())
         self.run_calls += 1
         # parameters are consumed by the run; the next circuit must reload
-        self.params_loaded = False
+        self.memory.counts[:] = 0
 
     def handle_get_data(self) -> ShotData:
         if self._pending is None:

@@ -37,10 +37,6 @@ class CapacityError(PceError):
         )
 
 
-class AddressError(PceError):
-    """An AXI address uses bits outside the 14-bit parameter memory window."""
-
-
 class UnderflowError(PceError):
     """A stitch request arrived after the per-circuit parameter budget ran out."""
 
@@ -54,7 +50,7 @@ class UnderflowError(PceError):
 
 
 class RoutingError(PceError):
-    """A stitch request used an unknown or unserviceable core id."""
+    """A parameter write addressed a bank that does not exist."""
 
 
 class EncodeError(PceError):

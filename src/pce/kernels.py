@@ -3,15 +3,10 @@
 Every op of every shot updates integer phase accumulators, per-channel
 clocks, and per-bank request counts.
 
-Stitch serving law (the one implementation; ``control.StitchUnit`` calls the
-same two functions).  A bank holding ``pc`` words with repeat window
-``(ws, wc)`` serves its ``k``-th request (``k`` from 0) from offset
-``stitch_offset(k) = k if k < pc else ws + (k - pc) % wc`` and can serve
-``stitch_budget = 0 if pc == 0 else pc + (shots - 1) * wc`` requests in all:
-one full pass, then one window pass per further shot.  The window defaults to
-the full set (``ws = 0``, ``wc = pc``); a narrower one is reachable only
-through ``control.StitchConfig`` and ``control.execute``, since LOAD_PARAMS
-carries no window and ``ControlSession`` always repeats the full set.
+Stitch serving law (the one implementation).  A bank holding ``pc`` words
+serves its ``k``-th request (``k`` from 0) from offset ``k % pc`` and
+underflows after ``pc * shots`` requests (at once when ``pc == 0``): one pass
+over its words per shot.
 
 All arithmetic is integer: times are int64 nanoseconds, phase frames uint64
 masked to 32 bits.  No floating point enters the kernel, which is what makes
@@ -49,29 +44,12 @@ STATUS_BAD_CHANNEL = 3
 CYCLES_PER_OP = 2  # every issued instruction costs 2 cycles at 500 MHz (4 ns)
 
 
-def stitch_offset(k, pc, ws, wc):
-    """Bank offset of a bank's k-th served word: first pass, then the window."""
-    if k < pc:
-        return k
-    return ws + (k - pc) % wc
-
-
-def stitch_budget(pc, wc, shots):
-    """Requests a bank can serve: one full pass, then shots-1 window passes."""
-    if pc == 0:
-        return 0
-    return pc + (shots - 1) * wc
-
-
 def run_program(
     words,  # uint64[n_ops]
     n_qubits,  # int
     shots,  # int
-    budget_shots,  # int: stitch repeat budget, normally == shots
     banks,  # uint32[n_banks, 2048]
     param_count,  # int64[n_banks]
-    win_start,  # int64[n_banks]
-    win_count,  # int64[n_banks]
     x90_ns,
     cz_ns,
     meas_ns,
@@ -87,10 +65,8 @@ def run_program(
     n_ops = words.shape[0]
     clocks = np.zeros(n_qubits, np.int64)
     acc = np.zeros(n_qubits, np.uint64)
-    budget = np.zeros(banks.shape[0], np.int64)
-    for b in range(banks.shape[0]):
-        served[b] = 0
-        budget[b] = stitch_budget(param_count[b], win_count[b], budget_shots)
+    budget = param_count * shots
+    served[:] = 0
     mask32 = np.uint64(0xFFFFFFFF)
     pos = 0
     cycles = 0
@@ -122,7 +98,7 @@ def run_program(
                 k = served[ch]
                 if k >= budget[ch]:
                     return (STATUS_UNDERFLOW, shot, i, ch, pos, cycles, np.int64(0))
-                word = banks[ch, stitch_offset(k, param_count[ch], win_start[ch], win_count[ch])]
+                word = banks[ch, k % param_count[ch]]
                 acc[ch] = (acc[ch] + np.uint64(word)) & mask32
                 served[ch] = k + 1
             elif op == OP_TWO_QUBIT:

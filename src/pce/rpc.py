@@ -11,6 +11,7 @@ and local stream socket share this framing byte-for-byte).
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import struct
 import time
@@ -323,8 +324,10 @@ class ControlServer:
         """Serve one connection until EOF; one in-flight request at a time.
 
         A declared frame length outside ``[2, MAX_FRAME_BYTES]`` gets one ERROR
-        reply and ends the session; a peer that closes mid-frame ends it
-        quietly.  The caller owns and closes ``conn``.
+        reply and ends the session, and so does a fault outside the ``PceError``
+        taxonomy (generic code, so the thread never dies with a traceback); a
+        peer that closes mid-frame ends it quietly.  The caller owns and closes
+        ``conn``.
         """
         while True:
             try:
@@ -342,6 +345,10 @@ class ControlServer:
                 conn.sendall(self.handle_frame(header + body))
             except (OSError, DecodeError):
                 return  # peer tore the connection down or closed mid-frame
+            except Exception as exc:
+                with contextlib.suppress(OSError):
+                    conn.sendall(rpc_encode(ErrorMsg(_ERR_GENERIC, f"server fault: {exc!r}")))
+                return
 
 
 def _read_exact(conn: socket.socket, n: int) -> bytes | None:

@@ -10,7 +10,7 @@ amortization story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,8 +49,6 @@ class ExperimentOutcome:
     record: ProfileRecord
     batch_hash: str
     report: EquivalenceReport | None = None
-    blob: bytes | None = None
-    uniques: dict[int, MachineProgram] = field(default_factory=dict)
     stitch_requests: int = 0
     sim_time_ns: int = 0
 
@@ -158,5 +156,3 @@ def _run_pce(batch, client, record, outcome, shots, blob_override):
                 )
             _sort_data(record, data, outcome)
     outcome.report = result.report
-    outcome.blob = blob
-    outcome.uniques = uniques

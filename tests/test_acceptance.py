@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from pce.asm import assemble
+from pce.asm import MachineProgram, Opcode, assemble
 from pce.circuits import (
     Circuit,
     GateKind,
@@ -24,13 +24,7 @@ from pce.circuits import (
     u3_matrix,
     z_matrix,
 )
-from pce.control import (
-    BANK_CAPACITY,
-    ParameterMemory,
-    StitchConfig,
-    StitchUnit,
-    addr_map,
-)
+from pce.control import BANK_CAPACITY, ParameterMemory, execute
 from pce.errors import CapacityError, DecodeError, UnderflowError
 from pce.generators import BatchSpec, CircuitBatch, gen_batch, iter_batch, preset_spec
 from pce.rip import (
@@ -47,6 +41,7 @@ from pce.rip import (
 from pce.rpc import rpc_decode, rpc_encode
 from pce.runner import run_experiment
 from pce.verify import first_trace_mismatch
+from tests.test_control import END, requests_then_pulses, served_stream, word
 
 
 @contextmanager
@@ -208,82 +203,52 @@ def test_criterion_6_amortization_invariant():
 
 
 def test_criterion_7_stitch_semantics_properties():
-    with criterion(7, "stitch repetition/window/core-id/bank/address laws, 10k cases each"):
+    with criterion(7, "stitch repetition/underflow and bank laws through execute, 10k cases each"):
         rng = np.random.default_rng(70)
 
-        # shot repetition: exactly param_count x shots served, then underflow
+        # shot repetition: request k takes word k % pc; the pc * shots + 1-th underflows
+        underflows = 0
+        programs = {}  # assembling costs more than executing: one program per shape
         for _ in range(10_000):
             pc = int(rng.integers(1, 9))
             shots = int(rng.integers(1, 4))
+            n_req = int(rng.integers(1, 10))
             mem = ParameterMemory()
             words = rng.integers(0, 1 << 32, size=pc).astype(np.uint32)
             mem.write_params(0, words)
-            unit = StitchUnit(mem, StitchConfig((pc,), shots))
-            got = [unit.request(0)[0] for _ in range(pc * shots)]
-            assert got == list(words) * shots
-            with pytest.raises(UnderflowError):
-                unit.request(0)
+            if (n_req, shots) not in programs:
+                programs[n_req, shots] = requests_then_pulses(0, n_req, shots)
+            program = programs[n_req, shots]
+            if n_req <= pc:
+                res = execute(program, mem)
+                law = [int(words[k % pc]) for k in range(n_req * shots)]
+                assert served_stream(res.trace, 0) == law
+                assert int(res.served[0]) == n_req * shots
+                continue
+            underflows += 1
+            with pytest.raises(UnderflowError) as err:
+                execute(program, mem)
+            shot, j = divmod(pc * shots, n_req)
+            assert (err.value.core_id, err.value.shot, err.value.op_index) == (0, shot, 1 + 2 * j)
+        assert underflows > 1000
 
-        # partial-repeat windows
-        for _ in range(10_000):
-            pc = int(rng.integers(1, 9))
-            shots = int(rng.integers(1, 4))
-            ws = int(rng.integers(0, pc))
-            wc = int(rng.integers(1, pc - ws + 1))
-            mem = ParameterMemory()
-            words = rng.integers(0, 1 << 32, size=pc).astype(np.uint32)
-            mem.write_params(0, words)
-            unit = StitchUnit(mem, StitchConfig((pc,), shots, windows=((ws, wc),)))
-            expect = list(words) + list(words[ws : ws + wc]) * (shots - 1)
-            got = [unit.request(0)[0] for _ in range(len(expect))]
-            assert got == expect
-            with pytest.raises(UnderflowError):
-                unit.request(0)
-
-        # core-id isolation: mcm requests never move parameter cursors
-        for _ in range(10_000):
-            pc = int(rng.integers(2, 6))
-            mem = ParameterMemory()
-            words = rng.integers(0, 1 << 32, size=pc).astype(np.uint32)
-            mem.write_params(0, words)
-            unit = StitchUnit(mem, StitchConfig((pc,), 1, mcm_core_ids=frozenset({9})))
-            bits = rng.integers(0, 2, size=3)
-            for b in bits:
-                unit.push_mcm(9, int(b))
-            assert unit.request(0)[0] == words[0]
-            assert [unit.request(9)[0] for _ in range(3)] == list(bits)
-            assert unit.request(0)[0] == words[1]
-            assert int(unit.served[0]) == 2
-
-        # bank isolation: interleaved requests keep per-bank FIFO order
+        # bank isolation: interleaved requests keep per-bank order and repetition
         for _ in range(10_000):
             n_banks = int(rng.integers(2, 5))
+            shots = int(rng.integers(1, 3))
             mem = ParameterMemory()
             all_words = []
-            counts = []
             for b in range(n_banks):
-                pc = int(rng.integers(1, 5))
-                w = rng.integers(0, 1 << 32, size=pc).astype(np.uint32)
+                w = rng.integers(0, 1 << 32, size=int(rng.integers(1, 5))).astype(np.uint32)
                 mem.write_params(b, w)
-                all_words.append(list(w))
-                counts.append(pc)
-            unit = StitchUnit(mem, StitchConfig(tuple(counts), 1))
-            schedule = [b for b in range(n_banks) for _ in range(counts[b])]
+                all_words.append([int(x) for x in w])
+            schedule = [b for b in range(n_banks) for _ in all_words[b]]
             rng.shuffle(schedule)
-            cursors = [0] * n_banks
-            for b in schedule:
-                word = unit.request(b)[0]
-                assert word == all_words[b][cursors[b]]
-                cursors[b] += 1
-
-        # address split: top 3 of 14 bits select the bank
-        for _ in range(10_000):
-            raw = int(rng.integers(0, 1 << 14))
-            assert addr_map(raw) == (raw >> 11, raw & 0x7FF)
-        for _ in range(100):
-            bad = int(rng.integers(1 << 14, 1 << 32))
-            with pytest.raises(Exception):
-                addr_map(bad)
+            ops = [word(op, b) for b in schedule for op in (Opcode.REQ_PARAM, Opcode.PULSE_X90)]
+            program = MachineProgram(np.array(ops + [END], np.uint64), n_banks, shots, 0)
+            res = execute(program, mem)
+            for b in range(n_banks):
+                assert served_stream(res.trace, b) == all_words[b] * shots
 
 
 def _random_report_table(rng):

@@ -17,6 +17,7 @@ from pce.asm import (
     machine_to_bytes,
 )
 from pce.circuits import Circuit, U3Params, cz, delay, measure, param_request, u3_decompose, vz, x90
+from pce.control import ParameterMemory, execute
 from pce.errors import DecodeError, EncodeError, UnsupportedGateError, ValidationError
 from pce.rip import modify, quantize_phase
 
@@ -48,7 +49,7 @@ def word(op, ch=0, ch2=0, imm=0) -> int:
 
 def image_of(words, n_qubits) -> bytes:
     """A PCEM image of raw words, with no validation on the way out."""
-    return machine_to_bytes(MachineProgram(np.array(words, dtype=np.uint64), n_qubits, 1, (), 0))
+    return machine_to_bytes(MachineProgram(np.array(words, dtype=np.uint64), n_qubits, 1, 0))
 
 
 @st.composite
@@ -163,6 +164,8 @@ class TestAssemble:
         assert disassemble(assemble(p)) == p
 
     def test_param_counts_metadata(self):
+        # a program's per-bank request count is what the executor serves per shot;
+        # the machine words carry it, no separate copy
         ops = (
             AsmOp(Opcode.REQ_PARAM, 0),
             AsmOp(Opcode.REQ_PARAM, 2),
@@ -170,7 +173,10 @@ class TestAssemble:
             AsmOp(Opcode.END),
         )
         m = assemble(AssemblyProgram(ops, 3, 1))
-        assert m.param_counts == (2, 0, 1)
+        memory = ParameterMemory()
+        for bank, n in enumerate((2, 0, 1)):
+            memory.write_params(bank, np.arange(n, dtype=np.uint32))
+        assert execute(m, memory, shots=4).served[:3].tolist() == [8, 0, 4]
 
     def test_oversize_channel_rejected(self):
         p = AssemblyProgram((AsmOp(Opcode.PULSE_X90, 300), AsmOp(Opcode.END)), 512, 1)
@@ -201,13 +207,13 @@ class TestDisassemble:
         m = assemble(random_program(np.random.default_rng(4)))
         words = m.words.copy()
         words[5] = np.uint64(0xFF) << np.uint64(56)
-        bad = MachineProgram(words, m.n_qubits, m.shots, m.param_counts, m.checksum)
+        bad = MachineProgram(words, m.n_qubits, m.shots, m.checksum)
         with pytest.raises(DecodeError) as err:
             disassemble(bad)
         assert "word 5" in str(err.value)
 
     def test_empty_words_invalid(self):
-        empty = MachineProgram(np.zeros(0, dtype=np.uint64), 1, 1, (0,), 0)
+        empty = MachineProgram(np.zeros(0, dtype=np.uint64), 1, 1, 0)
         with pytest.raises(ValidationError):
             disassemble(empty)
 
@@ -264,7 +270,7 @@ class TestMachineFile:
             words = m.words.copy()
             words[rng.integers(0, len(words))] ^= np.uint64(1) << np.uint64(rng.integers(0, 64))
             try:
-                expected = disassemble(MachineProgram(words, m.n_qubits, m.shots, (), 0))
+                expected = disassemble(MachineProgram(words, m.n_qubits, m.shots, 0))
             except (DecodeError, ValidationError):
                 expected = None
             try:
@@ -274,7 +280,7 @@ class TestMachineFile:
                 rejected += 1
             assert (decoded is None) == (expected is None)
             if decoded is not None:
-                assert decoded.param_counts == expected.param_counts()
+                assert disassemble(decoded).ops == expected.ops
                 assert np.array_equal(decoded.words, words)
         assert rejected > 100
 

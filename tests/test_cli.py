@@ -156,6 +156,47 @@ class TestRun:
         assert len(closes) == 1
         assert not closes[0].thread.is_alive()
 
+    def test_socket_run_twice_into_one_out(self, batch_dir, tmp_path):
+        out = tmp_path / "o"
+        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--socket", "--out", str(out)]
+        assert main(argv) == 0
+        assert not (out / "control.sock").exists()
+        assert main(argv) == 0
+
+    def test_socket_server_fault_outside_taxonomy_exits_2(
+        self, batch_dir, tmp_path, capsys, monkeypatch
+    ):
+        # a non-PceError in the server thread ends the session with one ERROR frame
+        from pce.rpc import ControlServer
+
+        def crash(self, frame):
+            raise RuntimeError("server fault")
+
+        monkeypatch.setattr(ControlServer, "handle_frame", crash)
+        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--socket",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "server fault: RuntimeError('server fault')" in err
+        assert "Traceback" not in err
+
+    def test_socket_server_closes_mid_frame_exits_2(self, batch_dir, tmp_path, capsys, monkeypatch):
+        # the server answers the first request with half a frame, then hangs up
+        from pce.rpc import ControlServer, _read_exact
+
+        def half_reply(self, conn):
+            header = _read_exact(conn, 4)
+            _read_exact(conn, int.from_bytes(header, "little"))
+            conn.sendall(b"\x10\x00\x00\x00\x07\x00")
+
+        monkeypatch.setattr(ControlServer, "serve_socket", half_reply)
+        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--socket",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "connection closed mid-frame" in err
+        assert "Traceback" not in err
+
 
 class TestUnreadableBatch:
     """Bad bytes or lines in a batch exit 2 with the file named, for run and verify."""

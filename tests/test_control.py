@@ -13,18 +13,14 @@ from pce.control import (
     N_BANKS,
     ParameterMemory,
     PulseTrace,
-    StitchConfig,
-    StitchUnit,
+    REQUEST_LATENCY_CYCLES,
     TimingConfig,
     _trace_shot_distribution,
-    addr_map,
     deft_run,
     execute,
 )
 from pce.errors import (
-    AddressError,
     CapacityError,
-    PceError,
     RoutingError,
     SchedulingError,
     UnderflowError,
@@ -39,29 +35,19 @@ def program_of(*ops, n_qubits=2, shots=3) -> AssemblyProgram:
     return AssemblyProgram(tuple(ops) + (AsmOp(Opcode.END),), n_qubits, shots)
 
 
-class TestAddrMap:
-    @pytest.mark.parametrize("axi, expected", [(0x0000, (0, 0)), (0x0800, (1, 0)), (0x3FFF, (7, 2047))])
-    def test_bit_split(self, axi, expected):
-        assert addr_map(axi) == expected
-
-    def test_high_bits_rejected(self):
-        with pytest.raises(AddressError):
-            addr_map(0x4000)
-        with pytest.raises(AddressError):
-            addr_map(1 << 31)
-
-
 class TestParameterMemory:
     def test_write_then_read(self):
         mem = ParameterMemory()
         words = np.arange(10, dtype=np.uint32)
         mem.write_params(3, words)
-        assert [mem.read_param(3, i) for i in range(10)] == list(range(10))
+        assert mem.banks[3, :10].tolist() == list(range(10))
+        assert mem.counts.tolist() == [0, 0, 0, 10, 0, 0, 0, 0]
 
     def test_bank_independence(self):
         mem = ParameterMemory()
         mem.write_params(3, np.full(5, 7, dtype=np.uint32))
-        assert mem.read_param(4, 0) == 0
+        assert not mem.banks[4].any()
+        assert (int(mem.counts[3]), int(mem.counts[4])) == (5, 0)
 
     def test_capacity_error_names_qubit_and_count(self):
         mem = ParameterMemory()
@@ -75,67 +61,51 @@ class TestParameterMemory:
         assert mem.write_params(0, np.zeros(BANK_CAPACITY, dtype=np.uint32)) == BANK_CAPACITY
 
 
-def make_stitch(words_per_bank, shots, windows=None, mcm=frozenset()):
-    mem = ParameterMemory()
-    counts = []
-    for bank, words in enumerate(words_per_bank):
-        counts.append(mem.write_params(bank, np.asarray(words, dtype=np.uint32)))
-    counts += [0] * (N_BANKS - len(counts))
-    cfg = StitchConfig(tuple(counts), shots, windows=windows, mcm_core_ids=mcm)
-    return StitchUnit(mem, cfg)
-
-
 class TestStitchUnit:
+    """The modeled stitch unit: REQ_PARAM on qubit q takes bank q's words in
+    order, ``counts[q]`` of them per shot, decoded from the trace by
+    ``served_stream``."""
+
     def test_serves_in_fifo_order_and_repeats_per_shot(self):
         words = [10, 20, 30]
-        unit = make_stitch([words], shots=2)
-        got = [unit.request(0)[0] for _ in range(6)]
-        assert got == words + words
+        mem = ParameterMemory()
+        mem.write_params(0, np.asarray(words, dtype=np.uint32))
+        res = execute(requests_then_pulses(0, 3, shots=2), mem)
+        assert served_stream(res.trace, 0) == words + words
 
     def test_underflow_after_budget(self):
-        unit = make_stitch([[1, 2]], shots=3)
-        for _ in range(6):
-            unit.request(0)
-        with pytest.raises(UnderflowError):
-            unit.request(0)
-
-    def test_partial_window_stream(self):
-        unit = make_stitch([[5, 6, 7]], shots=4, windows=((1, 2),))
-        got = [unit.request(0)[0] for _ in range(3 + 3 * 2)]
-        assert got == [5, 6, 7, 6, 7, 6, 7, 6, 7]
+        mem = ParameterMemory()
+        mem.write_params(0, np.array([1, 2], dtype=np.uint32))
+        assert int(execute(requests_then_pulses(0, 2, shots=3), mem).served[0]) == 6
+        # three requests a shot: the seventh, first of shot 2, finds the budget spent
+        with pytest.raises(UnderflowError) as err:
+            execute(requests_then_pulses(0, 3, shots=3), mem)
+        assert (err.value.core_id, err.value.shot, err.value.op_index) == (0, 2, 1)
 
     def test_latency_constant(self):
-        unit = make_stitch([[1]], shots=1)
-        _, latency = unit.request(0)
-        assert latency == 2
-
-    def test_mcm_does_not_advance_cursor(self):
-        unit = make_stitch([[1, 2, 3]], shots=1, mcm=frozenset({9}))
-        unit.push_mcm(9, 1)
-        a = unit.request(0)[0]
-        bit = unit.request(9)[0]
-        b = unit.request(0)[0]
-        assert (a, bit, b) == (1, 1, 2)
-        assert unit.served[0] == 2
+        # a request issues in the 2 cycles of any other op
+        mem = ParameterMemory()
+        mem.write_params(0, np.array([7], dtype=np.uint32))
+        req = assemble(program_of(AsmOp(Opcode.REQ_PARAM, 0), AsmOp(Opcode.PULSE_X90, 0)))
+        inc = assemble(program_of(AsmOp(Opcode.INC_PHASE, 0, imm=7), AsmOp(Opcode.PULSE_X90, 0)))
+        a, b = execute(req, mem, shots=1), execute(inc, mem, shots=1)
+        assert a.trace == b.trace
+        assert a.cycle_count == b.cycle_count == 3 * REQUEST_LATENCY_CYCLES
+        assert a.sim_time_ns == b.sim_time_ns
 
     def test_unknown_core_id(self):
-        unit = make_stitch([[1]], shots=1)
         with pytest.raises(RoutingError):
-            unit.request(12)
-
-    def test_mcm_empty_queue(self):
-        unit = make_stitch([[1]], shots=1, mcm=frozenset({8}))
-        with pytest.raises(RoutingError):
-            unit.request(8)
+            ParameterMemory().write_params(N_BANKS, [1])
+        prog = assemble(program_of(AsmOp(Opcode.REQ_PARAM, N_BANKS), n_qubits=N_BANKS + 1))
+        with pytest.raises(ValidationError, match="only 8 banks exist"):
+            execute(prog, ParameterMemory())
 
     def test_empty_bank_underflows_immediately(self):
-        unit = make_stitch([[]], shots=5)
-        with pytest.raises(UnderflowError):
-            unit.request(0)
-
-    def test_window_validation(self):
-        with pytest.raises(PceError):
-            StitchConfig((3,), 2, windows=((2, 5),))
+        mem = ParameterMemory()
+        mem.write_params(0, np.zeros(0, dtype=np.uint32))
+        with pytest.raises(UnderflowError) as err:
+            execute(requests_then_pulses(0, 1, shots=5), mem)
+        assert (err.value.core_id, err.value.shot, err.value.op_index) == (0, 0, 1)
 
 
 class TestExecute:
@@ -143,8 +113,8 @@ class TestExecute:
         prog = assemble(program_of(AsmOp(Opcode.PULSE_X90, 0), n_qubits=1, shots=2))
         mem = ParameterMemory()
         mem.write_params(0, np.full(8, 123, dtype=np.uint32))
-        a = execute(prog, StitchConfig((8,), 2), mem, seed=1)
-        b = execute(prog, None, None, shots=2, seed=1)
+        a = execute(prog, mem, seed=1)
+        b = execute(prog, shots=2, seed=1)
         assert a.trace == b.trace
 
     def test_shot_spacing_with_measure(self):
@@ -175,11 +145,13 @@ class TestExecute:
         assert len(phases) == 1  # same frame word every shot
 
     def test_underflow_names_shot_and_op(self):
-        prog = assemble(program_of(AsmOp(Opcode.REQ_PARAM, 0), n_qubits=1, shots=4))
+        # one word, two requests a shot: 4 shots serve 4 requests, shot 2 asks for a fifth
+        req = AsmOp(Opcode.REQ_PARAM, 0)
+        prog = assemble(program_of(req, req, n_qubits=1, shots=4))
         mem = ParameterMemory()
         mem.write_params(0, np.array([5], dtype=np.uint32))
         with pytest.raises(UnderflowError) as err:
-            execute(prog, StitchConfig((1,), 2), mem, shots=4, seed=0)
+            execute(prog, mem, shots=4, seed=0)
         assert err.value.shot == 2
         assert err.value.op_index == 0
 
@@ -189,7 +161,7 @@ class TestExecute:
         mem = ParameterMemory()
         mem.write_params(0, words[0])
         prog = assemble(compile_circuit(modify(c)))
-        res = execute(prog, StitchConfig((len(words[0]),), 5), mem, shots=5, seed=0)
+        res = execute(prog, mem, shots=5, seed=0)
         assert int(res.served[0]) == len(words[0]) * 5
 
     def test_deterministic_given_seed(self):
@@ -243,8 +215,8 @@ class TestExecute:
 
     def test_ops_after_end_never_run(self):
         x90_word, end_word = 1 << 56, 7 << 56
-        full = MachineProgram(np.array([x90_word, end_word, x90_word], np.uint64), 1, 2, (0,), 0)
-        cut = MachineProgram(np.array([x90_word, end_word], np.uint64), 1, 2, (0,), 0)
+        full = MachineProgram(np.array([x90_word, end_word, x90_word], np.uint64), 1, 2, 0)
+        cut = MachineProgram(np.array([x90_word, end_word], np.uint64), 1, 2, 0)
         a, b = execute(full, shots=2), execute(cut, shots=2)
         assert a.trace == b.trace and a.trace.events_per_shot == 1
         assert (a.cycle_count, a.sim_time_ns) == (b.cycle_count, b.sim_time_ns)
@@ -268,27 +240,27 @@ class TestExecutorFaults:
             ((X90_0, BAD_OPCODE, END), "unknown opcode at op 1 (shot 0)"),
             ((X90_0, word(Opcode.PULSE_X90, ch=2), END), "channel out of range at op 1 (shot 0)"),
             ((word(Opcode.TWO_QUBIT, 0, 5), END), "channel out of range at op 0 (shot 0)"),
-            # a bad word in shot 0 wins over the underflow shot 1 would hit
-            ((REQ_0, BAD_OPCODE, END), "unknown opcode at op 1 (shot 0)"),
+            # a bad word wins over the underflow a later request would hit
+            ((REQ_0, BAD_OPCODE, REQ_0, END), "unknown opcode at op 1 (shot 0)"),
         ],
     )
     def test_bad_word_names_op_and_shot(self, words, message):
-        prog = MachineProgram(np.array(words, np.uint64), 2, 2, (1,), 0)
+        prog = MachineProgram(np.array(words, np.uint64), 2, 1, 0)
         mem = ParameterMemory()
         mem.write_params(0, np.array([5], dtype=np.uint32))
         with pytest.raises(ValidationError) as err:
-            execute(prog, StitchConfig((1,), 1), mem, seed=0)
+            execute(prog, mem, seed=0)
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "bad_word", [BAD_OPCODE, word(Opcode.PULSE_X90, ch=2), word(Opcode.TWO_QUBIT, 0, 5)]
     )
     def test_underflow_before_a_later_bad_word_wins(self, bad_word):
-        prog = MachineProgram(np.array((REQ_0, REQ_0, bad_word, END), np.uint64), 2, 2, (1,), 0)
+        prog = MachineProgram(np.array((REQ_0, REQ_0, bad_word, END), np.uint64), 2, 1, 0)
         mem = ParameterMemory()
         mem.write_params(0, np.array([5], dtype=np.uint32))
         with pytest.raises(UnderflowError) as err:
-            execute(prog, StitchConfig((1,), 1), mem, seed=0)
+            execute(prog, mem, seed=0)
         assert (err.value.core_id, err.value.shot, err.value.op_index) == (0, 0, 1)
 
 
@@ -367,6 +339,8 @@ class TestSamplerMatchesReference:
                 assert np.array_equal(probs.view(np.uint64), ref_probs.view(np.uint64))
 
     def test_windowed_stitch_bits_match_per_shot_reference(self):
+        # 3 requests a shot against 5 loaded words: each shot starts 3 words on,
+        # so shot rows differ and the sampler takes its per-shot branch
         rng = np.random.default_rng(23)
         n, shots = 3, 12
         ops = []
@@ -379,10 +353,9 @@ class TestSamplerMatchesReference:
         program = assemble(program_of(*ops, n_qubits=n, shots=shots))
         mem = ParameterMemory()
         for q in range(n):
-            mem.write_params(q, rng.integers(0, 1 << 32, size=6, dtype=np.uint64).astype(np.uint32))
-        cfg = StitchConfig((6,) * n, shots, windows=((1, 3),) * n)
+            mem.write_params(q, rng.integers(0, 1 << 32, size=5, dtype=np.uint64).astype(np.uint32))
         for seed in range(5):
-            res = execute(program, cfg, mem, seed=seed, circuit_index=4)
+            res = execute(program, mem, seed=seed, circuit_index=4)
             rows = res.trace.phases.reshape(shots, -1)
             assert len({row.tobytes() for row in rows}) > 1
             assert np.array_equal(res.data.bits, reference_bits(res.trace, n, seed, 4))
@@ -458,45 +431,28 @@ def served_stream(trace, q):
 
 
 class TestServingLawThroughExecute:
-    def test_windowed_stream_is_the_closed_form(self):
-        words = [11, 22, 33, 44, 55]
-        mem = ParameterMemory()
-        mem.write_params(1, np.asarray(words, dtype=np.uint32))
-        # pc 5, window (1, 2), 3 stitch shots: 5 + 2 * 2 = 9 = 3 requests x 3 shots
-        cfg = StitchConfig((0, 5), 3, windows=(None, (1, 2)))
-        res = execute(requests_then_pulses(1, 3, 3), cfg, mem, seed=0)
-        assert served_stream(res.trace, 1) == words[:5] + words[1:3] * 2
-        assert int(res.served[1]) == 9
-
     def test_random_windows_and_short_stitch_budgets(self):
+        # request k takes word k % pc; the budget is pc * shots
         rng = np.random.default_rng(91)
         underflows = 0
         for _ in range(200):
             q = int(rng.integers(0, 2))
-            pc = int(rng.integers(1, 9))
-            ws = int(rng.integers(0, pc))
-            wc = int(rng.integers(1, pc - ws + 1))
-            stitch_shots = int(rng.integers(1, 4))
-            shots = stitch_shots + int(rng.integers(0, 3))  # stitch.shots <= shots
-            n_req = int(rng.integers(1, 7))
+            pc = int(rng.integers(1, 7))
+            shots = int(rng.integers(1, 5))
+            n_req = int(rng.integers(1, 9))
             words = [int(w) for w in rng.integers(0, 1 << 32, size=pc)]
             mem = ParameterMemory()
             mem.write_params(q, np.asarray(words, dtype=np.uint32))
-            counts = [0, 0]
-            counts[q] = pc
-            windows = [None, None]
-            windows[q] = (ws, wc)
-            cfg = StitchConfig(tuple(counts), stitch_shots, windows=tuple(windows))
-            law = words[:pc] + words[ws : ws + wc] * (stitch_shots - 1)
+            law = [words[k % pc] for k in range(pc * shots)]
             program = requests_then_pulses(q, n_req, shots)
             if n_req * shots <= len(law):
-                res = execute(program, cfg, mem, shots=shots, seed=0)
+                res = execute(program, mem, seed=0)
                 assert served_stream(res.trace, q) == law[: n_req * shots]
                 assert int(res.served[q]) == n_req * shots
                 continue
             underflows += 1
             with pytest.raises(UnderflowError) as err:
-                execute(program, cfg, mem, shots=shots, seed=0)
+                execute(program, mem, seed=0)
             # the request after the budget's last word is the first to fail
             shot, j = divmod(len(law), n_req)
             assert (err.value.core_id, err.value.shot, err.value.op_index) == (q, shot, 1 + 2 * j)
@@ -572,6 +528,29 @@ class TestSessionAndDeft:
         _, client = self.make_client()
         with pytest.raises(SchedulingError):
             deft_run(result.report.order, {}, blob, client)
+
+    def test_run_consumes_loaded_counts(self):
+        session, _ = self.make_client()
+        session.handle_load_circuit(0, requests_then_pulses(0, 2, shots=1))
+        session.handle_load_params(0, [[1, 2], [3]])
+        assert session.memory.counts.tolist() == [2, 1, 0, 0, 0, 0, 0, 0]
+        session.handle_run(1)
+        assert not session.memory.counts.any()
+        # the next run without a fresh LOAD_PARAMS finds every bank empty
+        with pytest.raises(UnderflowError):
+            session.handle_run(1)
+
+    def test_refused_load_params_writes_and_counts_nothing(self):
+        session, _ = self.make_client()
+        session.handle_load_params(0, [[1, 2]])
+        with pytest.raises(CapacityError):
+            session.handle_load_params(1, [[9, 9], np.zeros(BANK_CAPACITY + 1, np.uint32)])
+        assert session.memory.banks[0, :2].tolist() == [1, 2]
+        assert not session.memory.counts.any()
+        session.handle_load_params(2, [[5]])
+        with pytest.raises(ValidationError):
+            session.handle_load_params(3, [[1]] * (N_BANKS + 1))
+        assert not session.memory.counts.any()
 
     def test_load_defs_round_trip_and_zero(self):
         session, client = self.make_client()

@@ -1,10 +1,11 @@
-"""The executor pulls parameter words by the same law as StitchUnit."""
+"""The executor pulls parameter words by the stitch unit's law: request k of a
+bank holding pc words takes word k % pc, and the pc * shots + 1-th underflows."""
 
 import numpy as np
 
 from pce import kernels
 from pce.asm import AsmOp, AssemblyProgram, Opcode, assemble
-from pce.control import N_BANKS, ParameterMemory, StitchConfig, StitchUnit
+from pce.control import N_BANKS, ParameterMemory
 
 
 def run_path(machine, banks, param_counts, shots):
@@ -23,10 +24,7 @@ def run_path(machine, banks, param_counts, shots):
         words,
         machine.n_qubits,
         shots,
-        shots,
         banks,
-        np.asarray(param_counts, np.int64),
-        np.zeros(N_BANKS, np.int64),
         np.asarray(param_counts, np.int64),
         16,
         100,
@@ -42,32 +40,43 @@ def run_path(machine, banks, param_counts, shots):
     return ret, out
 
 
+def requests_program(n_req, shots):
+    ops = tuple(AsmOp(Opcode.REQ_PARAM, 0) for _ in range(n_req)) + (
+        AsmOp(Opcode.PULSE_X90, 0),
+        AsmOp(Opcode.END),
+    )
+    return assemble(AssemblyProgram(ops, 1, shots))
+
+
 class TestServingLawMatchesStitchUnit:
     def test_kernel_request_stream_equals_unit(self):
-        # the executor must pull words in exactly the order StitchUnit serves them
+        # each shot's frame word is the sum of the words its requests took
         rng = np.random.default_rng(77)
         for _ in range(20):
             pc = int(rng.integers(1, 9))
+            n_req = int(rng.integers(1, pc + 1))
             shots = int(rng.integers(1, 4))
             words = rng.integers(0, 1 << 32, size=pc).astype(np.uint32)
-            ops = tuple(AsmOp(Opcode.REQ_PARAM, 0) for _ in range(pc)) + (
-                AsmOp(Opcode.PULSE_X90, 0),
-                AsmOp(Opcode.END),
-            )
-            program = assemble(AssemblyProgram(ops, 1, shots))
             mem = ParameterMemory()
             mem.write_params(0, words)
-            counts = [pc] + [0] * (N_BANKS - 1)
-            ret, out = run_path(program, mem.banks, counts, shots)
+            ret, out = run_path(requests_program(n_req, shots), mem.banks, mem.counts, shots)
             assert ret[0] == kernels.STATUS_OK
-            unit = StitchUnit(mem, StitchConfig(tuple(counts), shots))
-            expected_phases = []
-            for _ in range(shots):
-                acc = 0
-                for _ in range(pc):
-                    acc = (acc + unit.request(0)[0]) & 0xFFFFFFFF
-                expected_phases.append(acc)
-            got = [int(p) for p in out["ev_phase"]]
-            assert got == expected_phases
-            assert int(out["served"][0]) == int(unit.served[0]) == pc * shots
+            law = [int(words[k % pc]) for k in range(n_req * shots)]
+            expected_phases = [
+                sum(law[s * n_req : (s + 1) * n_req]) & 0xFFFFFFFF for s in range(shots)
+            ]
+            assert [int(p) for p in out["ev_phase"]] == expected_phases
+            assert int(out["served"][0]) == n_req * shots
 
+    def test_request_after_budget_underflows(self):
+        # pc + 1 requests a shot: request pc * shots is the first one refused
+        rng = np.random.default_rng(78)
+        for _ in range(20):
+            pc = int(rng.integers(1, 9))
+            shots = int(rng.integers(1, 4))
+            mem = ParameterMemory()
+            mem.write_params(0, rng.integers(0, 1 << 32, size=pc).astype(np.uint32))
+            ret, out = run_path(requests_program(pc + 1, shots), mem.banks, mem.counts, shots)
+            shot, op = divmod(pc * shots, pc + 1)
+            assert ret[:4] == (kernels.STATUS_UNDERFLOW, shot, op, 0)
+            assert int(out["served"][0]) == pc * shots
