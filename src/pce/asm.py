@@ -4,6 +4,10 @@ This is the deliberately costly stage whose repetition the dedup pipeline
 amortizes: compiling a batch the naive way runs it once per circuit, the
 parameterized way once per unique structure.
 
+A ``MachineProgram`` is valid by construction: its constructor checks the
+word rules (``_word_fault``) and freezes the words, so no later stage checks
+a word again.
+
 Word layout (little-endian files, one word per op):
 
     bits 63-56  opcode        bits 47-40  second channel (TWO_QUBIT only)
@@ -48,8 +52,7 @@ class Opcode(IntEnum):
     END = 0x07
 
 
-_VALID_OPCODES = frozenset(int(o) for o in Opcode)
-_OPCODE_VALUES = np.array(sorted(_VALID_OPCODES), dtype=np.uint64)
+_OPCODE_VALUES = np.array(sorted(int(o) for o in Opcode), dtype=np.uint64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +63,6 @@ class AsmOp:
     imm: int = 0
 
     def __post_init__(self):
-        if self.opcode is Opcode.REQ_PARAM and self.imm != 0:
-            raise ValidationError("REQ_PARAM carries no immediate")
         if self.opcode is not Opcode.TWO_QUBIT and self.channel2 != 0:
             raise ValidationError(f"{self.opcode.name} cannot address a second channel")
         if not 0 <= self.imm < (1 << 32):
@@ -74,27 +75,62 @@ class AssemblyProgram:
     n_qubits: int
     shots: int
 
-    def __post_init__(self):
-        if not self.ops:
-            raise ValidationError("program has no END op")
-        ends = [i for i, op in enumerate(self.ops) if op.opcode is Opcode.END]
-        if ends != [len(self.ops) - 1]:
-            raise ValidationError("program must contain exactly one END, as the last op")
-        for i, op in enumerate(self.ops):
-            limit = self.n_qubits
-            if op.opcode is not Opcode.END and not 0 <= op.channel < limit:
-                raise ValidationError(f"op {i} addresses channel {op.channel} outside 0..{limit - 1}")
-            if op.opcode is Opcode.TWO_QUBIT:
-                if not 0 <= op.channel2 < limit or op.channel2 == op.channel:
-                    raise ValidationError(f"op {i} has invalid channel pair")
+
+def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
+    """First word that breaks a word rule, with the reason; None if none.
+
+    The one statement of the rules: a known opcode, a zero reserved byte, no
+    immediate on REQ_PARAM, one END as the last word, and channels (a
+    distinct pair for TWO_QUBIT) inside ``0..n_qubits - 1``.  It reads no
+    channel byte an op does not use.
+    """
+    if not words.size:
+        return 0, "program has no END op"
+    op = words >> np.uint64(56)
+    ch = (words >> np.uint64(48)) & np.uint64(0xFF)
+    ch2 = (words >> np.uint64(40)) & np.uint64(0xFF)
+    end = op == Opcode.END
+    misplaced_end = end.copy()  # an END before the last word, or a last word that is not END
+    misplaced_end[-1] = not end[-1]
+    imm = words & np.uint64(0xFFFFFFFF)
+    checks = (
+        (~np.isin(op, _OPCODE_VALUES), "unknown opcode"),
+        ((words >> np.uint64(32)) & np.uint64(0xFF) != 0, "nonzero reserved byte"),
+        ((op == Opcode.REQ_PARAM) & (imm != 0), "REQ_PARAM carries an immediate"),
+        (misplaced_end, "program must contain exactly one END, as the last op"),
+        (~end & (ch >= n_qubits), f"channel outside 0..{n_qubits - 1}"),
+        ((op == Opcode.TWO_QUBIT) & ((ch2 >= n_qubits) | (ch2 == ch)), "invalid channel pair"),
+    )
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return i, next(reason for mask, reason in checks if mask[i])
+
+
+class _WordFault(ValidationError):
+    """Word ``index`` of a machine program breaks a word rule."""
+
+    def __init__(self, index: int, reason: str):
+        self.index, self.reason = index, reason
+        super().__init__(f"word {index}: {reason}")
 
 
 @dataclass(frozen=True)
 class MachineProgram:
+    """Machine words that obey the word rules; the words are a read-only copy."""
+
     words: np.ndarray = field(repr=False)  # uint64
     n_qubits: int
     shots: int
-    checksum: int
+
+    def __post_init__(self):
+        words = np.array(self.words, dtype=np.uint64)
+        fault = _word_fault(words, self.n_qubits)
+        if fault is not None:
+            raise _WordFault(*fault)
+        words.flags.writeable = False
+        object.__setattr__(self, "words", words)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MachineProgram):
@@ -103,7 +139,6 @@ class MachineProgram:
             np.array_equal(self.words, other.words)
             and self.n_qubits == other.n_qubits
             and self.shots == other.shots
-            and self.checksum == other.checksum
         )
 
     def __len__(self) -> int:
@@ -141,16 +176,16 @@ def compile_circuit(c: Circuit) -> AssemblyProgram:
     return AssemblyProgram(tuple(ops), c.n_qubits, c.shots)
 
 
-def _mix_checksum(words: np.ndarray) -> int:
-    """Constant per-word mixing work; returns the folded accumulator."""
+def _assembly_work(words: np.ndarray) -> None:
+    """The modeled cost of assembly: constant mixing work per word, result unused."""
     acc = words.copy()
     for r in range(ASSEMBLE_WORK_ROUNDS):
         acc = (acc ^ (acc >> np.uint64(17))) * _MIX_PRIME + np.uint64(r)
-    return int(np.bitwise_xor.reduce(acc)) if acc.size else 0
 
 
 def assemble(p: AssemblyProgram) -> MachineProgram:
-    """Pack each op into one 64-bit word."""
+    """Pack each op into one 64-bit word; a ``ValidationError`` names the
+    first word that breaks a word rule."""
     for op in p.ops:
         if op.channel >= 256 or op.channel2 >= 256:
             raise EncodeError(f"channel {max(op.channel, op.channel2)} does not fit one byte")
@@ -159,18 +194,14 @@ def assemble(p: AssemblyProgram) -> MachineProgram:
     ch2 = np.array([op.channel2 for op in p.ops], dtype=np.uint64)
     imm = np.array([op.imm for op in p.ops], dtype=np.uint64)
     words = (opcodes << np.uint64(56)) | (ch << np.uint64(48)) | (ch2 << np.uint64(40)) | imm
-    return MachineProgram(words, p.n_qubits, p.shots, _mix_checksum(words))
+    _assembly_work(words)
+    return MachineProgram(words, p.n_qubits, p.shots)
 
 
 def disassemble(m: MachineProgram) -> AssemblyProgram:
     ops: list[AsmOp] = []
-    for i, w in enumerate(int(x) for x in m.words):
-        code = w >> 56
-        if code not in _VALID_OPCODES:
-            raise DecodeError(f"unknown opcode {code:#04x} in word {i}", i * 8)
-        if (w >> 32) & 0xFF:
-            raise DecodeError(f"nonzero reserved byte in word {i}", i * 8)
-        opcode = Opcode(code)
+    for w in m.words.tolist():
+        opcode = Opcode(w >> 56)
         channel = (w >> 48) & 0xFF
         channel2 = (w >> 40) & 0xFF
         imm = w & 0xFFFFFFFF
@@ -191,35 +222,6 @@ def machine_to_bytes(m: MachineProgram) -> bytes:
     return header + np.asarray(m.words, dtype="<u8").tobytes()
 
 
-def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
-    """First word that ``disassemble`` would reject, with the reason; None if none.
-
-    Accepts exactly the word sequences that ``disassemble`` accepts (it reads
-    no channel byte an op does not use), so a bad image names its word instead
-    of escaping as a ``ValidationError`` from the op constructors.
-    """
-    op = words >> np.uint64(56)
-    ch = (words >> np.uint64(48)) & np.uint64(0xFF)
-    ch2 = (words >> np.uint64(40)) & np.uint64(0xFF)
-    end = op == Opcode.END
-    misplaced_end = end.copy()  # an END before the last word, or a last word that is not END
-    misplaced_end[-1] = not end[-1]
-    imm = words & np.uint64(0xFFFFFFFF)
-    checks = (
-        (~np.isin(op, _OPCODE_VALUES), "unknown opcode"),
-        ((words >> np.uint64(32)) & np.uint64(0xFF) != 0, "nonzero reserved byte"),
-        ((op == Opcode.REQ_PARAM) & (imm != 0), "REQ_PARAM carries an immediate"),
-        (misplaced_end, "program must contain exactly one END, as the last op"),
-        (~end & (ch >= n_qubits), f"channel outside 0..{n_qubits - 1}"),
-        ((op == Opcode.TWO_QUBIT) & ((ch2 >= n_qubits) | (ch2 == ch)), "invalid channel pair"),
-    )
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
-    if not bad.any():
-        return None
-    i = int(np.argmax(bad))
-    return i, next(reason for mask, reason in checks if mask[i])
-
-
 def machine_from_bytes(data: bytes) -> MachineProgram:
     """Decode a PCEM image; any fault is a ``DecodeError`` at its image offset."""
     if len(data) < MACHINE_HEADER_LEN:
@@ -235,11 +237,9 @@ def machine_from_bytes(data: bytes) -> MachineProgram:
             f"word section is {len(body)} bytes, header declares {count} words",
             MACHINE_HEADER_LEN,
         )
-    if count == 0:
-        raise DecodeError("program has no END op", 12)  # the header's word count
-    words = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-    fault = _word_fault(words, n_qubits)
-    if fault is not None:
-        i, reason = fault
-        raise DecodeError(f"word {i}: {reason}", MACHINE_HEADER_LEN + 8 * i)
-    return MachineProgram(words, n_qubits, shots, _mix_checksum(words))
+    try:
+        return MachineProgram(np.frombuffer(body, dtype="<u8"), n_qubits, shots)
+    except _WordFault as exc:
+        if count == 0:  # no word to name: the fault is the header's word count
+            raise DecodeError(exc.reason, 12) from None
+        raise DecodeError(str(exc), MACHINE_HEADER_LEN + 8 * exc.index) from None

@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import socket
+import stat
 import sys
 import threading
 from pathlib import Path
@@ -96,7 +98,12 @@ class _SocketHarness:
     """One-connection unix-socket server thread plus the matching client channel."""
 
     def __init__(self, session, sock_dir: Path):
-        self.path = str(sock_dir / "control.sock")
+        path = sock_dir / "control.sock"
+        with contextlib.suppress(FileNotFoundError):
+            if not stat.S_ISSOCK(path.lstat().st_mode):
+                raise ConfigError(f"{path} exists and is not a socket")
+            path.unlink()  # left behind by a run that was killed
+        self.path = str(path)
         server = ControlServer(session)
         self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self.listener.bind(self.path)

@@ -75,6 +75,23 @@ class StageStats:
         return f"StageStats(ns={self.ns}, iters={self.iters}, children={sorted(self.children)})"
 
 
+class _Scope:
+    """``with record.scope(name)``: push on entry, pop on exit."""
+
+    __slots__ = ("record", "name")
+
+    def __init__(self, record: ProfileRecord, name: str):
+        self.record, self.name = record, name
+
+    def __enter__(self) -> ProfileRecord:
+        self.record.push(self.name)
+        return self.record
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.record.pop(self.name)
+        return False
+
+
 class ProfileRecord:
     """One session's stage tree: accumulated duration and iteration count per stage."""
 
@@ -111,19 +128,8 @@ class ProfileRecord:
         node.ns += self._clock() - start
         node.iters += 1
 
-    def scope(self, name: str):
-        record = self
-
-        class _Scope:
-            def __enter__(self):
-                record.push(name)
-                return record
-
-            def __exit__(self, exc_type, exc, tb):
-                record.pop(name)
-                return False
-
-        return _Scope()
+    def scope(self, name: str) -> _Scope:
+        return _Scope(self, name)
 
     def _path_of(self, name: str) -> list[str]:
         path = [name]

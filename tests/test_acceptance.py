@@ -245,7 +245,7 @@ def test_criterion_7_stitch_semantics_properties():
             schedule = [b for b in range(n_banks) for _ in all_words[b]]
             rng.shuffle(schedule)
             ops = [word(op, b) for b in schedule for op in (Opcode.REQ_PARAM, Opcode.PULSE_X90)]
-            program = MachineProgram(np.array(ops + [END], np.uint64), n_banks, shots, 0)
+            program = MachineProgram(np.array(ops + [END], np.uint64), n_banks, shots)
             res = execute(program, mem)
             for b in range(n_banks):
                 assert served_stream(res.trace, b) == all_words[b] * shots

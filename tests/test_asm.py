@@ -1,5 +1,7 @@
 """Tests for circuit lowering, word packing, and the machine file image."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,8 +50,34 @@ def word(op, ch=0, ch2=0, imm=0) -> int:
 
 
 def image_of(words, n_qubits) -> bytes:
-    """A PCEM image of raw words, with no validation on the way out."""
-    return machine_to_bytes(MachineProgram(np.array(words, dtype=np.uint64), n_qubits, 1, 0))
+    """A PCEM image of raw words, valid or not: header and words packed here."""
+    header = b"PCEM" + struct.pack("<HHII8x", 1, n_qubits, 1, len(words))
+    return header + np.array(words, dtype="<u8").tobytes()
+
+
+def _reference_word_fault(words, n_qubits):
+    """Test-only scalar oracle for the word rules: the per-op checks that
+    ``disassemble``, ``AsmOp`` and ``AssemblyProgram`` once made, one word at
+    a time.  Returns the first bad word and the first rule it breaks, or None."""
+    words = [int(w) for w in words]
+    if not words:
+        return 0, "program has no END op"
+    known = {int(o) for o in Opcode}
+    for i, w in enumerate(words):
+        code, ch, ch2 = w >> 56, (w >> 48) & 0xFF, (w >> 40) & 0xFF
+        if code not in known:
+            return i, "unknown opcode"
+        if (w >> 32) & 0xFF:
+            return i, "nonzero reserved byte"
+        if code == Opcode.REQ_PARAM and w & 0xFFFFFFFF:
+            return i, "REQ_PARAM carries an immediate"
+        if (code == Opcode.END) != (i == len(words) - 1):
+            return i, "program must contain exactly one END, as the last op"
+        if code != Opcode.END and ch >= n_qubits:
+            return i, f"channel outside 0..{n_qubits - 1}"
+        if code == Opcode.TWO_QUBIT and (ch2 >= n_qubits or ch2 == ch):
+            return i, "invalid channel pair"
+    return None
 
 
 @st.composite
@@ -185,37 +213,41 @@ class TestAssemble:
 
 
 class TestProgramValidation:
+    """An assembly program is checked when it is assembled: the word rules
+    belong to the machine program."""
+
     def test_missing_end(self):
-        with pytest.raises(ValidationError):
-            AssemblyProgram((AsmOp(Opcode.PULSE_X90, 0),), 1, 1)
+        with pytest.raises(ValidationError, match="word 0: program must contain exactly one END"):
+            assemble(AssemblyProgram((AsmOp(Opcode.PULSE_X90, 0),), 1, 1))
 
     def test_empty_program(self):
-        with pytest.raises(ValidationError):
-            AssemblyProgram((), 1, 1)
+        with pytest.raises(ValidationError, match="word 0: program has no END op"):
+            assemble(AssemblyProgram((), 1, 1))
 
     def test_req_param_with_imm(self):
-        with pytest.raises(ValidationError):
-            AsmOp(Opcode.REQ_PARAM, 0, imm=5)
+        ops = (AsmOp(Opcode.REQ_PARAM, 0, imm=5), AsmOp(Opcode.END))
+        with pytest.raises(ValidationError, match="word 0: REQ_PARAM carries an immediate"):
+            assemble(AssemblyProgram(ops, 1, 1))
 
     def test_channel_out_of_range(self):
-        with pytest.raises(ValidationError):
-            AssemblyProgram((AsmOp(Opcode.PULSE_X90, 3), AsmOp(Opcode.END)), 2, 1)
+        ops = (AsmOp(Opcode.PULSE_X90, 3), AsmOp(Opcode.END))
+        with pytest.raises(ValidationError, match=r"word 0: channel outside 0\.\.1"):
+            assemble(AssemblyProgram(ops, 2, 1))
 
 
 class TestDisassemble:
+    """``disassemble`` reads a valid program; a bad word never gets that far."""
+
     def test_unknown_opcode_names_index(self):
         m = assemble(random_program(np.random.default_rng(4)))
         words = m.words.copy()
         words[5] = np.uint64(0xFF) << np.uint64(56)
-        bad = MachineProgram(words, m.n_qubits, m.shots, m.checksum)
-        with pytest.raises(DecodeError) as err:
-            disassemble(bad)
-        assert "word 5" in str(err.value)
+        with pytest.raises(ValidationError, match="word 5: unknown opcode"):
+            MachineProgram(words, m.n_qubits, m.shots)
 
     def test_empty_words_invalid(self):
-        empty = MachineProgram(np.zeros(0, dtype=np.uint64), 1, 1, 0)
         with pytest.raises(ValidationError):
-            disassemble(empty)
+            MachineProgram(np.zeros(0, dtype=np.uint64), 1, 1)
 
 
 class TestMachineFile:
@@ -262,26 +294,27 @@ class TestMachineFile:
             machine_from_bytes(image_of(words, n_qubits))
         assert err.value.offset == offset
 
-    def test_accepts_exactly_what_disassemble_accepts(self):
+    def test_accepts_exactly_what_the_scalar_oracle_accepts(self):
+        # construction and the decoder both name the oracle's word and rule
         rng = np.random.default_rng(12)
         rejected = 0
         for _ in range(600):
             m = assemble(random_program(rng, n_qubits=int(rng.integers(1, 5)), n_ops=6))
             words = m.words.copy()
             words[rng.integers(0, len(words))] ^= np.uint64(1) << np.uint64(rng.integers(0, 64))
-            try:
-                expected = disassemble(MachineProgram(words, m.n_qubits, m.shots, 0))
-            except (DecodeError, ValidationError):
-                expected = None
-            try:
-                decoded = machine_from_bytes(image_of(words, m.n_qubits))
-            except DecodeError:
-                decoded = None
-                rejected += 1
-            assert (decoded is None) == (expected is None)
-            if decoded is not None:
-                assert disassemble(decoded).ops == expected.ops
-                assert np.array_equal(decoded.words, words)
+            expected = _reference_word_fault(words, m.n_qubits)
+            if expected is None:
+                assert np.array_equal(MachineProgram(words, m.n_qubits, 1).words, words)
+                assert np.array_equal(machine_from_bytes(image_of(words, m.n_qubits)).words, words)
+                continue
+            rejected += 1
+            i, reason = expected
+            with pytest.raises(ValidationError) as built:
+                MachineProgram(words, m.n_qubits, 1)
+            assert str(built.value) == f"word {i}: {reason}"
+            with pytest.raises(DecodeError) as decoded:
+                machine_from_bytes(image_of(words, m.n_qubits))
+            assert (decoded.value.detail, decoded.value.offset) == (str(built.value), 24 + 8 * i)
         assert rejected > 100
 
     @settings(derandomize=True, max_examples=400, deadline=None)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: generate, run (both modes and transports), verify, compare."""
 
+import socket
 import zlib
 
 import pytest
@@ -162,6 +163,28 @@ class TestRun:
         assert main(argv) == 0
         assert not (out / "control.sock").exists()
         assert main(argv) == 0
+
+    def test_socket_left_by_a_killed_run_is_replaced(self, batch_dir, tmp_path):
+        # a killed run never unlinks its socket; the next run binds the path anew
+        out = tmp_path / "o"
+        out.mkdir()
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(str(out / "control.sock"))
+        stale.close()
+        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--socket", "--out", str(out)]
+        assert main(argv) == 0
+        assert not (out / "control.sock").exists()
+
+    def test_regular_file_at_socket_path_exits_2(self, batch_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "control.sock").write_text("not a socket")
+        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--socket", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "control.sock exists and is not a socket" in err
+        assert "Traceback" not in err
+        assert (out / "control.sock").read_text() == "not a socket"
 
     def test_socket_server_fault_outside_taxonomy_exits_2(
         self, batch_dir, tmp_path, capsys, monkeypatch

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pce import kernels
 from pce.asm import AsmOp, AssemblyProgram, MachineProgram, Opcode, assemble, compile_circuit
@@ -214,54 +216,83 @@ class TestExecute:
         assert list(res.trace.times) == [0, 500_016]
 
     def test_ops_after_end_never_run(self):
+        # a program with ops after its END cannot be built, so it never runs
         x90_word, end_word = 1 << 56, 7 << 56
-        full = MachineProgram(np.array([x90_word, end_word, x90_word], np.uint64), 1, 2, 0)
-        cut = MachineProgram(np.array([x90_word, end_word], np.uint64), 1, 2, 0)
-        a, b = execute(full, shots=2), execute(cut, shots=2)
-        assert a.trace == b.trace and a.trace.events_per_shot == 1
-        assert (a.cycle_count, a.sim_time_ns) == (b.cycle_count, b.sim_time_ns)
+        with pytest.raises(ValidationError) as err:
+            MachineProgram(np.array([x90_word, end_word, x90_word], np.uint64), 1, 2)
+        assert str(err.value) == "word 1: program must contain exactly one END, as the last op"
 
 
 def word(op, ch=0, ch2=0, imm=0):
     return (op << 56) | (ch << 48) | (ch2 << 40) | imm
 
 
-X90_0, REQ_0, END = word(Opcode.PULSE_X90), word(Opcode.REQ_PARAM), word(Opcode.END)
+X90_0, END = word(Opcode.PULSE_X90), word(Opcode.END)
 BAD_OPCODE = word(0x09)
 
 
+@st.composite
+def word_arrays(draw):
+    """Random words on 1-10 qubits: opcode bytes 0-8 (0 and 8 unknown),
+    channels 0-9, some reserved bits set.  One word in eight is drawn from
+    that whole space and the rest from well-formed ops, and most arrays end
+    in END, so that about half of them make a program."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_qubits = int(rng.integers(1, 11))
+    words = []
+    for _ in range(int(rng.integers(0, 9))):
+        if rng.random() < 1 / 8:
+            op, ch, ch2, reserved = (int(x) for x in rng.integers(0, (9, 10, 10, 256)))
+            words.append(word(op, ch, ch2, int(rng.integers(0, 1 << 32))) | reserved << 32)
+            continue
+        op = int(rng.integers(1, 7))
+        ch, ch2 = (int(x) for x in rng.choice(n_qubits, size=2, replace=n_qubits == 1))
+        imm = int(rng.integers(0, 1000)) if op in (Opcode.INC_PHASE, Opcode.DELAY) else 0
+        words.append(word(op, ch, ch2 if op == Opcode.TWO_QUBIT else 0, imm))
+    if rng.random() < 0.9:
+        words.append(END)
+    return words, n_qubits
+
+
 class TestExecutorFaults:
-    """A MachineProgram built directly skips machine_from_bytes' word checks,
-    so the executor itself must report the first bad word."""
+    """Underflow is the executor's only runtime fault: a program holding a bad
+    word is refused when it is built, so it never reaches the executor."""
 
     @pytest.mark.parametrize(
         "words, message",
         [
-            ((X90_0, BAD_OPCODE, END), "unknown opcode at op 1 (shot 0)"),
-            ((X90_0, word(Opcode.PULSE_X90, ch=2), END), "channel out of range at op 1 (shot 0)"),
-            ((word(Opcode.TWO_QUBIT, 0, 5), END), "channel out of range at op 0 (shot 0)"),
-            # a bad word wins over the underflow a later request would hit
-            ((REQ_0, BAD_OPCODE, REQ_0, END), "unknown opcode at op 1 (shot 0)"),
+            ((X90_0, BAD_OPCODE, END), "word 1: unknown opcode"),
+            ((X90_0, word(Opcode.PULSE_X90, ch=2), END), "word 1: channel outside 0..1"),
+            ((word(Opcode.TWO_QUBIT, 0, 5), END), "word 0: invalid channel pair"),
         ],
     )
-    def test_bad_word_names_op_and_shot(self, words, message):
-        prog = MachineProgram(np.array(words, np.uint64), 2, 1, 0)
-        mem = ParameterMemory()
-        mem.write_params(0, np.array([5], dtype=np.uint32))
+    def test_bad_word_is_refused_at_construction(self, words, message):
         with pytest.raises(ValidationError) as err:
-            execute(prog, mem, seed=0)
+            MachineProgram(np.array(words, np.uint64), 2, 1)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize(
-        "bad_word", [BAD_OPCODE, word(Opcode.PULSE_X90, ch=2), word(Opcode.TWO_QUBIT, 0, 5)]
-    )
-    def test_underflow_before_a_later_bad_word_wins(self, bad_word):
-        prog = MachineProgram(np.array((REQ_0, REQ_0, bad_word, END), np.uint64), 2, 1, 0)
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(word_arrays(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_a_built_program_runs_or_underflows(self, program_words, shots, seed):
+        words, n_qubits = program_words
+        try:
+            program = MachineProgram(np.array(words, np.uint64), n_qubits, shots)
+        except ValidationError:
+            return
+        with pytest.raises(ValueError):
+            program.words[0] = 0
+        rng = np.random.default_rng(seed)
         mem = ParameterMemory()
-        mem.write_params(0, np.array([5], dtype=np.uint32))
-        with pytest.raises(UnderflowError) as err:
-            execute(prog, mem, seed=0)
-        assert (err.value.core_id, err.value.shot, err.value.op_index) == (0, 0, 1)
+        for bank in range(N_BANKS):
+            mem.write_params(bank, rng.integers(0, 1 << 32, size=int(rng.integers(0, 4))))
+        try:
+            res = execute(program, mem)
+        except UnderflowError:
+            return
+        except ValidationError as err:
+            assert n_qubits > N_BANKS and "banks exist" in str(err)
+            return
+        assert len(res.trace) == kernels.count_emitting_ops(program.words) * shots
 
 
 def _reference_distribution(trace, shot, n):
