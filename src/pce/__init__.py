@@ -54,7 +54,6 @@ from .rip import (
     identify_bruteforce,
     modify,
     peel,
-    quantize_phase,
     rip,
     structural_equal,
 )

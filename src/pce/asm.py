@@ -10,9 +10,12 @@ a word again.
 
 Word layout (little-endian files, one word per op):
 
-    bits 63-56  opcode        bits 47-40  second channel (TWO_QUBIT only)
+    bits 63-56  opcode        bits 47-40  second channel (TWO_QUBIT, else zero)
     bits 55-48  channel       bits 39-32  reserved, zero
     bits 31-0   immediate (phase word, delay ns, else zero)
+
+END carries no channel.  Every byte an op does not use is zero, so
+``disassemble`` loses nothing.
 
 The opcode numbering below is a published compatibility contract:
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from .circuits import Circuit, GateKind
 from .errors import DecodeError, EncodeError, UnsupportedGateError, ValidationError
-from .rip import quantize_phase
+from .rip import quantize_phases
 
 MACHINE_MAGIC = b"PCEM"
 MACHINE_VERSION = 1
@@ -79,10 +82,11 @@ class AssemblyProgram:
 def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
     """First word that breaks a word rule, with the reason; None if none.
 
-    The one statement of the rules: a known opcode, a zero reserved byte, no
-    immediate on REQ_PARAM, one END as the last word, and channels (a
-    distinct pair for TWO_QUBIT) inside ``0..n_qubits - 1``.  It reads no
-    channel byte an op does not use.
+    The one statement of the rules: a known opcode, a zero reserved byte,
+    zero in every byte the op does not use (an immediate on REQ_PARAM or
+    TWO_QUBIT, a second channel on any op but TWO_QUBIT, any operand on END),
+    one END as the last word, and channels (a distinct pair for TWO_QUBIT)
+    inside ``0..n_qubits - 1``.
     """
     if not words.size:
         return 0, "program has no END op"
@@ -97,6 +101,9 @@ def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
         (~np.isin(op, _OPCODE_VALUES), "unknown opcode"),
         ((words >> np.uint64(32)) & np.uint64(0xFF) != 0, "nonzero reserved byte"),
         ((op == Opcode.REQ_PARAM) & (imm != 0), "REQ_PARAM carries an immediate"),
+        ((op == Opcode.TWO_QUBIT) & (imm != 0), "TWO_QUBIT carries an immediate"),
+        ((op != Opcode.TWO_QUBIT) & (ch2 != 0), "only TWO_QUBIT carries a second channel"),
+        (end & ((ch != 0) | (imm != 0)), "END carries an operand"),
         (misplaced_end, "program must contain exactly one END, as the last op"),
         (~end & (ch >= n_qubits), f"channel outside 0..{n_qubits - 1}"),
         ((op == Opcode.TWO_QUBIT) & ((ch2 >= n_qubits) | (ch2 == ch)), "invalid channel pair"),
@@ -156,14 +163,21 @@ _GATE_TO_OPCODE = {
 
 
 def compile_circuit(c: Circuit) -> AssemblyProgram:
-    """Map gates one-to-one onto assembly ops, preserving order, then END."""
+    """Map gates one-to-one onto assembly ops, preserving order, then END.
+
+    The circuit's virtual-Z phases are quantized in one call; each INC_PHASE
+    takes the next word in gate order.
+    """
+    phase_words = iter(
+        quantize_phases([g.phase for g in c.gates if g.kind is GateKind.VIRTUAL_Z]).tolist()
+    )
     ops: list[AsmOp] = []
     for g in c.gates:
         opcode = _GATE_TO_OPCODE.get(g.kind)
         if opcode is None:
             raise UnsupportedGateError(f"cannot compile gate kind {g.kind!r}")
         if opcode is Opcode.INC_PHASE:
-            ops.append(AsmOp(opcode, g.qubits[0], imm=quantize_phase(g.phase)))
+            ops.append(AsmOp(opcode, g.qubits[0], imm=next(phase_words)))
         elif opcode is Opcode.TWO_QUBIT:
             if g.two_qubit_name != "CZ":
                 raise UnsupportedGateError(f"no native lowering for {g.two_qubit_name!r}")
@@ -199,19 +213,12 @@ def assemble(p: AssemblyProgram) -> MachineProgram:
 
 
 def disassemble(m: MachineProgram) -> AssemblyProgram:
-    ops: list[AsmOp] = []
-    for w in m.words.tolist():
-        opcode = Opcode(w >> 56)
-        channel = (w >> 48) & 0xFF
-        channel2 = (w >> 40) & 0xFF
-        imm = w & 0xFFFFFFFF
-        if opcode is Opcode.END:
-            ops.append(AsmOp(Opcode.END))
-        elif opcode is Opcode.TWO_QUBIT:
-            ops.append(AsmOp(opcode, channel, channel2=channel2))
-        else:
-            ops.append(AsmOp(opcode, channel, imm=imm))
-    return AssemblyProgram(tuple(ops), m.n_qubits, m.shots)
+    """Inverse of ``assemble``: the word rules zero every unused byte."""
+    ops = tuple(
+        AsmOp(Opcode(w >> 56), (w >> 48) & 0xFF, (w >> 40) & 0xFF, w & 0xFFFFFFFF)
+        for w in m.words.tolist()
+    )
+    return AssemblyProgram(ops, m.n_qubits, m.shots)
 
 
 def machine_to_bytes(m: MachineProgram) -> bytes:

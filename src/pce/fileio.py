@@ -141,6 +141,8 @@ def _parse_width(text: str) -> tuple[int, ...]:
 
 
 def batch_hash(batch: CircuitBatch) -> str:
+    """sha256 of the canonical text of every circuit: for a batch that
+    ``write_batch`` wrote, the manifest hash and the read batch's ``file_hash``."""
     h = hashlib.sha256()
     for c in batch.circuits:
         h.update(circuit_to_text(c).encode("utf-8"))
@@ -187,7 +189,10 @@ def _decode_utf8(data: bytes, where: str) -> str:
 
 
 def read_batch(path: str | Path) -> CircuitBatch:
-    """Load a batch from a manifest file or the directory containing one."""
+    """Load a batch from a manifest file or the directory containing one.
+
+    The batch keeps the sha256 of the circuit-file bytes as ``file_hash``.
+    """
     path = Path(path)
     manifest = path / MANIFEST_NAME if path.is_dir() else path
     if not manifest.is_file():
@@ -227,9 +232,10 @@ def read_batch(path: str | Path) -> CircuitBatch:
             circuits.append(_circuit_from_text(_decode_utf8(data, rel), gate_cache))
         except (ConfigError, ValidationError) as exc:
             raise type(exc)(f"{rel}: {exc}") from None
-    if "hash" in declared and declared["hash"] != h.hexdigest():
+    digest = h.hexdigest()
+    if "hash" in declared and declared["hash"] != digest:
         raise DecodeError(f"{manifest}: circuit files do not match the manifest hash")
-    return CircuitBatch(tuple(circuits), tuple(l for _, l in entries))
+    return CircuitBatch(tuple(circuits), tuple(l for _, l in entries), file_hash=digest)
 
 
 def _parse_keyvals(text: str, where: str) -> dict[str, str]:

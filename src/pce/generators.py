@@ -168,6 +168,8 @@ class CircuitBatch:
     circuits: tuple[Circuit, ...]
     labels: tuple[Label, ...]
     spec: BatchSpec | None = None
+    # sha256 of the circuit-file bytes the batch was read from; None in memory
+    file_hash: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.circuits) != len(self.labels):

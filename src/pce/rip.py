@@ -45,10 +45,6 @@ def quantize_phases(phases) -> np.ndarray:
     return (np.round(r / TAU * PHASE_SCALE).astype(np.int64) % (1 << 32)).astype(np.uint32)
 
 
-def quantize_phase(p: float) -> int:
-    return int(quantize_phases(np.array([p]))[0])
-
-
 def dequantize_word(word: int) -> float:
     return (int(word) & 0xFFFFFFFF) / PHASE_SCALE * TAU
 
@@ -180,17 +176,19 @@ def identify_bruteforce(batch) -> EquivalenceReport:
 
 
 def peel(c: Circuit) -> list[np.ndarray]:
-    """Per-qubit quantized virtual-Z phase words in encounter order."""
-    raw: list[list[float]] = [[] for _ in range(c.n_qubits)]
-    for g in c.gates:
-        if g.kind is GateKind.VIRTUAL_Z:
-            raw[g.qubits[0]].append(g.phase)
-    words = []
-    for q, phases in enumerate(raw):
-        if len(phases) > BANK_CAPACITY:
-            raise CapacityError(q, len(phases))
-        words.append(quantize_phases(phases))
-    return words
+    """Per-qubit quantized virtual-Z phase words in encounter order.
+
+    The circuit's phases are quantized in one call, then split per bank; the
+    first bank over capacity raises ``CapacityError``.
+    """
+    vzs = [g for g in c.gates if g.kind is GateKind.VIRTUAL_Z]
+    banks = np.array([g.qubits[0] for g in vzs], dtype=np.intp)
+    counts = np.bincount(banks, minlength=c.n_qubits)
+    over = np.flatnonzero(counts > BANK_CAPACITY)
+    if over.size:
+        raise CapacityError(int(over[0]), int(counts[over[0]]))
+    words = quantize_phases([g.phase for g in vzs])
+    return [words[banks == q] for q in range(c.n_qubits)]
 
 
 def modify(c: Circuit) -> Circuit:

@@ -80,9 +80,8 @@ def run_experiment(
                 raw = get_circuits()
             with record.scope("Transpile"):
                 batch = transpile(raw)
-        outcome = ExperimentOutcome(
-            mode, batch, {}, {}, {}, record, batch_hash(batch)
-        )
+        digest = batch.file_hash if batch.file_hash is not None else batch_hash(batch)
+        outcome = ExperimentOutcome(mode, batch, {}, {}, {}, record, digest)
         if mode == "pce":
             _run_pce(batch, client, record, outcome, shots, blob_override)
         else:

@@ -1,5 +1,6 @@
 """Tests for circuit lowering, word packing, and the machine file image."""
 
+import math
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pce.asm import (
+    _GATE_TO_OPCODE,
     AsmOp,
     AssemblyProgram,
     MachineProgram,
@@ -18,10 +20,46 @@ from pce.asm import (
     machine_from_bytes,
     machine_to_bytes,
 )
-from pce.circuits import Circuit, U3Params, cz, delay, measure, param_request, u3_decompose, vz, x90
+from pce.circuits import (
+    TAU,
+    Circuit,
+    Gate,
+    GateKind,
+    U3Params,
+    cz,
+    delay,
+    measure,
+    param_request,
+    u3_decompose,
+    vz,
+    x90,
+)
 from pce.control import ParameterMemory, execute
 from pce.errors import DecodeError, EncodeError, UnsupportedGateError, ValidationError
-from pce.rip import modify, quantize_phase
+from pce.generators import gen_batch
+from pce.rip import modify, quantize_phases
+from tests.test_rip import BATCH_SPECS
+
+
+def _reference_compile_circuit(c: Circuit) -> AssemblyProgram:
+    """Test-only oracle: the per-gate compiler, one quantize call per VZ gate."""
+    ops: list[AsmOp] = []
+    for g in c.gates:
+        opcode = _GATE_TO_OPCODE.get(g.kind)
+        if opcode is None:
+            raise UnsupportedGateError(f"cannot compile gate kind {g.kind!r}")
+        if opcode is Opcode.INC_PHASE:
+            ops.append(AsmOp(opcode, g.qubits[0], imm=int(quantize_phases([g.phase])[0])))
+        elif opcode is Opcode.TWO_QUBIT:
+            if g.two_qubit_name != "CZ":
+                raise UnsupportedGateError(f"no native lowering for {g.two_qubit_name!r}")
+            ops.append(AsmOp(opcode, g.qubits[0], channel2=g.qubits[1]))
+        elif opcode is Opcode.DELAY:
+            ops.append(AsmOp(opcode, g.qubits[0], imm=g.duration_ns))
+        else:
+            ops.append(AsmOp(opcode, g.qubits[0]))
+    ops.append(AsmOp(Opcode.END))
+    return AssemblyProgram(tuple(ops), c.n_qubits, c.shots)
 
 
 def random_program(rng, n_qubits=4, n_ops=30) -> AssemblyProgram:
@@ -71,6 +109,12 @@ def _reference_word_fault(words, n_qubits):
             return i, "nonzero reserved byte"
         if code == Opcode.REQ_PARAM and w & 0xFFFFFFFF:
             return i, "REQ_PARAM carries an immediate"
+        if code == Opcode.TWO_QUBIT and w & 0xFFFFFFFF:
+            return i, "TWO_QUBIT carries an immediate"
+        if code != Opcode.TWO_QUBIT and ch2:
+            return i, "only TWO_QUBIT carries a second channel"
+        if code == Opcode.END and (ch or w & 0xFFFFFFFF):
+            return i, "END carries an operand"
         if (code == Opcode.END) != (i == len(words) - 1):
             return i, "program must contain exactly one END, as the last op"
         if code != Opcode.END and ch >= n_qubits:
@@ -92,7 +136,71 @@ def damaged_images(draw):
     return bytes(image)
 
 
+# angles the quantizer must wrap: signs, zeros, exact turns, huge values
+EDGE_PHASES = (0.0, -0.0, TAU, -TAU, 3 * TAU, TAU - 1e-12, -1e-12, math.pi, -math.pi, 1e6, -1e6)
+raw_phases = st.one_of(
+    st.sampled_from(EDGE_PHASES),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def phase_circuits(draw):
+    """A circuit of raw (uncanonicalized) VZ phases among other gates; may have no VZ."""
+    n_qubits = draw(st.integers(1, 3))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        q = draw(st.integers(0, n_qubits - 1))
+        kind = draw(st.sampled_from(("vz", "vz", "x90", "delay", "preq", "cz")))
+        if kind == "vz":
+            gates.append(Gate(GateKind.VIRTUAL_Z, (q,), phase=draw(raw_phases)))
+        elif kind == "x90":
+            gates.append(x90(q))
+        elif kind == "delay":
+            gates.append(delay(q, draw(st.integers(0, 10_000))))
+        elif kind == "preq":
+            gates.append(param_request(q))
+        elif n_qubits > 1:
+            gates.append(cz(q, (q + 1) % n_qubits))
+    return Circuit(tuple(gates), n_qubits, shots=2)
+
+
+@st.composite
+def machine_words(draw):
+    """A valid program's words, each with a one-in-eight chance of one field
+    set where the word rules want zero or a value in range."""
+    n_qubits = draw(st.integers(1, 4))
+    channel = st.integers(0, n_qubits - 1)
+    ops = [draw(st.sampled_from(list(Opcode)[:-1])) for _ in range(draw(st.integers(0, 5)))]
+    words = []
+    for op in [*ops, Opcode.END]:
+        ch = 0 if op is Opcode.END else draw(channel)
+        ch2 = imm = 0
+        if op is Opcode.TWO_QUBIT:
+            if n_qubits == 1:
+                op = Opcode.PULSE_X90
+            else:
+                ch2 = (ch + draw(st.integers(1, n_qubits - 1))) % n_qubits
+        elif op in (Opcode.INC_PHASE, Opcode.DELAY):
+            imm = draw(st.integers(0, 0xFFFFFFFF))
+        w = word(op, ch, ch2, imm)
+        if not draw(st.integers(0, 7)):
+            w |= draw(st.sampled_from((1 << 48, 1 << 40, 1 << 32, 1, 0xFF << 56)))
+        words.append(w)
+    return words, n_qubits
+
+
 class TestCompile:
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
+    def test_matches_per_gate_oracle_on_generated_batches(self, spec):
+        for c in gen_batch(spec).circuits:
+            assert compile_circuit(c) == _reference_compile_circuit(c)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(phase_circuits())
+    def test_matches_per_gate_oracle_on_edge_phases(self, c):
+        assert compile_circuit(c) == _reference_compile_circuit(c)
+
     def test_u3_lowering_op_pattern(self):
         c = Circuit(tuple(u3_decompose(U3Params(0.3, 0.7, 1.9), 0)), n_qubits=1)
         ops = compile_circuit(c).ops
@@ -110,9 +218,10 @@ class TestCompile:
         assert [op.opcode for op in p.ops] == [Opcode.END]
 
     def test_phase_immediates_are_quantized(self):
-        c = Circuit((vz(0, 1.25),), n_qubits=1)
+        c = Circuit((vz(0, 1.25), x90(0), vz(0, math.pi)), n_qubits=1)
         p = compile_circuit(c)
-        assert p.ops[0].imm == quantize_phase(1.25)
+        assert p.ops[0].imm == round(1.25 / TAU * 2**32)
+        assert p.ops[2].imm == 0x80000000
 
     def test_modified_circuit_differs_only_at_request_slots(self):
         gates = (vz(0, 0.3), x90(0), cz(0, 1), vz(1, 2.0), measure(0), measure(1))
@@ -234,6 +343,19 @@ class TestProgramValidation:
         with pytest.raises(ValidationError, match=r"word 0: channel outside 0\.\.1"):
             assemble(AssemblyProgram(ops, 2, 1))
 
+    @pytest.mark.parametrize(
+        "op, reason",
+        [
+            (AsmOp(Opcode.TWO_QUBIT, 0, channel2=1, imm=5), "TWO_QUBIT carries an immediate"),
+            (AsmOp(Opcode.END, 1), "END carries an operand"),
+            (AsmOp(Opcode.END, imm=1), "END carries an operand"),
+        ],
+    )
+    def test_unused_fields_must_be_zero(self, op, reason):
+        ops = (op,) if op.opcode is Opcode.END else (op, AsmOp(Opcode.END))
+        with pytest.raises(ValidationError, match=f"word 0: {reason}"):
+            assemble(AssemblyProgram(ops, 2, 1))
+
 
 class TestDisassemble:
     """``disassemble`` reads a valid program; a bad word never gets that far."""
@@ -248,6 +370,24 @@ class TestDisassemble:
     def test_empty_words_invalid(self):
         with pytest.raises(ValidationError):
             MachineProgram(np.zeros(0, dtype=np.uint64), 1, 1)
+
+    def test_unused_bytes_are_not_silently_dropped(self):
+        # disassembling would drop these bytes, so the word rules refuse them
+        words = [word(Opcode.PULSE_X90, 0, 3, 7), word(Opcode.END, 9)]
+        with pytest.raises(ValidationError, match="word 0: only TWO_QUBIT carries a second channel"):
+            MachineProgram(words, 1, 1)
+        with pytest.raises(ValidationError, match="word 1: END carries an operand"):
+            MachineProgram([word(Opcode.PULSE_X90, 0, 0, 7), word(Opcode.END, 9)], 1, 1)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(machine_words())
+    def test_every_program_that_builds_round_trips(self, drawn):
+        words, n_qubits = drawn
+        try:
+            m = MachineProgram(words, n_qubits, 3)
+        except ValidationError:
+            return
+        assert assemble(disassemble(m)) == m
 
 
 class TestMachineFile:
@@ -287,6 +427,9 @@ class TestMachineFile:
             ([word(Opcode.PULSE_X90), word(0xFF), word(Opcode.END)], 1, 32),
             ([word(Opcode.PULSE_X90) | 1 << 32, word(Opcode.END)], 1, 24),
             ([], 1, 12),  # the header's word count
+            ([word(Opcode.MEASURE, ch2=1), word(Opcode.END)], 2, 24),
+            ([word(Opcode.TWO_QUBIT, 0, 1, imm=3), word(Opcode.END)], 2, 24),
+            ([word(Opcode.PULSE_X90), word(Opcode.END, ch=1)], 2, 32),
         ],
     )
     def test_bad_word_reports_its_image_offset(self, words, n_qubits, offset):
@@ -304,7 +447,9 @@ class TestMachineFile:
             words[rng.integers(0, len(words))] ^= np.uint64(1) << np.uint64(rng.integers(0, 64))
             expected = _reference_word_fault(words, m.n_qubits)
             if expected is None:
-                assert np.array_equal(MachineProgram(words, m.n_qubits, 1).words, words)
+                built = MachineProgram(words, m.n_qubits, 1)
+                assert np.array_equal(built.words, words)
+                assert assemble(disassemble(built)) == built
                 assert np.array_equal(machine_from_bytes(image_of(words, m.n_qubits)).words, words)
                 continue
             rejected += 1

@@ -1,18 +1,22 @@
-"""The benchmark tracer's probes name code that exists.
+"""The benchmark's probes and readers name code and records that exist.
 
-``perfbench/tracer.py`` rebinds functions and methods by name, so deleting or
-renaming one of them breaks ``perfbench/run.py --trace 1`` with no test
-failing.  This loads the tracer read-only and resolves every probe.
+``perfbench/tracer.py`` rebinds functions and methods by name, and
+``perfbench/run.py`` reads profile stages and meta keys by name, so renaming
+one of them breaks the benchmark with no test failing.  This loads the tracer
+read-only and resolves every probe, and reads the names ``run.py`` uses from
+its source and finds each in a real ``pce run`` profile.
 """
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -41,3 +45,35 @@ def test_op_counter_constant_exists():
     from pce import kernels
 
     assert kernels.CYCLES_PER_OP > 0
+
+
+def names_read_by_run_py() -> tuple[set[str], set[str]]:
+    """Profile stage names and meta keys ``perfbench/run.py`` reads."""
+    source = (PERFBENCH / "run.py").read_text("utf-8")
+    stages = set(re.findall(r"record\.(?:duration_ns|iterations)\(\"([^\"]+)\"\)", source))
+    meta = set(re.findall(r"meta\[[\"']([^\"']+)[\"']\]", source))
+    return stages, meta
+
+
+def test_run_py_reads_the_pinned_names():
+    stages, meta = names_read_by_run_py()
+    assert stages == {"Total", "Start Run", "Compile", "Load circuit", "Client/Server"}
+    assert meta == {"circuits", "groups", "stitch_requests", "sim_time_ns"}
+
+
+@pytest.mark.parametrize("mode", ["baseline", "pce"])
+def test_a_pce_run_profile_holds_the_names_run_py_reads(tmp_path, mode):
+    from pce.cli import main
+    from pce.profiling import STAGE_NAMES, parse_report
+
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text("kind = RB\nwidths = 0,1\ndepths = 2\nrandomizations = 2\nshots = 2\nseed = 1\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    out = tmp_path / "out"
+    argv = ["run", "--batch", str(tmp_path / "b"), "--mode", mode, "--out", str(out)]
+    assert main(argv) == 0
+    record, meta = parse_report((out / "profile.json").read_text("utf-8"))
+    stages, keys = names_read_by_run_py()
+    assert stages <= STAGE_NAMES
+    assert all(record.iterations(stage) > 0 for stage in stages)
+    assert keys <= set(meta)

@@ -2,6 +2,7 @@
 
 import socket
 import zlib
+from dataclasses import replace
 
 import pytest
 
@@ -111,6 +112,35 @@ class TestRun:
         assert record.iterations("Active") == 1
         assert record.duration_ns("Active") == 0
         assert record.iterations("Stitch") == meta["stitch_requests"]
+
+    @pytest.mark.parametrize("mode", ["baseline", "pce"])
+    def test_meta_batch_hash_is_the_manifest_hash(self, batch_dir, tmp_path, mode):
+        from pce.fileio import batch_hash
+        from pce.profiling import parse_report
+
+        out = self.run_mode(batch_dir, tmp_path, mode)
+        _, meta = parse_report((out / "profile.json").read_text())
+        manifest = (batch_dir / "manifest.txt").read_text().splitlines()
+        declared = [line.split()[1] for line in manifest if line.startswith("hash ")]
+        assert declared == [meta["batch_hash"]]
+        assert meta["batch_hash"] == batch_hash(read_batch(batch_dir))
+
+    def test_run_of_files_does_not_reserialize_the_batch(self, batch_dir, tmp_path, monkeypatch):
+        from pce import runner
+
+        def refuse(batch):
+            raise AssertionError("batch re-serialized to hash it")
+
+        monkeypatch.setattr(runner, "batch_hash", refuse)
+        self.run_mode(batch_dir, tmp_path, "pce")
+
+    def test_in_memory_batch_hashes_its_canonical_text(self, batch_dir):
+        from pce.fileio import batch_hash
+        from pce.runner import run_experiment
+
+        batch = replace(read_batch(batch_dir), file_hash=None)
+        outcome = run_experiment(lambda: batch, lambda b: b, "baseline", shots=1)
+        assert outcome.batch_hash == batch_hash(batch)
 
     def test_missing_batch_exits_2(self, tmp_path):
         rc = main(["run", "--batch", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])

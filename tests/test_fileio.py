@@ -1,5 +1,8 @@
 """Tests for circuit text, manifests, and config parsing."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from pce.circuits import Circuit, Gate, cz, delay, measure, param_request, vz, x90
@@ -169,6 +172,28 @@ class TestBatchFiles:
         manifest = write_batch(batch, tmp_path)
         declared = [l.split()[1] for l in manifest.read_text().splitlines() if l.startswith("hash ")]
         assert declared == [batch_hash(batch)]
+        assert read_batch(tmp_path).file_hash == batch_hash(batch)
+
+    def test_read_batch_equals_the_batch_written(self, tmp_path):
+        # the manifest does not carry a full spec, so compare a spec-less batch;
+        # the read batch's file hash does not enter equality
+        batch = replace(self.make_batch(), spec=None)
+        write_batch(batch, tmp_path)
+        loaded = read_batch(tmp_path)
+        assert batch.file_hash is None and loaded.file_hash is not None
+        assert loaded == batch
+
+    def test_file_hash_is_the_bytes_read(self, tmp_path):
+        # hand-written files hash as read, not as re-serialized
+        (tmp_path / "circuits").mkdir()
+        text = "qubits 1 shots 2\n# prepare\nX90 q0\nMEAS q0\n"
+        (tmp_path / "circuits" / "a.txt").write_text(text)
+        (tmp_path / "manifest.txt").write_text(
+            "version 1\ncircuit 0 circuits/a.txt width 0 depth 1 rand 0 role x\n"
+        )
+        loaded = read_batch(tmp_path)
+        assert loaded.file_hash == hashlib.sha256(text.encode()).hexdigest()
+        assert loaded.file_hash != batch_hash(loaded)
 
 
 class TestReaderMatchesReference:

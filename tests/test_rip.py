@@ -24,7 +24,7 @@ from pce.circuits import (
     x90,
 )
 from pce.errors import CapacityError, DecodeError
-from pce.generators import BatchSpec, CircuitBatch, Label, gen_rb
+from pce.generators import BatchSpec, CircuitBatch, Label, gen_batch, gen_rb
 from pce.rip import (
     BANK_CAPACITY,
     EquivalenceReport,
@@ -39,7 +39,6 @@ from pce.rip import (
     identify_bruteforce,
     modify,
     peel,
-    quantize_phase,
     quantize_phases,
     rip,
     structural_equal,
@@ -56,12 +55,35 @@ def circular_diff(a: float, b: float) -> float:
     return min(d, TAU - d)
 
 
+def _reference_peel(c: Circuit) -> list[np.ndarray]:
+    """Test-only oracle: one quantize call per bank, banks checked in order."""
+    raw: list[list[float]] = [[] for _ in range(c.n_qubits)]
+    for g in c.gates:
+        if g.kind is GateKind.VIRTUAL_Z:
+            raw[g.qubits[0]].append(g.phase)
+    words = []
+    for q, phases in enumerate(raw):
+        if len(phases) > BANK_CAPACITY:
+            raise CapacityError(q, len(phases))
+        words.append(quantize_phases(phases))
+    return words
+
+
+# small RB, CB, RC and FRC batches, the kinds the workloads run
+BATCH_SPECS = (
+    BatchSpec("RB", ((0,), (0, 1)), ((2, 5),), 3, shots=5, seed=3),
+    BatchSpec("CB", ((0, 1),), ((2, 4),), 3, shots=5, seed=3),
+    BatchSpec("RC", ((0, 1, 2),), ((1, 3),), 3, shots=5, seed=3),
+    BatchSpec("FRC", ((0, 1), (0, 1, 2)), ((1, 4),), 3, shots=1, seed=3),
+)
+
+
 class TestQuantize:
     def test_zero(self):
-        assert quantize_phase(0.0) == 0
+        assert quantize_phases([0.0]).tolist() == [0]
 
     def test_pi_is_half_scale(self):
-        assert quantize_phase(math.pi) == 0x80000000
+        assert quantize_phases([math.pi]).tolist() == [0x80000000]
 
     def test_round_trip_bound(self):
         rng = np.random.default_rng(21)
@@ -73,12 +95,12 @@ class TestQuantize:
 
     def test_scalar_matches_vector(self):
         rng = np.random.default_rng(22)
-        phases = rng.uniform(0, TAU, size=200)
+        phases = rng.uniform(-2 * TAU, 2 * TAU, size=200)
         vec = quantize_phases(phases)
-        assert all(quantize_phase(p) == int(w) for p, w in zip(phases, vec))
+        assert all(quantize_phases([p])[0] == w for p, w in zip(phases, vec))
 
     def test_wraparound_near_tau(self):
-        assert quantize_phase(TAU - 1e-12) == 0
+        assert quantize_phases([TAU - 1e-12]).tolist() == [0]
         assert dequantize_word(0) == 0.0
 
 
@@ -212,6 +234,39 @@ class TestPeelModify:
         assert err.value.qubit == 1
         assert err.value.count == BANK_CAPACITY + 1
         assert "qubit 1" in str(err.value)
+
+    def test_capacity_error_names_the_first_bank_over(self):
+        # bank 2 overflows first in gate order, bank 1 is the lower bank over capacity
+        gates = [vz(2, 0.5)] * (BANK_CAPACITY + 3) + [vz(1, 0.25)] * (BANK_CAPACITY + 1)
+        c = Circuit(tuple(gates + [vz(0, 0.1)]), n_qubits=3)
+        errors = []
+        for fn in (peel, _reference_peel, lambda c: build_param_table([c, c])):
+            with pytest.raises(CapacityError) as err:
+                fn(c)
+            errors.append((err.value.qubit, err.value.count, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == (1, BANK_CAPACITY + 1)
+        assert errors[2] == (1, BANK_CAPACITY + 1, f"circuit 0: {errors[0][2]}")
+
+    @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
+    def test_matches_per_bank_oracle_on_generated_batches(self, spec):
+        batch = gen_batch(spec)
+        for c in batch.circuits:
+            words, expected = peel(c), _reference_peel(c)
+            assert len(words) == len(expected) == c.n_qubits
+            for w, e in zip(words, expected):
+                assert w.dtype == e.dtype and np.array_equal(w, e)
+        # the rows and the blob are byte-identical to the oracle's
+        result = rip(batch)
+        n_qubits = result.table.n_qubits
+        empty = np.zeros(0, dtype=np.uint32)
+        rows = tuple(
+            tuple(w[q] if q < len(w) else empty for q in range(n_qubits))
+            for w in map(_reference_peel, batch.circuits)
+        )
+        oracle = ParamTable(n_qubits, rows)
+        assert result.table == oracle
+        assert binarize(result.report, result.table) == binarize(result.report, oracle)
 
     def test_modify_swaps_vz_for_param_request(self):
         c = Circuit((vz(0, 0.4), x90(0), vz(0, 1.0), measure(0)), n_qubits=1)
