@@ -45,9 +45,7 @@ from .rip import (
     EquivalenceReport,
     ParamTable,
     RipResult,
-    StructuralGraph,
     binarize,
-    build_graph,
     debinarize,
     dequantize_word,
     identify,
@@ -55,7 +53,6 @@ from .rip import (
     modify,
     peel,
     rip,
-    structural_equal,
 )
 from .asm import (
     AsmOp,

@@ -1,7 +1,7 @@
 """Command-line front end: generate, run, verify, compare.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 runtime capacity/underflow error.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
+operating-system error on a path included), 3 runtime capacity/underflow error.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     except PceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable path, or one of the wrong kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

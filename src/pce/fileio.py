@@ -192,6 +192,9 @@ def read_batch(path: str | Path) -> CircuitBatch:
     """Load a batch from a manifest file or the directory containing one.
 
     The batch keeps the sha256 of the circuit-file bytes as ``file_hash``.
+    Its ``spec`` is ``None``: the manifest records the spec's kind, seed and
+    shots but not its widths, depths and randomizations, so no spec can be
+    rebuilt, and a generated batch read back equals it only up to ``spec``.
     """
     path = Path(path)
     manifest = path / MANIFEST_NAME if path.is_dir() else path

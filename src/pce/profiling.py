@@ -199,25 +199,37 @@ def report(record: ProfileRecord, meta: dict | None = None) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _stats_from_dict(d: dict) -> tuple[str, StageStats]:
+def _stats_from_dict(d: dict, name: str) -> StageStats:
+    """Rebuild a stage subtree, rejecting a child that is unknown or misplaced."""
     node = StageStats(int(d["ns"]), int(d["iterations"]))
     for child in d["children"]:
-        name, stats = _stats_from_dict(child)
-        node.children[name] = stats
-    return d["name"], node
+        child_name = child["name"]
+        if child_name not in STAGE_NAMES:
+            raise IncompleteRecordError(f"unknown stage {child_name!r} under {name!r}")
+        if STAGE_PARENT.get(child_name) != name:
+            raise IncompleteRecordError(
+                f"stage {child_name!r} under {name!r}, "
+                f"expected under {STAGE_PARENT.get(child_name)!r}"
+            )
+        node.children[child_name] = _stats_from_dict(child, child_name)
+    return node
 
 
 def parse_report(text: str) -> tuple[ProfileRecord, dict]:
     try:
         doc = json.loads(text)
-        name, root = _stats_from_dict(doc["stages"])
+        name = doc["stages"]["name"]
+        if name != ROOT_STAGE:
+            raise IncompleteRecordError(f"report root is {name!r}, expected {ROOT_STAGE!r}")
+        root = _stats_from_dict(doc["stages"], name)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IncompleteRecordError(f"unparseable profile report: {exc}") from None
-    if name != ROOT_STAGE:
-        raise IncompleteRecordError(f"report root is {name!r}, expected {ROOT_STAGE!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise IncompleteRecordError(f"report meta is {type(meta).__name__}, not an object")
     record = ProfileRecord()
     record.root = root
-    return record, doc.get("meta", {})
+    return record, meta
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Read-Identify-Peel: structural grouping, phase extraction, and binarization.
 
-Structural identity of a circuit is the per-qubit chain of gate nodes in
-timing order, where a node records the gate kind, the partner qubit of a
-two-qubit gate, and the delay duration -- but never a virtual-Z phase value.
-Two circuits that differ only in virtual-Z phases therefore build identical
-graphs and land in the same equivalence group.
+Structural identity of a circuit is what ``modify`` leaves of it: the same
+gates in the same order with every virtual-Z phase erased to a parameter
+request, on the same qubit count, run for the same number of shots.  Two
+circuits that differ only in virtual-Z phases land in the same equivalence
+group, and each stitched circuit runs its representative's exact program.
+Cross-qubit gate order, two-qubit operand order and shots are part of the
+identity because the compiled program, and so the trace, follows them.
 
-Grouping is greedy in batch order: a circuit joins the first earlier group
-whose representative matches, otherwise it founds a new group.  The flattened
-groups give the execution order consumed by the scheduler.  ``identify`` uses
-a fingerprint-bucketed scan; ``identify_bruteforce`` keeps the plain pairwise
-method as an independent oracle.
+Grouping is in batch order: a circuit joins the group of the first earlier
+circuit with the same identity, otherwise it founds a new group.  The
+flattened groups give the execution order consumed by the scheduler.
+``identify`` makes one dict pass; ``identify_bruteforce`` compares ``modify``
+results pairwise as an independent oracle.
 
 Phase words are unsigned 32-bit fixed point over [0, 2*pi), so a stitched
 execution and a directly-compiled execution agree bit-exactly once both sides
@@ -19,6 +21,7 @@ are quantized.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -53,45 +56,6 @@ def dequantize_words(words: np.ndarray) -> np.ndarray:
     return np.asarray(words, dtype=np.uint32).astype(np.float64) / PHASE_SCALE * TAU
 
 
-_NO_PARTNER = -1
-
-
-def _gate_node(g: Gate, qubit: int) -> tuple:
-    kind = g.kind
-    if kind is GateKind.TWO_QUBIT:
-        other = g.qubits[1] if g.qubits[0] == qubit else g.qubits[0]
-        return (kind.value, other, g.two_qubit_name)
-    if kind is GateKind.DELAY:
-        return (kind.value, _NO_PARTNER, g.duration_ns)
-    return (kind.value, _NO_PARTNER, 0)
-
-
-@dataclass(frozen=True, slots=True)
-class StructuralGraph:
-    """Per-qubit gate chains with virtual-Z phases erased to parameter slots."""
-
-    n_qubits: int
-    chains: tuple[tuple[tuple, ...], ...]
-    fingerprint: int
-
-
-def build_graph(c: Circuit) -> StructuralGraph:
-    chains: list[list[tuple]] = [[] for _ in range(c.n_qubits)]
-    for g in c.gates:
-        if g.kind is GateKind.TWO_QUBIT:
-            a, b = g.qubits
-            chains[a].append((GateKind.TWO_QUBIT.value, b, g.two_qubit_name))
-            chains[b].append((GateKind.TWO_QUBIT.value, a, g.two_qubit_name))
-        else:
-            chains[g.qubits[0]].append(_gate_node(g, g.qubits[0]))
-    frozen = tuple(tuple(chain) for chain in chains)
-    return StructuralGraph(c.n_qubits, frozen, hash((c.n_qubits, frozen)))
-
-
-def structural_equal(a: StructuralGraph, b: StructuralGraph) -> bool:
-    return a.n_qubits == b.n_qubits and a.chains == b.chains
-
-
 @dataclass(frozen=True, slots=True)
 class EquivalenceReport:
     """Partition of batch indices into structural-equivalence groups.
@@ -124,54 +88,56 @@ class EquivalenceReport:
     def unique_indices(self) -> tuple[int, ...]:
         return tuple(g[0] for g in self.groups)
 
-    def group_of(self, index: int) -> int:
-        for gi, g in enumerate(self.groups):
-            if index in g:
-                return gi
-        raise KeyError(index)
-
     def equivalency_percent(self) -> float:
         """Share of the batch that did not need its own compilation, (n-u)/n."""
         n = self.n_circuits
         return 100.0 * (n - len(self.groups)) / n if n else 0.0
 
 
-def identify_graphs(graphs: Iterable[StructuralGraph]) -> EquivalenceReport:
-    """Group structurally-equal graphs; only representatives are retained in memory."""
+@functools.cache
+def _param_request(q: int) -> Gate:
+    return param_request(q)
+
+
+def _erased_gates(c: Circuit) -> tuple[Gate, ...]:
+    """The gates ``modify`` leaves: each virtual-Z becomes a parameter request on its qubit."""
+    return tuple(
+        _param_request(g.qubits[0]) if g.kind is GateKind.VIRTUAL_Z else g for g in c.gates
+    )
+
+
+def modify(c: Circuit) -> Circuit:
+    """Replace every virtual-Z gate with a parameter request at the same position."""
+    return Circuit(_erased_gates(c), c.n_qubits, c.shots)
+
+
+def identify(circuits: Iterable[Circuit]) -> EquivalenceReport:
+    """Group circuits by what ``modify`` leaves of them, in one dict pass.
+
+    The key is ``(n_qubits, shots, erased gates)``.  A dict keeps insertion
+    order, so groups come out in first-seen order and each group lists its
+    members in batch order; only the representatives' keys stay in memory,
+    so ``circuits`` may be a generator over a batch too large to hold.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(circuits):
+        groups.setdefault((c.n_qubits, c.shots, _erased_gates(c)), []).append(i)
+    return EquivalenceReport(tuple(tuple(g) for g in groups.values()))
+
+
+def identify_bruteforce(circuits: Iterable[Circuit]) -> EquivalenceReport:
+    """Oracle for ``identify``: compare ``modify`` results pairwise, no hashing."""
     groups: list[list[int]] = []
-    reps: list[StructuralGraph] = []
-    buckets: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        placed = False
-        for gi in buckets.get(g.fingerprint, ()):
-            if structural_equal(reps[gi], g):
-                groups[gi].append(i)
-                placed = True
-                break
-        if not placed:
-            buckets.setdefault(g.fingerprint, []).append(len(groups))
-            groups.append([i])
-            reps.append(g)
-    return EquivalenceReport(tuple(tuple(g) for g in groups))
-
-
-def identify(batch) -> EquivalenceReport:
-    return identify_graphs(build_graph(c) for c in batch.circuits)
-
-
-def identify_bruteforce(batch) -> EquivalenceReport:
-    """O(n^2) reference grouping: linear scan over representatives, no hashing."""
-    graphs = [build_graph(c) for c in batch.circuits]
-    groups: list[list[int]] = []
-    reps: list[StructuralGraph] = []
-    for i, g in enumerate(graphs):
+    reps: list[Circuit] = []
+    for i, c in enumerate(circuits):
+        m = modify(c)
         for gi, rep in enumerate(reps):
-            if structural_equal(rep, g):
+            if rep == m:
                 groups[gi].append(i)
                 break
         else:
             groups.append([i])
-            reps.append(g)
+            reps.append(m)
     return EquivalenceReport(tuple(tuple(g) for g in groups))
 
 
@@ -189,14 +155,6 @@ def peel(c: Circuit) -> list[np.ndarray]:
         raise CapacityError(int(over[0]), int(counts[over[0]]))
     words = quantize_phases([g.phase for g in vzs])
     return [words[banks == q] for q in range(c.n_qubits)]
-
-
-def modify(c: Circuit) -> Circuit:
-    """Replace every virtual-Z gate with a parameter request at the same position."""
-    gates = tuple(
-        param_request(g.qubits[0]) if g.kind is GateKind.VIRTUAL_Z else g for g in c.gates
-    )
-    return Circuit(gates, c.n_qubits, c.shots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,7 +210,7 @@ class RipResult:
 
 
 def rip(batch) -> RipResult:
-    report = identify(batch)
+    report = identify(batch.circuits)
     table = build_param_table(batch.circuits)
     uniques = tuple(modify(batch.circuits[g[0]]) for g in report.groups)
     return RipResult(uniques, report, table)

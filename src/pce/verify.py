@@ -75,14 +75,14 @@ def first_trace_mismatch(a: PulseTrace, b: PulseTrace) -> str | None:
 
 
 def check_dedup_oracle(batch: CircuitBatch) -> CheckResult:
-    fast = identify(batch)
-    slow = identify_bruteforce(batch)
+    fast = identify(batch.circuits)
+    slow = identify_bruteforce(batch.circuits)
     if fast == slow:
         return CheckResult("dedup-oracle", True, f"{len(fast.groups)} groups")
     return CheckResult(
         "dedup-oracle",
         False,
-        f"bucketed and pairwise grouping disagree: {fast.groups[:3]}... vs {slow.groups[:3]}...",
+        f"hashed and pairwise grouping disagree: {fast.groups[:3]}... vs {slow.groups[:3]}...",
     )
 
 
@@ -135,7 +135,7 @@ def _strip_measures(c: Circuit) -> Circuit:
 
 def check_unitaries(batch: CircuitBatch) -> CheckResult:
     """Role-specific logic checks on every oracle-sized circuit in the batch."""
-    report = identify(batch)
+    rep_of = {i: g[0] for g in identify(batch.circuits).groups for i in g}
     rep_unitaries: dict[int, np.ndarray] = {}
     checked = 0
     for i, (circuit, label) in enumerate(zip(batch.circuits, batch.labels)):
@@ -147,8 +147,7 @@ def check_unitaries(batch: CircuitBatch) -> CheckResult:
             if global_phase_distance(U, np.eye(U.shape[0])) > 1e-9:
                 return CheckResult("unitary", False, f"circuit {i}: sequence does not invert")
         elif label.role == "rc":
-            gi = report.group_of(i)
-            rep = report.groups[gi][0]
+            rep = rep_of[i]
             if rep not in rep_unitaries:
                 rep_unitaries[rep] = circuit_unitary(_strip_measures(batch.circuits[rep]))
             if global_phase_distance(U, rep_unitaries[rep]) > 1e-9:

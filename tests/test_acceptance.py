@@ -26,16 +26,14 @@ from pce.circuits import (
 )
 from pce.control import BANK_CAPACITY, ParameterMemory, execute
 from pce.errors import CapacityError, DecodeError, UnderflowError
-from pce.generators import BatchSpec, CircuitBatch, gen_batch, iter_batch, preset_spec
+from pce.generators import BatchSpec, gen_batch, iter_batch, preset_spec
 from pce.rip import (
     EquivalenceReport,
     ParamTable,
     binarize,
-    build_graph,
     debinarize,
     identify,
     identify_bruteforce,
-    identify_graphs,
     peel,
 )
 from pce.rpc import rpc_decode, rpc_encode
@@ -127,15 +125,8 @@ def test_criterion_3_dedup_exactness_full_configs():
         }
         for name, (want_n, want_groups, want_pct) in expectations.items():
             spec = preset_spec(name, seed=1)
-            count = 0
-
-            def graphs():
-                nonlocal count
-                for c, _ in iter_batch(spec):
-                    count += 1
-                    yield build_graph(c)
-
-            report = identify_graphs(graphs())
+            report = identify(c for c, _ in iter_batch(spec))
+            count = report.n_circuits
             assert count == want_n, f"{name}: generated {count} circuits"
             assert len(report.groups) == want_groups, f"{name}: {len(report.groups)} groups"
             if want_pct is not None:
@@ -148,18 +139,12 @@ def test_criterion_4_identify_matches_bruteforce_under_shuffles():
         cb = gen_batch(desk_cb_spec(seed=22))
         rc = gen_batch(BatchSpec("RC", ((0, 1),), ((1, 3),), 5, shots=5, seed=23))
         pool = list(rb.circuits) + list(cb.circuits) + list(rc.circuits)
-        labels = list(rb.labels) + list(cb.labels) + list(rc.labels)
-        base_batch = CircuitBatch(tuple(pool), tuple(labels))
-        assert identify(base_batch) == identify_bruteforce(base_batch)
-        base_partition = {
-            frozenset(g) for g in identify(base_batch).groups
-        }
+        assert identify(pool) == identify_bruteforce(pool)
+        base_partition = {frozenset(g) for g in identify(pool).groups}
         rng = np.random.default_rng(9)
         for _ in range(50):
             perm = rng.permutation(len(pool))
-            shuffled = CircuitBatch(
-                tuple(pool[i] for i in perm), tuple(labels[i] for i in perm)
-            )
+            shuffled = [pool[i] for i in perm]
             fast = identify(shuffled)
             assert fast == identify_bruteforce(shuffled)
             # map the shuffled grouping back to original indices: same partition

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: generate, run (both modes and transports), verify, compare."""
 
+import json
 import socket
 import zlib
 from dataclasses import replace
@@ -8,8 +9,10 @@ import pytest
 
 from pce import cli
 from pce.cli import main
-from pce.fileio import read_batch
+from pce.fileio import read_batch, write_batch
+from pce.generators import CircuitBatch, Label
 from pce.rip import binarize, debinarize, rip
+from tests.test_rip import SAME_CHAINS_PAIRS
 
 
 @pytest.fixture()
@@ -63,6 +66,12 @@ class TestGenerate:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = RB\nwidths = \ndepths = 2\nrandomizations = 1\n")
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        rc = main(["generate", "--config", str(tmp_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_subcommand_exits_2(self):
         assert main([]) == 2
@@ -142,6 +151,26 @@ class TestRun:
         outcome = run_experiment(lambda: batch, lambda b: b, "baseline", shots=1)
         assert outcome.batch_hash == batch_hash(batch)
 
+    @pytest.mark.parametrize("name", sorted(SAME_CHAINS_PAIRS))
+    def test_same_chains_pair_modes_agree(self, tmp_path, name):
+        # each circuit runs at its own shots: no --shots
+        bdir = tmp_path / "pair"
+        labels = (Label((0,), 1, 0, "test"), Label((0,), 1, 1, "test"))
+        write_batch(CircuitBatch(SAME_CHAINS_PAIRS[name], labels), bdir)
+        outs = []
+        for mode in ("baseline", "pce"):
+            outs.append(tmp_path / mode)
+            assert main(["run", "--batch", str(bdir), "--mode", mode, "--out", str(outs[-1])]) == 0
+        assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+
+    def test_existing_file_as_out_exits_2(self, batch_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = main(["run", "--batch", str(batch_dir), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_batch_exits_2(self, tmp_path):
         rc = main(["run", "--batch", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
         assert rc == 2
@@ -149,8 +178,6 @@ class TestRun:
     def test_capacity_error_exits_3(self, tmp_path):
         # one circuit with 2049 phases on one qubit trips the bank limit during RIP
         from pce.circuits import Circuit, vz
-        from pce.fileio import write_batch
-        from pce.generators import CircuitBatch, Label
 
         gates = tuple(vz(0, 0.25) for _ in range(2049))
         batch = CircuitBatch((Circuit(gates, 1, 2),), (Label((0,), 1, 0, "x"),))
@@ -163,8 +190,6 @@ class TestRun:
     def test_socket_server_fault_exits_2_and_closes(self, tmp_path, capsys, monkeypatch, mode):
         # the server refuses a 9-qubit program (8 banks); the harness still closes
         from pce.circuits import Circuit, measure, x90
-        from pce.fileio import write_batch
-        from pce.generators import CircuitBatch, Label
 
         closes = []
         close = cli._SocketHarness.close
@@ -288,9 +313,6 @@ class TestVerifyAndCompare:
         assert "trace-equivalence: PASS" in out
 
     def test_verify_empty_batch_vacuously_passes(self, tmp_path):
-        from pce.fileio import write_batch
-        from pce.generators import CircuitBatch
-
         bdir = tmp_path / "empty"
         write_batch(CircuitBatch((), ()), bdir)
         assert main(["verify", "--batch", str(bdir)]) == 0
@@ -349,6 +371,29 @@ class TestVerifyAndCompare:
             ["compare", str(tmp_path / "a" / "profile.json"), str(tmp_path / "b" / "profile.json")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda t: t.replace('"Data Sort"', '"Data Sorted"'), "'Data Sorted'"),
+            (lambda t: json.dumps({**json.loads(t), "meta": ["mode"]}), "meta"),
+            (lambda t: t.replace('"Get data"', '"Get circuit"'), "'Get circuit' under 'Run Batch'"),
+        ],
+        ids=["unknown-stage", "meta-not-object", "misplaced-stage"],
+    )
+    def test_compare_damaged_report_exits_2(self, batch_dir, tmp_path, capsys, damage, named):
+        rc = main(
+            ["run", "--batch", str(batch_dir), "--mode", "baseline", "--seed", "5",
+             "--shots", "3", "--out", str(tmp_path / "x")]
+        )
+        assert rc == 0
+        good = tmp_path / "x" / "profile.json"
+        damaged = tmp_path / "damaged.json"
+        damaged.write_text(damage(good.read_text()))
+        capsys.readouterr()
+        assert main(["compare", str(good), str(damaged)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
     def test_self_compare_ratio_one(self, batch_dir, tmp_path, capsys):
         rc = main(

@@ -24,7 +24,7 @@ from pce.generators import (
     gen_read_circuits,
     preset_spec,
 )
-from pce.rip import build_graph, identify, structural_equal
+from pce.rip import identify, modify
 
 X_PAULI = np.array([[0, 1], [1, 0]], dtype=complex)
 Y_PAULI = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -124,14 +124,14 @@ class TestRb:
         by_key = {}
         for c, label in zip(batch.circuits, batch.labels):
             if label.role == "rb":
-                by_key.setdefault((label.width, label.depth), []).append(build_graph(c))
-        for graphs in by_key.values():
-            assert all(structural_equal(graphs[0], g) for g in graphs[1:])
+                by_key.setdefault((label.width, label.depth), []).append(c)
+        for circuits in by_key.values():
+            assert len(identify(circuits).groups) == 1
 
     def test_group_count_per_width(self):
         # one group per depth plus one shared group for the read pair
         spec = self.spec(widths=((0, 1),))
-        report = identify(gen_rb(spec))
+        report = identify(gen_rb(spec).circuits)
         assert len(report.groups) == 2 + 1
 
     def test_deterministic(self):
@@ -144,7 +144,7 @@ class TestRb:
         a = gen_rb(self.spec(seed=1)).circuits[0]
         b = gen_rb(self.spec(seed=2)).circuits[0]
         assert a != b
-        assert structural_equal(build_graph(a), build_graph(b))
+        assert modify(a) == modify(b)
 
 
 class TestReadCircuits:
@@ -156,7 +156,7 @@ class TestReadCircuits:
 
     def test_structurally_equal_pair(self):
         read0, read1 = gen_read_circuits((0, 1, 2))
-        assert structural_equal(build_graph(read0), build_graph(read1))
+        assert modify(read0) == modify(read1)
 
     def test_prepares_zero_and_one(self):
         read0, read1 = gen_read_circuits((0,))
@@ -192,13 +192,13 @@ class TestCb:
         batch = gen_cb(self.spec())
         by_key = {}
         for c, label in zip(batch.circuits, batch.labels):
-            by_key.setdefault((label.width, label.depth), []).append(build_graph(c))
+            by_key.setdefault((label.width, label.depth), []).append(c)
         assert len(by_key) == 4
-        for graphs in by_key.values():
-            assert all(structural_equal(graphs[0], g) for g in graphs[1:])
+        for circuits in by_key.values():
+            assert len(identify(circuits).groups) == 1
 
     def test_group_count(self):
-        report = identify(gen_cb(self.spec()))
+        report = identify(gen_cb(self.spec()).circuits)
         assert len(report.groups) == 4  # widths x depths
 
     def test_per_width_randomizations(self):
@@ -213,8 +213,7 @@ class TestRc:
 
     def test_dressings_structurally_equal(self):
         batch = gen_rc(self.make_base(), n_rand=6, seed=3)
-        graphs = [build_graph(c) for c in batch.circuits]
-        assert all(structural_equal(graphs[0], g) for g in graphs[1:])
+        assert len(identify(batch.circuits).groups) == 1
 
     def test_logically_equivalent_to_base(self):
         base = self.make_base()

@@ -155,6 +155,24 @@ class TestReportSerialization:
         with pytest.raises(IncompleteRecordError):
             parse_report("not json at all")
 
+    def test_unknown_stage_name_rejected(self):
+        text = report(self.build_sample()).replace('"Compile"', '"Compiled"')
+        with pytest.raises(IncompleteRecordError, match="unknown stage 'Compiled'"):
+            parse_report(text)
+
+    def test_stage_under_wrong_parent_rejected(self):
+        doc = json.loads(report(self.build_sample()))
+        build_run = next(c for c in doc["stages"]["children"] if c["name"] == "Build Run")
+        doc["stages"]["children"].append(build_run["children"].pop())  # Compile under Total
+        with pytest.raises(IncompleteRecordError, match="'Compile' under 'Total'"):
+            parse_report(json.dumps(doc))
+
+    def test_meta_not_an_object_rejected(self):
+        doc = json.loads(report(self.build_sample(), meta={"mode": "pce"}))
+        doc["meta"] = ["mode", "pce"]
+        with pytest.raises(IncompleteRecordError, match="meta"):
+            parse_report(json.dumps(doc))
+
 
 class TestCompare:
     def synthetic(self, compile_ns, compile_iters, startrun_ns, total_ns):

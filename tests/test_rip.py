@@ -19,6 +19,7 @@ from pce.circuits import (
     delay,
     global_phase_distance,
     measure,
+    param_request,
     u3_decompose,
     vz,
     x90,
@@ -30,7 +31,6 @@ from pce.rip import (
     EquivalenceReport,
     ParamTable,
     binarize,
-    build_graph,
     build_param_table,
     debinarize,
     dequantize_word,
@@ -41,8 +41,8 @@ from pce.rip import (
     peel,
     quantize_phases,
     rip,
-    structural_equal,
 )
+from pce.verify import check_trace_equivalence, verify_batch
 
 
 def batch_of(*circuits) -> CircuitBatch:
@@ -67,6 +67,58 @@ def _reference_peel(c: Circuit) -> list[np.ndarray]:
             raise CapacityError(q, len(phases))
         words.append(quantize_phases(phases))
     return words
+
+
+# valid 2-circuit batches whose per-qubit gate chains agree but whose
+# programs differ, so neither circuit may run the other's program
+SAME_CHAINS_PAIRS = {
+    "cross_qubit_order": (
+        Circuit((vz(0, 0.3), x90(0), vz(1, 0.7), x90(1), measure(0), measure(1)), 2, 5),
+        Circuit((vz(1, 1.1), x90(1), vz(0, 2.2), x90(0), measure(0), measure(1)), 2, 5),
+    ),
+    "shots": (
+        Circuit((vz(0, 0.3), x90(0), measure(0)), 1, 5),
+        Circuit((vz(0, 1.9), x90(0), measure(0)), 1, 9),
+    ),
+    "cz_operand_order": (
+        Circuit((x90(0), cz(0, 1), vz(1, 0.4), x90(1), measure(0), measure(1)), 2, 5),
+        Circuit((x90(0), cz(1, 0), vz(1, 2.4), x90(1), measure(0), measure(1)), 2, 5),
+    ),
+}
+
+
+@st.composite
+def skeleton_variant_batches(draw):
+    """2-5 circuits on 1-3 qubits, each a variant of one gate skeleton.
+
+    A variant reorders the skeleton and may swap CZ operands; each circuit
+    draws its own phases and 1-3 shots.
+    """
+    n = draw(st.integers(1, 3))
+    qubit = st.integers(0, n - 1)
+    ops = [st.tuples(st.sampled_from(("X90", "VZ")), qubit)]
+    if n > 1:
+        ops.append(st.tuples(st.just("CZ"), qubit, qubit).filter(lambda op: op[1] != op[2]))
+    base = draw(st.lists(st.one_of(ops), min_size=1, max_size=6))
+    variants = [base]
+    for _ in range(draw(st.integers(0, 2))):
+        variants.append([
+            ("CZ", op[2], op[1]) if op[0] == "CZ" and draw(st.booleans()) else op
+            for op in draw(st.permutations(base))
+        ])
+    circuits = []
+    for _ in range(draw(st.integers(2, 5))):
+        gates = []
+        for op in draw(st.sampled_from(variants)):
+            if op[0] == "VZ":
+                gates.append(vz(op[1], draw(st.floats(0.0, TAU, exclude_max=True))))
+            elif op[0] == "X90":
+                gates.append(x90(op[1]))
+            else:
+                gates.append(cz(op[1], op[2]))
+        gates += [measure(q) for q in range(n)]
+        circuits.append(Circuit(tuple(gates), n, draw(st.integers(1, 3))))
+    return circuits
 
 
 # small RB, CB, RC and FRC batches, the kinds the workloads run
@@ -105,52 +157,59 @@ class TestQuantize:
 
 
 class TestGraphs:
+    """Structural identity is the phase-erased circuit: ``modify`` equality."""
+
     def test_empty_circuit_has_empty_chains(self):
-        g = build_graph(Circuit((), n_qubits=2))
-        assert g.n_qubits == 2
-        assert g.chains == ((), ())
+        a, b = Circuit((), n_qubits=2), Circuit((), n_qubits=2)
+        assert modify(a).gates == ()
+        assert identify([a, b]).groups == ((0, 1),)
+        assert identify([a, Circuit((), n_qubits=1)]).groups == ((0,), (1,))
 
     def test_u3_chain_shape(self):
         c = Circuit(tuple(u3_decompose(U3Params(0.1, 0.2, 0.3), 0)), n_qubits=1)
-        kinds = [node[0] for node in build_graph(c).chains[0]]
-        assert kinds == ["VZ", "X90", "VZ", "X90", "VZ"]
+        kinds = [g.kind.value for g in modify(c).gates]
+        assert kinds == ["PREQ", "X90", "PREQ", "X90", "PREQ"]
 
     def test_phases_do_not_enter_identity(self):
         a = Circuit((vz(0, 0.1), x90(0)), n_qubits=1)
         b = Circuit((vz(0, 2.9), x90(0)), n_qubits=1)
-        assert build_graph(a) == build_graph(b)
-        assert structural_equal(build_graph(a), build_graph(b))
+        assert modify(a) == modify(b)
+        assert identify([a, b]).groups == ((0, 1),)
 
     def test_delay_duration_is_structural(self):
         a = Circuit((delay(0, 10),), n_qubits=1)
         b = Circuit((delay(0, 20),), n_qubits=1)
-        assert not structural_equal(build_graph(a), build_graph(b))
+        assert modify(a) != modify(b)
+        assert identify([a, b]).groups == ((0,), (1,))
 
     def test_two_qubit_partner_recorded(self):
-        g = build_graph(Circuit((cz(0, 1),), n_qubits=2))
-        assert g.chains[0] == (("2Q", 1, "CZ"),)
-        assert g.chains[1] == (("2Q", 0, "CZ"),)
+        a = Circuit((cz(0, 1),), n_qubits=3)
+        b = Circuit((cz(0, 2),), n_qubits=3)
+        assert modify(a).gates[0].qubits == (0, 1)
+        assert identify([a, b]).groups == ((0,), (1,))
 
     def test_reflexive(self):
-        g = build_graph(Circuit((x90(0), cz(0, 1)), n_qubits=2))
-        assert structural_equal(g, g)
+        c = Circuit((x90(0), cz(0, 1)), n_qubits=2)
+        assert modify(c) == modify(c)
+        assert identify([c, c]).groups == ((0, 1),)
 
     def test_different_depth_not_equal(self):
         a = Circuit((x90(0),), n_qubits=1)
         b = Circuit((x90(0), x90(0)), n_qubits=1)
-        assert not structural_equal(build_graph(a), build_graph(b))
+        assert modify(a) != modify(b)
+        assert identify([a, b]).groups == ((0,), (1,))
 
 
 class TestIdentify:
     def test_singleton(self):
-        report = identify(batch_of(Circuit((x90(0),), n_qubits=1)))
+        report = identify([Circuit((x90(0),), n_qubits=1)])
         assert report.groups == ((0,),)
         assert report.order == (0,)
 
     def test_distinct_structures_all_singletons(self):
         circuits = [Circuit(tuple(x90(0) for _ in range(k + 1)), n_qubits=1) for k in range(6)]
-        report = identify(batch_of(*circuits))
-        oracle = identify_bruteforce(batch_of(*circuits))
+        report = identify(circuits)
+        oracle = identify_bruteforce(circuits)
         assert report == oracle
         assert len(report.groups) == 6
 
@@ -159,21 +218,21 @@ class TestIdentify:
         b1 = Circuit((x90(0), x90(0)), n_qubits=1)
         a2 = Circuit((vz(0, 1.7), x90(0)), n_qubits=1)
         b2 = Circuit((x90(0), x90(0)), n_qubits=1)
-        report = identify(batch_of(a1, b1, a2, b2))
+        report = identify([a1, b1, a2, b2])
         assert report.groups == ((0, 2), (1, 3))
         assert report.order == (0, 2, 1, 3)
 
     def test_matches_bruteforce_on_generated_batch(self):
         spec = BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 4, shots=5, seed=11)
         batch = gen_rb(spec)
-        assert identify(batch) == identify_bruteforce(batch)
+        assert identify(batch.circuits) == identify_bruteforce(batch.circuits)
 
     def test_stable_under_non_representative_reordering(self):
         # with every structure's first occurrence pinned in place, permuting
         # the later members of each group must not change the grouping at all
         spec = BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 4, shots=5, seed=12)
         batch = gen_rb(spec)
-        base = identify(batch)
+        base = identify(batch.circuits)
         rng = np.random.default_rng(1)
         scrambled = list(range(len(batch)))
         for group in base.groups:
@@ -181,8 +240,7 @@ class TestIdentify:
             for slot, i in zip(group[1:], rng.permutation(tail)):
                 scrambled[slot] = int(i)
         assert scrambled != list(range(len(batch)))
-        reordered = batch_of(*(batch.circuits[i] for i in scrambled))
-        remapped = identify(reordered)
+        remapped = identify(batch.circuits[i] for i in scrambled)
         back = tuple(tuple(scrambled[i] for i in g) for g in remapped.groups)
         assert tuple(tuple(sorted(g)) for g in back) == tuple(tuple(sorted(g)) for g in base.groups)
         assert tuple(g[0] for g in back) == tuple(g[0] for g in base.groups)
@@ -196,6 +254,28 @@ class TestIdentify:
             EquivalenceReport(((0, 1), (1, 2)))
         with pytest.raises(ValueError):
             EquivalenceReport(((0, 2),))
+
+
+class TestSameProgram:
+    """A group shares one program: cross-qubit order, CZ operands and shots split it."""
+
+    @pytest.mark.parametrize("name", sorted(SAME_CHAINS_PAIRS))
+    def test_pair_is_split(self, name):
+        pair = SAME_CHAINS_PAIRS[name]
+        assert identify(pair).groups == ((0,), (1,))
+        assert identify_bruteforce(pair) == identify(pair)
+
+    @pytest.mark.parametrize("name", sorted(SAME_CHAINS_PAIRS))
+    def test_pair_passes_every_check(self, name):
+        failed = [r.line() for r in verify_batch(batch_of(*SAME_CHAINS_PAIRS[name])) if not r.ok]
+        assert failed == []
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(skeleton_variant_batches())
+    def test_matches_oracle_and_replays_baseline(self, circuits):
+        assert identify(circuits) == identify_bruteforce(circuits)
+        check = check_trace_equivalence(batch_of(*circuits))
+        assert check.ok, check.detail
 
 
 class TestPeelModify:
@@ -281,16 +361,14 @@ class TestPeelModify:
         assert modify(c) == c
 
     def test_modify_graph_differs_only_in_kind(self):
-        c = Circuit((vz(0, 0.4), x90(0)), n_qubits=1)
-        ga, gb = build_graph(c), build_graph(modify(c))
-        for ca, cb in zip(ga.chains, gb.chains):
-            assert len(ca) == len(cb)
-            for na, nb in zip(ca, cb):
-                if na[0] == "VZ":
-                    assert nb[0] == "PREQ"
-                    assert na[1:] == nb[1:]
-                else:
-                    assert na == nb
+        c = Circuit((vz(0, 0.4), x90(0), vz(1, 1.0), cz(1, 0), delay(0, 8)), n_qubits=2)
+        m = modify(c)
+        assert (m.n_qubits, m.shots, len(m.gates)) == (c.n_qubits, c.shots, len(c.gates))
+        for a, b in zip(c.gates, m.gates):
+            if a.kind is GateKind.VIRTUAL_Z:
+                assert b == param_request(a.qubits[0])
+            else:
+                assert b is a
 
     def test_peel_modify_lossless_on_unitary(self):
         rng = np.random.default_rng(30)
