@@ -55,7 +55,6 @@ from .rip import (
     rip,
 )
 from .asm import (
-    AsmOp,
     AssemblyProgram,
     MachineProgram,
     Opcode,

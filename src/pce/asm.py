@@ -1,12 +1,12 @@
-"""Lowering to assembly ops and the fixed 64-bit machine-word encoding.
+"""Lowering to assembly columns and the fixed 64-bit machine-word encoding.
 
 This is the deliberately costly stage whose repetition the dedup pipeline
 amortizes: compiling a batch the naive way runs it once per circuit, the
 parameterized way once per unique structure.
 
-A ``MachineProgram`` is valid by construction: its constructor checks the
-word rules (``_word_fault``) and freezes the words, so no later stage checks
-a word again.
+``assemble`` checks only that each assembly column fits its word field.  A
+``MachineProgram`` is valid by construction: its constructor checks the word
+rules (``_word_fault``) and freezes the words, so no later stage checks one.
 
 Word layout (little-endian files, one word per op):
 
@@ -56,27 +56,29 @@ class Opcode(IntEnum):
 
 
 _OPCODE_VALUES = np.array(sorted(int(o) for o in Opcode), dtype=np.uint64)
+# the fields of a word, one assembly column each: name, bit offset, largest value
+_FIELDS = (
+    ("opcode", 56, 0xFF), ("channel", 48, 0xFF), ("channel2", 40, 0xFF), ("imm", 0, 0xFFFFFFFF)
+)
 
 
-@dataclass(frozen=True, slots=True)
-class AsmOp:
-    opcode: Opcode
-    channel: int = 0
-    channel2: int = 0  # TWO_QUBIT only
-    imm: int = 0
-
-    def __post_init__(self):
-        if self.opcode is not Opcode.TWO_QUBIT and self.channel2 != 0:
-            raise ValidationError(f"{self.opcode.name} cannot address a second channel")
-        if not 0 <= self.imm < (1 << 32):
-            raise ValidationError(f"immediate {self.imm:#x} does not fit 32 bits")
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class AssemblyProgram:
-    ops: tuple[AsmOp, ...]
+    """One row per op, END last: four equal-length int64 columns, one per word field."""
+
+    opcode: np.ndarray = field(repr=False)
+    channel: np.ndarray = field(repr=False)
+    channel2: np.ndarray = field(repr=False)  # nonzero on TWO_QUBIT rows only
+    imm: np.ndarray = field(repr=False)  # phase word or delay ns, else zero
     n_qubits: int
     shots: int
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AssemblyProgram):
+            return NotImplemented
+        return (self.n_qubits, self.shots) == (other.n_qubits, other.shots) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _, _ in _FIELDS
+        )
 
 
 def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
@@ -90,13 +92,10 @@ def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
     """
     if not words.size:
         return 0, "program has no END op"
-    op = words >> np.uint64(56)
-    ch = (words >> np.uint64(48)) & np.uint64(0xFF)
-    ch2 = (words >> np.uint64(40)) & np.uint64(0xFF)
+    op, ch, ch2, imm = ((words >> np.uint64(s)) & np.uint64(lim) for _, s, lim in _FIELDS)
     end = op == Opcode.END
     misplaced_end = end.copy()  # an END before the last word, or a last word that is not END
     misplaced_end[-1] = not end[-1]
-    imm = words & np.uint64(0xFFFFFFFF)
     checks = (
         (~np.isin(op, _OPCODE_VALUES), "unknown opcode"),
         ((words >> np.uint64(32)) & np.uint64(0xFF) != 0, "nonzero reserved byte"),
@@ -163,31 +162,28 @@ _GATE_TO_OPCODE = {
 
 
 def compile_circuit(c: Circuit) -> AssemblyProgram:
-    """Map gates one-to-one onto assembly ops, preserving order, then END.
+    """Map gates one-to-one onto assembly rows, preserving order, then END.
 
-    The circuit's virtual-Z phases are quantized in one call; each INC_PHASE
-    takes the next word in gate order.
-    """
-    phase_words = iter(
-        quantize_phases([g.phase for g in c.gates if g.kind is GateKind.VIRTUAL_Z]).tolist()
+    The columns are filled from the gate list with no object per op: the
+    virtual-Z phases are quantized in one call onto the INC_PHASE rows."""
+    gates = c.gates
+    try:
+        opcode = np.array([_GATE_TO_OPCODE[g.kind] for g in gates] + [Opcode.END], dtype=np.int64)
+    except KeyError as exc:
+        raise UnsupportedGateError(f"cannot compile gate kind {exc.args[0]!r}") from None
+    channel = np.array([g.qubits[0] for g in gates] + [0], dtype=np.int64)
+    channel2, imm = np.zeros_like(opcode), np.zeros_like(opcode)
+    vz, two, wait = (
+        np.flatnonzero(opcode == op).tolist()
+        for op in (Opcode.INC_PHASE, Opcode.TWO_QUBIT, Opcode.DELAY)
     )
-    ops: list[AsmOp] = []
-    for g in c.gates:
-        opcode = _GATE_TO_OPCODE.get(g.kind)
-        if opcode is None:
-            raise UnsupportedGateError(f"cannot compile gate kind {g.kind!r}")
-        if opcode is Opcode.INC_PHASE:
-            ops.append(AsmOp(opcode, g.qubits[0], imm=next(phase_words)))
-        elif opcode is Opcode.TWO_QUBIT:
-            if g.two_qubit_name != "CZ":
-                raise UnsupportedGateError(f"no native lowering for {g.two_qubit_name!r}")
-            ops.append(AsmOp(opcode, g.qubits[0], channel2=g.qubits[1]))
-        elif opcode is Opcode.DELAY:
-            ops.append(AsmOp(opcode, g.qubits[0], imm=g.duration_ns))
-        else:
-            ops.append(AsmOp(opcode, g.qubits[0]))
-    ops.append(AsmOp(Opcode.END))
-    return AssemblyProgram(tuple(ops), c.n_qubits, c.shots)
+    imm[vz] = quantize_phases([gates[i].phase for i in vz])
+    for i in two:
+        if gates[i].two_qubit_name != "CZ":
+            raise UnsupportedGateError(f"no native lowering for {gates[i].two_qubit_name!r}")
+    channel2[two] = [gates[i].qubits[1] for i in two]
+    imm[wait] = [gates[i].duration_ns for i in wait]
+    return AssemblyProgram(opcode, channel, channel2, imm, c.n_qubits, c.shots)
 
 
 def _assembly_work(words: np.ndarray) -> None:
@@ -198,30 +194,29 @@ def _assembly_work(words: np.ndarray) -> None:
 
 
 def assemble(p: AssemblyProgram) -> MachineProgram:
-    """Pack each op into one 64-bit word; a ``ValidationError`` names the
-    first word that breaks a word rule."""
-    for op in p.ops:
-        if op.channel >= 256 or op.channel2 >= 256:
-            raise EncodeError(f"channel {max(op.channel, op.channel2)} does not fit one byte")
-    opcodes = np.array([int(op.opcode) for op in p.ops], dtype=np.uint64)
-    ch = np.array([op.channel for op in p.ops], dtype=np.uint64)
-    ch2 = np.array([op.channel2 for op in p.ops], dtype=np.uint64)
-    imm = np.array([op.imm for op in p.ops], dtype=np.uint64)
-    words = (opcodes << np.uint64(56)) | (ch << np.uint64(48)) | (ch2 << np.uint64(40)) | imm
+    """Pack each row into one 64-bit word: a field too wide for its bits is an
+    ``EncodeError``, a word that breaks a word rule a ``ValidationError``."""
+    for name, _, limit in _FIELDS:
+        col = getattr(p, name)
+        bad = np.flatnonzero((col < 0) | (col > limit))
+        if bad.size:
+            raise EncodeError(f"op {bad[0]}: {name} {col[bad[0]]} does not fit 0..{limit:#x}")
+    words = np.bitwise_or.reduce(
+        [getattr(p, name).astype(np.uint64) << np.uint64(shift) for name, shift, _ in _FIELDS]
+    )
     _assembly_work(words)
     return MachineProgram(words, p.n_qubits, p.shots)
 
 
 def disassemble(m: MachineProgram) -> AssemblyProgram:
     """Inverse of ``assemble``: the word rules zero every unused byte."""
-    ops = tuple(
-        AsmOp(Opcode(w >> 56), (w >> 48) & 0xFF, (w >> 40) & 0xFF, w & 0xFFFFFFFF)
-        for w in m.words.tolist()
-    )
-    return AssemblyProgram(ops, m.n_qubits, m.shots)
+    columns = ((m.words >> np.uint64(shift)) & np.uint64(limit) for _, shift, limit in _FIELDS)
+    return AssemblyProgram(*(col.astype(np.int64) for col in columns), m.n_qubits, m.shots)
 
 
 def machine_to_bytes(m: MachineProgram) -> bytes:
+    if not (0 <= m.n_qubits <= 0xFFFF and 0 <= m.shots <= 0xFFFFFFFF):
+        raise EncodeError(f"{m.n_qubits} qubits and {m.shots} shots do not fit a PCEM header")
     header = MACHINE_MAGIC + struct.pack(
         "<HHII8x", MACHINE_VERSION, m.n_qubits, m.shots, len(m.words)
     )

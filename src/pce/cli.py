@@ -130,8 +130,8 @@ class _SocketHarness:
 def _cmd_run(args) -> int:
     batch_path = args.batch
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     timing = TimingConfig(reset_ns=args.reset_ns)
+    out.mkdir(parents=True, exist_ok=True)
     harness = None
 
     def channel_factory(session):

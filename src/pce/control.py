@@ -39,6 +39,7 @@ from . import kernels
 from .asm import MachineProgram
 from .errors import (
     CapacityError,
+    ConfigError,
     RoutingError,
     SchedulingError,
     UnderflowError,
@@ -66,6 +67,10 @@ EVENT_KIND_NAMES = {
 @dataclass(frozen=True)
 class TimingConfig:
     reset_ns: int = 500
+
+    def __post_init__(self):
+        if self.reset_ns < 0:
+            raise ConfigError(f"reset gap must be non-negative, got {self.reset_ns} ns")
 
 
 def _fit_bank(bank: int, words) -> np.ndarray:
@@ -353,7 +358,6 @@ class ControlSession:
         self._run_batch_open = False
         self.load_circuit_calls = 0
         self.load_params_calls = 0
-        self.run_calls = 0
         self.total_served = 0
 
     def _scope(self, name: str):
@@ -404,7 +408,6 @@ class ControlSession:
             raise SchedulingError("run requested before any circuit was loaded")
         if self.record is not None:
             self.record.push("Run Batch")
-            self._run_batch_open = True
         try:
             with self._scope("Start Run"):
                 result = execute(
@@ -415,22 +418,17 @@ class ControlSession:
                     seed=self.seed,
                     circuit_index=self.current_index,
                 )
-        except UnderflowError as exc:
-            if self._run_batch_open:
+        except Exception as exc:
+            if self.record is not None:
                 self.record.pop("Run Batch")
-                self._run_batch_open = False
-            raise UnderflowError(
-                exc.core_id, exc.shot, exc.op_index, where=f"circuit {self.current_index}"
-            ) from None
-        except Exception:
-            if self._run_batch_open:
-                self.record.pop("Run Batch")
-                self._run_batch_open = False
+            if isinstance(exc, UnderflowError):
+                where = f"circuit {self.current_index}"
+                raise UnderflowError(exc.core_id, exc.shot, exc.op_index, where=where) from None
             raise
+        self._run_batch_open = self.record is not None  # get-data closes it
         self._pending = result
         self.results[self.current_index] = result
         self.total_served += int(result.served.sum())
-        self.run_calls += 1
         # parameters are consumed by the run; the next circuit must reload
         self.memory.counts[:] = 0
 

@@ -200,7 +200,7 @@ def report(record: ProfileRecord, meta: dict | None = None) -> str:
 
 
 def _stats_from_dict(d: dict, name: str) -> StageStats:
-    """Rebuild a stage subtree, rejecting a child that is unknown or misplaced."""
+    """Rebuild a stage subtree, rejecting an unknown, misplaced or repeated child."""
     node = StageStats(int(d["ns"]), int(d["iterations"]))
     for child in d["children"]:
         child_name = child["name"]
@@ -211,6 +211,8 @@ def _stats_from_dict(d: dict, name: str) -> StageStats:
                 f"stage {child_name!r} under {name!r}, "
                 f"expected under {STAGE_PARENT.get(child_name)!r}"
             )
+        if child_name in node.children:
+            raise IncompleteRecordError(f"stage {child_name!r} listed twice under {name!r}")
         node.children[child_name] = _stats_from_dict(child, child_name)
     return node
 

@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .circuits import TAU, Circuit, Gate, GateKind, param_request
-from .errors import CapacityError, DecodeError
+from .errors import CapacityError, DecodeError, EncodeError
 
 BANK_CAPACITY = 2048
 PHASE_SCALE = 4294967296.0  # 2**32 words over one turn
@@ -221,6 +221,8 @@ def binarize(report: EquivalenceReport, table: ParamTable) -> bytes:
     n = table.n_circuits
     if report.n_circuits != n:
         raise ValueError(f"report covers {report.n_circuits} circuits, table {n}")
+    if table.n_qubits > 0xFFFF:
+        raise EncodeError(f"{table.n_qubits} qubits do not fit a PCEB header")
     out = bytearray()
     out += BLOB_MAGIC
     out += struct.pack("<HHII", BLOB_VERSION, table.n_qubits, n, len(report.groups))

@@ -26,6 +26,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DecodeError,
+    EncodeError,
     PceError,
     RoutingError,
     SchedulingError,
@@ -169,6 +170,8 @@ def _encode_payload(msg) -> tuple[MsgType, bytes]:
             + frq.tobytes(),
         )
     if isinstance(msg, Run):
+        if not 0 <= msg.shots <= 0xFFFFFFFF:
+            raise EncodeError(f"shot count {msg.shots} does not fit 0..{0xFFFFFFFF}")
         return MsgType.RUN, struct.pack("<I", msg.shots)
     if isinstance(msg, GetData):
         return MsgType.GET_DATA, b""

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pce.asm import (
     _GATE_TO_OPCODE,
-    AsmOp,
     AssemblyProgram,
     MachineProgram,
     Opcode,
@@ -41,46 +40,53 @@ from pce.rip import modify, quantize_phases
 from tests.test_rip import BATCH_SPECS
 
 
+def asm(*rows, n_qubits=1, shots=1) -> AssemblyProgram:
+    """An assembly program of ``(opcode, channel, channel2, imm)`` rows; a
+    short row leaves its trailing fields zero."""
+    columns = np.zeros((4, len(rows)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        columns[: len(row), i] = row
+    return AssemblyProgram(*columns, n_qubits, shots)
+
+
 def _reference_compile_circuit(c: Circuit) -> AssemblyProgram:
-    """Test-only oracle: the per-gate compiler, one quantize call per VZ gate."""
-    ops: list[AsmOp] = []
+    """Test-only oracle: the per-gate compiler, one row and one quantize call per gate."""
+    rows = []
     for g in c.gates:
         opcode = _GATE_TO_OPCODE.get(g.kind)
         if opcode is None:
             raise UnsupportedGateError(f"cannot compile gate kind {g.kind!r}")
         if opcode is Opcode.INC_PHASE:
-            ops.append(AsmOp(opcode, g.qubits[0], imm=int(quantize_phases([g.phase])[0])))
+            rows.append((opcode, g.qubits[0], 0, int(quantize_phases([g.phase])[0])))
         elif opcode is Opcode.TWO_QUBIT:
             if g.two_qubit_name != "CZ":
                 raise UnsupportedGateError(f"no native lowering for {g.two_qubit_name!r}")
-            ops.append(AsmOp(opcode, g.qubits[0], channel2=g.qubits[1]))
+            rows.append((opcode, g.qubits[0], g.qubits[1]))
         elif opcode is Opcode.DELAY:
-            ops.append(AsmOp(opcode, g.qubits[0], imm=g.duration_ns))
+            rows.append((opcode, g.qubits[0], 0, g.duration_ns))
         else:
-            ops.append(AsmOp(opcode, g.qubits[0]))
-    ops.append(AsmOp(Opcode.END))
-    return AssemblyProgram(tuple(ops), c.n_qubits, c.shots)
+            rows.append((opcode, g.qubits[0]))
+    return asm(*rows, (Opcode.END,), n_qubits=c.n_qubits, shots=c.shots)
 
 
 def random_program(rng, n_qubits=4, n_ops=30) -> AssemblyProgram:
-    ops = []
+    rows = []
     for _ in range(n_ops):
         k = rng.integers(0, 6)
         q = int(rng.integers(0, n_qubits))
         if k == 0:
-            ops.append(AsmOp(Opcode.PULSE_X90, q))
+            rows.append((Opcode.PULSE_X90, q))
         elif k == 1:
-            ops.append(AsmOp(Opcode.INC_PHASE, q, imm=int(rng.integers(0, 1 << 32))))
+            rows.append((Opcode.INC_PHASE, q, 0, int(rng.integers(0, 1 << 32))))
         elif k == 2:
-            ops.append(AsmOp(Opcode.REQ_PARAM, q))
+            rows.append((Opcode.REQ_PARAM, q))
         elif k == 3 and n_qubits > 1:
-            ops.append(AsmOp(Opcode.TWO_QUBIT, q, channel2=(q + 1) % n_qubits))
+            rows.append((Opcode.TWO_QUBIT, q, (q + 1) % n_qubits))
         elif k == 4:
-            ops.append(AsmOp(Opcode.MEASURE, q))
+            rows.append((Opcode.MEASURE, q))
         else:
-            ops.append(AsmOp(Opcode.DELAY, q, imm=int(rng.integers(0, 10_000))))
-    ops.append(AsmOp(Opcode.END))
-    return AssemblyProgram(tuple(ops), n_qubits, shots=10)
+            rows.append((Opcode.DELAY, q, 0, int(rng.integers(0, 10_000))))
+    return asm(*rows, (Opcode.END,), n_qubits=n_qubits, shots=10)
 
 
 def word(op, ch=0, ch2=0, imm=0) -> int:
@@ -94,9 +100,8 @@ def image_of(words, n_qubits) -> bytes:
 
 
 def _reference_word_fault(words, n_qubits):
-    """Test-only scalar oracle for the word rules: the per-op checks that
-    ``disassemble``, ``AsmOp`` and ``AssemblyProgram`` once made, one word at
-    a time.  Returns the first bad word and the first rule it breaks, or None."""
+    """Test-only scalar oracle for the word rules, checked one word at a
+    time.  Returns the first bad word and the first rule it breaks, or None."""
     words = [int(w) for w in words]
     if not words:
         return 0, "program has no END op"
@@ -203,8 +208,7 @@ class TestCompile:
 
     def test_u3_lowering_op_pattern(self):
         c = Circuit(tuple(u3_decompose(U3Params(0.3, 0.7, 1.9), 0)), n_qubits=1)
-        ops = compile_circuit(c).ops
-        assert [op.opcode for op in ops] == [
+        assert compile_circuit(c).opcode.tolist() == [
             Opcode.INC_PHASE,
             Opcode.PULSE_X90,
             Opcode.INC_PHASE,
@@ -215,26 +219,24 @@ class TestCompile:
 
     def test_empty_circuit_is_just_end(self):
         p = compile_circuit(Circuit((), n_qubits=1))
-        assert [op.opcode for op in p.ops] == [Opcode.END]
+        assert p.opcode.tolist() == [Opcode.END]
 
     def test_phase_immediates_are_quantized(self):
         c = Circuit((vz(0, 1.25), x90(0), vz(0, math.pi)), n_qubits=1)
         p = compile_circuit(c)
-        assert p.ops[0].imm == round(1.25 / TAU * 2**32)
-        assert p.ops[2].imm == 0x80000000
+        assert p.imm[0] == round(1.25 / TAU * 2**32)
+        assert p.imm[2] == 0x80000000
 
     def test_modified_circuit_differs_only_at_request_slots(self):
         gates = (vz(0, 0.3), x90(0), cz(0, 1), vz(1, 2.0), measure(0), measure(1))
         c = Circuit(gates, n_qubits=2)
-        base_ops = compile_circuit(c).ops
-        mod_ops = compile_circuit(modify(c)).ops
-        assert len(base_ops) == len(mod_ops)
-        for a, b in zip(base_ops, mod_ops):
-            if a.opcode is Opcode.INC_PHASE:
-                assert b.opcode is Opcode.REQ_PARAM
-                assert b.channel == a.channel and b.imm == 0
-            else:
-                assert a == b
+        base, mod = compile_circuit(c), compile_circuit(modify(c))
+        phase_rows = base.opcode == Opcode.INC_PHASE
+        assert phase_rows.sum() == 2
+        assert np.array_equal(mod.opcode, np.where(phase_rows, Opcode.REQ_PARAM, base.opcode))
+        assert np.array_equal(mod.imm, np.where(phase_rows, 0, base.imm))
+        assert np.array_equal(mod.channel, base.channel)
+        assert np.array_equal(mod.channel2, base.channel2)
 
     def test_non_cz_two_qubit_rejected(self):
         from pce.circuits import Gate, GateKind
@@ -245,9 +247,9 @@ class TestCompile:
 
     def test_param_request_and_delay(self):
         c = Circuit((param_request(0), delay(0, 120)), n_qubits=1)
-        ops = compile_circuit(c).ops
-        assert ops[0].opcode is Opcode.REQ_PARAM and ops[0].imm == 0
-        assert ops[1].opcode is Opcode.DELAY and ops[1].imm == 120
+        p = compile_circuit(c)
+        assert p.opcode.tolist() == [Opcode.REQ_PARAM, Opcode.DELAY, Opcode.END]
+        assert p.imm.tolist() == [0, 120, 0]
 
     def test_deterministic(self):
         c = Circuit((vz(0, 0.5), x90(0)), n_qubits=1, shots=7)
@@ -260,34 +262,30 @@ class TestCompile:
         from pce.generators import BatchSpec, gen_rb
 
         batch = gen_rb(BatchSpec("RB", ((0, 1),), ((3,),), 4, shots=5, seed=2))
-        programs = [compile_circuit(c).ops for c, l in zip(batch.circuits, batch.labels) if l.role == "rb"]
+        programs = [compile_circuit(c) for c, l in zip(batch.circuits, batch.labels) if l.role == "rb"]
         ref = programs[0]
-        for ops in programs[1:]:
-            assert len(ops) == len(ref)
-            for a, b in zip(ref, ops):
-                assert a.opcode == b.opcode
-                assert a.channel == b.channel and a.channel2 == b.channel2
-                if a.opcode is not Opcode.INC_PHASE:
-                    assert a.imm == b.imm
+        phase_rows = ref.opcode == Opcode.INC_PHASE
+        for p in programs[1:]:
+            assert np.array_equal(p.opcode, ref.opcode)
+            assert np.array_equal(p.channel, ref.channel)
+            assert np.array_equal(p.channel2, ref.channel2)
+            assert np.array_equal(p.imm[~phase_rows], ref.imm[~phase_rows])
 
 
 class TestAssemble:
     def test_known_word_layout(self):
-        p = AssemblyProgram(
-            (AsmOp(Opcode.INC_PHASE, 1, imm=0x80000000), AsmOp(Opcode.END)), 2, 1
-        )
-        m = assemble(p)
+        m = assemble(asm((Opcode.INC_PHASE, 1, 0, 0x80000000), (Opcode.END,), n_qubits=2))
         assert int(m.words[0]) == 0x0201000080000000
         assert int(m.words[1]) == 0x0700000000000000
 
     def test_end_word_is_opcode_only(self):
-        m = assemble(AssemblyProgram((AsmOp(Opcode.END),), 1, 1))
+        m = assemble(asm((Opcode.END,)))
         assert int(m.words[0]) == Opcode.END << 56
 
     def test_word_count_matches_ops(self):
         rng = np.random.default_rng(1)
         p = random_program(rng)
-        assert len(assemble(p)) == len(p.ops)
+        assert len(assemble(p)) == len(p.opcode) == 31
 
     def test_round_trip_random_programs(self):
         rng = np.random.default_rng(2)
@@ -303,22 +301,44 @@ class TestAssemble:
     def test_param_counts_metadata(self):
         # a program's per-bank request count is what the executor serves per shot;
         # the machine words carry it, no separate copy
-        ops = (
-            AsmOp(Opcode.REQ_PARAM, 0),
-            AsmOp(Opcode.REQ_PARAM, 2),
-            AsmOp(Opcode.REQ_PARAM, 0),
-            AsmOp(Opcode.END),
-        )
-        m = assemble(AssemblyProgram(ops, 3, 1))
+        rows = ((Opcode.REQ_PARAM, 0), (Opcode.REQ_PARAM, 2), (Opcode.REQ_PARAM, 0), (Opcode.END,))
+        m = assemble(asm(*rows, n_qubits=3))
         memory = ParameterMemory()
         for bank, n in enumerate((2, 0, 1)):
             memory.write_params(bank, np.arange(n, dtype=np.uint32))
         assert execute(m, memory, shots=4).served[:3].tolist() == [8, 0, 4]
 
     def test_oversize_channel_rejected(self):
-        p = AssemblyProgram((AsmOp(Opcode.PULSE_X90, 300), AsmOp(Opcode.END)), 512, 1)
-        with pytest.raises(EncodeError):
+        p = asm((Opcode.PULSE_X90, 300), (Opcode.END,), n_qubits=512)
+        with pytest.raises(EncodeError, match="op 0: channel 300 does not fit"):
             assemble(p)
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ((Opcode.DELAY, 0, 0, 1 << 32), "imm"),
+            ((Opcode.INC_PHASE, 0, 0, -1), "imm"),
+            ((Opcode.TWO_QUBIT, 0, 256), "channel2"),
+            ((Opcode.PULSE_X90, -1), "channel"),
+            ((0x100, 0), "opcode"),
+        ],
+    )
+    def test_field_outside_its_bits_is_an_encode_error(self, row, field):
+        with pytest.raises(EncodeError, match=f"op 1: {field} "):
+            assemble(asm((Opcode.PULSE_X90, 0), row, (Opcode.END,), n_qubits=2))
+
+    def test_oversize_delay_compiles_and_fails_to_assemble(self):
+        p = compile_circuit(Circuit((delay(0, 1 << 32),), n_qubits=1))
+        assert p.imm.tolist() == [1 << 32, 0]
+        with pytest.raises(EncodeError, match="op 0: imm 4294967296 does not fit"):
+            assemble(p)
+
+    def test_programs_equal_by_columns(self):
+        p = asm((Opcode.DELAY, 0, 0, 5), (Opcode.END,))
+        assert p == asm((Opcode.DELAY, 0, 0, 5), (Opcode.END,))
+        assert p != asm((Opcode.DELAY, 0, 0, 6), (Opcode.END,))
+        assert p != asm((Opcode.DELAY, 0, 0, 5), (Opcode.END,), shots=2)
+        assert p != asm((Opcode.END,))
 
 
 class TestProgramValidation:
@@ -327,34 +347,33 @@ class TestProgramValidation:
 
     def test_missing_end(self):
         with pytest.raises(ValidationError, match="word 0: program must contain exactly one END"):
-            assemble(AssemblyProgram((AsmOp(Opcode.PULSE_X90, 0),), 1, 1))
+            assemble(asm((Opcode.PULSE_X90, 0)))
 
     def test_empty_program(self):
         with pytest.raises(ValidationError, match="word 0: program has no END op"):
-            assemble(AssemblyProgram((), 1, 1))
+            assemble(asm())
 
     def test_req_param_with_imm(self):
-        ops = (AsmOp(Opcode.REQ_PARAM, 0, imm=5), AsmOp(Opcode.END))
         with pytest.raises(ValidationError, match="word 0: REQ_PARAM carries an immediate"):
-            assemble(AssemblyProgram(ops, 1, 1))
+            assemble(asm((Opcode.REQ_PARAM, 0, 0, 5), (Opcode.END,)))
 
     def test_channel_out_of_range(self):
-        ops = (AsmOp(Opcode.PULSE_X90, 3), AsmOp(Opcode.END))
         with pytest.raises(ValidationError, match=r"word 0: channel outside 0\.\.1"):
-            assemble(AssemblyProgram(ops, 2, 1))
+            assemble(asm((Opcode.PULSE_X90, 3), (Opcode.END,), n_qubits=2))
 
     @pytest.mark.parametrize(
         "op, reason",
         [
-            (AsmOp(Opcode.TWO_QUBIT, 0, channel2=1, imm=5), "TWO_QUBIT carries an immediate"),
-            (AsmOp(Opcode.END, 1), "END carries an operand"),
-            (AsmOp(Opcode.END, imm=1), "END carries an operand"),
+            ((Opcode.TWO_QUBIT, 0, 1, 5), "TWO_QUBIT carries an immediate"),
+            ((Opcode.END, 1), "END carries an operand"),
+            ((Opcode.END, 0, 0, 1), "END carries an operand"),
+            ((Opcode.MEASURE, 0, 1), "only TWO_QUBIT carries a second channel"),
         ],
     )
     def test_unused_fields_must_be_zero(self, op, reason):
-        ops = (op,) if op.opcode is Opcode.END else (op, AsmOp(Opcode.END))
+        rows = (op,) if op[0] is Opcode.END else (op, (Opcode.END,))
         with pytest.raises(ValidationError, match=f"word 0: {reason}"):
-            assemble(AssemblyProgram(ops, 2, 1))
+            assemble(asm(*rows, n_qubits=2))
 
 
 class TestDisassemble:
@@ -398,17 +417,26 @@ class TestMachineFile:
             assert machine_from_bytes(machine_to_bytes(m)) == m
 
     def test_header_length(self):
-        m = assemble(AssemblyProgram((AsmOp(Opcode.END),), 1, 1))
+        m = assemble(asm((Opcode.END,)))
         data = machine_to_bytes(m)
         assert data[:4] == b"PCEM"
         assert len(data) == 24 + 8 * len(m.words)
 
     def test_bad_magic(self):
-        m = assemble(AssemblyProgram((AsmOp(Opcode.END),), 1, 1))
+        m = assemble(asm((Opcode.END,)))
         data = bytearray(machine_to_bytes(m))
         data[0] = ord("X")
         with pytest.raises(DecodeError):
             machine_from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("n_qubits, shots", [(70000, 1), (1, 1 << 32), (1, -1), (-1, 1)])
+    def test_header_field_that_does_not_fit_is_an_encode_error(self, n_qubits, shots):
+        with pytest.raises(EncodeError, match="do not fit a PCEM header"):
+            machine_to_bytes(MachineProgram([word(Opcode.END)], n_qubits, shots))
+
+    def test_widest_header_fields_round_trip(self):
+        m = MachineProgram([word(Opcode.END)], 0xFFFF, 0xFFFFFFFF)
+        assert machine_from_bytes(machine_to_bytes(m)) == m
 
     def test_truncated_body(self):
         m = assemble(random_program(np.random.default_rng(6)))

@@ -27,7 +27,8 @@ def load_tracer():
     return module
 
 
-PROBES = load_tracer().PROBES
+tracer = load_tracer()
+PROBES = tracer.PROBES
 
 
 @pytest.mark.parametrize("probe", PROBES, ids=lambda p: f"{p.module}.{p.attr}")
@@ -45,6 +46,26 @@ def test_op_counter_constant_exists():
     from pce import kernels
 
     assert kernels.CYCLES_PER_OP > 0
+
+
+def test_probe_counters_read_real_return_values():
+    # the counters read fields of what the probed calls return, so a changed
+    # return shape must fail here, not skew the benchmark's counts
+    from collections import Counter
+
+    from pce.asm import assemble, compile_circuit
+    from pce.circuits import Circuit, measure, x90
+    from pce.control import ParameterMemory
+    from tests.test_kernels import requests_program, run_path
+
+    counts = Counter()
+    tracer._count_words(counts, (), assemble(compile_circuit(Circuit((x90(0), measure(0)), 1))))
+    assert counts["asm.words"] == 3  # X90, MEASURE, END
+    memory = ParameterMemory()
+    memory.write_params(0, [5, 6])
+    status, _ = run_path(requests_program(2, shots=3), memory.banks, memory.counts, 3)
+    tracer._count_ops(counts, (), status)
+    assert counts["kernels.ops_issued"] == 4 * 3  # REQ_PARAM, REQ_PARAM, X90, END a shot
 
 
 def names_read_by_run_py() -> tuple[set[str], set[str]]:

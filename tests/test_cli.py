@@ -26,6 +26,15 @@ def batch_dir(tmp_path):
     return out
 
 
+def duplicate_compile_stage(text):
+    """A profile report with a second Compile (7 iterations) under Build Run."""
+    doc = json.loads(text)
+    build_run = next(c for c in doc["stages"]["children"] if c["name"] == "Build Run")
+    compile_stage = next(c for c in build_run["children"] if c["name"] == "Compile")
+    build_run["children"].append({**compile_stage, "iterations": 7})
+    return json.dumps(doc)
+
+
 def tree_bytes(root, subdirs=("traces", "shotdata"), files=("manifest.txt",)):
     snapshot = {}
     for name in files:
@@ -276,6 +285,62 @@ class TestRun:
         assert "Traceback" not in err
 
 
+class TestValuesNoHeaderFieldHolds:
+    """A shot or qubit count that a RUN frame or PCEM header cannot hold
+    exits 2 with an ``error:`` line, in both modes and over the socket."""
+
+    def exits_2_naming(self, argv, capsys, named):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("transport", [(), ("--socket",)], ids=["loopback", "socket"])
+    @pytest.mark.parametrize("mode", ["baseline", "pce"])
+    @pytest.mark.parametrize("shots", ["-1", "5000000000"])
+    def test_shots_flag(self, batch_dir, tmp_path, capsys, shots, mode, transport):
+        argv = ["run", "--batch", str(batch_dir), "--mode", mode, "--shots", shots,
+                "--out", str(tmp_path / "o"), *transport]
+        self.exits_2_naming(argv, capsys, f"shot count {shots} does not fit")
+
+    @pytest.mark.parametrize("mode", ["baseline", "pce"])
+    @pytest.mark.parametrize("n_qubits, shots", [(70000, 1), (1, 5000000000)])
+    def test_circuit_file_header(self, tmp_path, capsys, n_qubits, shots, mode):
+        # pce mode meets the qubit count first in the PCEB parameter blob
+        from pce.circuits import Circuit, measure, x90
+
+        bdir = tmp_path / "b"
+        circuit = Circuit((x90(0), measure(0)), n_qubits, shots)
+        write_batch(CircuitBatch((circuit,), (Label((0,), 1, 0, "x"),)), bdir)
+        header = (bdir / "circuits" / "c00000.txt").read_text().splitlines()[0]
+        assert header == f"qubits {n_qubits} shots {shots}"
+        argv = ["run", "--batch", str(bdir), "--mode", mode, "--out", str(tmp_path / "o")]
+        named = f"{n_qubits} qubits" if n_qubits > 0xFFFF else f"{shots} shots do not fit"
+        self.exits_2_naming(argv, capsys, named)
+
+
+class TestResetGap:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_negative_reset_gap_exits_2(self, batch_dir, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        argv = [command, "--batch", str(batch_dir), "--reset-ns", "-600"]
+        argv += ["--out", str(out)] if command == "run" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "reset gap must be non-negative" in err
+        assert not out.exists()
+
+    def test_zero_reset_gap_runs_shots_back_to_back(self, batch_dir, tmp_path):
+        last_times = []
+        for reset_ns in ("500", "0"):
+            out = tmp_path / reset_ns
+            argv = ["run", "--batch", str(batch_dir), "--reset-ns", reset_ns, "--shots", "2",
+                    "--out", str(out)]
+            assert main(argv) == 0
+            events = (out / "traces" / "c00000.txt").read_text().splitlines()
+            last_times.append(int(events[-1].split()[0].removeprefix("t=")))
+        assert last_times[1] == last_times[0] - 500  # one gap between the two shots
+
+
 class TestUnreadableBatch:
     """Bad bytes or lines in a batch exit 2 with the file named, for run and verify."""
 
@@ -378,8 +443,9 @@ class TestVerifyAndCompare:
             (lambda t: t.replace('"Data Sort"', '"Data Sorted"'), "'Data Sorted'"),
             (lambda t: json.dumps({**json.loads(t), "meta": ["mode"]}), "meta"),
             (lambda t: t.replace('"Get data"', '"Get circuit"'), "'Get circuit' under 'Run Batch'"),
+            (duplicate_compile_stage, "'Compile' listed twice under 'Build Run'"),
         ],
-        ids=["unknown-stage", "meta-not-object", "misplaced-stage"],
+        ids=["unknown-stage", "meta-not-object", "misplaced-stage", "duplicate-stage"],
     )
     def test_compare_damaged_report_exits_2(self, batch_dir, tmp_path, capsys, damage, named):
         rc = main(

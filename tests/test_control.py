@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pce import kernels
-from pce.asm import AsmOp, AssemblyProgram, MachineProgram, Opcode, assemble, compile_circuit
+from pce.asm import MachineProgram, Opcode, assemble, compile_circuit
 from pce.circuits import Circuit, U3Params, circuit_unitary, cz, measure, u3_decompose, vz, x90
 from pce.control import (
     BANK_CAPACITY,
@@ -23,18 +23,21 @@ from pce.control import (
 )
 from pce.errors import (
     CapacityError,
+    ConfigError,
     RoutingError,
     SchedulingError,
     UnderflowError,
     ValidationError,
 )
 from pce.generators import BatchSpec, gen_rb
+from pce.profiling import ProfileRecord, parse_report, report
 from pce.rip import binarize, dequantize_words, modify, peel, rip
 from pce.rpc import ControlServer, DeftClient, LoopbackChannel
+from tests.test_asm import word
 
 
-def program_of(*ops, n_qubits=2, shots=3) -> AssemblyProgram:
-    return AssemblyProgram(tuple(ops) + (AsmOp(Opcode.END),), n_qubits, shots)
+def program_of(*words, n_qubits=2, shots=3) -> MachineProgram:
+    return MachineProgram([*words, word(Opcode.END)], n_qubits, shots)
 
 
 class TestParameterMemory:
@@ -88,8 +91,8 @@ class TestStitchUnit:
         # a request issues in the 2 cycles of any other op
         mem = ParameterMemory()
         mem.write_params(0, np.array([7], dtype=np.uint32))
-        req = assemble(program_of(AsmOp(Opcode.REQ_PARAM, 0), AsmOp(Opcode.PULSE_X90, 0)))
-        inc = assemble(program_of(AsmOp(Opcode.INC_PHASE, 0, imm=7), AsmOp(Opcode.PULSE_X90, 0)))
+        req = program_of(word(Opcode.REQ_PARAM, 0), word(Opcode.PULSE_X90, 0))
+        inc = program_of(word(Opcode.INC_PHASE, 0, imm=7), word(Opcode.PULSE_X90, 0))
         a, b = execute(req, mem, shots=1), execute(inc, mem, shots=1)
         assert a.trace == b.trace
         assert a.cycle_count == b.cycle_count == 3 * REQUEST_LATENCY_CYCLES
@@ -98,7 +101,7 @@ class TestStitchUnit:
     def test_unknown_core_id(self):
         with pytest.raises(RoutingError):
             ParameterMemory().write_params(N_BANKS, [1])
-        prog = assemble(program_of(AsmOp(Opcode.REQ_PARAM, N_BANKS), n_qubits=N_BANKS + 1))
+        prog = program_of(word(Opcode.REQ_PARAM, N_BANKS), n_qubits=N_BANKS + 1)
         with pytest.raises(ValidationError, match="only 8 banks exist"):
             execute(prog, ParameterMemory())
 
@@ -112,7 +115,7 @@ class TestStitchUnit:
 
 class TestExecute:
     def test_trace_ignores_memory_without_requests(self):
-        prog = assemble(program_of(AsmOp(Opcode.PULSE_X90, 0), n_qubits=1, shots=2))
+        prog = program_of(word(Opcode.PULSE_X90, 0), n_qubits=1, shots=2)
         mem = ParameterMemory()
         mem.write_params(0, np.full(8, 123, dtype=np.uint32))
         a = execute(prog, mem, seed=1)
@@ -127,7 +130,7 @@ class TestExecute:
         assert list(x90_times) == [0, 1016, 2032]
 
     def test_shot_spacing_without_measure(self):
-        prog = assemble(program_of(AsmOp(Opcode.PULSE_X90, 0), n_qubits=1, shots=3))
+        prog = program_of(word(Opcode.PULSE_X90, 0), n_qubits=1, shots=3)
         res = execute(prog, seed=0)
         assert list(res.trace.times) == [0, 516, 1032]
 
@@ -148,8 +151,8 @@ class TestExecute:
 
     def test_underflow_names_shot_and_op(self):
         # one word, two requests a shot: 4 shots serve 4 requests, shot 2 asks for a fifth
-        req = AsmOp(Opcode.REQ_PARAM, 0)
-        prog = assemble(program_of(req, req, n_qubits=1, shots=4))
+        req = word(Opcode.REQ_PARAM, 0)
+        prog = program_of(req, req, n_qubits=1, shots=4)
         mem = ParameterMemory()
         mem.write_params(0, np.array([5], dtype=np.uint32))
         with pytest.raises(UnderflowError) as err:
@@ -210,8 +213,13 @@ class TestExecute:
         res = execute(assemble(compile_circuit(c)), seed=2)
         assert sum(res.data.counts().values()) == 33
 
+    def test_negative_reset_delay_rejected(self):
+        assert TimingConfig(reset_ns=0).reset_ns == 0
+        with pytest.raises(ConfigError, match="reset gap must be non-negative"):
+            TimingConfig(reset_ns=-600)
+
     def test_reset_delay_configurable(self):
-        prog = assemble(program_of(AsmOp(Opcode.PULSE_X90, 0), n_qubits=1, shots=2))
+        prog = program_of(word(Opcode.PULSE_X90, 0), n_qubits=1, shots=2)
         res = execute(prog, seed=0, timing=TimingConfig(reset_ns=500_000))
         assert list(res.trace.times) == [0, 500_016]
 
@@ -376,12 +384,12 @@ class TestSamplerMatchesReference:
         n, shots = 3, 12
         ops = []
         for q in range(n):
-            ops += [AsmOp(Opcode.REQ_PARAM, q), AsmOp(Opcode.PULSE_X90, q)] * 2
-        ops += [AsmOp(Opcode.TWO_QUBIT, 0, channel2=1), AsmOp(Opcode.TWO_QUBIT, 1, channel2=2)]
+            ops += [word(Opcode.REQ_PARAM, q), word(Opcode.PULSE_X90, q)] * 2
+        ops += [word(Opcode.TWO_QUBIT, 0, 1), word(Opcode.TWO_QUBIT, 1, 2)]
         for q in range(n):
-            ops += [AsmOp(Opcode.REQ_PARAM, q), AsmOp(Opcode.PULSE_X90, q)]
-        ops += [AsmOp(Opcode.MEASURE, q) for q in range(n)]
-        program = assemble(program_of(*ops, n_qubits=n, shots=shots))
+            ops += [word(Opcode.REQ_PARAM, q), word(Opcode.PULSE_X90, q)]
+        ops += [word(Opcode.MEASURE, q) for q in range(n)]
+        program = program_of(*ops, n_qubits=n, shots=shots)
         mem = ParameterMemory()
         for q in range(n):
             mem.write_params(q, rng.integers(0, 1 << 32, size=5, dtype=np.uint64).astype(np.uint32))
@@ -438,10 +446,10 @@ class TestTraceText:
 
 def requests_then_pulses(q, n_req, shots):
     """A 2-qubit program whose every request on q is followed by a pulse on q."""
-    ops = [AsmOp(Opcode.PULSE_X90, 1 - q)]
+    ops = [word(Opcode.PULSE_X90, 1 - q)]
     for _ in range(n_req):
-        ops += [AsmOp(Opcode.REQ_PARAM, q), AsmOp(Opcode.PULSE_X90, q)]
-    return assemble(program_of(*ops, n_qubits=2, shots=shots))
+        ops += [word(Opcode.REQ_PARAM, q), word(Opcode.PULSE_X90, q)]
+    return program_of(*ops, n_qubits=2, shots=shots)
 
 
 def served_stream(trace, q):
@@ -498,6 +506,25 @@ class TestSessionAndDeft:
     def make_client(self, seed=9):
         session = ControlSession(seed=seed)
         return session, DeftClient(LoopbackChannel(ControlServer(session)))
+
+    def test_underflowing_run_leaves_no_stage_open(self):
+        record = ProfileRecord()
+        session = ControlSession(seed=1, record=record)
+        for stage in ("Total", "Build Run", "RunAll on Host", "Run on Host"):
+            record.push(stage)
+        req = word(Opcode.REQ_PARAM, 0)
+        session.handle_load_circuit(0, program_of(req, req, n_qubits=1, shots=2))
+        session.handle_load_params(0, [[5]])  # 2 requests a shot, 1 word: shot 1 underflows
+        with pytest.raises(UnderflowError, match="circuit 0: parameter underflow on core 0"):
+            session.handle_run(2)
+        session.handle_load_params(0, [[5, 6]])
+        session.handle_run(2)
+        assert session.handle_get_data().shots == 2
+        for stage in ("Run on Host", "RunAll on Host", "Build Run", "Total"):
+            record.pop(stage)
+        parsed, _ = parse_report(report(record))
+        assert parsed.iterations("Run Batch") == parsed.iterations("Start Run") == 2
+        assert parsed.iterations("Get data") == 1
 
     def test_deft_load_counts(self):
         batch = self.run_batch()
@@ -587,7 +614,7 @@ class TestSessionAndDeft:
         session, client = self.make_client()
         env = np.exp(1j * np.linspace(0, 3, 32))
         freq = np.linspace(4e9, 5e9, 6)
-        client.load_circuit(0, assemble(program_of(AsmOp(Opcode.PULSE_X90, 0))))
+        client.load_circuit(0, program_of(word(Opcode.PULSE_X90, 0)))
         client.load_defs(env, freq)
         assert np.allclose(session.envelope_table, env)
         assert np.allclose(session.freq_table, freq)

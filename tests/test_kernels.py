@@ -4,8 +4,9 @@ bank holding pc words takes word k % pc, and the pc * shots + 1-th underflows.""
 import numpy as np
 
 from pce import kernels
-from pce.asm import AsmOp, AssemblyProgram, Opcode, assemble
+from pce.asm import MachineProgram, Opcode
 from pce.control import N_BANKS, ParameterMemory
+from tests.test_asm import word
 
 
 def run_path(machine, banks, param_counts, shots):
@@ -41,11 +42,8 @@ def run_path(machine, banks, param_counts, shots):
 
 
 def requests_program(n_req, shots):
-    ops = tuple(AsmOp(Opcode.REQ_PARAM, 0) for _ in range(n_req)) + (
-        AsmOp(Opcode.PULSE_X90, 0),
-        AsmOp(Opcode.END),
-    )
-    return assemble(AssemblyProgram(ops, 1, shots))
+    words = [word(Opcode.REQ_PARAM)] * n_req + [word(Opcode.PULSE_X90), word(Opcode.END)]
+    return MachineProgram(words, 1, shots)
 
 
 class TestServingLawMatchesStitchUnit:

@@ -167,6 +167,14 @@ class TestReportSerialization:
         with pytest.raises(IncompleteRecordError, match="'Compile' under 'Total'"):
             parse_report(json.dumps(doc))
 
+    def test_duplicate_stage_rejected(self):
+        # a second Compile under Build Run must not replace the first one's counts
+        doc = json.loads(report(self.build_sample()))
+        build_run = next(c for c in doc["stages"]["children"] if c["name"] == "Build Run")
+        build_run["children"].append({**build_run["children"][0], "iterations": 7})
+        with pytest.raises(IncompleteRecordError, match="'Compile' listed twice under 'Build Run'"):
+            parse_report(json.dumps(doc))
+
     def test_meta_not_an_object_rejected(self):
         doc = json.loads(report(self.build_sample(), meta={"mode": "pce"}))
         doc["meta"] = ["mode", "pce"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pce.asm import AsmOp, AssemblyProgram, Opcode, assemble
+from pce.asm import MachineProgram, Opcode
 from pce.control import ControlSession, ShotData
 from pce.errors import DecodeError, PceError
 from pce.rpc import (
@@ -30,16 +30,12 @@ from pce.rpc import (
     rpc_decode,
     rpc_encode,
 )
+from tests.test_asm import word
 
 
 def small_program(n_qubits=2, shots=3):
-    return assemble(
-        AssemblyProgram(
-            (AsmOp(Opcode.PULSE_X90, 0), AsmOp(Opcode.MEASURE, 0), AsmOp(Opcode.END)),
-            n_qubits,
-            shots,
-        )
-    )
+    words = [word(Opcode.PULSE_X90), word(Opcode.MEASURE), word(Opcode.END)]
+    return MachineProgram(words, n_qubits, shots)
 
 
 def random_message(rng):
@@ -161,7 +157,7 @@ class TestServerDispatch:
         client.run(3)
         data = client.get_data()
         assert data.shots == 3
-        assert session.run_calls == 1
+        assert list(session.results) == [0]
 
     def test_error_frame_raises_remote_error(self):
         session = ControlSession()
