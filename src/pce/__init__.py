@@ -33,9 +33,7 @@ from .generators import (
     Label,
     clifford_table,
     gen_batch,
-    gen_cb,
     gen_random_base,
-    gen_rb,
     gen_rc,
     gen_read_circuits,
     iter_batch,

@@ -17,7 +17,6 @@ from pathlib import Path
 from .control import TimingConfig
 from .errors import (
     CapacityError,
-    ComparisonError,
     ConfigError,
     PceError,
     UnderflowError,
@@ -231,9 +230,6 @@ def main(argv=None) -> int:
     except RemoteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME if exc.code in CAPACITY_CODES else EXIT_USAGE
-    except (ConfigError, ComparisonError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except PceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -355,9 +355,6 @@ class ControlSession:
         self.current_index = -1
         self.results: dict[int, ExecResult] = {}
         self._pending: ExecResult | None = None
-        self._run_batch_open = False
-        self.load_circuit_calls = 0
-        self.load_params_calls = 0
         self.total_served = 0
 
     def _scope(self, name: str):
@@ -372,7 +369,6 @@ class ControlSession:
             with self._scope("Load circuit"):
                 self.program = program
                 self.current_index = int(index)
-                self.load_circuit_calls += 1
 
     def handle_load_params(self, index: int, words_per_bank: Sequence) -> None:
         # every bank is checked before any is written; a refused load leaves none counted
@@ -384,7 +380,6 @@ class ControlSession:
             for bank, arr in enumerate(arrays):
                 self.memory.write_params(bank, arr)
             self.current_index = int(index)
-            self.load_params_calls += 1
 
     def handle_load_defs(self, envelope, freq) -> None:
         env = np.asarray(envelope, dtype=complex)
@@ -425,8 +420,7 @@ class ControlSession:
                 where = f"circuit {self.current_index}"
                 raise UnderflowError(exc.core_id, exc.shot, exc.op_index, where=where) from None
             raise
-        self._run_batch_open = self.record is not None  # get-data closes it
-        self._pending = result
+        self._pending = result  # get-data closes "Run Batch"
         self.results[self.current_index] = result
         self.total_served += int(result.served.sum())
         # parameters are consumed by the run; the next circuit must reload
@@ -439,10 +433,9 @@ class ControlSession:
             with self._scope("Get data"):
                 data = self._pending.data
         finally:
-            if self._run_batch_open:
+            if self.record is not None:
                 self.record.pop("Run Batch")
-                self._run_batch_open = False
-        self._pending = None
+            self._pending = None
         return data
 
 

@@ -282,11 +282,6 @@ def iter_rb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
         yield read1, Label(width, 0, 1, "read1")
 
 
-def gen_rb(spec: BatchSpec) -> CircuitBatch:
-    pairs = list(iter_rb(spec))
-    return CircuitBatch(tuple(c for c, _ in pairs), tuple(l for _, l in pairs), spec)
-
-
 def _cz_chain(width: tuple[int, ...]) -> list[Gate]:
     return [cz(width[i], width[i + 1]) for i in range(0, len(width) - 1, 2)]
 
@@ -321,11 +316,6 @@ def iter_cb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
             for r in range(spec.rand_for(wi)):
                 rng = _rng(spec.seed, _STREAM_CB, wi, di, r)
                 yield _cb_circuit(width, depth, spec.shots, rng), Label(width, depth, r, "cb")
-
-
-def gen_cb(spec: BatchSpec) -> CircuitBatch:
-    pairs = list(iter_cb(spec))
-    return CircuitBatch(tuple(c for c, _ in pairs), tuple(l for _, l in pairs), spec)
 
 
 # --- randomized dressing of a layered base circuit ---------------------------

@@ -24,8 +24,9 @@ from .errors import ComparisonError, IncompleteRecordError, InstrumentationError
 
 ROOT_STAGE = "Total"
 
-# child -> parent; every known stage except the root appears exactly once,
-# in canonical serialization order: parents before children, fixed tie order
+# child -> parent, the one statement of the stage nesting; every known stage
+# except the root appears exactly once, in canonical serialization order:
+# parents before children, fixed tie order
 STAGE_PARENT = {
     "Pre-compile": "Total",
     "Get circuit": "Pre-compile",
@@ -55,24 +56,10 @@ STAGE_PARENT = {
 STAGE_NAMES = frozenset(STAGE_PARENT) | {ROOT_STAGE}
 STAGE_ORDER = (ROOT_STAGE, *STAGE_PARENT)
 
-_ORDER_INDEX = {name: i for i, name in enumerate(STAGE_ORDER)}
-
-
-class StageStats:
-    __slots__ = ("ns", "iters", "children")
-
-    def __init__(self, ns: int = 0, iters: int = 0):
-        self.ns = ns
-        self.iters = iters
-        self.children: dict[str, StageStats] = {}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StageStats):
-            return NotImplemented
-        return self.ns == other.ns and self.iters == other.iters and self.children == other.children
-
-    def __repr__(self) -> str:
-        return f"StageStats(ns={self.ns}, iters={self.iters}, children={sorted(self.children)})"
+# parent -> children in STAGE_ORDER, derived once from STAGE_PARENT
+_CHILDREN: dict[str, tuple[str, ...]] = {
+    name: tuple(c for c, p in STAGE_PARENT.items() if p == name) for name in STAGE_ORDER
+}
 
 
 class _Scope:
@@ -93,12 +80,17 @@ class _Scope:
 
 
 class ProfileRecord:
-    """One session's stage tree: accumulated duration and iteration count per stage."""
+    """One session's stages: accumulated ``[ns, iterations]`` per stage name.
+
+    A stage has an entry once it is opened or computed, and then so does each
+    of its ancestors; the root's entry exists from construction.  The nesting
+    is ``STAGE_PARENT``'s, so the record is a flat table.
+    """
 
     def __init__(self, clock=time.perf_counter_ns):
-        self.root = StageStats()
+        self.stages: dict[str, list[int]] = {ROOT_STAGE: [0, 0]}
         self._clock = clock
-        self._stack: list[tuple[str, int, StageStats]] = []
+        self._stack: list[tuple[str, int, list[int]]] = []
 
     def _check_name(self, name: str) -> None:
         if name not in STAGE_NAMES:
@@ -109,84 +101,59 @@ class ProfileRecord:
         if not self._stack:
             if name != ROOT_STAGE:
                 raise InstrumentationError(f"stage {name!r} opened outside {ROOT_STAGE!r}")
-            node = self.root
-        else:
-            top_name, _, top_node = self._stack[-1]
-            if STAGE_PARENT.get(name) != top_name:
-                raise InstrumentationError(
-                    f"stage {name!r} opened under {top_name!r}, "
-                    f"expected parent {STAGE_PARENT.get(name)!r}"
-                )
-            node = top_node.children.setdefault(name, StageStats())
-        self._stack.append((name, self._clock(), node))
+        elif STAGE_PARENT.get(name) != self._stack[-1][0]:
+            raise InstrumentationError(
+                f"stage {name!r} opened under {self._stack[-1][0]!r}, "
+                f"expected parent {STAGE_PARENT.get(name)!r}"
+            )
+        self._stack.append((name, self._clock(), self.stages.setdefault(name, [0, 0])))
 
     def pop(self, name: str) -> None:
         if not self._stack or self._stack[-1][0] != name:
             open_name = self._stack[-1][0] if self._stack else None
             raise InstrumentationError(f"closing {name!r} but {open_name!r} is open")
-        _, start, node = self._stack.pop()
-        node.ns += self._clock() - start
-        node.iters += 1
+        _, start, entry = self._stack.pop()
+        entry[0] += self._clock() - start
+        entry[1] += 1
 
     def scope(self, name: str) -> _Scope:
         return _Scope(self, name)
 
-    def _path_of(self, name: str) -> list[str]:
-        path = [name]
-        while path[0] != ROOT_STAGE:
-            path.insert(0, STAGE_PARENT[path[0]])
-        return path
-
     def add_computed(self, name: str, ns: int, iters: int = 1) -> None:
         """Attach a post-processing stage outside the live scope stack."""
         self._check_name(name)
-        node = self.root
-        for step in self._path_of(name)[1:]:
-            node = node.children.setdefault(step, StageStats())
-        node.ns += int(ns)
-        node.iters += int(iters)
+        entry = self.stages.setdefault(name, [0, 0])
+        entry[0] += int(ns)
+        entry[1] += int(iters)
+        while name != ROOT_STAGE and STAGE_PARENT[name] not in self.stages:
+            name = STAGE_PARENT[name]
+            self.stages[name] = [0, 0]
 
     def mark_zero(self, name: str) -> None:
         """Record a stage as entered once with zero duration."""
         self.add_computed(name, 0, 1)
 
-    def find(self, name: str) -> StageStats | None:
-        self._check_name(name)
-        if name == ROOT_STAGE:
-            return self.root if (self.root.iters or self.root.children) else None
-
-        def walk(node: StageStats) -> StageStats | None:
-            for child_name, child in node.children.items():
-                if child_name == name:
-                    return child
-                hit = walk(child)
-                if hit is not None:
-                    return hit
-            return None
-
-        return walk(self.root)
-
     def duration_ns(self, name: str) -> int:
-        node = self.find(name)
-        return node.ns if node else 0
+        self._check_name(name)
+        return self.stages.get(name, (0, 0))[0]
 
     def iterations(self, name: str) -> int:
-        node = self.find(name)
-        return node.iters if node else 0
+        self._check_name(name)
+        return self.stages.get(name, (0, 0))[1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProfileRecord):
             return NotImplemented
-        return self.root == other.root
+        return self.stages == other.stages
 
 
-def _stats_to_dict(name: str, node: StageStats) -> dict:
-    children = sorted(node.children.items(), key=lambda kv: _ORDER_INDEX[kv[0]])
+def _tree(stages: dict[str, list[int]], name: str) -> dict:
+    ns, iters = stages[name]
     return {
         "name": name,
-        "ns": node.ns,
-        "iterations": node.iters,
-        "children": [_stats_to_dict(n, c) for n, c in children],
+        "ns": ns,
+        "iterations": iters,
+        "children": [_tree(stages, c) for c in _CHILDREN[name] if c in stages],
     }
 
 
@@ -194,14 +161,14 @@ def report(record: ProfileRecord, meta: dict | None = None) -> str:
     """Deterministic JSON document for a record (stable stage order and keys)."""
     doc = {
         "meta": dict(sorted((meta or {}).items())),
-        "stages": _stats_to_dict(ROOT_STAGE, record.root),
+        "stages": _tree(record.stages, ROOT_STAGE),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _stats_from_dict(d: dict, name: str) -> StageStats:
-    """Rebuild a stage subtree, rejecting an unknown, misplaced or repeated child."""
-    node = StageStats(int(d["ns"]), int(d["iterations"]))
+def _fill(stages: dict[str, list[int]], d: dict, name: str) -> None:
+    """Enter a stage subtree, rejecting an unknown, misplaced or repeated child."""
+    stages[name] = [int(d["ns"]), int(d["iterations"])]
     for child in d["children"]:
         child_name = child["name"]
         if child_name not in STAGE_NAMES:
@@ -211,26 +178,24 @@ def _stats_from_dict(d: dict, name: str) -> StageStats:
                 f"stage {child_name!r} under {name!r}, "
                 f"expected under {STAGE_PARENT.get(child_name)!r}"
             )
-        if child_name in node.children:
+        if child_name in stages:
             raise IncompleteRecordError(f"stage {child_name!r} listed twice under {name!r}")
-        node.children[child_name] = _stats_from_dict(child, child_name)
-    return node
+        _fill(stages, child, child_name)
 
 
 def parse_report(text: str) -> tuple[ProfileRecord, dict]:
+    record = ProfileRecord()
     try:
         doc = json.loads(text)
         name = doc["stages"]["name"]
         if name != ROOT_STAGE:
             raise IncompleteRecordError(f"report root is {name!r}, expected {ROOT_STAGE!r}")
-        root = _stats_from_dict(doc["stages"], name)
+        _fill(record.stages, doc["stages"], name)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise IncompleteRecordError(f"unparseable profile report: {exc}") from None
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise IncompleteRecordError(f"report meta is {type(meta).__name__}, not an object")
-    record = ProfileRecord()
-    record.root = root
     return record, meta
 
 
@@ -313,36 +278,20 @@ class SpeedupTable:
         return "\n".join(lines) + "\n"
 
 
-def _collect(node: StageStats, name: str, out: dict[str, tuple[int, int]]) -> None:
-    prev_ns, prev_iters = out.get(name, (0, 0))
-    out[name] = (prev_ns + node.ns, prev_iters + node.iters)
-    for child_name, child in node.children.items():
-        _collect(child, child_name, out)
-
-
 def compare(baseline: ProfileRecord, pce: ProfileRecord) -> SpeedupTable:
     """Per-stage ratios plus the classical-time summary (classical = Total - Start Run)."""
     for label, rec in (("baseline", baseline), ("pce", pce)):
-        if rec.root.iters == 0:
+        if rec.iterations(ROOT_STAGE) == 0:
             raise IncompleteRecordError(f"{label} record has no completed {ROOT_STAGE!r} stage")
-    flat_b: dict[str, tuple[int, int]] = {}
-    flat_p: dict[str, tuple[int, int]] = {}
-    _collect(baseline.root, ROOT_STAGE, flat_b)
-    _collect(pce.root, ROOT_STAGE, flat_p)
-    names = sorted(set(flat_b) | set(flat_p), key=lambda n: _ORDER_INDEX[n])
     rows = tuple(
         StageRow(
-            n,
-            flat_b.get(n, (0, 0))[0],
-            flat_p.get(n, (0, 0))[0],
-            flat_b.get(n, (0, 0))[1],
-            flat_p.get(n, (0, 0))[1],
+            n, baseline.duration_ns(n), pce.duration_ns(n), baseline.iterations(n), pce.iterations(n)
         )
-        for n in names
+        for n in STAGE_ORDER
+        if n in baseline.stages or n in pce.stages
     )
-    tb, tp = flat_b[ROOT_STAGE][0], flat_p[ROOT_STAGE][0]
-    sb = flat_b.get("Start Run", (0, 0))[0]
-    sp = flat_p.get("Start Run", (0, 0))[0]
+    tb, tp = baseline.duration_ns(ROOT_STAGE), pce.duration_ns(ROOT_STAGE)
+    sb, sp = baseline.duration_ns("Start Run"), pce.duration_ns("Start Run")
     return SpeedupTable(rows, tb, tp, tb - sb, tp - sp)
 
 

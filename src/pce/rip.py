@@ -189,10 +189,9 @@ def _padded_row(words: list[np.ndarray], n_qubits: int) -> tuple[np.ndarray, ...
     return tuple(words[q] if q < len(words) else empty for q in range(n_qubits))
 
 
-def build_param_table(circuits, n_qubits: int | None = None) -> ParamTable:
+def build_param_table(circuits) -> ParamTable:
     cs = list(circuits)
-    if n_qubits is None:
-        n_qubits = max((c.n_qubits for c in cs), default=0)
+    n_qubits = max((c.n_qubits for c in cs), default=0)
     rows = []
     for i, c in enumerate(cs):
         try:
@@ -233,26 +232,45 @@ def binarize(report: EquivalenceReport, table: ParamTable) -> bytes:
     out += flags
     for row in table.rows:
         for words in row:
-            out += struct.pack("<H", len(words))
-            out += np.asarray(words, dtype="<u4").tobytes()
+            out += encode_words(words)
     out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     return bytes(out)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
+def encode_words(words) -> bytes:
+    """One bank as PCEB rows and LOAD_PARAMS frames carry it: u16 count, then u32 words."""
+    arr = np.asarray(words, dtype="<u4")
+    if arr.size > 0xFFFF:
+        raise EncodeError(f"{arr.size} words do not fit a u16 bank count")
+    return struct.pack("<H", arr.size) + arr.tobytes()
+
+
+class ByteReader:
+    """Bounded reads over ``data``; a fault's offset is ``base`` plus the read position,
+    so a reader over a frame's payload reports frame offsets."""
+
+    def __init__(self, data: bytes, base: int = 0):
         self.data = data
+        self.base = base
         self.pos = 0
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.data):
-            raise DecodeError(f"truncated blob while reading {what}", self.pos)
+            raise DecodeError(f"truncated {what}", self.base + self.pos)
         b = self.data[self.pos : self.pos + n]
         self.pos += n
         return b
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def words(self, what: str, limit: int = 0xFFFF) -> np.ndarray:
+        """Inverse of ``encode_words``; a count above ``limit`` is refused before the words."""
+        count_pos = self.base + self.pos
+        (count,) = self.unpack("<H", f"{what} word count")
+        if count > limit:
+            raise DecodeError(f"{what}: {count} words exceed bank capacity", count_pos)
+        return np.frombuffer(self.take(4 * count, f"{what} words"), dtype="<u4").copy()
 
 
 def debinarize(blob: bytes) -> tuple[EquivalenceReport, ParamTable]:
@@ -270,9 +288,9 @@ def debinarize(blob: bytes) -> tuple[EquivalenceReport, ParamTable]:
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}",
             len(blob) - 4,
         )
-    r = _Reader(blob[:-4])
-    r.take(4, "magic")
-    version, n_qubits, n, n_groups = r.unpack("<HHII", "header")
+    r = ByteReader(blob[:-4])
+    r.take(4, "blob magic")
+    version, n_qubits, n, n_groups = r.unpack("<HHII", "blob header")
     if version != BLOB_VERSION:
         raise DecodeError(f"unsupported blob version {version}", 4)
     if n_groups > n or (n > 0 and n_groups == 0):
@@ -295,21 +313,10 @@ def debinarize(blob: bytes) -> tuple[EquivalenceReport, ParamTable]:
             groups[-1].append(idx)
         else:
             raise DecodeError("execution order does not begin with a unique circuit", order_pos)
-    rows = []
-    for i in range(n):
-        row = []
-        for q in range(n_qubits):
-            count_pos = r.pos
-            (count,) = r.unpack("<H", f"word count (circuit {i}, qubit {q})")
-            if count > BANK_CAPACITY:
-                raise DecodeError(
-                    f"circuit {i} qubit {q}: {count} words exceed bank capacity", count_pos
-                )
-            words = np.frombuffer(
-                r.take(4 * count, f"phase words (circuit {i}, qubit {q})"), dtype="<u4"
-            ).copy()
-            row.append(words)
-        rows.append(tuple(row))
+    rows = [
+        tuple(r.words(f"circuit {i} qubit {q}", BANK_CAPACITY) for q in range(n_qubits))
+        for i in range(n)
+    ]
     if r.pos != len(r.data):
         raise DecodeError(f"{len(r.data) - r.pos} unexpected trailing bytes", r.pos)
     report = EquivalenceReport(tuple(tuple(g) for g in groups))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .asm import MachineProgram, machine_from_bytes, machine_to_bytes
 from .control import ControlSession, ShotData
+from .rip import ByteReader, encode_words
 from .errors import (
     CapacityError,
     ConfigError,
@@ -152,9 +153,7 @@ def _encode_payload(msg) -> tuple[MsgType, bytes]:
     if isinstance(msg, LoadParams):
         out = bytearray(struct.pack("<IH", msg.index, len(msg.words)))
         for words in msg.words:
-            arr = np.asarray(words, dtype="<u4")
-            out += struct.pack("<H", arr.size)
-            out += arr.tobytes()
+            out += encode_words(words)
         return MsgType.LOAD_PARAMS, bytes(out)
     if isinstance(msg, LoadDefs):
         env = np.asarray(msg.envelope, dtype=complex)
@@ -222,67 +221,44 @@ def rpc_decode(buf: bytes) -> tuple[object, int]:
 
 
 def _decode_payload(mtype: MsgType, payload: bytes):
-    r_off = 0
-
-    def take(fmt: str, what: str):
-        nonlocal r_off
-        size = struct.calcsize(fmt)
-        if r_off + size > len(payload):
-            raise DecodeError(f"truncated {what}", FRAME_OVERHEAD + r_off)
-        vals = struct.unpack_from(fmt, payload, r_off)
-        r_off += size
-        return vals
-
-    def take_bytes(n: int, what: str) -> bytes:
-        nonlocal r_off
-        if r_off + n > len(payload):
-            raise DecodeError(f"truncated {what}", FRAME_OVERHEAD + r_off)
-        b = payload[r_off : r_off + n]
-        r_off += n
-        return b
-
+    r = ByteReader(payload, FRAME_OVERHEAD)
     if mtype is MsgType.LOAD_CIRCUIT:
-        (index,) = take("<I", "circuit index")
+        (index,) = r.unpack("<I", "circuit index")
         try:
-            return LoadCircuit(index, machine_from_bytes(payload[r_off:]))
+            return LoadCircuit(index, machine_from_bytes(payload[r.pos :]))
         except DecodeError as exc:  # image offset -> frame offset
-            raise DecodeError(exc.detail, FRAME_OVERHEAD + r_off + exc.offset) from None
+            raise DecodeError(exc.detail, r.base + r.pos + exc.offset) from None
     if mtype is MsgType.LOAD_PARAMS:
-        index, n_banks = take("<IH", "parameter header")
-        words = []
-        for b in range(n_banks):
-            (count,) = take("<H", f"bank {b} word count")
-            raw = take_bytes(4 * count, f"bank {b} words")
-            words.append(np.frombuffer(raw, dtype="<u4").copy())
-        if r_off != len(payload):
-            raise DecodeError("trailing bytes after parameter payload", FRAME_OVERHEAD + r_off)
-        return LoadParams(index, tuple(words))
+        index, n_banks = r.unpack("<IH", "parameter header")
+        words = tuple(r.words(f"bank {b}") for b in range(n_banks))
+        if r.pos != len(payload):
+            raise DecodeError("trailing bytes after parameter payload", r.base + r.pos)
+        return LoadParams(index, words)
     if mtype is MsgType.LOAD_DEFS:
-        (env_len,) = take("<I", "envelope length")
-        raw = take_bytes(16 * env_len, "envelope table")
-        pairs = np.frombuffer(raw, dtype="<f8")
+        (env_len,) = r.unpack("<I", "envelope length")
+        pairs = np.frombuffer(r.take(16 * env_len, "envelope table"), dtype="<f8")
         env = pairs[0::2] + 1j * pairs[1::2]
-        (freq_len,) = take("<I", "frequency length")
-        frq = np.frombuffer(take_bytes(8 * freq_len, "frequency table"), dtype="<f8").copy()
+        (freq_len,) = r.unpack("<I", "frequency length")
+        frq = np.frombuffer(r.take(8 * freq_len, "frequency table"), dtype="<f8").copy()
         return LoadDefs(env.copy(), frq)
     if mtype is MsgType.RUN:
-        (shots,) = take("<I", "shot count")
+        (shots,) = r.unpack("<I", "shot count")
         return Run(shots)
     if mtype is MsgType.GET_DATA:
         return GetData()
     if mtype is MsgType.DATA:
-        (k,) = take("<H", "measured-qubit count")
-        qubits = take(f"<{k}H", "measured qubits") if k else ()
-        (shots,) = take("<I", "shot count")
-        raw = take_bytes(shots * k, "bit matrix")
+        (k,) = r.unpack("<H", "measured-qubit count")
+        qubits = r.unpack(f"<{k}H", "measured qubits") if k else ()
+        (shots,) = r.unpack("<I", "shot count")
+        raw = r.take(shots * k, "bit matrix")
         bits = np.frombuffer(raw, dtype=np.uint8).reshape(shots, k).copy()
         return Data(ShotData(tuple(int(q) for q in qubits), bits))
     if mtype is MsgType.ACK:
         return Ack()
     if mtype is MsgType.ERROR:
-        code, msg_len = take("<HI", "error header")
-        msg_off = FRAME_OVERHEAD + r_off
-        raw = take_bytes(msg_len, "error message")
+        code, msg_len = r.unpack("<HI", "error header")
+        msg_off = r.base + r.pos
+        raw = r.take(msg_len, "error message")
         try:
             return ErrorMsg(code, raw.decode("utf-8"))
         except UnicodeDecodeError as exc:

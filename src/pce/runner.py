@@ -53,6 +53,14 @@ class ExperimentOutcome:
     sim_time_ns: int = 0
 
 
+def check_run_args(seed: int, shots: int | None) -> None:
+    """Refuse a seed or shot count that no run can use, before any work starts."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if shots is not None and not 1 <= shots <= 0xFFFFFFFF:
+        raise ConfigError(f"shot count {shots} does not fit 1..{0xFFFFFFFF}")
+
+
 def run_experiment(
     get_circuits: Callable[[], object],
     transpile: Callable[[object], CircuitBatch],
@@ -66,6 +74,7 @@ def run_experiment(
     """Run one experiment end to end and return its data, traces, and profile."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
+    check_run_args(seed, shots)
     record = ProfileRecord()
     session = ControlSession(seed=seed, timing=timing, record=record)
     if channel_factory is None:

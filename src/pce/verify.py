@@ -36,7 +36,7 @@ from .rpc import (
     rpc_decode,
     rpc_encode,
 )
-from .runner import run_experiment
+from .runner import check_run_args, run_experiment
 
 UNITARY_ORACLE_MAX_QUBITS = 4
 
@@ -221,6 +221,9 @@ def verify_batch(
     timing: TimingConfig = TimingConfig(),
     blob_override: bytes | None = None,
 ) -> list[CheckResult]:
+    """Every suite's result; a seed or shot count no run can use is a
+    ``ConfigError`` before any suite runs, not a failed check."""
+    check_run_args(seed, shots)
     checks = [
         check_dedup_oracle(batch),
         check_blob_round_trip(batch),

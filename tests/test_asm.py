@@ -259,9 +259,9 @@ class TestCompile:
     def test_equivalent_circuits_differ_only_in_phase_immediates(self):
         # the semantic basis of parameterized execution: same opcode/channel
         # stream for every member of a structural-equivalence group
-        from pce.generators import BatchSpec, gen_rb
+        from pce.generators import BatchSpec, gen_batch
 
-        batch = gen_rb(BatchSpec("RB", ((0, 1),), ((3,),), 4, shots=5, seed=2))
+        batch = gen_batch(BatchSpec("RB", ((0, 1),), ((3,),), 4, shots=5, seed=2))
         programs = [compile_circuit(c) for c, l in zip(batch.circuits, batch.labels) if l.role == "rb"]
         ref = programs[0]
         phase_rows = ref.opcode == Opcode.INC_PHASE

@@ -286,8 +286,9 @@ class TestRun:
 
 
 class TestValuesNoHeaderFieldHolds:
-    """A shot or qubit count that a RUN frame or PCEM header cannot hold
-    exits 2 with an ``error:`` line, in both modes and over the socket."""
+    """A ``--shots`` outside 1..2^32-1, and a circuit header whose shot or
+    qubit count a PCEM or PCEB header cannot hold, exit 2 with an ``error:``
+    line, in both modes and over the socket."""
 
     def exits_2_naming(self, argv, capsys, named):
         assert main(argv) == 2
@@ -296,7 +297,7 @@ class TestValuesNoHeaderFieldHolds:
 
     @pytest.mark.parametrize("transport", [(), ("--socket",)], ids=["loopback", "socket"])
     @pytest.mark.parametrize("mode", ["baseline", "pce"])
-    @pytest.mark.parametrize("shots", ["-1", "5000000000"])
+    @pytest.mark.parametrize("shots", ["0", "-1", "5000000000"])
     def test_shots_flag(self, batch_dir, tmp_path, capsys, shots, mode, transport):
         argv = ["run", "--batch", str(batch_dir), "--mode", mode, "--shots", shots,
                 "--out", str(tmp_path / "o"), *transport]
@@ -339,6 +340,32 @@ class TestResetGap:
             events = (out / "traces" / "c00000.txt").read_text().splitlines()
             last_times.append(int(events[-1].split()[0].removeprefix("t=")))
         assert last_times[1] == last_times[0] - 500  # one gap between the two shots
+
+
+class TestRunArguments:
+    """A seed or shot count that ``pce run`` refuses is a usage error in
+    ``pce verify`` too: exit 2 with an ``error:`` line, before any check."""
+
+    def argv(self, command, batch_dir, tmp_path, *flags):
+        argv = [command, "--batch", str(batch_dir), *flags]
+        return argv + ["--out", str(tmp_path / "o")] if command == "run" else argv
+
+    def exits_2(self, argv, capsys, named):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert "CHECK" not in out
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_negative_seed(self, batch_dir, tmp_path, capsys, command):
+        argv = self.argv(command, batch_dir, tmp_path, "--seed", "-1")
+        self.exits_2(argv, capsys, "seed must be non-negative, got -1")
+
+    @pytest.mark.parametrize("shots", ["0", "-1", str(1 << 32)])
+    def test_verify_shot_count_outside_u32(self, batch_dir, tmp_path, capsys, shots):
+        # pce run's refusals are TestValuesNoHeaderFieldHolds.test_shots_flag
+        argv = self.argv("verify", batch_dir, tmp_path, "--shots", shots)
+        self.exits_2(argv, capsys, f"shot count {shots} does not fit")
 
 
 class TestUnreadableBatch:

@@ -29,7 +29,7 @@ from pce.errors import (
     UnderflowError,
     ValidationError,
 )
-from pce.generators import BatchSpec, gen_rb
+from pce.generators import BatchSpec, gen_batch
 from pce.profiling import ProfileRecord, parse_report, report
 from pce.rip import binarize, dequantize_words, modify, peel, rip
 from pce.rpc import ControlServer, DeftClient, LoopbackChannel
@@ -501,17 +501,24 @@ class TestServingLawThroughExecute:
 class TestSessionAndDeft:
     def run_batch(self, spec_seed=6):
         spec = BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 3, shots=4, seed=spec_seed)
-        return gen_rb(spec)
+        return gen_batch(spec)
 
-    def make_client(self, seed=9):
-        session = ControlSession(seed=seed)
+    HOST_STAGES = ("Total", "Build Run", "RunAll on Host", "Run on Host")
+
+    def make_client(self, seed=9, record=None):
+        session = ControlSession(seed=seed, record=record)
         return session, DeftClient(LoopbackChannel(ControlServer(session)))
 
-    def test_underflowing_run_leaves_no_stage_open(self):
+    def open_record(self):
+        """A record with the stages open that the session's own stages nest under."""
         record = ProfileRecord()
-        session = ControlSession(seed=1, record=record)
-        for stage in ("Total", "Build Run", "RunAll on Host", "Run on Host"):
+        for stage in self.HOST_STAGES:
             record.push(stage)
+        return record
+
+    def test_underflowing_run_leaves_no_stage_open(self):
+        record = self.open_record()
+        session = ControlSession(seed=1, record=record)
         req = word(Opcode.REQ_PARAM, 0)
         session.handle_load_circuit(0, program_of(req, req, n_qubits=1, shots=2))
         session.handle_load_params(0, [[5]])  # 2 requests a shot, 1 word: shot 1 underflows
@@ -520,7 +527,7 @@ class TestSessionAndDeft:
         session.handle_load_params(0, [[5, 6]])
         session.handle_run(2)
         assert session.handle_get_data().shots == 2
-        for stage in ("Run on Host", "RunAll on Host", "Build Run", "Total"):
+        for stage in reversed(self.HOST_STAGES):
             record.pop(stage)
         parsed, _ = parse_report(report(record))
         assert parsed.iterations("Run Batch") == parsed.iterations("Start Run") == 2
@@ -534,10 +541,11 @@ class TestSessionAndDeft:
             g[0]: assemble(compile_circuit(result.uniques[gi]))
             for gi, g in enumerate(result.report.groups)
         }
-        session, client = self.make_client()
+        record = self.open_record()
+        _, client = self.make_client(record=record)
         data = deft_run(result.report.order, uniques, blob, client)
-        assert session.load_circuit_calls == len(result.report.groups)
-        assert session.load_params_calls == len(batch)
+        assert record.iterations("Load circuit") == len(result.report.groups)
+        assert record.iterations("Load para") == len(batch)
         assert sorted(data) == list(range(len(batch)))
 
     def test_single_circuit_batch(self):
@@ -547,10 +555,11 @@ class TestSessionAndDeft:
         batch = CircuitBatch((c,), (Label((0,), 1, 0, "x"),))
         result = rip(batch)
         uniques = {0: assemble(compile_circuit(result.uniques[0]))}
-        session, client = self.make_client()
+        record = self.open_record()
+        _, client = self.make_client(record=record)
         deft_run(result.report.order, uniques, binarize(result.report, result.table), client)
-        assert session.load_circuit_calls == 1
-        assert session.load_params_calls == 1
+        assert record.iterations("Load circuit") == 1
+        assert record.iterations("Load para") == 1
 
     def test_deft_results_match_baseline(self):
         batch = self.run_batch()

@@ -15,7 +15,7 @@ from pce.fileio import (
     read_batch,
     write_batch,
 )
-from pce.generators import BatchSpec, gen_batch, gen_rb
+from pce.generators import BatchSpec, gen_batch
 
 
 def _reference_qubit(token: str, line_no: int) -> int:
@@ -126,7 +126,7 @@ class TestCircuitText:
 
 class TestBatchFiles:
     def make_batch(self):
-        return gen_rb(BatchSpec("RB", ((0, 1),), ((2,),), 2, shots=6, seed=3))
+        return gen_batch(BatchSpec("RB", ((0, 1),), ((2,),), 2, shots=6, seed=3))
 
     def test_write_read_round_trip(self, tmp_path):
         batch = self.make_batch()

@@ -17,9 +17,7 @@ from pce.generators import (
     PAULI_PARAMS,
     clifford_table,
     gen_batch,
-    gen_cb,
     gen_random_base,
-    gen_rb,
     gen_rc,
     gen_read_circuits,
     preset_spec,
@@ -93,7 +91,7 @@ class TestRb:
         return BatchSpec(**args)
 
     def test_gate_count_law(self):
-        batch = gen_rb(self.spec())
+        batch = gen_batch(self.spec())
         for c, label in zip(batch.circuits, batch.labels):
             if label.role != "rb":
                 continue
@@ -103,11 +101,11 @@ class TestRb:
 
     def test_single_qubit_depth4_counts(self):
         spec = self.spec(widths=((0,),), depths=((4,),), randomizations=1)
-        c = gen_rb(spec).circuits[0]
+        c = gen_batch(spec).circuits[0]
         assert gate_counts(c, 0) == (10, 15)
 
     def test_inverts_to_identity(self):
-        batch = gen_rb(self.spec())
+        batch = gen_batch(self.spec())
         for c, label in zip(batch.circuits, batch.labels):
             if label.role != "rb":
                 continue
@@ -116,11 +114,11 @@ class TestRb:
 
     def test_batch_count_includes_read_circuits(self):
         spec = self.spec()
-        batch = gen_rb(spec)
+        batch = gen_batch(spec)
         assert len(batch) == spec.expected_count() == 2 * (2 * 3 + 2)
 
     def test_same_width_depth_structurally_equal(self):
-        batch = gen_rb(self.spec())
+        batch = gen_batch(self.spec())
         by_key = {}
         for c, label in zip(batch.circuits, batch.labels):
             if label.role == "rb":
@@ -131,18 +129,18 @@ class TestRb:
     def test_group_count_per_width(self):
         # one group per depth plus one shared group for the read pair
         spec = self.spec(widths=((0, 1),))
-        report = identify(gen_rb(spec).circuits)
+        report = identify(gen_batch(spec).circuits)
         assert len(report.groups) == 2 + 1
 
     def test_deterministic(self):
-        a = gen_rb(self.spec())
-        b = gen_rb(self.spec())
+        a = gen_batch(self.spec())
+        b = gen_batch(self.spec())
         assert a.circuits == b.circuits
         assert a.labels == b.labels
 
     def test_seed_changes_phases_not_structure(self):
-        a = gen_rb(self.spec(seed=1)).circuits[0]
-        b = gen_rb(self.spec(seed=2)).circuits[0]
+        a = gen_batch(self.spec(seed=1)).circuits[0]
+        b = gen_batch(self.spec(seed=2)).circuits[0]
         assert a != b
         assert modify(a) == modify(b)
 
@@ -185,11 +183,11 @@ class TestCb:
 
     def test_cz_layer_count(self):
         spec = self.spec(widths=((0, 1),), depths=((2,),), randomizations=1)
-        c = gen_cb(spec).circuits[0]
+        c = gen_batch(spec).circuits[0]
         assert sum(1 for g in c.gates if g.kind is GateKind.TWO_QUBIT) == 2
 
     def test_same_width_depth_structurally_equal(self):
-        batch = gen_cb(self.spec())
+        batch = gen_batch(self.spec())
         by_key = {}
         for c, label in zip(batch.circuits, batch.labels):
             by_key.setdefault((label.width, label.depth), []).append(c)
@@ -198,12 +196,12 @@ class TestCb:
             assert len(identify(circuits).groups) == 1
 
     def test_group_count(self):
-        report = identify(gen_cb(self.spec()).circuits)
+        report = identify(gen_batch(self.spec()).circuits)
         assert len(report.groups) == 4  # widths x depths
 
     def test_per_width_randomizations(self):
         spec = self.spec(randomizations=(2, 3))
-        batch = gen_cb(spec)
+        batch = gen_batch(spec)
         assert len(batch) == 2 * 2 + 2 * 3 == spec.expected_count()
 
 

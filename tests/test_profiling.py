@@ -1,5 +1,6 @@
 """Tests for stage scoping, report serialization, and record comparison."""
 
+import hashlib
 import json
 
 import pytest
@@ -58,7 +59,7 @@ class TestScoping:
                 with rec.scope("Get circuit"):
                     clock.tick(3)
         assert rec.iterations("Get circuit") == 1
-        assert rec.root.children["Pre-compile"].children["Get circuit"].ns == 3
+        assert rec.duration_ns("Get circuit") == 3
 
     def test_unknown_stage_rejected(self):
         rec, _ = make_record()
@@ -95,8 +96,111 @@ class TestScoping:
                 with rec.scope("Assemble"):
                     clock.tick(4)
                 clock.tick(1)
-        build = rec.root.children["Build Run"]
-        assert build.ns >= sum(c.ns for c in build.children.values())
+        children = [n for n, parent in STAGE_PARENT.items() if parent == "Build Run"]
+        assert rec.duration_ns("Build Run") >= sum(rec.duration_ns(n) for n in children)
+
+
+def every_stage_record():
+    """A record with an entry for every stage: scoped, computed and mark_zero
+    stages, opened out of canonical order, each with its own duration."""
+    clock = FakeClock()
+    rec = ProfileRecord(clock=clock)
+    step = iter(range(1, 1000))
+
+    def timed(*path):
+        # open each stage of path in turn, tick inside the innermost, close all
+        for name in path:
+            rec.push(name)
+            clock.tick(next(step))
+        for name in reversed(path):
+            clock.tick(next(step))
+            rec.pop(name)
+
+    rec.push("Total")
+    timed("RIP")
+    timed("Pre-compile", "Transpile")
+    rec.mark_zero("Active")
+    with rec.scope("Pre-compile"):
+        timed("Get circuit")
+    with rec.scope("Build Run"):
+        for _ in range(2):
+            timed("Assemble")
+            timed("Compile")
+        with rec.scope("RunAll on Host"):
+            with rec.scope("Run on Host"):
+                timed("Run Batch", "Get data")
+                timed("Load para")
+                timed("Load Batch", "Load circuit")
+                with rec.scope("Load Batch"):
+                    timed("Load definition", "Load zero")
+                    with rec.scope("Load definition"):
+                        timed("Load freq.")
+                        timed("Load env.")
+                timed("Run Batch", "Start Run")
+            timed("Data Sort")
+    rec.add_computed("Stitch", 40, 4)
+    rec.add_computed("Client/Server", 77, 9)
+    clock.tick(next(step))
+    rec.pop("Total")
+    return rec
+
+
+# (depth, name, ns, iterations) of every_stage_record's report, in document order
+EVERY_STAGE_TREE = [
+    (0, "Total", 861, 1),
+    (1, "Pre-compile", 33, 2),
+    (2, "Get circuit", 15, 1),
+    (2, "Transpile", 9, 1),
+    (1, "RIP", 3, 1),
+    (1, "Active", 0, 1),
+    (1, "Build Run", 784, 1),
+    (2, "Compile", 54, 2),
+    (2, "Assemble", 46, 2),
+    (2, "RunAll on Host", 684, 1),
+    (3, "Run on Host", 605, 1),
+    (4, "Load Batch", 342, 2),
+    (5, "Load circuit", 49, 1),
+    (5, "Load definition", 244, 2),
+    (6, "Load env.", 67, 1),
+    (6, "Load freq.", 63, 1),
+    (6, "Load zero", 57, 1),
+    (4, "Load para", 43, 1),
+    (4, "Run Batch", 220, 2),
+    (5, "Start Run", 73, 1),
+    (5, "Get data", 37, 1),
+    (4, "Stitch", 40, 4),
+    (3, "Data Sort", 79, 1),
+    (2, "Client/Server", 77, 9),
+]
+
+# sha256 of the profile.json text these records have always produced
+EVERY_STAGE_SHA256 = "eb83a953b7670b3b4ff19a74aa8e993a8d9cc4efcd9b5f2bdb9c053e12b44907"
+EMPTY_SHA256 = "af188832acc2f2939a9a3da3f64f96758b90d18bf789e4f4b98929305bc6ab6f"
+
+
+class TestReportBytes:
+    def test_every_stage_tree(self):
+        rows = []
+
+        def walk(node, depth):
+            rows.append((depth, node["name"], node["ns"], node["iterations"]))
+            for child in node["children"]:
+                walk(child, depth + 1)
+
+        walk(json.loads(report(every_stage_record()))["stages"], 0)
+        assert rows == EVERY_STAGE_TREE
+
+    def test_report_bytes_unchanged(self):
+        text = report(every_stage_record(), meta={"mode": "pce", "batch_hash": "abc"})
+        assert hashlib.sha256(text.encode()).hexdigest() == EVERY_STAGE_SHA256
+        assert hashlib.sha256(report(ProfileRecord()).encode()).hexdigest() == EMPTY_SHA256
+
+    @pytest.mark.parametrize("rec", [every_stage_record(), ProfileRecord()], ids=["every", "empty"])
+    def test_parse_inverts_report(self, rec):
+        parsed, meta = parse_report(report(rec, meta={"seed": 2}))
+        assert parsed == rec
+        assert meta == {"seed": 2}
+        assert report(parsed) == report(rec)
 
 
 class TestReportSerialization:

@@ -24,8 +24,8 @@ from pce.circuits import (
     vz,
     x90,
 )
-from pce.errors import CapacityError, DecodeError
-from pce.generators import BatchSpec, CircuitBatch, Label, gen_batch, gen_rb
+from pce.errors import CapacityError, DecodeError, EncodeError
+from pce.generators import BatchSpec, CircuitBatch, Label, gen_batch
 from pce.rip import (
     BANK_CAPACITY,
     EquivalenceReport,
@@ -224,14 +224,14 @@ class TestIdentify:
 
     def test_matches_bruteforce_on_generated_batch(self):
         spec = BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 4, shots=5, seed=11)
-        batch = gen_rb(spec)
+        batch = gen_batch(spec)
         assert identify(batch.circuits) == identify_bruteforce(batch.circuits)
 
     def test_stable_under_non_representative_reordering(self):
         # with every structure's first occurrence pinned in place, permuting
         # the later members of each group must not change the grouping at all
         spec = BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 4, shots=5, seed=12)
-        batch = gen_rb(spec)
+        batch = gen_batch(spec)
         base = identify(batch.circuits)
         rng = np.random.default_rng(1)
         scrambled = list(range(len(batch)))
@@ -303,7 +303,7 @@ class TestPeelModify:
 
     def test_rb_circuit_word_count(self):
         spec = BatchSpec("RB", ((0,),), ((6,),), 1, shots=5, seed=0)
-        c = gen_rb(spec).circuits[0]
+        c = gen_batch(spec).circuits[0]
         words = peel(c)
         assert len(words[0]) == 3 * (6 + 1)
 
@@ -398,7 +398,7 @@ class TestPeelModify:
 
     def test_rip_composition(self):
         spec = BatchSpec("RB", ((0, 1),), ((2, 3),), 3, shots=5, seed=4)
-        batch = gen_rb(spec)
+        batch = gen_batch(spec)
         result = rip(batch)
         assert len(result.uniques) == len(result.report.groups)
         # request count per qubit equals peeled word count per qubit
@@ -416,7 +416,7 @@ class TestPeelModify:
 
 def _fuzz_seed_blob() -> tuple[bytes, tuple[int, ...]]:
     """A real blob and the byte offset of each of its per-bank word counts."""
-    result = rip(gen_rb(BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 2, shots=5, seed=8)))
+    result = rip(gen_batch(BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 2, shots=5, seed=8)))
     n = result.table.n_circuits
     pos = 16 + 4 * n + (n + 7) // 8
     counts = []
@@ -465,7 +465,7 @@ class TestBlob:
 
     def test_generated_batch_round_trip(self):
         spec = BatchSpec("RB", ((0, 1),), ((2, 4),), 3, shots=5, seed=8)
-        result = rip(gen_rb(spec))
+        result = rip(gen_batch(spec))
         self.round_trip(result.report, result.table)
 
     def test_random_tables_round_trip(self):
@@ -501,14 +501,14 @@ class TestBlob:
             debinarize(b"XXXX" + blob[4:])
 
     def test_truncation(self):
-        r = rip(gen_rb(BatchSpec("RB", ((0,),), ((2,),), 2, shots=5, seed=1)))
+        r = rip(gen_batch(BatchSpec("RB", ((0,),), ((2,),), 2, shots=5, seed=1)))
         blob = binarize(r.report, r.table)
         for cut in (2, 10, len(blob) // 2, len(blob) - 1):
             with pytest.raises(DecodeError):
                 debinarize(blob[:cut])
 
     def test_corrupted_byte_fails_checksum(self):
-        r = rip(gen_rb(BatchSpec("RB", ((0,),), ((2,),), 2, shots=5, seed=1)))
+        r = rip(gen_batch(BatchSpec("RB", ((0,),), ((2,),), 2, shots=5, seed=1)))
         blob = binarize(r.report, r.table)
         bad = self.corrupt(blob, 20, blob[20] ^ 0xFF)
         with pytest.raises(DecodeError) as err:
@@ -519,6 +519,12 @@ class TestBlob:
         with pytest.raises(DecodeError) as err:
             debinarize(b"PCEB\x01\x00")
         assert err.value.offset >= 0
+
+    def test_bank_count_over_u16_is_an_encode_error(self):
+        # the row format's count is a u16; 70,000 words cannot be written
+        table = ParamTable(1, ((np.zeros(70_000, dtype=np.uint32),),))
+        with pytest.raises(EncodeError, match="70000 words do not fit"):
+            binarize(EquivalenceReport(((0,),)), table)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(damaged_blobs())

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pce.asm import MachineProgram, Opcode
 from pce.control import ControlSession, ShotData
-from pce.errors import DecodeError, PceError
+from pce.errors import DecodeError, EncodeError, PceError
 from pce.rpc import (
     MAX_FRAME_BYTES,
     Ack,
@@ -99,6 +99,11 @@ class TestFraming:
             decoded, consumed = rpc_decode(frame)
             assert decoded == msg
             assert consumed == len(frame)
+
+    def test_bank_count_over_u16_is_an_encode_error(self):
+        msg = LoadParams(0, (np.zeros(70_000, dtype=np.uint32),))
+        with pytest.raises(EncodeError, match="70000 words do not fit"):
+            rpc_encode(msg)
 
     def test_truncated_frame(self):
         frame = rpc_encode(Run(7))
