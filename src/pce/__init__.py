@@ -19,7 +19,6 @@ from .circuits import (
     global_phase_distance,
     measure,
     param_request,
-    phases_equal_matrices,
     u3_decompose,
     u3_from_unitary,
     u3_matrix,

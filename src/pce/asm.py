@@ -32,7 +32,7 @@ from enum import IntEnum
 import numpy as np
 
 from .circuits import Circuit, GateKind
-from .errors import DecodeError, EncodeError, UnsupportedGateError, ValidationError
+from .errors import DecodeError, EncodeError, ValidationError
 from .rip import quantize_phases
 
 MACHINE_MAGIC = b"PCEM"
@@ -167,10 +167,7 @@ def compile_circuit(c: Circuit) -> AssemblyProgram:
     The columns are filled from the gate list with no object per op: the
     virtual-Z phases are quantized in one call onto the INC_PHASE rows."""
     gates = c.gates
-    try:
-        opcode = np.array([_GATE_TO_OPCODE[g.kind] for g in gates] + [Opcode.END], dtype=np.int64)
-    except KeyError as exc:
-        raise UnsupportedGateError(f"cannot compile gate kind {exc.args[0]!r}") from None
+    opcode = np.array([_GATE_TO_OPCODE[g.kind] for g in gates] + [Opcode.END], dtype=np.int64)
     channel = np.array([g.qubits[0] for g in gates] + [0], dtype=np.int64)
     channel2, imm = np.zeros_like(opcode), np.zeros_like(opcode)
     vz, two, wait = (
@@ -178,9 +175,6 @@ def compile_circuit(c: Circuit) -> AssemblyProgram:
         for op in (Opcode.INC_PHASE, Opcode.TWO_QUBIT, Opcode.DELAY)
     )
     imm[vz] = quantize_phases([gates[i].phase for i in vz])
-    for i in two:
-        if gates[i].two_qubit_name != "CZ":
-            raise UnsupportedGateError(f"no native lowering for {gates[i].two_qubit_name!r}")
     channel2[two] = [gates[i].qubits[1] for i in two]
     imm[wait] = [gates[i].duration_ns for i in wait]
     return AssemblyProgram(opcode, channel, channel2, imm, c.n_qubits, c.shots)

@@ -8,7 +8,7 @@ these are ours):
   matrix of a circuit is therefore ``U = M(gates[-1]) @ ... @ M(gates[0])``.
 * Qubit 0 is the most significant bit of a computational basis index, so the
   basis state ``|q0 q1 ... >`` has index ``q0*2^(n-1) + q1*2^(n-2) + ...``.
-* Unitaries are compared up to global phase; ``phases_equal_matrices`` aligns
+* Unitaries are compared up to global phase; ``global_phase_distance`` aligns
   the candidate pair before taking an elementwise max difference.
 """
 
@@ -30,36 +30,63 @@ CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 class GateKind(Enum):
+    """Native operations; each value is the gate's token in circuit text."""
+
     X90 = "X90"
     VIRTUAL_Z = "VZ"
-    TWO_QUBIT = "2Q"
+    TWO_QUBIT = "CZ"  # the only two-qubit gate
     MEASURE = "MEAS"
     DELAY = "DELAY"
     PARAM_REQUEST = "PREQ"
 
 
+# module names for the kinds Gate checks: a GateKind.<member> lookup costs far
+# more than a global one on this per-gate path
+_CZ, _VZ, _DELAY = GateKind.TWO_QUBIT, GateKind.VIRTUAL_Z, GateKind.DELAY
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """One native operation on one or two qubits.
+    """One native operation, valid by construction.
 
-    ``phase`` is meaningful only for VIRTUAL_Z, ``duration_ns`` only for
-    DELAY, and ``two_qubit_name`` only for TWO_QUBIT gates.
+    ``__post_init__`` is the one statement of the gate rules: ``kind`` is a
+    ``GateKind``; ``qubits`` is a tuple of int ids, two distinct ones for
+    TWO_QUBIT (CZ) and one for every other kind; ``phase`` is a Python float
+    in [0, 2*pi), never -0.0, on VIRTUAL_Z and zero elsewhere; ``duration_ns``
+    is a non-negative int on DELAY and zero elsewhere.  So a gate that builds
+    writes circuit text that reads back equal, and two gates that ``modify``
+    leaves are equal exactly when they compile to the same assembly row.
     """
 
     kind: GateKind
     qubits: tuple[int, ...]
     phase: float = 0.0
     duration_ns: int = 0
-    two_qubit_name: str = ""
 
     def __post_init__(self):
-        if self.kind is GateKind.TWO_QUBIT:
-            if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
-                raise ValidationError(f"two-qubit gate needs 2 distinct qubits, got {self.qubits}")
-        elif len(self.qubits) != 1:
-            raise ValidationError(f"{self.kind.value} gate needs exactly 1 qubit, got {self.qubits}")
-        if self.phase != 0.0 and self.kind is not GateKind.VIRTUAL_Z:
-            raise ValidationError(f"{self.kind.value} gate cannot carry a phase")
+        kind, qubits, phase, duration = self.kind, self.qubits, self.phase, self.duration_ns
+        if type(kind) is not GateKind:
+            raise ValidationError(f"gate kind must be a GateKind, got {kind!r}")
+        if kind is _CZ:
+            if (
+                type(qubits) is not tuple
+                or len(qubits) != 2
+                or not type(qubits[0]) is type(qubits[1]) is int
+                or qubits[0] == qubits[1]
+            ):
+                raise ValidationError(f"CZ gate needs 2 distinct qubits (int ids), got {qubits!r}")
+        elif type(qubits) is not tuple or len(qubits) != 1 or type(qubits[0]) is not int:
+            raise ValidationError(f"{kind.value} gate needs 1 qubit (an int id), got {qubits!r}")
+        if kind is _VZ:
+            if type(phase) is not float or not 0.0 <= phase < TAU or math.copysign(1.0, phase) < 0:
+                raise ValidationError(f"VZ phase must be a float in [0, 2*pi), got {phase!r}")
+        elif kind is _DELAY:
+            if type(duration) is not int or duration < 0:
+                raise ValidationError(f"DELAY duration must be a non-negative int, got {duration!r}")
+        if (phase != 0.0 and kind is not _VZ) or (duration != 0 and kind is not _DELAY):
+            raise ValidationError(
+                f"{kind.value} gate cannot carry phase {phase!r} or duration {duration!r}"
+            )
 
 
 def x90(q: int) -> Gate:
@@ -71,7 +98,7 @@ def vz(q: int, phase: float) -> Gate:
 
 
 def cz(a: int, b: int) -> Gate:
-    return Gate(GateKind.TWO_QUBIT, (a, b), two_qubit_name="CZ")
+    return Gate(GateKind.TWO_QUBIT, (a, b))
 
 
 def measure(q: int) -> Gate:
@@ -79,8 +106,6 @@ def measure(q: int) -> Gate:
 
 
 def delay(q: int, duration_ns: int) -> Gate:
-    if duration_ns < 0:
-        raise ValidationError(f"delay duration must be non-negative, got {duration_ns}")
     return Gate(GateKind.DELAY, (q,), duration_ns=int(duration_ns))
 
 
@@ -131,7 +156,7 @@ def canonical_phase(p: float) -> float:
     """Reduce an angle to the canonical interval [0, 2*pi)."""
     if not math.isfinite(p):
         raise ValidationError(f"phase must be finite, got {p}")
-    r = p % TAU
+    r = float(p) % TAU
     # p % TAU rounds to TAU itself for tiny negative p
     return 0.0 if r >= TAU else r
 
@@ -212,10 +237,6 @@ def global_phase_distance(U: np.ndarray, V: np.ndarray) -> float:
     return float(np.max(np.abs(U - (s / abs(s)) * V)))
 
 
-def phases_equal_matrices(U: np.ndarray, V: np.ndarray, atol: float = 1e-10) -> bool:
-    return global_phase_distance(U, V) <= atol
-
-
 def _apply_1q(U: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
     # contract the 2x2 onto axis q of U viewed as a (2,)*n x dim tensor
     dim = 1 << n
@@ -237,7 +258,7 @@ def _apply_cz(U: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 def circuit_unitary(c: Circuit, max_qubits: int = 10) -> np.ndarray:
     """Full-circuit unitary with gates applied in list order.
 
-    Supports X90, VIRTUAL_Z, TWO_QUBIT "CZ" and DELAY (identity); measurement
+    Supports X90, VIRTUAL_Z, TWO_QUBIT (CZ) and DELAY (identity); measurement
     and parameter-request gates have no unitary meaning here.
     """
     if c.n_qubits > max_qubits:
@@ -250,8 +271,6 @@ def circuit_unitary(c: Circuit, max_qubits: int = 10) -> np.ndarray:
         elif g.kind is GateKind.VIRTUAL_Z:
             U = _apply_1q(U, z_matrix(g.phase), g.qubits[0], n)
         elif g.kind is GateKind.TWO_QUBIT:
-            if g.two_qubit_name != "CZ":
-                raise UnsupportedGateError(f"unsupported two-qubit gate {g.two_qubit_name!r}")
             U = _apply_cz(U, g.qubits[0], g.qubits[1], n)
         elif g.kind is GateKind.DELAY:
             continue

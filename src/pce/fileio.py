@@ -50,15 +50,11 @@ def circuit_to_text(c: Circuit) -> str:
         elif g.kind is GateKind.VIRTUAL_Z:
             lines.append(f"VZ q{g.qubits[0]} {g.phase!r}")
         elif g.kind is GateKind.TWO_QUBIT:
-            lines.append(f"{g.two_qubit_name} q{g.qubits[0]} q{g.qubits[1]}")
-        elif g.kind is GateKind.MEASURE:
-            lines.append(f"MEAS q{g.qubits[0]}")
+            lines.append(f"CZ q{g.qubits[0]} q{g.qubits[1]}")
         elif g.kind is GateKind.DELAY:
             lines.append(f"DELAY q{g.qubits[0]} {g.duration_ns}")
-        elif g.kind is GateKind.PARAM_REQUEST:
-            lines.append(f"PREQ q{g.qubits[0]}")
-        else:
-            raise ConfigError(f"cannot serialize gate kind {g.kind!r}")
+        else:  # MEAS, PREQ: the kind's token and its qubit
+            lines.append(f"{g.kind.value} q{g.qubits[0]}")
     return "\n".join(lines) + "\n"
 
 

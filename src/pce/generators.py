@@ -94,7 +94,7 @@ class Label(NamedTuple):
 class BatchSpec:
     """Configuration for one generated batch.
 
-    ``depths`` may be a single list (shared by every width) or one list per
+    ``depths`` holds one list of depths shared by every width, or one list per
     width.  ``randomizations`` is the circuit count per (width, depth); CB
     additionally accepts one count per width.
     """
@@ -122,13 +122,9 @@ class BatchSpec:
             if self.kind == "CB" and len(w) % 2:
                 raise ConfigError(f"CB width {w} must pair all qubits (even size)")
         object.__setattr__(self, "widths", widths)
-        depths = self.depths
-        if depths and isinstance(depths[0], int):
-            depths = (tuple(depths),) * len(widths)
-        else:
-            depths = tuple(tuple(int(d) for d in d_list) for d_list in depths)
-            if len(depths) == 1:
-                depths = depths * len(widths)
+        depths = tuple(tuple(int(d) for d in d_list) for d_list in self.depths)
+        if len(depths) == 1:
+            depths = depths * len(widths)
         if len(depths) != len(widths):
             raise ConfigError(f"{len(depths)} depth lists for {len(widths)} widths")
         for d_list in depths:
@@ -177,10 +173,6 @@ class CircuitBatch:
 
     def __len__(self) -> int:
         return len(self.circuits)
-
-    @property
-    def n_qubits(self) -> int:
-        return max((c.n_qubits for c in self.circuits), default=0)
 
 
 @dataclass(frozen=True)
@@ -270,8 +262,6 @@ def gen_read_circuits(width: tuple[int, ...], shots: int = 100) -> tuple[Circuit
 
 
 def iter_rb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
-    if spec.kind != "RB":
-        raise ConfigError(f"iter_rb needs an RB spec, got {spec.kind}")
     for wi, width in enumerate(spec.widths):
         for di, depth in enumerate(spec.depths[wi]):
             for r in range(spec.rand_for(wi)):
@@ -309,8 +299,6 @@ def _cb_circuit(width: tuple[int, ...], depth: int, shots: int, rng: np.random.G
 
 
 def iter_cb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
-    if spec.kind != "CB":
-        raise ConfigError(f"iter_cb needs a CB spec, got {spec.kind}")
     for wi, width in enumerate(spec.widths):
         for di, depth in enumerate(spec.depths[wi]):
             for r in range(spec.rand_for(wi)):
@@ -345,8 +333,6 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
         if seen_measure:
             raise ConfigError("base circuit has gates after measurement")
         if g.kind is GateKind.TWO_QUBIT:
-            if g.two_qubit_name != "CZ":
-                raise ConfigError(f"dressing supports CZ layers only, got {g.two_qubit_name!r}")
             a, b = g.qubits
             if not in_hard:
                 hard.append([])
@@ -375,13 +361,13 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
     )
 
 
-def _dress(layers: _LayeredBase, rng: np.random.Generator | None) -> Circuit:
+def _dress(layers: _LayeredBase, rng: np.random.Generator) -> Circuit:
     """Twirl every easy layer with random Paulis and fold in the corrections."""
     gates: list[Gate] = []
     corr = {q: "I" for q in layers.active}
     last = len(layers.easy) - 1
     for k, easy in enumerate(layers.easy):
-        if k < last and rng is not None:
+        if k < last:
             draws = rng.integers(0, 4, size=len(layers.active))
             twirl = {q: PAULI_NAMES[int(d)] for q, d in zip(layers.active, draws)}
         else:
@@ -406,7 +392,6 @@ def gen_rc(
     base: Circuit,
     n_rand: int,
     seed: int,
-    identity_twirl: bool = False,
     stream: tuple[int, ...] = (),
 ) -> CircuitBatch:
     """Generate ``n_rand`` logically-equivalent dressings of a layered base circuit."""
@@ -416,8 +401,7 @@ def gen_rc(
     circuits = []
     labels = []
     for r in range(n_rand):
-        rng = None if identity_twirl else _rng(seed, _STREAM_RC, *stream, r)
-        circuits.append(_dress(layers, rng))
+        circuits.append(_dress(layers, _rng(seed, _STREAM_RC, *stream, r)))
         labels.append(Label(layers.active, len(layers.hard), r, "rc"))
     return CircuitBatch(tuple(circuits), tuple(labels))
 
@@ -440,8 +424,6 @@ def gen_random_base(
 
 
 def iter_rc(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
-    if spec.kind not in ("RC", "FRC"):
-        raise ConfigError(f"iter_rc needs an RC/FRC spec, got {spec.kind}")
     for wi, width in enumerate(spec.widths):
         for di, depth in enumerate(spec.depths[wi]):
             base = gen_random_base(width, depth, _rng(spec.seed, _STREAM_BASE, wi, di), spec.shots)

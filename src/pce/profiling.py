@@ -167,8 +167,12 @@ def report(record: ProfileRecord, meta: dict | None = None) -> str:
 
 
 def _fill(stages: dict[str, list[int]], d: dict, name: str) -> None:
-    """Enter a stage subtree, rejecting an unknown, misplaced or repeated child."""
-    stages[name] = [int(d["ns"]), int(d["iterations"])]
+    """Enter a stage subtree, rejecting a negative count or an unknown,
+    misplaced or repeated child."""
+    ns, iters = int(d["ns"]), int(d["iterations"])
+    if ns < 0 or iters < 0:
+        raise IncompleteRecordError(f"stage {name!r} has {ns} ns over {iters} iterations")
+    stages[name] = [ns, iters]
     for child in d["children"]:
         child_name = child["name"]
         if child_name not in STAGE_NAMES:
@@ -281,8 +285,10 @@ class SpeedupTable:
 def compare(baseline: ProfileRecord, pce: ProfileRecord) -> SpeedupTable:
     """Per-stage ratios plus the classical-time summary (classical = Total - Start Run)."""
     for label, rec in (("baseline", baseline), ("pce", pce)):
-        if rec.iterations(ROOT_STAGE) == 0:
-            raise IncompleteRecordError(f"{label} record has no completed {ROOT_STAGE!r} stage")
+        if rec.iterations(ROOT_STAGE) == 0 or rec.duration_ns(ROOT_STAGE) == 0:
+            raise IncompleteRecordError(
+                f"{label} record has no completed, timed {ROOT_STAGE!r} stage"
+            )
     rows = tuple(
         StageRow(
             n, baseline.duration_ns(n), pce.duration_ns(n), baseline.iterations(n), pce.iterations(n)

@@ -169,8 +169,6 @@ def _encode_payload(msg) -> tuple[MsgType, bytes]:
             + frq.tobytes(),
         )
     if isinstance(msg, Run):
-        if not 0 <= msg.shots <= 0xFFFFFFFF:
-            raise EncodeError(f"shot count {msg.shots} does not fit 0..{0xFFFFFFFF}")
         return MsgType.RUN, struct.pack("<I", msg.shots)
     if isinstance(msg, GetData):
         return MsgType.GET_DATA, b""
@@ -190,7 +188,11 @@ def _encode_payload(msg) -> tuple[MsgType, bytes]:
 
 
 def rpc_encode(msg) -> bytes:
-    mtype, payload = _encode_payload(msg)
+    """One frame for ``msg``; a field too wide for its wire slot is an ``EncodeError``."""
+    try:
+        mtype, payload = _encode_payload(msg)
+    except struct.error as exc:
+        raise EncodeError(f"{type(msg).__name__} does not fit its frame: {exc}") from None
     return struct.pack("<IH", 2 + len(payload), int(mtype)) + payload
 
 

@@ -22,8 +22,6 @@ from pce.asm import (
 from pce.circuits import (
     TAU,
     Circuit,
-    Gate,
-    GateKind,
     U3Params,
     cz,
     delay,
@@ -34,7 +32,7 @@ from pce.circuits import (
     x90,
 )
 from pce.control import ParameterMemory, execute
-from pce.errors import DecodeError, EncodeError, UnsupportedGateError, ValidationError
+from pce.errors import DecodeError, EncodeError, ValidationError
 from pce.generators import gen_batch
 from pce.rip import modify, quantize_phases
 from tests.test_rip import BATCH_SPECS
@@ -53,14 +51,10 @@ def _reference_compile_circuit(c: Circuit) -> AssemblyProgram:
     """Test-only oracle: the per-gate compiler, one row and one quantize call per gate."""
     rows = []
     for g in c.gates:
-        opcode = _GATE_TO_OPCODE.get(g.kind)
-        if opcode is None:
-            raise UnsupportedGateError(f"cannot compile gate kind {g.kind!r}")
+        opcode = _GATE_TO_OPCODE[g.kind]
         if opcode is Opcode.INC_PHASE:
             rows.append((opcode, g.qubits[0], 0, int(quantize_phases([g.phase])[0])))
         elif opcode is Opcode.TWO_QUBIT:
-            if g.two_qubit_name != "CZ":
-                raise UnsupportedGateError(f"no native lowering for {g.two_qubit_name!r}")
             rows.append((opcode, g.qubits[0], g.qubits[1]))
         elif opcode is Opcode.DELAY:
             rows.append((opcode, g.qubits[0], 0, g.duration_ns))
@@ -151,14 +145,15 @@ raw_phases = st.one_of(
 
 @st.composite
 def phase_circuits(draw):
-    """A circuit of raw (uncanonicalized) VZ phases among other gates; may have no VZ."""
+    """A circuit of VZ gates built from raw (uncanonicalized) angles among other
+    gates; may have no VZ."""
     n_qubits = draw(st.integers(1, 3))
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         q = draw(st.integers(0, n_qubits - 1))
         kind = draw(st.sampled_from(("vz", "vz", "x90", "delay", "preq", "cz")))
         if kind == "vz":
-            gates.append(Gate(GateKind.VIRTUAL_Z, (q,), phase=draw(raw_phases)))
+            gates.append(vz(q, draw(raw_phases)))
         elif kind == "x90":
             gates.append(x90(q))
         elif kind == "delay":
@@ -237,13 +232,6 @@ class TestCompile:
         assert np.array_equal(mod.imm, np.where(phase_rows, 0, base.imm))
         assert np.array_equal(mod.channel, base.channel)
         assert np.array_equal(mod.channel2, base.channel2)
-
-    def test_non_cz_two_qubit_rejected(self):
-        from pce.circuits import Gate, GateKind
-
-        c = Circuit((Gate(GateKind.TWO_QUBIT, (0, 1), two_qubit_name="ISWAP"),), n_qubits=2)
-        with pytest.raises(UnsupportedGateError):
-            compile_circuit(c)
 
     def test_param_request_and_delay(self):
         c = Circuit((param_request(0), delay(0, 120)), n_qubits=1)

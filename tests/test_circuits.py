@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from pce.circuits import (
     TAU,
@@ -18,10 +19,11 @@ from pce.circuits import (
     delay,
     global_phase_distance,
     measure,
-    phases_equal_matrices,
+    param_request,
     u3_decompose,
     u3_from_unitary,
     u3_matrix,
+    vz,
     x90,
     z_matrix,
 )
@@ -41,6 +43,55 @@ def u3_matrix_oracle(params: U3Params) -> np.ndarray:
         @ x
         @ z(params.lam - np.pi / 2)
     )
+
+
+# angles a builder must canonicalize: signs, zeros, exact turns, huge and tiny values
+EDGE_ANGLES = (0.0, -0.0, TAU, -TAU, 3 * TAU, TAU - 1e-15, -1e-300, 5e-324, math.pi, 1e300, -1e300)
+builder_angles = st.one_of(
+    st.sampled_from(EDGE_ANGLES),
+    st.floats(allow_nan=False, allow_infinity=False),
+).flatmap(lambda a: st.sampled_from((a, np.float64(a))))
+
+
+@st.composite
+def gates_that_build(draw, n_qubits: int) -> Gate:
+    """A gate on ``0..n_qubits - 1``: built directly from drawn fields when the
+    rules accept them, else through its builder from raw numpy or edge values."""
+    q = draw(st.integers(0, n_qubits - 1))
+    kind = draw(st.sampled_from(list(GateKind)))
+    if kind is GateKind.TWO_QUBIT and n_qubits == 1:
+        kind = GateKind.X90
+    qubits = (q, (q + 1) % n_qubits) if kind is GateKind.TWO_QUBIT else (q,)
+    if draw(st.booleans()):
+        phase = draw(st.sampled_from((0.0, -0.0, 0.5, 7.0, np.float64(0.5))))
+        duration = draw(st.sampled_from((0, 5, -4, 1.5)))
+        try:
+            return Gate(kind, qubits, phase, duration)
+        except ValidationError:
+            pass
+    if kind is GateKind.VIRTUAL_Z:
+        return vz(q, draw(builder_angles))
+    if kind is GateKind.DELAY:
+        ns = draw(st.integers(0, 2**32 - 1))
+        return delay(q, draw(st.sampled_from((ns, np.int64(ns), float(ns)))))
+    if kind is GateKind.TWO_QUBIT:
+        return cz(*qubits)
+    builders = {GateKind.X90: x90, GateKind.MEASURE: measure, GateKind.PARAM_REQUEST: param_request}
+    return builders[kind](q)
+
+
+@st.composite
+def circuits_that_build(draw, max_qubits: int = 3, max_gates: int = 14) -> Circuit:
+    """A circuit of ``gates_that_build``, dropping each gate on a measured qubit."""
+    n_qubits = draw(st.integers(1, max_qubits))
+    gates, measured = [], set()
+    for _ in range(draw(st.integers(0, max_gates))):
+        g = draw(gates_that_build(n_qubits))
+        if measured.isdisjoint(g.qubits):
+            gates.append(g)
+            if g.kind is GateKind.MEASURE:
+                measured.add(g.qubits[0])
+    return Circuit(tuple(gates), n_qubits, shots=draw(st.integers(1, 3)))
 
 
 class TestCanonicalPhase:
@@ -71,9 +122,9 @@ class TestCanonicalPhase:
 class TestGateAndCircuitInvariants:
     def test_two_qubit_needs_distinct_pair(self):
         with pytest.raises(ValidationError):
-            Gate(GateKind.TWO_QUBIT, (1, 1), two_qubit_name="CZ")
+            cz(1, 1)
         with pytest.raises(ValidationError):
-            Gate(GateKind.TWO_QUBIT, (1,), two_qubit_name="CZ")
+            Gate(GateKind.TWO_QUBIT, (1,))
 
     def test_single_qubit_kinds_need_one_qubit(self):
         with pytest.raises(ValidationError):
@@ -82,6 +133,41 @@ class TestGateAndCircuitInvariants:
     def test_phase_only_on_virtual_z(self):
         with pytest.raises(ValidationError):
             Gate(GateKind.X90, (0,), phase=0.5)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Gate("X90", (0,)),
+            lambda: Gate(GateKind.X90, [0]),
+            lambda: Gate(GateKind.X90, (0.0,)),
+            lambda: Gate(GateKind.TWO_QUBIT, (0, np.int64(1))),
+            lambda: Gate(GateKind.X90, (0,), duration_ns=5),
+            lambda: Gate(GateKind.VIRTUAL_Z, (0,), phase=7.0),
+            lambda: Gate(GateKind.VIRTUAL_Z, (0,), phase=-0.5),
+            lambda: Gate(GateKind.VIRTUAL_Z, (0,), phase=-0.0),
+            lambda: Gate(GateKind.VIRTUAL_Z, (0,), phase=np.float64(1.0)),
+            lambda: Gate(GateKind.VIRTUAL_Z, (0,), phase=1),
+            lambda: Gate(GateKind.DELAY, (0,), duration_ns=-4),
+            lambda: Gate(GateKind.DELAY, (0,), duration_ns=1.5),
+            lambda: Gate(GateKind.DELAY, (0,), duration_ns=np.int64(8)),
+            lambda: delay(0, -4),
+        ],
+        ids=[
+            "kind-not-gatekind", "qubits-list", "qubit-float", "qubit-numpy", "duration-on-x90",
+            "phase-above-tau", "phase-negative", "phase-minus-zero", "phase-numpy", "phase-int",
+            "duration-negative", "duration-float", "duration-numpy", "delay-builder-negative",
+        ],
+    )
+    def test_malformed_gate_refused(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+    def test_builders_canonicalize_into_the_rules(self):
+        g = vz(0, np.float64(-math.pi / 2))
+        assert type(g.phase) is float and g.phase == 3 * math.pi / 2
+        assert vz(0, -0.0).phase == 0.0 and math.copysign(1.0, vz(0, -0.0).phase) == 1.0
+        assert delay(0, np.int64(40)) == Gate(GateKind.DELAY, (0,), duration_ns=40)
+        assert type(canonical_phase(np.float64(7.0))) is float
 
     def test_qubits_must_fit_circuit(self):
         with pytest.raises(ValidationError):
@@ -124,7 +210,7 @@ class TestU3:
     def test_theta_periodicity_up_to_phase(self):
         p1 = U3Params(0.4, 0.9, 1.3)
         p2 = U3Params(0.4, 0.9 + TAU, 1.3)
-        assert phases_equal_matrices(u3_matrix(p1), u3_matrix(p2), atol=1e-10)
+        assert global_phase_distance(u3_matrix(p1), u3_matrix(p2)) <= 1e-10
 
     def test_decompose_product_matches_matrix(self):
         rng = np.random.default_rng(3)
@@ -141,16 +227,16 @@ class TestU3:
 class TestU3FromUnitary:
     def test_identity(self):
         p = u3_from_unitary(np.eye(2, dtype=complex))
-        assert phases_equal_matrices(u3_matrix(p), np.eye(2), atol=1e-10)
+        assert global_phase_distance(u3_matrix(p), np.eye(2)) <= 1e-10
 
     def test_round_trip(self):
         p0 = U3Params(0.5, 1.2, 2.2)
         p = u3_from_unitary(u3_matrix(p0))
-        assert phases_equal_matrices(u3_matrix(p), u3_matrix(p0), atol=1e-10)
+        assert global_phase_distance(u3_matrix(p), u3_matrix(p0)) <= 1e-10
 
     def test_x_pauli(self):
         p = u3_from_unitary(X_PAULI)
-        assert phases_equal_matrices(u3_matrix(p), X_PAULI, atol=1e-10)
+        assert global_phase_distance(u3_matrix(p), X_PAULI) <= 1e-10
 
     def test_random_unitaries_round_trip(self):
         rng = np.random.default_rng(5)

@@ -35,6 +35,13 @@ def duplicate_compile_stage(text):
     return json.dumps(doc)
 
 
+def with_root(text, **fields):
+    """A profile report whose Total stage has the given fields replaced."""
+    doc = json.loads(text)
+    doc["stages"].update(fields)
+    return json.dumps(doc)
+
+
 def tree_bytes(root, subdirs=("traces", "shotdata"), files=("manifest.txt",)):
     snapshot = {}
     for name in files:
@@ -471,8 +478,14 @@ class TestVerifyAndCompare:
             (lambda t: json.dumps({**json.loads(t), "meta": ["mode"]}), "meta"),
             (lambda t: t.replace('"Get data"', '"Get circuit"'), "'Get circuit' under 'Run Batch'"),
             (duplicate_compile_stage, "'Compile' listed twice under 'Build Run'"),
+            (lambda t: with_root(t, ns=0), "pce record has no completed, timed 'Total'"),
+            (lambda t: with_root(t, ns=-5), "stage 'Total' has -5 ns"),
+            (lambda t: with_root(t, iterations=-1), "over -1 iterations"),
         ],
-        ids=["unknown-stage", "meta-not-object", "misplaced-stage", "duplicate-stage"],
+        ids=[
+            "unknown-stage", "meta-not-object", "misplaced-stage", "duplicate-stage",
+            "zero-ns-total", "negative-ns", "negative-iterations",
+        ],
     )
     def test_compare_damaged_report_exits_2(self, batch_dir, tmp_path, capsys, damage, named):
         rc = main(

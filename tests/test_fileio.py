@@ -3,7 +3,9 @@
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pce.circuits import Circuit, Gate, cz, delay, measure, param_request, vz, x90
 from pce.errors import ConfigError, DecodeError, ValidationError
@@ -15,7 +17,8 @@ from pce.fileio import (
     read_batch,
     write_batch,
 )
-from pce.generators import BatchSpec, gen_batch
+from pce.generators import BatchSpec, gen_batch, gen_random_base
+from tests.test_circuits import circuits_that_build
 
 
 def _reference_qubit(token: str, line_no: int) -> int:
@@ -100,6 +103,18 @@ class TestCircuitText:
         c = sample_circuit()
         text = circuit_to_text(c)
         assert circuit_to_text(circuit_from_text(text)) == text
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(circuits_that_build())
+    def test_every_circuit_that_builds_reads_back_equal(self, c):
+        text = circuit_to_text(c)
+        back = circuit_from_text(text)
+        assert back == c
+        assert circuit_to_text(back) == text
+
+    def test_random_base_reads_back(self):
+        base = gen_random_base((0, 1), 2, np.random.default_rng(4))
+        assert circuit_from_text(circuit_to_text(base)) == base
 
     def test_comments_and_blank_lines(self):
         text = "# header comment\nqubits 1 shots 5\n\nX90 q0  # inline\n"

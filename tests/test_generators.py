@@ -8,7 +8,6 @@ from pce.circuits import (
     GateKind,
     circuit_unitary,
     global_phase_distance,
-    phases_equal_matrices,
     u3_matrix,
 )
 from pce.errors import ConfigError
@@ -46,7 +45,7 @@ class TestPauliParams:
         [("I", np.eye(2)), ("X", X_PAULI), ("Y", Y_PAULI), ("Z", Z_PAULI)],
     )
     def test_params_reproduce_paulis(self, name, matrix):
-        assert phases_equal_matrices(u3_matrix(PAULI_PARAMS[name]), matrix, atol=1e-12)
+        assert global_phase_distance(u3_matrix(PAULI_PARAMS[name]), matrix) <= 1e-12
 
 
 class TestCliffordTable:
@@ -55,7 +54,7 @@ class TestCliffordTable:
 
     def test_entry_zero_is_identity(self):
         table = clifford_table()
-        assert phases_equal_matrices(table.matrices[0], np.eye(2), atol=1e-9)
+        assert global_phase_distance(table.matrices[0], np.eye(2)) <= 1e-9
 
     def test_entries_distinct_up_to_phase(self):
         table = clifford_table()
@@ -219,14 +218,6 @@ class TestRc:
         batch = gen_rc(base, n_rand=8, seed=17)
         for c in batch.circuits:
             assert global_phase_distance(circuit_unitary(strip_measures(c)), base_u) < 1e-9
-
-    def test_identity_twirl_reproduces_lowered_base(self):
-        base = self.make_base()
-        once = gen_rc(base, n_rand=1, seed=0, identity_twirl=True).circuits[0]
-        again = gen_rc(base, n_rand=1, seed=123, identity_twirl=True).circuits[0]
-        assert once == again
-        base_u = circuit_unitary(strip_measures(base))
-        assert global_phase_distance(circuit_unitary(strip_measures(once)), base_u) < 1e-9
 
     def test_three_qubit_base_with_idle_qubit_in_hard_layer(self):
         base = self.make_base(width=(0, 1, 2), cycles=2)

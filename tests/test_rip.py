@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pce.asm import assemble, compile_circuit
 from pce.circuits import (
     TAU,
     Circuit,
@@ -43,6 +44,7 @@ from pce.rip import (
     rip,
 )
 from pce.verify import check_trace_equivalence, verify_batch
+from tests.test_circuits import circuits_that_build
 
 
 def batch_of(*circuits) -> CircuitBatch:
@@ -276,6 +278,22 @@ class TestSameProgram:
         assert identify(circuits) == identify_bruteforce(circuits)
         check = check_trace_equivalence(batch_of(*circuits))
         assert check.ok, check.detail
+
+
+class TestGroupIsOneProgram:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(circuits_that_build(max_qubits=2, max_gates=3), min_size=1, max_size=8))
+    def test_groups_are_exactly_the_equal_programs(self, circuits):
+        programs = [assemble(compile_circuit(modify(c))) for c in circuits]
+        groups: list[list[int]] = []
+        for i, m in enumerate(programs):
+            for g in groups:
+                if programs[g[0]] == m:
+                    g.append(i)
+                    break
+            else:
+                groups.append([i])
+        assert identify(circuits).groups == tuple(tuple(g) for g in groups)
 
 
 class TestPeelModify:

@@ -105,6 +105,39 @@ class TestFraming:
         with pytest.raises(EncodeError, match="70000 words do not fit"):
             rpc_encode(msg)
 
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            LoadParams(-1, ()),
+            LoadParams(2**32, ()),
+            LoadParams(0, (np.zeros(0, dtype=np.uint32),) * 70_000),
+            LoadCircuit(-1, small_program()),
+            Data(ShotData(tuple(range(70_000)), np.zeros((1, 70_000), dtype=np.uint8))),
+            Data(ShotData((70_000,), np.zeros((1, 1), dtype=np.uint8))),
+            ErrorMsg(-1, "boom"),
+            Run(-1),
+        ],
+        ids=[
+            "params-index-negative", "params-index-2^32", "params-70000-banks",
+            "circuit-index-negative", "data-70000-qubits", "data-qubit-70000",
+            "error-code-negative", "run-shots-negative",
+        ],
+    )
+    def test_field_too_wide_is_an_encode_error_naming_the_message(self, msg):
+        with pytest.raises(EncodeError, match=f"^{type(msg).__name__} does not fit its frame"):
+            rpc_encode(msg)
+
+    def test_widest_fields_still_round_trip(self):
+        for msg in (
+            LoadParams(2**32 - 1, (np.zeros(0, dtype=np.uint32),) * 3),
+            LoadCircuit(2**32 - 1, small_program()),
+            Data(ShotData((0, 65_535), np.ones((2, 2), dtype=np.uint8))),
+            ErrorMsg(65_535, "boom"),
+            Run(2**32 - 1),
+        ):
+            frame = rpc_encode(msg)
+            assert rpc_decode(frame) == (msg, len(frame))
+
     def test_truncated_frame(self):
         frame = rpc_encode(Run(7))
         for cut in (1, 3, 5, len(frame) - 1):
