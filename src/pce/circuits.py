@@ -26,7 +26,6 @@ from .errors import UnsupportedGateError, ValidationError
 TAU = 2.0 * math.pi
 
 X90_MATRIX = np.array([[1.0, -1.0j], [-1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
-CZ_MATRIX = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 
 
 class GateKind(Enum):
@@ -40,9 +39,10 @@ class GateKind(Enum):
     PARAM_REQUEST = "PREQ"
 
 
-# module names for the kinds Gate checks: a GateKind.<member> lookup costs far
-# more than a global one on this per-gate path
-_CZ, _VZ, _DELAY = GateKind.TWO_QUBIT, GateKind.VIRTUAL_Z, GateKind.DELAY
+# module names for the kinds, read by the per-gate paths here and in fileio, rip,
+# generators and verify: a GateKind.<member> lookup costs far more than a global
+_X90, _VZ, _CZ, _MEASURE = GateKind.X90, GateKind.VIRTUAL_Z, GateKind.TWO_QUBIT, GateKind.MEASURE
+_DELAY, _PREQ = GateKind.DELAY, GateKind.PARAM_REQUEST
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,27 +90,27 @@ class Gate:
 
 
 def x90(q: int) -> Gate:
-    return Gate(GateKind.X90, (q,))
+    return Gate(_X90, (q,))
 
 
 def vz(q: int, phase: float) -> Gate:
-    return Gate(GateKind.VIRTUAL_Z, (q,), phase=canonical_phase(phase))
+    return Gate(_VZ, (q,), phase=canonical_phase(phase))
 
 
 def cz(a: int, b: int) -> Gate:
-    return Gate(GateKind.TWO_QUBIT, (a, b))
+    return Gate(_CZ, (a, b))
 
 
 def measure(q: int) -> Gate:
-    return Gate(GateKind.MEASURE, (q,))
+    return Gate(_MEASURE, (q,))
 
 
 def delay(q: int, duration_ns: int) -> Gate:
-    return Gate(GateKind.DELAY, (q,), duration_ns=int(duration_ns))
+    return Gate(_DELAY, (q,), duration_ns=int(duration_ns))
 
 
 def param_request(q: int) -> Gate:
-    return Gate(GateKind.PARAM_REQUEST, (q,))
+    return Gate(_PREQ, (q,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,7 +134,7 @@ class Circuit:
                     raise ValidationError(f"gate {g} touches qubit {q} outside 0..{self.n_qubits - 1}")
                 if measured >> q & 1:
                     raise ValidationError(f"qubit {q} is used after its measurement")
-            if g.kind is GateKind.MEASURE:
+            if g.kind is _MEASURE:
                 measured |= 1 << g.qubits[0]
 
 

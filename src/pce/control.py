@@ -10,21 +10,24 @@ accumulator.  Because both sides work on the same quantized words, a directly
 compiled circuit and its stitched representative produce bit-identical traces.
 
 A ``MachineProgram`` obeys the word rules by construction, so the executor
-checks no word: its only runtime fault is a parameter underflow.
+checks no word: its only runtime fault is a parameter underflow, which
+``kernels.run_program`` raises as ``UnderflowError(bank, shot, op)``.
 
 Timing model: every instruction costs 2 cycles to issue (500 MHz, so 4 ns;
 prefetch means a parameter request costs the same as a local phase update).
-Physical durations are per-channel and fixed: X90 16 ns, CZ 100 ns (with the
-two channels synchronized), MEASURE 500 ns, DELAY as written; the
-passive-reset gap between shots is configurable (default 500 ns).
+Physical durations are per-channel and fixed, stated in ``kernels``: X90
+16 ns, CZ 100 ns (with the two channels synchronized), MEASURE 500 ns, DELAY
+as written; the passive-reset gap between shots is configurable (default
+500 ns).
 
 Measurement bits are sampled noiselessly from the executed pulse trace via a
-small state-vector computation for up to 4 qubits (per-shot seeded sampler);
-wider programs run trace-only with all bits zero.  The sampler builds each
-shot's X90 matrices in one batch and applies one ``np.dot`` per pulse; its
-probabilities are bit-exact to the per-event reference, which builds every
-matrix from its own phase and contracts it into the state tensor one event at
-a time (kept in the tests as ``_reference_distribution``).
+small state-vector computation for up to 4 qubits (per-shot seeded sampler,
+one distribution per distinct phase row); wider programs run trace-only with
+all bits zero.  The sampler builds each shot's X90 matrices in one batch and
+applies one ``np.dot`` per pulse; its probabilities are bit-exact to the
+per-event reference, which builds every matrix from its own phase and
+contracts it into the state tensor one event at a time (kept in the tests as
+``_reference_distribution``).
 """
 
 from __future__ import annotations
@@ -51,17 +54,8 @@ N_BANKS = 8
 CYCLE_NS = 2  # 500 MHz clock
 REQUEST_LATENCY_CYCLES = 2  # prefetch always hits: 4 ns per request
 
-X90_NS, CZ_NS, MEASURE_NS = 16, 100, 500  # fixed pulse durations
-
 ENVELOPE_CAPACITY = 4096
 FREQ_CAPACITY = 64
-
-EVENT_KIND_NAMES = {
-    kernels.EV_X90: "X90",
-    kernels.EV_CZ: "CZ",
-    kernels.EV_MEASURE: "MEASURE",
-    kernels.EV_DELAY: "DELAY",
-}
 
 
 @dataclass(frozen=True)
@@ -71,6 +65,11 @@ class TimingConfig:
     def __post_init__(self):
         if self.reset_ns < 0:
             raise ConfigError(f"reset gap must be non-negative, got {self.reset_ns} ns")
+
+
+def _check_width(n_qubits: int) -> None:
+    if n_qubits > N_BANKS:
+        raise ValidationError(f"{n_qubits} qubits exceed the {N_BANKS}-bank design")
 
 
 def _fit_bank(bank: int, words) -> np.ndarray:
@@ -142,7 +141,7 @@ class PulseTrace:
         return "".join(
             [
                 f"t={t} ch={ch if ch2 < 0 else f'{ch},{ch2}'} "
-                f"kind={EVENT_KIND_NAMES[kind]} phase=0x{phase:08x}\n"
+                f"kind={kernels.EVENT_KIND_NAMES[kind]} phase=0x{phase:08x}\n"
                 for t, ch, ch2, kind, phase in columns
             ]
         )
@@ -222,17 +221,17 @@ def _trace_shot_distribution(
     measured: list[int] = []
     for i, kind in enumerate(kinds):
         ch = channels[i]
-        if kind == kernels.EV_X90:
+        if kind == kernels.OP_PULSE_X90:
             T = state.reshape(shape).transpose(fronts[ch]).reshape(2, -1)
             state = np.dot(mats[i], T).reshape(shape).transpose(backs[ch]).reshape(-1)
-        elif kind == kernels.EV_CZ:
+        elif kind == kernels.OP_TWO_QUBIT:
             T = state.reshape(shape)
             idx: list = [slice(None)] * n
             idx[ch] = 1
             idx[channels2[i]] = 1
             T[tuple(idx)] *= -1.0
             state = T.reshape(-1)
-        elif kind == kernels.EV_MEASURE:
+        elif kind == kernels.OP_MEASURE:
             measured.append(ch)
     probs = np.abs(state) ** 2
     return probs, tuple(sorted(measured))
@@ -241,29 +240,17 @@ def _trace_shot_distribution(
 def _sample_bits(
     trace: PulseTrace, n_qubits: int, shots: int, seed: int, circuit_index: int
 ) -> ShotData:
-    if trace.events_per_shot == 0 or not np.any(trace.kinds == kernels.EV_MEASURE):
-        return ShotData((), np.zeros((shots, 0), dtype=np.uint8))
-    if n_qubits > 4:
-        # trace-only mode: report deterministic zeros
-        k = trace.events_per_shot
-        measured = tuple(
-            sorted(
-                int(c)
-                for c in np.unique(trace.channels[:k][trace.kinds[:k] == kernels.EV_MEASURE])
-            )
-        )
-        return ShotData(measured, np.zeros((shots, len(measured)), dtype=np.uint8))
     k = trace.events_per_shot
-    base_phases = trace.phases[:k]
-    probs0, measured = _trace_shot_distribution(trace, 0, n_qubits)
-    cum0 = np.cumsum(probs0)
+    measured = tuple(sorted(trace.channels[:k][trace.kinds[:k] == kernels.OP_MEASURE].tolist()))
     bits = np.zeros((shots, len(measured)), dtype=np.uint8)
-    for s in range(shots):
-        if s == 0 or np.array_equal(trace.phases[s * k : (s + 1) * k], base_phases):
-            cum = cum0
-        else:
-            probs, _ = _trace_shot_distribution(trace, s, n_qubits)
-            cum = np.cumsum(probs)
+    if n_qubits > 4 or not measured:
+        return ShotData(measured, bits)  # trace-only mode: deterministic zeros
+    cums: dict[bytes, np.ndarray] = {}  # one distribution per distinct phase row
+    for s, row in enumerate(trace.phases.reshape(shots, k)):
+        key = row.tobytes()
+        cum = cums.get(key)
+        if cum is None:
+            cum = cums[key] = np.cumsum(_trace_shot_distribution(trace, s, n_qubits)[0])
         r = np.random.default_rng((seed, circuit_index, s)).random()
         idx = int(np.searchsorted(cum, r * cum[-1], side="right"))
         idx = min(idx, (1 << n_qubits) - 1)
@@ -291,42 +278,13 @@ def execute(
         raise ValidationError("shots must be positive")
     if memory is None:
         memory = ParameterMemory()
-    words = program.words  # read-only uint64, valid by construction
-    if n_qubits > N_BANKS:
-        ops = (words >> np.uint64(56)).astype(np.int64)
-        req_ch = (words[ops == kernels.OP_REQ_PARAM] >> np.uint64(48)) & np.uint64(0xFF)
-        if req_ch.size and int(req_ch.max()) >= N_BANKS:
-            raise ValidationError(
-                f"parameter request on qubit {int(req_ch.max())}, only {N_BANKS} banks exist"
-            )
-    n_emit = kernels.count_emitting_ops(words)
-    total = n_emit * shots
-    ev_time = np.zeros(total, dtype=np.int64)
-    ev_ch = np.zeros(total, dtype=np.int16)
-    ev_ch2 = np.zeros(total, dtype=np.int16)
-    ev_kind = np.zeros(total, dtype=np.uint8)
-    ev_phase = np.zeros(total, dtype=np.uint32)
-    served = np.zeros(N_BANKS, dtype=np.int64)
-    status, err_shot, err_op, err_core, _, cycles, final_clock = kernels.run_program(
-        words,
-        n_qubits,
-        shots,
-        memory.banks,
-        memory.counts,
-        X90_NS,
-        CZ_NS,
-        MEASURE_NS,
-        timing.reset_ns,
-        ev_time,
-        ev_ch,
-        ev_ch2,
-        ev_kind,
-        ev_phase,
-        served,
+    _check_width(n_qubits)
+    times, channels, channels2, kinds, phases, cycles, final_clock, served = kernels.run_program(
+        program.words, n_qubits, shots, memory.banks, memory.counts, timing.reset_ns
     )
-    if status == kernels.STATUS_UNDERFLOW:
-        raise UnderflowError(int(err_core), int(err_shot), int(err_op))
-    trace = PulseTrace(ev_time, ev_ch, ev_ch2, ev_kind, ev_phase, n_qubits, shots, n_emit)
+    trace = PulseTrace(
+        times, channels, channels2, kinds, phases, n_qubits, shots, len(times) // shots
+    )
     data = _sample_bits(trace, n_qubits, shots, seed, circuit_index)
     sim_ns = int(cycles) * CYCLE_NS + int(final_clock)
     return ExecResult(trace, data, int(cycles), served, sim_ns)
@@ -363,8 +321,7 @@ class ControlSession:
         return self.record.scope(name)
 
     def handle_load_circuit(self, index: int, program: MachineProgram) -> None:
-        if program.n_qubits > N_BANKS:
-            raise ValidationError(f"{program.n_qubits} qubits exceed the {N_BANKS}-bank design")
+        _check_width(program.n_qubits)
         with self._scope("Load Batch"):
             with self._scope("Load circuit"):
                 self.program = program

@@ -34,7 +34,9 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .circuits import Circuit, Gate, GateKind, cz, delay, measure, param_request, vz, x90
+from .circuits import (
+    _CZ, _DELAY, _VZ, _X90, Circuit, Gate, cz, delay, measure, param_request, vz, x90
+)
 from .errors import ConfigError, DecodeError, ValidationError
 from .generators import BatchSpec, CircuitBatch, Label
 
@@ -45,16 +47,17 @@ CIRCUIT_DIR = "circuits"
 def circuit_to_text(c: Circuit) -> str:
     lines = [f"qubits {c.n_qubits} shots {c.shots}"]
     for g in c.gates:
-        if g.kind is GateKind.X90:
+        kind = g.kind
+        if kind is _X90:
             lines.append(f"X90 q{g.qubits[0]}")
-        elif g.kind is GateKind.VIRTUAL_Z:
+        elif kind is _VZ:
             lines.append(f"VZ q{g.qubits[0]} {g.phase!r}")
-        elif g.kind is GateKind.TWO_QUBIT:
+        elif kind is _CZ:
             lines.append(f"CZ q{g.qubits[0]} q{g.qubits[1]}")
-        elif g.kind is GateKind.DELAY:
+        elif kind is _DELAY:
             lines.append(f"DELAY q{g.qubits[0]} {g.duration_ns}")
         else:  # MEAS, PREQ: the kind's token and its qubit
-            lines.append(f"{g.kind.value} q{g.qubits[0]}")
+            lines.append(f"{kind.value} q{g.qubits[0]}")
     return "\n".join(lines) + "\n"
 
 
@@ -265,24 +268,24 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
 
 def parse_batchspec(text: str, where: str = "<config>") -> BatchSpec:
     kv = _parse_keyvals(text, where)
-    if "preset" in kv:
-        from .generators import preset_spec
-
-        return preset_spec(kv["preset"], seed=int(kv.get("seed", 0)))
-    missing = {"kind", "widths", "depths", "randomizations"} - set(kv)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    rand_groups = _parse_groups(kv["randomizations"])
-    rand: int | tuple[int, ...]
-    if len(rand_groups) == 1 and len(rand_groups[0]) == 1:
-        rand = rand_groups[0][0]
-    else:
-        rand = tuple(g[0] for g in rand_groups)
     try:
         shots = int(kv.get("shots", 100))
         seed = int(kv.get("seed", 0))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    if "preset" in kv:
+        from .generators import preset_spec
+
+        return preset_spec(kv["preset"], seed=seed)
+    missing = {"kind", "widths", "depths", "randomizations"} - set(kv)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    rand_groups = _parse_groups(kv["randomizations"])
+    if any(len(g) != 1 for g in rand_groups):
+        raise ConfigError(
+            f"{where}: randomizations takes one integer per group, got {kv['randomizations']!r}"
+        )
+    rand = rand_groups[0][0] if len(rand_groups) == 1 else tuple(g[0] for g in rand_groups)
     return BatchSpec(
         kind=kv["kind"].upper(),
         widths=_parse_groups(kv["widths"]),

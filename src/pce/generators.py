@@ -19,11 +19,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .circuits import (
+    _CZ,
+    _MEASURE,
+    _VZ,
+    _X90,
     TAU,
     X90_MATRIX,
     Circuit,
     Gate,
-    GateKind,
     U3Params,
     cz,
     measure,
@@ -326,13 +329,14 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
     seen_measure = False
     in_hard = False
     for g in base.gates:
-        if g.kind is GateKind.MEASURE:
+        kind = g.kind
+        if kind is _MEASURE:
             seen_measure = True
             active.add(g.qubits[0])
             continue
         if seen_measure:
             raise ConfigError("base circuit has gates after measurement")
-        if g.kind is GateKind.TWO_QUBIT:
+        if kind is _CZ:
             a, b = g.qubits
             if not in_hard:
                 hard.append([])
@@ -342,16 +346,16 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
                 raise ConfigError(f"hard layer reuses qubit in CZ({a},{b})")
             hard[-1].append((a, b))
             active.update((a, b))
-        elif g.kind in (GateKind.X90, GateKind.VIRTUAL_Z):
+        elif kind is _X90 or kind is _VZ:
             if in_hard:
                 easy.append({})
                 in_hard = False
             q = g.qubits[0]
-            m = X90_MATRIX if g.kind is GateKind.X90 else z_matrix(g.phase)
+            m = X90_MATRIX if kind is _X90 else z_matrix(g.phase)
             easy[-1][q] = m @ easy[-1].get(q, np.eye(2, dtype=complex))
             active.add(q)
         else:
-            raise ConfigError(f"base circuit may not contain {g.kind.value} gates")
+            raise ConfigError(f"base circuit may not contain {kind.value} gates")
     if in_hard:
         easy.append({})  # trailing correction layer slot
     if len(easy) != len(hard) + 1:

@@ -1,7 +1,8 @@
 """Machine-program executor: one interpreted loop, ``run_program``.
 
 Every op of every shot updates integer phase accumulators, per-channel
-clocks, and per-bank request counts.
+clocks, and per-bank request counts.  The loop allocates and returns its
+own event columns; an event's kind is the opcode that emitted it.
 
 Stitch serving law (the one implementation).  A bank holding ``pc`` words
 serves its ``k``-th request (``k`` from 0) from offset ``k % pc`` and
@@ -10,11 +11,13 @@ over its words per shot.
 
 All arithmetic is integer: times are int64 nanoseconds, phase frames uint64
 masked to 32 bits.  No floating point enters the kernel, which is what makes
-stitched and baseline executions comparable bit-for-bit.
+stitched and baseline executions comparable bit-for-bit.  The fixed pulse
+durations (``X90_NS``, ``CZ_NS``, ``MEASURE_NS``) are stated here.
 
 The words come from a ``MachineProgram``, which obeys the word rules by
 construction (known opcodes, channels in range, END last), so the loop checks
-no word: underflow is its only fault.
+no word: its only fault is the first request past a bank's budget, raised as
+``UnderflowError(bank, shot, op)``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .asm import Opcode
+from .errors import UnderflowError
 
 # opcode byte values as plain ints, not IntEnum members: the loop compares
 # each decoded op with them, and IntEnum comparison is slower
@@ -32,15 +36,12 @@ OP_TWO_QUBIT = int(Opcode.TWO_QUBIT)
 OP_MEASURE = int(Opcode.MEASURE)
 OP_DELAY = int(Opcode.DELAY)
 
-# trace event kind codes
-EV_X90 = 1
-EV_CZ = 2
-EV_MEASURE = 3
-EV_DELAY = 4
+# the ops that emit a trace event: event kind (the opcode) -> name in a dump
+EVENT_KIND_NAMES = {
+    OP_PULSE_X90: "X90", OP_TWO_QUBIT: "CZ", OP_MEASURE: "MEASURE", OP_DELAY: "DELAY"
+}
 
-# executor status codes
-STATUS_OK = 0
-STATUS_UNDERFLOW = 1
+X90_NS, CZ_NS, MEASURE_NS = 16, 100, 500  # fixed pulse durations
 
 CYCLES_PER_OP = 2  # every issued instruction costs 2 cycles at 500 MHz (4 ns)
 
@@ -50,24 +51,22 @@ def run_program(
     n_qubits,  # int
     shots,  # int
     banks,  # uint32[n_banks, 2048]
-    param_count,  # int64[n_banks]
-    x90_ns,
-    cz_ns,
-    meas_ns,
-    reset_ns,
-    ev_time,  # out: int64[n_emit * shots]
-    ev_ch,  # out: int16[...]
-    ev_ch2,  # out: int16[...]
-    ev_kind,  # out: uint8[...]
-    ev_phase,  # out: uint32[...]
-    served,  # out: int64[n_banks], requests served per bank (zeroed here)
+    counts,  # int64[n_banks], words each bank serves per shot
+    reset_ns,  # int, passive-reset gap between shots
 ):
-    """Returns (status, err_shot, err_op, err_core, n_events, cycle_count, final_clock)."""
+    """Returns (times, channels, channels2, kinds, phases, cycles, final_clock, served)."""
     n_ops = words.shape[0]
+    total = count_emitting_ops(words) * shots
+    ev_time = np.zeros(total, np.int64)
+    ev_ch = np.zeros(total, np.int16)
+    ev_ch2 = np.zeros(total, np.int16)
+    ev_kind = np.zeros(total, np.uint8)
+    ev_phase = np.zeros(total, np.uint32)
+    served = np.zeros(banks.shape[0], np.int64)
+    x90_ns, cz_ns, meas_ns = X90_NS, CZ_NS, MEASURE_NS  # locals: read per op
     clocks = np.zeros(n_qubits, np.int64)
     acc = np.zeros(n_qubits, np.uint64)
-    budget = param_count * shots
-    served[:] = 0
+    budget = counts * shots
     mask32 = np.uint64(0xFFFFFFFF)
     pos = 0
     cycles = 0
@@ -87,15 +86,15 @@ def run_program(
                 ev_time[pos] = clocks[ch]
                 ev_ch[pos] = ch
                 ev_ch2[pos] = -1
-                ev_kind[pos] = EV_X90
+                ev_kind[pos] = OP_PULSE_X90
                 ev_phase[pos] = acc[ch]
                 pos += 1
                 clocks[ch] += x90_ns
             elif op == OP_REQ_PARAM:
                 k = served[ch]
                 if k >= budget[ch]:
-                    return (STATUS_UNDERFLOW, shot, i, ch, pos, cycles, np.int64(0))
-                word = banks[ch, k % param_count[ch]]
+                    raise UnderflowError(int(ch), shot, i)
+                word = banks[ch, k % counts[ch]]
                 acc[ch] = (acc[ch] + np.uint64(word)) & mask32
                 served[ch] = k + 1
             elif op == OP_TWO_QUBIT:
@@ -105,7 +104,7 @@ def run_program(
                 ev_time[pos] = t
                 ev_ch[pos] = ch
                 ev_ch2[pos] = ch2
-                ev_kind[pos] = EV_CZ
+                ev_kind[pos] = OP_TWO_QUBIT
                 ev_phase[pos] = 0
                 pos += 1
                 clocks[ch] = t + cz_ns
@@ -114,7 +113,7 @@ def run_program(
                 ev_time[pos] = clocks[ch]
                 ev_ch[pos] = ch
                 ev_ch2[pos] = -1
-                ev_kind[pos] = EV_MEASURE
+                ev_kind[pos] = OP_MEASURE
                 ev_phase[pos] = 0
                 pos += 1
                 clocks[ch] += meas_ns
@@ -122,7 +121,7 @@ def run_program(
                 ev_time[pos] = clocks[ch]
                 ev_ch[pos] = ch
                 ev_ch2[pos] = -1
-                ev_kind[pos] = EV_DELAY
+                ev_kind[pos] = OP_DELAY
                 ev_phase[pos] = 0
                 pos += 1
                 clocks[ch] += np.int64(imm)
@@ -132,10 +131,10 @@ def run_program(
                 shot_end = clocks[q]
         for q in range(n_qubits):
             clocks[q] = shot_end + reset_ns
-    return (STATUS_OK, -1, -1, -1, pos, cycles, clocks[0])
+    return (ev_time, ev_ch, ev_ch2, ev_kind, ev_phase, cycles, clocks[0], served)
 
 
 def count_emitting_ops(words: np.ndarray) -> int:
     """Number of ops per shot that emit a trace event."""
     op = (np.asarray(words, dtype=np.uint64) >> np.uint64(56)).astype(np.int64)
-    return int(np.isin(op, (OP_PULSE_X90, OP_TWO_QUBIT, OP_MEASURE, OP_DELAY)).sum())
+    return int(np.isin(op, tuple(EVENT_KIND_NAMES)).sum())

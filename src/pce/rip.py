@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import TAU, Circuit, Gate, GateKind, param_request
+from .circuits import _VZ, TAU, Circuit, Gate, param_request
 from .errors import CapacityError, DecodeError, EncodeError
 
 BANK_CAPACITY = 2048
@@ -102,7 +102,7 @@ def _param_request(q: int) -> Gate:
 def _erased_gates(c: Circuit) -> tuple[Gate, ...]:
     """The gates ``modify`` leaves: each virtual-Z becomes a parameter request on its qubit."""
     return tuple(
-        _param_request(g.qubits[0]) if g.kind is GateKind.VIRTUAL_Z else g for g in c.gates
+        _param_request(g.qubits[0]) if g.kind is _VZ else g for g in c.gates
     )
 
 
@@ -147,7 +147,7 @@ def peel(c: Circuit) -> list[np.ndarray]:
     The circuit's phases are quantized in one call, then split per bank; the
     first bank over capacity raises ``CapacityError``.
     """
-    vzs = [g for g in c.gates if g.kind is GateKind.VIRTUAL_Z]
+    vzs = [g for g in c.gates if g.kind is _VZ]
     banks = np.array([g.qubits[0] for g in vzs], dtype=np.intp)
     counts = np.bincount(banks, minlength=c.n_qubits)
     over = np.flatnonzero(counts > BANK_CAPACITY)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asm import assemble, compile_circuit, disassemble, machine_from_bytes, machine_to_bytes
-from .circuits import Circuit, GateKind, circuit_unitary, global_phase_distance, vz
+from .circuits import _MEASURE, _PREQ, Circuit, circuit_unitary, global_phase_distance, vz
 from .control import PulseTrace, TimingConfig
 from .errors import PceError
 from .generators import CircuitBatch
@@ -128,9 +128,7 @@ def check_rpc_round_trip(batch: CircuitBatch) -> CheckResult:
 
 
 def _strip_measures(c: Circuit) -> Circuit:
-    return Circuit(
-        tuple(g for g in c.gates if g.kind is not GateKind.MEASURE), c.n_qubits, c.shots
-    )
+    return Circuit(tuple(g for g in c.gates if g.kind is not _MEASURE), c.n_qubits, c.shots)
 
 
 def check_unitaries(batch: CircuitBatch) -> CheckResult:
@@ -167,7 +165,7 @@ def check_peel_reinsertion(batch: CircuitBatch, limit: int = 50) -> CheckResult:
         cursors = [0] * circuit.n_qubits
         rebuilt = []
         for g in modify(circuit).gates:
-            if g.kind is GateKind.PARAM_REQUEST:
+            if g.kind is _PREQ:
                 q = g.qubits[0]
                 rebuilt.append(vz(q, dequantize_word(int(words[q][cursors[q]]))))
                 cursors[q] += 1

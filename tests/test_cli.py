@@ -78,6 +78,24 @@ class TestGenerate:
         cfg.write_text("kind = RB\n")
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
+    def test_preset_with_bad_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("preset = rb\nseed = abc\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'abc'" in err
+
+    @pytest.mark.parametrize(
+        "widths, rand", [("0,1", "2,9"), ("0,1 | 0,1", "2,9 | 3")], ids=["one", "two"]
+    )
+    def test_randomization_group_of_several_integers_exits_2(self, tmp_path, capsys, widths, rand):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kind = CB\nwidths = {widths}\ndepths = 2\nrandomizations = {rand}\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "randomizations" in err
+        assert not (tmp_path / "x").exists()
+
     def test_empty_widths_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = RB\nwidths = \ndepths = 2\nrandomizations = 1\n")

@@ -10,7 +10,6 @@ from pce.asm import MachineProgram, Opcode, assemble, compile_circuit
 from pce.circuits import Circuit, U3Params, circuit_unitary, cz, measure, u3_decompose, vz, x90
 from pce.control import (
     BANK_CAPACITY,
-    EVENT_KIND_NAMES,
     ControlSession,
     N_BANKS,
     ParameterMemory,
@@ -102,8 +101,13 @@ class TestStitchUnit:
         with pytest.raises(RoutingError):
             ParameterMemory().write_params(N_BANKS, [1])
         prog = program_of(word(Opcode.REQ_PARAM, N_BANKS), n_qubits=N_BANKS + 1)
-        with pytest.raises(ValidationError, match="only 8 banks exist"):
+        with pytest.raises(ValidationError, match="9 qubits exceed the 8-bank design"):
             execute(prog, ParameterMemory())
+
+    def test_program_wider_than_the_banks_is_refused_without_requests(self):
+        prog = program_of(word(Opcode.PULSE_X90, 0), n_qubits=N_BANKS + 1)
+        with pytest.raises(ValidationError, match="9 qubits exceed the 8-bank design"):
+            execute(prog)
 
     def test_empty_bank_underflows_immediately(self):
         mem = ParameterMemory()
@@ -138,7 +142,7 @@ class TestExecute:
         gates = (x90(0), x90(0), x90(1), cz(0, 1), x90(0))
         prog = assemble(compile_circuit(Circuit(gates, n_qubits=2, shots=1)))
         res = execute(prog, seed=0)
-        cz_idx = int(np.where(res.trace.kinds == 2)[0][0])
+        cz_idx = int(np.where(res.trace.kinds == 4)[0][0])
         assert res.trace.times[cz_idx] == 32  # later of the two channel clocks
         assert res.trace.times[cz_idx + 1] == 132  # resumes after the 100 ns gate
 
@@ -298,7 +302,7 @@ class TestExecutorFaults:
         except UnderflowError:
             return
         except ValidationError as err:
-            assert n_qubits > N_BANKS and "banks exist" in str(err)
+            assert n_qubits > N_BANKS and "-bank design" in str(err)
             return
         assert len(res.trace) == kernels.count_emitting_ops(program.words) * shots
 
@@ -316,20 +320,20 @@ def _reference_distribution(trace, shot, n):
     for i in range(lo, hi):
         kind = int(trace.kinds[i])
         ch = int(trace.channels[i])
-        if kind == kernels.EV_X90:
+        if kind == kernels.OP_PULSE_X90:
             phi = dequantize_words(trace.phases[i : i + 1])[0]
             e = np.exp(1j * phi)
             m = np.array([[1.0, -1j / e], [-1j * e, 1.0]], dtype=complex) * inv_sqrt2
             T = np.tensordot(m, state.reshape((2,) * n), axes=([1], [ch]))
             state = np.moveaxis(T, 0, ch).reshape(-1)
-        elif kind == kernels.EV_CZ:
+        elif kind == kernels.OP_TWO_QUBIT:
             T = state.reshape((2,) * n)
             idx = [slice(None)] * n
             idx[ch] = 1
             idx[int(trace.channels2[i])] = 1
             T[tuple(idx)] *= -1.0
             state = T.reshape(-1)
-        elif kind == kernels.EV_MEASURE:
+        elif kind == kernels.OP_MEASURE:
             measured.append(ch)
     return np.abs(state) ** 2, tuple(sorted(measured))
 
@@ -337,17 +341,17 @@ def _reference_distribution(trace, shot, n):
 def random_trace(rng, n, k, shots):
     """Events of all four kinds on n qubits; 30 % of the traces use quadrant phases."""
     total = k * shots
-    kinds = rng.choice([1, 1, 1, 2, 3, 4] if n > 1 else [1, 1, 3, 4], size=total).astype(np.uint8)
+    kinds = rng.choice([1, 1, 1, 4, 5, 6] if n > 1 else [1, 1, 5, 6], size=total).astype(np.uint8)
     channels = rng.integers(0, n, size=total).astype(np.int16)
     channels2 = np.full(total, -1, dtype=np.int16)
-    cz_at = kinds == kernels.EV_CZ
+    cz_at = kinds == kernels.OP_TWO_QUBIT
     if n > 1:
         channels2[cz_at] = (channels[cz_at] + rng.integers(1, n, size=int(cz_at.sum()))) % n
     if rng.random() < 0.3:
         phases = (rng.integers(0, 4, size=total) << 30).astype(np.uint32)
     else:
         phases = rng.integers(0, 1 << 32, size=total, dtype=np.uint64).astype(np.uint32)
-    phases[kinds != kernels.EV_X90] = 0
+    phases[kinds != kernels.OP_PULSE_X90] = 0
     times = np.zeros(total, dtype=np.int64)
     return PulseTrace(times, channels, channels2, kinds, phases, n, shots, k)
 
@@ -376,6 +380,16 @@ class TestSamplerMatchesReference:
                 ref_probs, ref_measured = _reference_distribution(trace, shot, n)
                 assert measured == ref_measured
                 assert np.array_equal(probs.view(np.uint64), ref_probs.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_a_qubit_measured_twice_is_listed_twice(self, n):
+        # trace-only programs (over 4 qubits) list one entry per MEASURE event too
+        program = program_of(
+            word(Opcode.MEASURE, 1), word(Opcode.MEASURE, 0), word(Opcode.MEASURE, 1), n_qubits=n
+        )
+        data = execute(program, shots=3).data
+        assert data.measured_qubits == (0, 1, 1)
+        assert data.bits.shape == (3, 3)
 
     def test_windowed_stitch_bits_match_per_shot_reference(self):
         # 3 requests a shot against 5 loaded words: each shot starts 3 words on,
@@ -409,7 +423,8 @@ def _reference_trace_text(trace):
         chs = f"{ch}" if ch2 < 0 else f"{ch},{ch2}"
         lines.append(
             f"t={int(trace.times[i])} ch={chs} "
-            f"kind={EVENT_KIND_NAMES[int(trace.kinds[i])]} phase=0x{int(trace.phases[i]):08x}"
+            f"kind={kernels.EVENT_KIND_NAMES[int(trace.kinds[i])]} "
+            f"phase=0x{int(trace.phases[i]):08x}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 

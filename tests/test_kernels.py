@@ -2,42 +2,20 @@
 bank holding pc words takes word k % pc, and the pc * shots + 1-th underflows."""
 
 import numpy as np
+import pytest
 
 from pce import kernels
 from pce.asm import MachineProgram, Opcode
-from pce.control import N_BANKS, ParameterMemory
+from pce.control import ParameterMemory
+from pce.errors import UnderflowError
 from tests.test_asm import word
 
 
 def run_path(machine, banks, param_counts, shots):
     words = np.ascontiguousarray(machine.words, dtype=np.uint64)
-    n_emit = kernels.count_emitting_ops(words)
-    total = n_emit * shots
-    out = dict(
-        ev_time=np.zeros(total, np.int64),
-        ev_ch=np.zeros(total, np.int16),
-        ev_ch2=np.zeros(total, np.int16),
-        ev_kind=np.zeros(total, np.uint8),
-        ev_phase=np.zeros(total, np.uint32),
-        served=np.zeros(N_BANKS, np.int64),
-    )
-    ret = kernels.run_program(
-        words,
-        machine.n_qubits,
-        shots,
-        banks,
-        np.asarray(param_counts, np.int64),
-        16,
-        100,
-        500,
-        500,
-        out["ev_time"],
-        out["ev_ch"],
-        out["ev_ch2"],
-        out["ev_kind"],
-        out["ev_phase"],
-        out["served"],
-    )
+    counts = np.asarray(param_counts, np.int64)
+    ret = kernels.run_program(words, machine.n_qubits, shots, banks, counts, 500)
+    out = dict(zip(("ev_time", "ev_ch", "ev_ch2", "ev_kind", "ev_phase"), ret[:5]), served=ret[7])
     return ret, out
 
 
@@ -57,8 +35,7 @@ class TestServingLawMatchesStitchUnit:
             words = rng.integers(0, 1 << 32, size=pc).astype(np.uint32)
             mem = ParameterMemory()
             mem.write_params(0, words)
-            ret, out = run_path(requests_program(n_req, shots), mem.banks, mem.counts, shots)
-            assert ret[0] == kernels.STATUS_OK
+            _, out = run_path(requests_program(n_req, shots), mem.banks, mem.counts, shots)
             law = [int(words[k % pc]) for k in range(n_req * shots)]
             expected_phases = [
                 sum(law[s * n_req : (s + 1) * n_req]) & 0xFFFFFFFF for s in range(shots)
@@ -74,7 +51,7 @@ class TestServingLawMatchesStitchUnit:
             shots = int(rng.integers(1, 4))
             mem = ParameterMemory()
             mem.write_params(0, rng.integers(0, 1 << 32, size=pc).astype(np.uint32))
-            ret, out = run_path(requests_program(pc + 1, shots), mem.banks, mem.counts, shots)
+            with pytest.raises(UnderflowError) as err:
+                run_path(requests_program(pc + 1, shots), mem.banks, mem.counts, shots)
             shot, op = divmod(pc * shots, pc + 1)
-            assert ret[:4] == (kernels.STATUS_UNDERFLOW, shot, op, 0)
-            assert int(out["served"][0]) == pc * shots
+            assert (err.value.core_id, err.value.shot, err.value.op_index) == (0, shot, op)
