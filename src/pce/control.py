@@ -1,13 +1,21 @@
 """Deterministic control-stack model: parameter memory, executor, and the deft
 scheduler.
 
-The executor interprets assembled machine words with one integer phase
+The executor plays assembled machine words with one integer phase
 accumulator per qubit (32-bit wraparound, reset each shot).  INC_PHASE adds
 its immediate, REQ_PARAM adds the next stitched word for that qubit (bank
 ``q`` serves its ``counts[q]`` words once per shot, see ``kernels``), and
 every physical pulse is logged as a trace event stamped with the current
 accumulator.  Because both sides work on the same quantized words, a directly
 compiled circuit and its stitched representative produce bit-identical traces.
+
+It runs in two passes (``kernels``): a timing pass over the words
+(``shot_skeleton``) and a phase pass over the banks (``run_program``).  A
+``ControlSession`` keeps the loaded program's skeleton: the first RUN after a
+LOAD_CIRCUIT builds it, inside "Start Run", and LOAD_CIRCUIT and LOAD_DEFS
+drop it.  So pce mode pays the timing pass once per group and the baseline
+once per circuit, and every other RUN pays only the phase pass, as the
+hardware keeps a loaded pulse structure and stitches only the phases.
 
 A ``MachineProgram`` obeys the word rules by construction, so the executor
 checks no word: its only runtime fault is a parameter underflow, which
@@ -266,11 +274,14 @@ def execute(
     timing: TimingConfig = TimingConfig(),
     seed: int = 0,
     circuit_index: int = 0,
+    skeleton: kernels.ShotSkeleton | None = None,
 ) -> ExecResult:
     """Run a machine program for N shots against the parameter memory.
 
     Bank ``q`` serves its ``memory.counts[q]`` words once per shot; with no
-    memory every bank is empty.
+    memory every bank is empty.  ``skeleton`` is the program's timing pass,
+    ``kernels.shot_skeleton(program.words, program.n_qubits)``; it is built
+    here when not given.
     """
     n_qubits = program.n_qubits
     shots = int(shots if shots is not None else program.shots)
@@ -279,8 +290,10 @@ def execute(
     if memory is None:
         memory = ParameterMemory()
     _check_width(n_qubits)
+    if skeleton is None:
+        skeleton = kernels.shot_skeleton(program.words, n_qubits)
     times, channels, channels2, kinds, phases, cycles, final_clock, served = kernels.run_program(
-        program.words, n_qubits, shots, memory.banks, memory.counts, timing.reset_ns
+        skeleton, shots, memory.banks, memory.counts, timing.reset_ns
     )
     trace = PulseTrace(
         times, channels, channels2, kinds, phases, n_qubits, shots, len(times) // shots
@@ -310,6 +323,7 @@ class ControlSession:
         self.envelope_table = np.zeros(0, dtype=complex)
         self.freq_table = np.zeros(0, dtype=np.float64)
         self.program: MachineProgram | None = None
+        self.skeleton: kernels.ShotSkeleton | None = None  # of the loaded program
         self.current_index = -1
         self.results: dict[int, ExecResult] = {}
         self._pending: ExecResult | None = None
@@ -325,6 +339,7 @@ class ControlSession:
         with self._scope("Load Batch"):
             with self._scope("Load circuit"):
                 self.program = program
+                self.skeleton = None  # built by the first run of this program
                 self.current_index = int(index)
 
     def handle_load_params(self, index: int, words_per_bank: Sequence) -> None:
@@ -354,6 +369,7 @@ class ControlSession:
                 with self._scope("Load zero"):
                     # new definitions invalidate the loaded program
                     self.program = None
+                    self.skeleton = None
 
     def handle_run(self, shots: int) -> None:
         if self.program is None:
@@ -362,6 +378,10 @@ class ControlSession:
             self.record.push("Run Batch")
         try:
             with self._scope("Start Run"):
+                if self.skeleton is None:
+                    self.skeleton = kernels.shot_skeleton(
+                        self.program.words, self.program.n_qubits
+                    )
                 result = execute(
                     self.program,
                     self.memory,
@@ -369,6 +389,7 @@ class ControlSession:
                     timing=self.timing,
                     seed=self.seed,
                     circuit_index=self.current_index,
+                    skeleton=self.skeleton,
                 )
         except Exception as exc:
             if self.record is not None:

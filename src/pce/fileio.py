@@ -276,6 +276,12 @@ def parse_batchspec(text: str, where: str = "<config>") -> BatchSpec:
     if "preset" in kv:
         from .generators import preset_spec
 
+        ignored = sorted(set(kv) - {"preset", "seed"})
+        if ignored:
+            raise ConfigError(
+                f"{where}: a preset takes only 'seed' beside it, got {ignored}"
+                " (use --shots to change its shots)"
+            )
         return preset_spec(kv["preset"], seed=seed)
     missing = {"kind", "widths", "depths", "randomizations"} - set(kv)
     if missing:

@@ -1,13 +1,25 @@
-"""Machine-program executor: one interpreted loop, ``run_program``.
+"""Machine-program executor in two passes: a timing pass, ``shot_skeleton``,
+and a phase pass, ``run_program``.
 
-Every op of every shot updates integer phase accumulators, per-channel
-clocks, and per-bank request counts.  The loop allocates and returns its
-own event columns; an event's kind is the opcode that emitted it.
+Only the phase column of a trace depends on the parameter banks.  Event
+times, channels, partner channels and kinds follow from the words alone, and
+every shot plays them the same way: the accumulators reset each shot and all
+channels meet at the shot's end plus the reset gap.  So the timing pass
+decodes the words once and records shot 0 (``ShotSkeleton``); its only walk
+in program order is the channel clocks, in plain Python ints.  Shot ``s`` is
+shot 0 shifted by ``s * (shot_end + reset_ns)``.  The phase pass
+works on whole arrays: one increment per op (an INC_PHASE immediate or a
+served bank word), a cumulative sum per channel masked to 32 bits, read at
+the X90 events.  A loaded program keeps its skeleton, so a run of the next
+circuit of its group pays only the phase pass.
 
 Stitch serving law (the one implementation).  A bank holding ``pc`` words
 serves its ``k``-th request (``k`` from 0) from offset ``k % pc`` and
 underflows after ``pc * shots`` requests (at once when ``pc == 0``): one pass
-over its words per shot.
+over its words per shot.  With ``r`` requests a shot, request ``j`` of shot
+``s`` is ``k = s * r + j``.  The request count is static in the words, so
+underflow is decided before any phase is computed: the bank underflows iff
+``r > pc``, first at request ``k = pc * shots``.
 
 All arithmetic is integer: times are int64 nanoseconds, phase frames uint64
 masked to 32 bits.  No floating point enters the kernel, which is what makes
@@ -15,20 +27,22 @@ stitched and baseline executions comparable bit-for-bit.  The fixed pulse
 durations (``X90_NS``, ``CZ_NS``, ``MEASURE_NS``) are stated here.
 
 The words come from a ``MachineProgram``, which obeys the word rules by
-construction (known opcodes, channels in range, END last), so the loop checks
-no word: its only fault is the first request past a bank's budget, raised as
-``UnderflowError(bank, shot, op)``.
+construction (known opcodes, channels in range, END last), so neither pass
+checks a word: the only fault is the first request past a bank's budget,
+raised as ``UnderflowError(bank, shot, op)``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .asm import Opcode
 from .errors import UnderflowError
 
-# opcode byte values as plain ints, not IntEnum members: the loop compares
-# each decoded op with them, and IntEnum comparison is slower
+# opcode byte values as plain ints, not IntEnum members: callers compare
+# event kinds with them per event, and IntEnum comparison is slower
 OP_PULSE_X90 = int(Opcode.PULSE_X90)
 OP_INC_PHASE = int(Opcode.INC_PHASE)
 OP_REQ_PARAM = int(Opcode.REQ_PARAM)
@@ -45,96 +59,136 @@ X90_NS, CZ_NS, MEASURE_NS = 16, 100, 500  # fixed pulse durations
 
 CYCLES_PER_OP = 2  # every issued instruction costs 2 cycles at 500 MHz (4 ns)
 
+MASK32 = np.uint64(0xFFFFFFFF)
+
+# per opcode byte: does it emit an event, and the duration of a fixed pulse
+_EMITS = np.zeros(256, bool)
+_EMITS[list(EVENT_KIND_NAMES)] = True
+_DURATIONS = np.zeros(256, np.uint64)
+_DURATIONS[[OP_PULSE_X90, OP_TWO_QUBIT, OP_MEASURE]] = [X90_NS, CZ_NS, MEASURE_NS]
+
+
+@dataclass(frozen=True)
+class ShotSkeleton:
+    """What one shot of a program plays, apart from its phases."""
+
+    n_ops: int
+    times: np.ndarray  # int64[events], shot 0's event times
+    channels: np.ndarray  # int16[events]
+    channels2: np.ndarray  # int16[events], -1 when absent
+    kinds: np.ndarray  # uint8[events], the emitting opcode
+    event_ops: np.ndarray  # int64[events], the op that emitted each event
+    shot_end: int  # latest channel clock at the end of shot 0
+    op_channels: np.ndarray  # int64[n_ops]
+    op_incs: np.ndarray  # uint64[n_ops], INC_PHASE immediate, else 0
+    requests: tuple[np.ndarray, ...]  # per bank, its REQ_PARAM op indices (int64)
+
+
+def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
+    """The timing pass: shot 0's events and the per-op phase inputs, from the
+    words alone.  Only the channel clocks need a walk in program order (a CZ
+    waits for both its channels); it runs over the emitting ops as plain
+    Python ints."""
+    w = np.asarray(words, dtype=np.uint64)
+    ops = (w >> np.uint64(56)).astype(np.int64)
+    chans = ((w >> np.uint64(48)) & np.uint64(0xFF)).astype(np.int64)
+    chans2 = ((w >> np.uint64(40)) & np.uint64(0xFF)).astype(np.int64)
+    imms = w & MASK32
+    event_ops = np.flatnonzero(_EMITS[ops])
+    ev_ops, ev_chans = ops[event_ops], chans[event_ops]
+    ev_chans2 = np.where(ev_ops == OP_TWO_QUBIT, chans2[event_ops], -1)
+    durations = np.where(ev_ops == OP_DELAY, imms[event_ops], _DURATIONS[ev_ops])
+    clocks = [0] * n_qubits
+    times = []
+    for ch, ch2, dur in zip(ev_chans.tolist(), ev_chans2.tolist(), durations.tolist()):
+        if ch2 < 0:
+            t = clocks[ch]
+            clocks[ch] = t + dur
+        else:  # CZ: both channels start together and end together
+            t = max(clocks[ch], clocks[ch2])
+            clocks[ch] = clocks[ch2] = t + dur
+        times.append(t)
+    return ShotSkeleton(
+        n_ops=len(w),
+        times=np.array(times, np.int64),
+        channels=ev_chans.astype(np.int16),
+        channels2=ev_chans2.astype(np.int16),
+        kinds=ev_ops.astype(np.uint8),
+        event_ops=event_ops,
+        shot_end=max(clocks, default=0),
+        op_channels=chans,
+        op_incs=np.where(ops == OP_INC_PHASE, imms, np.uint64(0)),
+        requests=tuple(
+            np.flatnonzero((ops == OP_REQ_PARAM) & (chans == q)) for q in range(n_qubits)
+        ),
+    )
+
+
+def _check_budgets(skeleton: ShotSkeleton, shots: int, counts) -> None:
+    """Raise the first underflow in execution order, by (shot, op), if any."""
+    first = None
+    for q, ops in enumerate(skeleton.requests):
+        r, pc = len(ops), int(counts[q])
+        if r > pc:
+            k = pc * shots  # the first request past the budget
+            fault = (k // r, int(ops[k % r]), q)
+            first = fault if first is None else min(first, fault)
+    if first is not None:
+        shot, op, bank = first
+        raise UnderflowError(bank, shot, op)
+
+
+def _phase_rows(skeleton: ShotSkeleton, shots: int, banks, counts) -> np.ndarray:
+    """Each shot's phase column (uint32), one row per shot, or a single row
+    when every shot takes the same words."""
+    reqs = [(q, ops) for q, ops in enumerate(skeleton.requests) if len(ops)]
+    # a bank that serves all its words each shot serves every shot alike
+    uniform = all(len(ops) == counts[q] for q, ops in reqs)
+    shot_ids = np.zeros(1, np.int64) if uniform else np.arange(shots, dtype=np.int64)
+    inc = np.tile(skeleton.op_incs, (len(shot_ids), 1))
+    for q, ops in reqs:
+        r = len(ops)
+        offsets = (shot_ids[:, None] * r + np.arange(r)) % counts[q]
+        inc[:, ops] = banks[q, offsets]
+    # a running sum per channel: sort the ops by channel (stable), sum along
+    # the row, and subtract the sum before each channel's first op
+    order = np.argsort(skeleton.op_channels, kind="stable")
+    sums = np.zeros((len(shot_ids), skeleton.n_ops + 1), np.uint64)
+    np.cumsum(inc[:, order], axis=1, out=sums[:, 1:])
+    pos = np.empty(skeleton.n_ops, np.int64)
+    pos[order] = np.arange(skeleton.n_ops)
+    sorted_ch = skeleton.op_channels[order]
+    first = np.searchsorted(sorted_ch, sorted_ch, side="left")  # channel's first position
+    x90 = np.flatnonzero(skeleton.kinds == OP_PULSE_X90)
+    at = pos[skeleton.event_ops[x90]]
+    rows = np.zeros((len(shot_ids), len(skeleton.kinds)), np.uint32)
+    rows[:, x90] = (sums[:, at + 1] - sums[:, first[at]]) & MASK32
+    return rows
+
 
 def run_program(
-    words,  # uint64[n_ops]
-    n_qubits,  # int
+    skeleton,  # ShotSkeleton of the program
     shots,  # int
     banks,  # uint32[n_banks, 2048]
     counts,  # int64[n_banks], words each bank serves per shot
     reset_ns,  # int, passive-reset gap between shots
 ):
     """Returns (times, channels, channels2, kinds, phases, cycles, final_clock, served)."""
-    n_ops = words.shape[0]
-    total = count_emitting_ops(words) * shots
-    ev_time = np.zeros(total, np.int64)
-    ev_ch = np.zeros(total, np.int16)
-    ev_ch2 = np.zeros(total, np.int16)
-    ev_kind = np.zeros(total, np.uint8)
-    ev_phase = np.zeros(total, np.uint32)
+    _check_budgets(skeleton, shots, counts)
+    period = skeleton.shot_end + int(reset_ns)
+    starts = np.arange(shots, dtype=np.int64) * period
+    times = (starts[:, None] + skeleton.times).reshape(-1)
+    rows = _phase_rows(skeleton, shots, banks, counts)
+    phases = np.tile(rows.reshape(-1), shots) if len(rows) == 1 else rows.reshape(-1)
     served = np.zeros(banks.shape[0], np.int64)
-    x90_ns, cz_ns, meas_ns = X90_NS, CZ_NS, MEASURE_NS  # locals: read per op
-    clocks = np.zeros(n_qubits, np.int64)
-    acc = np.zeros(n_qubits, np.uint64)
-    budget = counts * shots
-    mask32 = np.uint64(0xFFFFFFFF)
-    pos = 0
-    cycles = 0
-    for shot in range(shots):
-        for q in range(n_qubits):
-            acc[q] = np.uint64(0)
-        for i in range(n_ops):
-            w = words[i]
-            op = np.int64(w >> np.uint64(56))
-            ch = np.int64((w >> np.uint64(48)) & np.uint64(0xFF))
-            ch2 = np.int64((w >> np.uint64(40)) & np.uint64(0xFF))
-            imm = w & mask32
-            cycles += CYCLES_PER_OP  # END, the last word, issues and does nothing else
-            if op == OP_INC_PHASE:
-                acc[ch] = (acc[ch] + imm) & mask32
-            elif op == OP_PULSE_X90:
-                ev_time[pos] = clocks[ch]
-                ev_ch[pos] = ch
-                ev_ch2[pos] = -1
-                ev_kind[pos] = OP_PULSE_X90
-                ev_phase[pos] = acc[ch]
-                pos += 1
-                clocks[ch] += x90_ns
-            elif op == OP_REQ_PARAM:
-                k = served[ch]
-                if k >= budget[ch]:
-                    raise UnderflowError(int(ch), shot, i)
-                word = banks[ch, k % counts[ch]]
-                acc[ch] = (acc[ch] + np.uint64(word)) & mask32
-                served[ch] = k + 1
-            elif op == OP_TWO_QUBIT:
-                t = clocks[ch]
-                if clocks[ch2] > t:
-                    t = clocks[ch2]
-                ev_time[pos] = t
-                ev_ch[pos] = ch
-                ev_ch2[pos] = ch2
-                ev_kind[pos] = OP_TWO_QUBIT
-                ev_phase[pos] = 0
-                pos += 1
-                clocks[ch] = t + cz_ns
-                clocks[ch2] = t + cz_ns
-            elif op == OP_MEASURE:
-                ev_time[pos] = clocks[ch]
-                ev_ch[pos] = ch
-                ev_ch2[pos] = -1
-                ev_kind[pos] = OP_MEASURE
-                ev_phase[pos] = 0
-                pos += 1
-                clocks[ch] += meas_ns
-            elif op == OP_DELAY:
-                ev_time[pos] = clocks[ch]
-                ev_ch[pos] = ch
-                ev_ch2[pos] = -1
-                ev_kind[pos] = OP_DELAY
-                ev_phase[pos] = 0
-                pos += 1
-                clocks[ch] += np.int64(imm)
-        shot_end = np.int64(0)
-        for q in range(n_qubits):
-            if clocks[q] > shot_end:
-                shot_end = clocks[q]
-        for q in range(n_qubits):
-            clocks[q] = shot_end + reset_ns
-    return (ev_time, ev_ch, ev_ch2, ev_kind, ev_phase, cycles, clocks[0], served)
-
-
-def count_emitting_ops(words: np.ndarray) -> int:
-    """Number of ops per shot that emit a trace event."""
-    op = (np.asarray(words, dtype=np.uint64) >> np.uint64(56)).astype(np.int64)
-    return int(np.isin(op, tuple(EVENT_KIND_NAMES)).sum())
+    served[: len(skeleton.requests)] = [len(ops) * shots for ops in skeleton.requests]
+    return (
+        times,
+        np.tile(skeleton.channels, shots),
+        np.tile(skeleton.channels2, shots),
+        np.tile(skeleton.kinds, shots),
+        phases,
+        CYCLES_PER_OP * skeleton.n_ops * shots,
+        shots * period,
+        served,
+    )

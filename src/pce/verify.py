@@ -16,6 +16,7 @@ from .circuits import _MEASURE, _PREQ, Circuit, circuit_unitary, global_phase_di
 from .control import PulseTrace, TimingConfig
 from .errors import PceError
 from .generators import CircuitBatch
+from .kernels import EVENT_KIND_NAMES
 from .rip import (
     binarize,
     debinarize,
@@ -54,24 +55,27 @@ class CheckResult:
 
 
 def first_trace_mismatch(a: PulseTrace, b: PulseTrace) -> str | None:
+    """The first event where two traces differ, named as the dumps name it."""
     if a == b:
         return None
     if len(a) != len(b):
         return f"event counts differ ({len(a)} vs {len(b)})"
-    for i in range(len(a)):
-        for fname, fa, fb in (
-            ("kind", a.kinds[i], b.kinds[i]),
-            ("time", a.times[i], b.times[i]),
-            ("channel", a.channels[i], b.channels[i]),
-            ("partner", a.channels2[i], b.channels2[i]),
-            ("phase word", a.phases[i], b.phases[i]),
-        ):
-            if fa != fb:
-                return (
-                    f"event {i} on qubit {int(a.channels[i])}: "
-                    f"{fname} {fa} vs {fb}"
-                )
-    return "traces differ in metadata"
+    fields = (
+        ("kind", a.kinds, b.kinds, lambda v: EVENT_KIND_NAMES.get(v, str(v))),
+        ("time", a.times, b.times, str),
+        ("channel", a.channels, b.channels, str),
+        ("partner", a.channels2, b.channels2, str),
+        ("phase word", a.phases, b.phases, lambda v: f"0x{v:08x}"),
+    )
+    differs = np.logical_or.reduce([fa != fb for _, fa, fb, _ in fields])
+    if not differs.any():
+        return "traces differ in metadata"
+    i = int(np.argmax(differs))
+    fname, fa, fb, show = next(f for f in fields if f[1][i] != f[2][i])
+    return (
+        f"event {i} on qubit {int(a.channels[i])}: "
+        f"{fname} {show(int(fa[i]))} vs {show(int(fb[i]))}"
+    )
 
 
 def check_dedup_oracle(batch: CircuitBatch) -> CheckResult:

@@ -1,17 +1,21 @@
 """End-to-end CLI tests: generate, run (both modes and transports), verify, compare."""
 
 import json
+import re
 import socket
 import zlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from pce import cli
 from pce.cli import main
+from pce.control import PulseTrace
 from pce.fileio import read_batch, write_batch
 from pce.generators import CircuitBatch, Label
 from pce.rip import binarize, debinarize, rip
+from pce.verify import first_trace_mismatch
 from tests.test_rip import SAME_CHAINS_PAIRS
 
 
@@ -423,6 +427,49 @@ class TestUnreadableBatch:
         self.exits_2_naming(batch_dir, tmp_path, capsys, command, "circuits/c00003.txt: line 2: ")
 
 
+def one_shot_trace(kinds, phases, times=None, channels=None):
+    n = len(kinds)
+    return PulseTrace(
+        np.array(times or [16 * i for i in range(n)], np.int64),
+        np.array(channels or list(range(n)), np.int16),
+        np.full(n, -1, np.int16),
+        np.array(kinds, np.uint8),
+        np.array(phases, np.uint32),
+        n_qubits=max(n, 1),
+        shots=1,
+        events_per_shot=n,
+    )
+
+
+class TestFirstTraceMismatch:
+    """The message names the first differing event as the dumps write it."""
+
+    def test_equal_traces(self):
+        assert first_trace_mismatch(one_shot_trace([1], [7]), one_shot_trace([1], [7])) is None
+
+    def test_kind_is_named(self):
+        got = first_trace_mismatch(one_shot_trace([1], [0]), one_shot_trace([5], [0]))
+        assert got == "event 0 on qubit 0: kind X90 vs MEASURE"
+
+    def test_phase_word_is_hex(self):
+        a = one_shot_trace([1, 1, 1], [3, 42, 9])
+        b = one_shot_trace([1, 1, 1], [3, 0xFFFFFFFF, 0])
+        assert first_trace_mismatch(a, b) == (
+            "event 1 on qubit 1: phase word 0x0000002a vs 0xffffffff"
+        )
+
+    def test_first_field_of_first_event_wins(self):
+        a = one_shot_trace([1, 6], [0, 0], times=[0, 16])
+        b = one_shot_trace([1, 4], [0, 0], times=[0, 20])
+        assert first_trace_mismatch(a, b) == "event 1 on qubit 1: kind DELAY vs CZ"
+
+    def test_counts_and_metadata(self):
+        one, two = one_shot_trace([1], [0]), one_shot_trace([1, 1], [0, 0])
+        assert first_trace_mismatch(one, two) == "event counts differ (1 vs 2)"
+        wider = replace(one, n_qubits=3)
+        assert first_trace_mismatch(one, wider) == "traces differ in metadata"
+
+
 class TestVerifyAndCompare:
     def test_verify_passes_on_pristine_batch(self, batch_dir, capsys):
         assert main(["verify", "--batch", str(batch_dir), "--shots", "3"]) == 0
@@ -451,6 +498,7 @@ class TestVerifyAndCompare:
         out = capsys.readouterr().out
         assert "trace-equivalence: FAIL" in out
         assert "circuit 0" in out and "qubit 0" in out
+        assert re.search(r"phase word 0x[0-9a-f]{8} vs 0x[0-9a-f]{8}\)", out)
 
     def test_compare_reports(self, batch_dir, tmp_path, capsys):
         for mode in ("baseline", "pce"):

@@ -33,6 +33,7 @@ from pce.profiling import ProfileRecord, parse_report, report
 from pce.rip import binarize, dequantize_words, modify, peel, rip
 from pce.rpc import ControlServer, DeftClient, LoopbackChannel
 from tests.test_asm import word
+from tests.test_kernels import count_emitting_ops
 
 
 def program_of(*words, n_qubits=2, shots=3) -> MachineProgram:
@@ -304,7 +305,7 @@ class TestExecutorFaults:
         except ValidationError as err:
             assert n_qubits > N_BANKS and "-bank design" in str(err)
             return
-        assert len(res.trace) == kernels.count_emitting_ops(program.words) * shots
+        assert len(res.trace) == count_emitting_ops(program.words) * shots
 
 
 def _reference_distribution(trace, shot, n):
@@ -659,3 +660,70 @@ class TestSessionAndDeft:
         _, client = self.make_client()
         with pytest.raises(RemoteError):
             client.get_data()
+
+    def test_no_skeleton_outlives_its_program(self):
+        # A and B differ in their delays and CZ pairs, so a stale skeleton
+        # would give B the wrong times and partners
+        a = program_of(word(Opcode.DELAY, 0, 0, 40), word(Opcode.TWO_QUBIT, 0, 1),
+                       word(Opcode.PULSE_X90, 2), n_qubits=3)
+        b = program_of(word(Opcode.DELAY, 2, 0, 7), word(Opcode.TWO_QUBIT, 1, 2),
+                       word(Opcode.TWO_QUBIT, 2, 0), word(Opcode.MEASURE, 0), n_qubits=3)
+        session, client = self.make_client()
+        client.load_circuit(0, a)
+        client.run(2)
+        client.get_data()
+        client.load_circuit(1, b)
+        client.run(2)
+        client.get_data()
+        assert session.results[1].trace == execute(b, shots=2).trace
+        client.load_defs(np.zeros(4, dtype=complex), np.zeros(2))
+        client.load_circuit(2, a)
+        client.run(3)
+        client.get_data()
+        assert session.results[2].trace == execute(a, shots=3).trace
+
+    @pytest.mark.parametrize("mode", ["pce", "baseline"])
+    def test_timing_pass_runs_once_per_loaded_program(self, mode, monkeypatch):
+        from pce.runner import run_experiment
+
+        calls = []
+        original = kernels.shot_skeleton
+
+        def counted(words, n_qubits):
+            calls.append(len(words))
+            return original(words, n_qubits)
+
+        monkeypatch.setattr(kernels, "shot_skeleton", counted)
+        batch = self.run_batch()
+        outcome = run_experiment(lambda: batch, lambda b: b, mode, seed=3)
+        n_groups = len(rip(batch).report.groups)
+        assert n_groups < len(batch)
+        assert len(calls) == (n_groups if mode == "pce" else len(batch))
+        assert outcome.record.iterations("Start Run") == len(batch)
+
+
+def test_run_path_imports_no_numpy_ma():
+    # numpy.ma adds about 1.25 MB of resident memory, and numpy 2.4 imports it
+    # from np.unique; a fresh interpreter shows whether a run pulls it in
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import pce
+
+    code = (
+        "import sys\n"
+        "from pce.generators import BatchSpec, gen_batch\n"
+        "from pce.runner import run_experiment\n"
+        "batch = gen_batch(BatchSpec('RB', ((0,), (0, 1)), ((2, 3),), 2, shots=3, seed=1))\n"
+        "for mode in ('baseline', 'pce'):\n"
+        "    run_experiment(lambda: batch, lambda b: b, mode, seed=1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pce.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -347,6 +347,14 @@ class TestBatchSpecConfig:
         spec = parse_batchspec("preset = rb\nseed = 4\n")
         assert spec.kind == "RB" and spec.seed == 4
 
+    def test_preset_refuses_keys_it_would_ignore(self):
+        with pytest.raises(ConfigError) as err:
+            parse_batchspec("preset = rb\nshots = 3\nkind = CB\n", "spec.cfg")
+        assert str(err.value) == (
+            "spec.cfg: a preset takes only 'seed' beside it, got ['kind', 'shots']"
+            " (use --shots to change its shots)"
+        )
+
     def test_missing_keys(self):
         with pytest.raises(ConfigError):
             parse_batchspec("kind = RB\n")
