@@ -15,11 +15,16 @@ It runs in two passes (``kernels``): a timing pass over the words
 LOAD_CIRCUIT builds it, inside "Start Run", and LOAD_CIRCUIT and LOAD_DEFS
 drop it.  So pce mode pays the timing pass once per group and the baseline
 once per circuit, and every other RUN pays only the phase pass, as the
-hardware keeps a loaded pulse structure and stitches only the phases.
+hardware keeps a loaded pulse structure and stitches only the phases.  A
+``PulseTrace`` stays in the form the passes make (the shared skeleton, the
+period and the phase rows), and its dump fills a template the skeleton
+builds once, so in pce mode a group also formats its event lines once.
 
 A ``MachineProgram`` obeys the word rules by construction, so the executor
 checks no word: its only runtime fault is a parameter underflow, which
-``kernels.run_program`` raises as ``UnderflowError(bank, shot, op)``.
+``kernels.run_program`` raises as ``UnderflowError(bank, shot, op)``.  A run
+whose event times would pass int64 is refused before it starts, as
+``ConfigError``.
 
 Timing model: every instruction costs 2 cycles to issue (500 MHz, so 4 ns;
 prefetch means a parameter request costs the same as a local phase update).
@@ -31,8 +36,10 @@ as written; the passive-reset gap between shots is configurable (default
 Measurement bits are sampled noiselessly from the executed pulse trace via a
 small state-vector computation for up to 4 qubits (per-shot seeded sampler,
 one distribution per distinct phase row); wider programs run trace-only with
-all bits zero.  The sampler builds each shot's X90 matrices in one batch and
-applies one ``np.dot`` per pulse; its probabilities are bit-exact to the
+all bits zero.  The sampler reads the skeleton's kinds and channels once per
+trace, builds each shot's X90 matrices in one batch and applies one
+``np.dot`` per pulse to the state gathered with the pulsed qubit's axis first
+(index arrays built once per width); its probabilities are bit-exact to the
 per-event reference, which builds every matrix from its own phase and
 contracts it into the state tensor one event at a time (kept in the tests as
 ``_reference_distribution``).
@@ -41,6 +48,7 @@ contracts it into the state tensor one event at a time (kept in the tests as
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -108,51 +116,105 @@ class ParameterMemory:
         self.counts[bank] = arr.size
         return int(arr.size)
 
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class PulseTrace:
-    """Timestamped pulse/phase event log; the bit-exact comparison object."""
+    """Timestamped pulse/phase event log; the bit-exact comparison object.
 
-    times: np.ndarray  # int64
-    channels: np.ndarray  # int16
-    channels2: np.ndarray  # int16, -1 when absent
-    kinds: np.ndarray  # uint8
-    phases: np.ndarray  # uint32
+    It is held compact, as the executor makes it: the program's skeleton
+    (shot 0's times, channels, partner channels and kinds, shared by every
+    trace run from one loaded program), the period from one shot's start to
+    the next, and the phase rows, one uint32 row when every shot plays the
+    same words and one per shot otherwise.  The event columns ``times``,
+    ``channels``, ``channels2``, ``kinds`` and ``phases`` are read-only
+    expansions over all shots, and two traces are equal exactly when their
+    expanded columns and metadata are.
+    """
+
+    skeleton: kernels.ShotSkeleton
+    period: int  # ns from one shot's start to the next: shot end plus reset gap
+    rows: np.ndarray  # uint32[1 or shots, events_per_shot]
     n_qubits: int
     shots: int
-    events_per_shot: int
+
+    @property
+    def events_per_shot(self) -> int:
+        return len(self.skeleton.kinds)
 
     def __len__(self) -> int:
-        return len(self.times)
+        return self.events_per_shot * self.shots
+
+    def _shot_times(self) -> np.ndarray:
+        """int64[shots, events_per_shot]: each shot's event times."""
+        starts = np.arange(self.shots, dtype=np.int64) * self.period
+        return starts[:, None] + self.skeleton.times
+
+    @property
+    def times(self) -> np.ndarray:
+        return _read_only(self._shot_times().reshape(-1))
+
+    @property
+    def channels(self) -> np.ndarray:
+        return _read_only(np.tile(self.skeleton.channels, self.shots))
+
+    @property
+    def channels2(self) -> np.ndarray:
+        return _read_only(np.tile(self.skeleton.channels2, self.shots))
+
+    @property
+    def kinds(self) -> np.ndarray:
+        return _read_only(np.tile(self.skeleton.kinds, self.shots))
+
+    @property
+    def phases(self) -> np.ndarray:
+        shape = (self.shots, self.events_per_shot)
+        return _read_only(np.broadcast_to(self.rows, shape).reshape(-1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PulseTrace):
             return NotImplemented
+        a, b = self.skeleton, other.skeleton
         return (
             self.n_qubits == other.n_qubits
             and self.shots == other.shots
-            and self.events_per_shot == other.events_per_shot
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.channels, other.channels)
-            and np.array_equal(self.channels2, other.channels2)
-            and np.array_equal(self.kinds, other.kinds)
-            and np.array_equal(self.phases, other.phases)
+            and (
+                a is b
+                or (
+                    np.array_equal(a.times, b.times)
+                    and np.array_equal(a.channels, b.channels)
+                    and np.array_equal(a.channels2, b.channels2)
+                    and np.array_equal(a.kinds, b.kinds)
+                )
+            )
+            # the period shows in the times only from the second shot on
+            and (self.period == other.period or self.shots == 1 or len(a.kinds) == 0)
+            and bool((self.rows == other.rows).all())
         )
 
     def to_text(self) -> str:
-        columns = zip(
-            self.times.tolist(),
-            self.channels.tolist(),
-            self.channels2.tolist(),
-            self.kinds.tolist(),
-            self.phases.tolist(),
-        )
-        return "".join(
-            [
-                f"t={t} ch={ch if ch2 < 0 else f'{ch},{ch2}'} "
-                f"kind={kernels.EVENT_KIND_NAMES[kind]} phase=0x{phase:08x}\n"
-                for t, ch, ch2, kind, phase in columns
-            ]
-        )
+        """The dump: one ``t=… ch=… kind=… phase=0x…`` line per event.
+
+        Each shot fills the skeleton's dump template with one ``%``: its
+        times and, when the rows differ, its phases.  A single phase row is
+        written into the template once, so each shot then gives only its
+        times."""
+        template = self.skeleton.dump_template
+        times = self._shot_times()
+        k = self.events_per_shot
+        if len(self.rows) == 1:
+            baked = ["%s"] * (2 * k)  # each time field stays a field
+            baked[1::2] = self.rows[0].tolist()
+            shot_template = template % tuple(baked)
+            return "".join([shot_template % tuple(t) for t in times.tolist()])
+        fields = np.empty((self.shots, 2 * k), np.int64)
+        fields[:, 0::2] = times
+        fields[:, 1::2] = self.rows
+        return "".join([template % tuple(f) for f in fields.tolist()])
 
 
 @dataclass(frozen=True)
@@ -198,67 +260,81 @@ class ExecResult:
     sim_time_ns: int  # modeled Start-Run duration: issue cycles + channel timeline
 
 
-def _trace_shot_distribution(
-    trace: PulseTrace, shot: int, n: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
+@functools.lru_cache(maxsize=None)
+def _axis_gathers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per qubit of an n-qubit state vector, the gather that brings the
+    qubit's axis to the front (``state[front]`` is the state transposed that
+    way, in C order) and the gather that puts it back."""
+    amps = np.arange(1 << n).reshape((2,) * n)
+    out = []
+    for q in range(n):
+        front = np.moveaxis(amps, q, 0).reshape(-1)
+        out.append((_read_only(front), _read_only(np.argsort(front))))
+    return tuple(out)
+
+
+def _measured(skeleton: kernels.ShotSkeleton) -> tuple[int, ...]:
+    """The qubits a shot measures, sorted, one entry per MEASURE event."""
+    return tuple(sorted(skeleton.channels[skeleton.kinds == kernels.OP_MEASURE].tolist()))
+
+
+def _shot_distribution(
+    kinds: list[int], channels: list[int], channels2: list[int], phases: np.ndarray, n: int
+) -> np.ndarray:
     """Probabilities of the final state played by one shot's events.
 
     The shot's X90 matrices are built in one batch (one per event; only the
     X90 ones are used), and each pulse is one ``np.dot`` of its matrix with
-    the state reshaped so that the pulsed qubit's axis comes first.  That is
+    the state gathered so that the pulsed qubit's axis comes first.  That is
     the same float work, in the same order and on operands of the same
     layout, as contracting each event's matrix into the state tensor one at a
     time, so the probabilities are bit-identical to that per-event reference.
     """
-    k = trace.events_per_shot
-    lo, hi = shot * k, (shot + 1) * k
-    kinds = trace.kinds[lo:hi].tolist()
-    channels = trace.channels[lo:hi].tolist()
-    channels2 = trace.channels2[lo:hi].tolist()
-    e = np.exp(1j * dequantize_words(trace.phases[lo:hi]))
-    mats = np.ones((k, 2, 2), dtype=complex)
+    e = np.exp(1j * dequantize_words(phases))
+    mats = np.ones((len(kinds), 2, 2), dtype=complex)
     mats[:, 0, 1] = -1j / e
     mats[:, 1, 0] = -1j * e
     mats *= 1.0 / np.sqrt(2.0)
     shape = (2,) * n
-    # axis orders that bring qubit q's axis to the front, and put it back
-    fronts = [(q,) + tuple(a for a in range(n) if a != q) for q in range(n)]
-    backs = [tuple(range(1, q + 1)) + (0,) + tuple(range(q + 1, n)) for q in range(n)]
+    gathers = _axis_gathers(n)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
-    measured: list[int] = []
     for i, kind in enumerate(kinds):
-        ch = channels[i]
         if kind == kernels.OP_PULSE_X90:
-            T = state.reshape(shape).transpose(fronts[ch]).reshape(2, -1)
-            state = np.dot(mats[i], T).reshape(shape).transpose(backs[ch]).reshape(-1)
+            front, back = gathers[channels[i]]
+            state = np.dot(mats[i], state[front].reshape(2, -1)).reshape(-1)[back]
         elif kind == kernels.OP_TWO_QUBIT:
             T = state.reshape(shape)
             idx: list = [slice(None)] * n
-            idx[ch] = 1
+            idx[channels[i]] = 1
             idx[channels2[i]] = 1
             T[tuple(idx)] *= -1.0
             state = T.reshape(-1)
-        elif kind == kernels.OP_MEASURE:
-            measured.append(ch)
-    probs = np.abs(state) ** 2
-    return probs, tuple(sorted(measured))
+    return np.abs(state) ** 2
+
+
+def _event_lists(skeleton: kernels.ShotSkeleton) -> tuple[list[int], list[int], list[int]]:
+    """A shot's kinds, channels and partner channels as lists, read once per trace."""
+    return skeleton.kinds.tolist(), skeleton.channels.tolist(), skeleton.channels2.tolist()
 
 
 def _sample_bits(
     trace: PulseTrace, n_qubits: int, shots: int, seed: int, circuit_index: int
 ) -> ShotData:
-    k = trace.events_per_shot
-    measured = tuple(sorted(trace.channels[:k][trace.kinds[:k] == kernels.OP_MEASURE].tolist()))
+    measured = _measured(trace.skeleton)
     bits = np.zeros((shots, len(measured)), dtype=np.uint8)
     if n_qubits > 4 or not measured:
         return ShotData(measured, bits)  # trace-only mode: deterministic zeros
-    cums: dict[bytes, np.ndarray] = {}  # one distribution per distinct phase row
-    for s, row in enumerate(trace.phases.reshape(shots, k)):
+    events = _event_lists(trace.skeleton)
+    solved: dict[bytes, np.ndarray] = {}  # one distribution per distinct phase row
+    cums = []
+    for row in trace.rows:
         key = row.tobytes()
-        cum = cums.get(key)
-        if cum is None:
-            cum = cums[key] = np.cumsum(_trace_shot_distribution(trace, s, n_qubits)[0])
+        if key not in solved:
+            solved[key] = np.cumsum(_shot_distribution(*events, row, n_qubits))
+        cums.append(solved[key])
+    for s in range(shots):
+        cum = cums[0 if len(cums) == 1 else s]
         r = np.random.default_rng((seed, circuit_index, s)).random()
         idx = int(np.searchsorted(cum, r * cum[-1], side="right"))
         idx = min(idx, (1 << n_qubits) - 1)
@@ -292,14 +368,12 @@ def execute(
     _check_width(n_qubits)
     if skeleton is None:
         skeleton = kernels.shot_skeleton(program.words, n_qubits)
-    times, channels, channels2, kinds, phases, cycles, final_clock, served = kernels.run_program(
+    *_, rows, cycles, period, served = kernels.run_program(
         skeleton, shots, memory.banks, memory.counts, timing.reset_ns
     )
-    trace = PulseTrace(
-        times, channels, channels2, kinds, phases, n_qubits, shots, len(times) // shots
-    )
+    trace = PulseTrace(skeleton, period, rows, n_qubits, shots)
     data = _sample_bits(trace, n_qubits, shots, seed, circuit_index)
-    sim_ns = int(cycles) * CYCLE_NS + int(final_clock)
+    sim_ns = int(cycles) * CYCLE_NS + shots * period  # the last reset gap ends at shots * period
     return ExecResult(trace, data, int(cycles), served, sim_ns)
 
 

@@ -7,11 +7,15 @@ every shot plays them the same way: the accumulators reset each shot and all
 channels meet at the shot's end plus the reset gap.  So the timing pass
 decodes the words once and records shot 0 (``ShotSkeleton``); its only walk
 in program order is the channel clocks, in plain Python ints.  Shot ``s`` is
-shot 0 shifted by ``s * (shot_end + reset_ns)``.  The phase pass
-works on whole arrays: one increment per op (an INC_PHASE immediate or a
-served bank word), a cumulative sum per channel masked to 32 bits, read at
-the X90 events.  A loaded program keeps its skeleton, so a run of the next
-circuit of its group pays only the phase pass.
+shot 0 shifted by ``s * period``, with ``period = shot_end + reset_ns``.  The
+phase pass works on whole arrays: one increment per op (an INC_PHASE
+immediate or a served bank word), a cumulative sum per channel masked to 32
+bits, read at the X90 events.  It returns one phase row when every shot takes
+the same words and one row per shot otherwise.  Neither pass expands the
+shots: a run is the skeleton, the period and the phase rows, the compact
+trace ``control.PulseTrace`` holds.  A loaded program keeps its skeleton, so a
+run of the next circuit of its group pays only the phase pass, and all the
+group's traces share it (its arrays are read-only).
 
 Stitch serving law (the one implementation).  A bank holding ``pc`` words
 serves its ``k``-th request (``k`` from 0) from offset ``k % pc`` and
@@ -28,18 +32,21 @@ durations (``X90_NS``, ``CZ_NS``, ``MEASURE_NS``) are stated here.
 
 The words come from a ``MachineProgram``, which obeys the word rules by
 construction (known opcodes, channels in range, END last), so neither pass
-checks a word: the only fault is the first request past a bank's budget,
-raised as ``UnderflowError(bank, shot, op)``.
+checks a word.  A run refuses a shot count and reset gap whose event times
+would not fit int64 (``shots * period`` past 2**63 - 1) as ``ConfigError``;
+the only fault of a run that starts is the first request past a bank's
+budget, raised as ``UnderflowError(bank, shot, op)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .asm import Opcode
-from .errors import UnderflowError
+from .errors import ConfigError, UnderflowError
 
 # opcode byte values as plain ints, not IntEnum members: callers compare
 # event kinds with them per event, and IntEnum comparison is slower
@@ -61,6 +68,8 @@ CYCLES_PER_OP = 2  # every issued instruction costs 2 cycles at 500 MHz (4 ns)
 
 MASK32 = np.uint64(0xFFFFFFFF)
 
+INT64_MAX = (1 << 63) - 1  # event times are int64 nanoseconds
+
 # per opcode byte: does it emit an event, and the duration of a fixed pulse
 _EMITS = np.zeros(256, bool)
 _EMITS[list(EVENT_KIND_NAMES)] = True
@@ -68,9 +77,10 @@ _DURATIONS = np.zeros(256, np.uint64)
 _DURATIONS[[OP_PULSE_X90, OP_TWO_QUBIT, OP_MEASURE]] = [X90_NS, CZ_NS, MEASURE_NS]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotSkeleton:
-    """What one shot of a program plays, apart from its phases."""
+    """What one shot of a program plays, apart from its phases.  Its arrays
+    are read-only: every trace run from one loaded program shares them."""
 
     n_ops: int
     times: np.ndarray  # int64[events], shot 0's event times
@@ -82,6 +92,22 @@ class ShotSkeleton:
     op_channels: np.ndarray  # int64[n_ops]
     op_incs: np.ndarray  # uint64[n_ops], INC_PHASE immediate, else 0
     requests: tuple[np.ndarray, ...]  # per bank, its REQ_PARAM op indices (int64)
+
+    @cached_property
+    def dump_template(self) -> str:
+        """One shot's trace dump with each event's time and phase left as
+        ``%`` fields: ``t=%s ch=<ch>[,<ch2>] kind=<name> phase=0x%08x`` a
+        line.  Built on first use and kept, so every trace of the program
+        shares it."""
+        return "".join(
+            [
+                f"t=%s ch={ch if ch2 < 0 else f'{ch},{ch2}'} "
+                f"kind={EVENT_KIND_NAMES[kind]} phase=0x%08x\n"
+                for ch, ch2, kind in zip(
+                    self.channels.tolist(), self.channels2.tolist(), self.kinds.tolist()
+                )
+            ]
+        )
 
 
 def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
@@ -108,7 +134,7 @@ def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
             t = max(clocks[ch], clocks[ch2])
             clocks[ch] = clocks[ch2] = t + dur
         times.append(t)
-    return ShotSkeleton(
+    skeleton = ShotSkeleton(
         n_ops=len(w),
         times=np.array(times, np.int64),
         channels=ev_chans.astype(np.int16),
@@ -122,6 +148,10 @@ def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
             np.flatnonzero((ops == OP_REQ_PARAM) & (chans == q)) for q in range(n_qubits)
         ),
     )
+    for arr in (skeleton.times, skeleton.channels, skeleton.channels2, skeleton.kinds,
+                skeleton.event_ops, skeleton.op_channels, skeleton.op_incs, *skeleton.requests):
+        arr.flags.writeable = False
+    return skeleton
 
 
 def _check_budgets(skeleton: ShotSkeleton, shots: int, counts) -> None:
@@ -173,22 +203,30 @@ def run_program(
     counts,  # int64[n_banks], words each bank serves per shot
     reset_ns,  # int, passive-reset gap between shots
 ):
-    """Returns (times, channels, channels2, kinds, phases, cycles, final_clock, served)."""
-    _check_budgets(skeleton, shots, counts)
+    """Returns (times, channels, channels2, kinds, rows, cycles, period, served).
+
+    The first four are shot 0's columns (the skeleton's own arrays) and
+    ``rows`` the read-only uint32 phase rows, one or one per shot: shot ``s``
+    plays them at ``times + s * period``.  ``cycles`` counts the issue cycles
+    of all shots, and the last shot ends its reset gap at ``shots * period``."""
     period = skeleton.shot_end + int(reset_ns)
-    starts = np.arange(shots, dtype=np.int64) * period
-    times = (starts[:, None] + skeleton.times).reshape(-1)
+    if shots * period > INT64_MAX:
+        raise ConfigError(
+            f"{shots} shots of {period} ns (shot end plus reset gap) pass the int64 "
+            f"event-time limit of {INT64_MAX} ns"
+        )
+    _check_budgets(skeleton, shots, counts)
     rows = _phase_rows(skeleton, shots, banks, counts)
-    phases = np.tile(rows.reshape(-1), shots) if len(rows) == 1 else rows.reshape(-1)
+    rows.flags.writeable = False
     served = np.zeros(banks.shape[0], np.int64)
     served[: len(skeleton.requests)] = [len(ops) * shots for ops in skeleton.requests]
     return (
-        times,
-        np.tile(skeleton.channels, shots),
-        np.tile(skeleton.channels2, shots),
-        np.tile(skeleton.kinds, shots),
-        phases,
+        skeleton.times,
+        skeleton.channels,
+        skeleton.channels2,
+        skeleton.kinds,
+        rows,
         CYCLES_PER_OP * skeleton.n_ops * shots,
-        shots * period,
+        period,
         served,
     )

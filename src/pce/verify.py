@@ -60,10 +60,11 @@ def first_trace_mismatch(a: PulseTrace, b: PulseTrace) -> str | None:
         return None
     if len(a) != len(b):
         return f"event counts differ ({len(a)} vs {len(b)})"
+    channels = a.channels  # the columns are expansions of the compact form: read each once
     fields = (
         ("kind", a.kinds, b.kinds, lambda v: EVENT_KIND_NAMES.get(v, str(v))),
         ("time", a.times, b.times, str),
-        ("channel", a.channels, b.channels, str),
+        ("channel", channels, b.channels, str),
         ("partner", a.channels2, b.channels2, str),
         ("phase word", a.phases, b.phases, lambda v: f"0x{v:08x}"),
     )
@@ -73,7 +74,7 @@ def first_trace_mismatch(a: PulseTrace, b: PulseTrace) -> str | None:
     i = int(np.argmax(differs))
     fname, fa, fb, show = next(f for f in fields if f[1][i] != f[2][i])
     return (
-        f"event {i} on qubit {int(a.channels[i])}: "
+        f"event {i} on qubit {int(channels[i])}: "
         f"{fname} {show(int(fa[i]))} vs {show(int(fb[i]))}"
     )
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: generate, run (both modes and transports), verify, compare."""
 
+import hashlib
 import json
 import re
 import socket
@@ -9,13 +10,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pce import cli
+from pce import cli, kernels
+from pce.asm import MachineProgram, Opcode
 from pce.cli import main
 from pce.control import PulseTrace
 from pce.fileio import read_batch, write_batch
 from pce.generators import CircuitBatch, Label
 from pce.rip import binarize, debinarize, rip
 from pce.verify import first_trace_mismatch
+from tests.test_asm import word
 from tests.test_rip import SAME_CHAINS_PAIRS
 
 
@@ -54,6 +57,46 @@ def tree_bytes(root, subdirs=("traces", "shotdata"), files=("manifest.txt",)):
         for p in sorted((root / sub).glob("*")):
             snapshot[f"{sub}/{p.name}"] = p.read_bytes()
     return snapshot
+
+
+class TestDumpBytesPinned:
+    """The trace and shot dumps of two small batches, pinned by digest.
+
+    The digests were recorded before the compact trace form replaced the
+    per-event columns, so any change to the dump bytes fails here.  The RB
+    batch samples shot bits at 5 shots; the RC batch is 6 qubits wide and
+    runs trace-only."""
+
+    SPECS = {
+        "rb": (
+            "kind = RB\nwidths = 0 | 0,1\ndepths = 2,8\nrandomizations = 2\nshots = 5\nseed = 3\n",
+            "718bbc7bddc6e061a9b7e8c8b9b0be362cae83afd22430cab63566752eff130a",
+        ),
+        "rc6": (
+            "kind = RC\nwidths = 0,1,2,3,4,5\ndepths = 1,5\nrandomizations = 3\nshots = 4\nseed = 3\n",
+            "df076851a1296f4cf864225f44ad478bf6614f2d3b657fe0a4a406f939e5a5f2",
+        ),
+    }
+
+    @staticmethod
+    def dump_digest(out):
+        h = hashlib.sha256()
+        for sub in ("traces", "shotdata"):
+            for p in sorted((out / sub).iterdir()):
+                h.update(f"{sub}/{p.name}\n".encode())
+                h.update(p.read_bytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    @pytest.mark.parametrize("mode", ["baseline", "pce"])
+    def test_dumps_match_the_pinned_digest(self, tmp_path, name, mode):
+        spec, digest = self.SPECS[name]
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(spec)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--batch", str(tmp_path / "b"), "--mode", mode, "--out", str(out)]) == 0
+        assert self.dump_digest(out) == digest
 
 
 class TestGenerate:
@@ -370,6 +413,17 @@ class TestResetGap:
             last_times.append(int(events[-1].split()[0].removeprefix("t=")))
         assert last_times[1] == last_times[0] - 500  # one gap between the two shots
 
+    @pytest.mark.parametrize("reset_ns", ["4611686018427387904", "99999999999999999999999"])
+    @pytest.mark.parametrize("transport", [(), ("--socket",)], ids=["loopback", "socket"])
+    def test_event_times_past_int64_exit_2(self, batch_dir, tmp_path, capsys, reset_ns, transport):
+        # 3 shots of 2**62 ns pass 2**63 - 1; a gap past int64 does at once
+        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--shots", "3",
+                "--reset-ns", reset_ns, "--out", str(tmp_path / "o"), *transport]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "int64 event-time limit" in err
+        assert "Traceback" not in err
+
 
 class TestRunArguments:
     """A seed or shot count that ``pce run`` refuses is a usage error in
@@ -427,18 +481,15 @@ class TestUnreadableBatch:
         self.exits_2_naming(batch_dir, tmp_path, capsys, command, "circuits/c00003.txt: line 2: ")
 
 
-def one_shot_trace(kinds, phases, times=None, channels=None):
-    n = len(kinds)
-    return PulseTrace(
-        np.array(times or [16 * i for i in range(n)], np.int64),
-        np.array(channels or list(range(n)), np.int16),
-        np.full(n, -1, np.int16),
-        np.array(kinds, np.uint8),
-        np.array(phases, np.uint32),
-        n_qubits=max(n, 1),
-        shots=1,
-        events_per_shot=n,
-    )
+def one_shot_trace(kinds, phases):
+    """The one-shot trace of a program whose event i has the given kind on
+    qubit i (a CZ pairs it with the next qubit, DELAYs are 0 ns), played with
+    the given phase row."""
+    n = max(len(kinds), 2)
+    words = [word(kind, i, (i + 1) % n if kind == kernels.OP_TWO_QUBIT else 0)
+             for i, kind in enumerate(kinds)]
+    skeleton = kernels.shot_skeleton(MachineProgram([*words, word(Opcode.END)], n, 1).words, n)
+    return PulseTrace(skeleton, skeleton.shot_end + 500, np.array([phases], np.uint32), n, 1)
 
 
 class TestFirstTraceMismatch:
@@ -459,9 +510,15 @@ class TestFirstTraceMismatch:
         )
 
     def test_first_field_of_first_event_wins(self):
-        a = one_shot_trace([1, 6], [0, 0], times=[0, 16])
-        b = one_shot_trace([1, 4], [0, 0], times=[0, 20])
+        a = one_shot_trace([1, 6], [0, 0])
+        b = one_shot_trace([1, 4], [0, 0])
+        assert (a.times.tolist(), b.times.tolist()) == ([0, 0], [0, 16])
         assert first_trace_mismatch(a, b) == "event 1 on qubit 1: kind DELAY vs CZ"
+
+    def test_time_from_the_second_shot_on(self):
+        a = replace(one_shot_trace([1, 5], [9, 0]), shots=2)
+        b = replace(a, period=a.period + 4)
+        assert first_trace_mismatch(a, b) == f"event 2 on qubit 0: time {a.period} vs {b.period}"
 
     def test_counts_and_metadata(self):
         one, two = one_shot_trace([1], [0]), one_shot_trace([1, 1], [0, 0])

@@ -1,5 +1,8 @@
 """Tests for the control-stack model: memory, stitch, executor, session, scheduler."""
 
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,9 @@ from pce.control import (
     PulseTrace,
     REQUEST_LATENCY_CYCLES,
     TimingConfig,
-    _trace_shot_distribution,
+    _event_lists,
+    _measured,
+    _shot_distribution,
     deft_run,
     execute,
 )
@@ -32,8 +37,12 @@ from pce.generators import BatchSpec, gen_batch
 from pce.profiling import ProfileRecord, parse_report, report
 from pce.rip import binarize, dequantize_words, modify, peel, rip
 from pce.rpc import ControlServer, DeftClient, LoopbackChannel
+from pce.runner import run_experiment
 from tests.test_asm import word
-from tests.test_kernels import count_emitting_ops
+from tests.test_kernels import _reference_run_program, count_emitting_ops, programs_and_banks
+
+OP_X90, OP_CZ = kernels.OP_PULSE_X90, kernels.OP_TWO_QUBIT
+OP_MEASURE, OP_DELAY = kernels.OP_MEASURE, kernels.OP_DELAY
 
 
 def program_of(*words, n_qubits=2, shots=3) -> MachineProgram:
@@ -183,8 +192,6 @@ class TestExecute:
 
     def test_sampled_distribution_matches_circuit_unitary(self):
         # distribution derived from the trace equals the circuit's own statistics
-        from pce.control import _trace_shot_distribution
-
         rng = np.random.default_rng(40)
         for _ in range(10):
             gates = []
@@ -314,15 +321,16 @@ def _reference_distribution(trace, shot, n):
     sampler must match it bit for bit."""
     k = trace.events_per_shot
     lo, hi = shot * k, (shot + 1) * k
+    kinds, channels, channels2, phases = trace.kinds, trace.channels, trace.channels2, trace.phases
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     measured = []
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for i in range(lo, hi):
-        kind = int(trace.kinds[i])
-        ch = int(trace.channels[i])
+        kind = int(kinds[i])
+        ch = int(channels[i])
         if kind == kernels.OP_PULSE_X90:
-            phi = dequantize_words(trace.phases[i : i + 1])[0]
+            phi = dequantize_words(phases[i : i + 1])[0]
             e = np.exp(1j * phi)
             m = np.array([[1.0, -1j / e], [-1j * e, 1.0]], dtype=complex) * inv_sqrt2
             T = np.tensordot(m, state.reshape((2,) * n), axes=([1], [ch]))
@@ -331,7 +339,7 @@ def _reference_distribution(trace, shot, n):
             T = state.reshape((2,) * n)
             idx = [slice(None)] * n
             idx[ch] = 1
-            idx[int(trace.channels2[i])] = 1
+            idx[int(channels2[i])] = 1
             T[tuple(idx)] *= -1.0
             state = T.reshape(-1)
         elif kind == kernels.OP_MEASURE:
@@ -339,22 +347,35 @@ def _reference_distribution(trace, shot, n):
     return np.abs(state) ** 2, tuple(sorted(measured))
 
 
-def random_trace(rng, n, k, shots):
-    """Events of all four kinds on n qubits; 30 % of the traces use quadrant phases."""
-    total = k * shots
-    kinds = rng.choice([1, 1, 1, 4, 5, 6] if n > 1 else [1, 1, 5, 6], size=total).astype(np.uint8)
-    channels = rng.integers(0, n, size=total).astype(np.int16)
-    channels2 = np.full(total, -1, dtype=np.int16)
-    cz_at = kinds == kernels.OP_TWO_QUBIT
-    if n > 1:
-        channels2[cz_at] = (channels[cz_at] + rng.integers(1, n, size=int(cz_at.sum()))) % n
+def _trace_shot_distribution(trace, shot, n):
+    """The sampler's probabilities for one shot of a trace, and its measured qubits."""
+    row = trace.rows[0 if len(trace.rows) == 1 else shot]
+    return _shot_distribution(*_event_lists(trace.skeleton), row, n), _measured(trace.skeleton)
+
+
+def random_trace(rng, n, k, shots, reset_ns=500):
+    """The trace of a random program of k events of all four kinds on n
+    qubits, with random DELAY lengths: a real skeleton, and either one phase
+    row or one per shot (each half the time).  30 % of the traces use
+    quadrant phases; phases sit on X90 events only, as the executor puts
+    them."""
+    ops = [OP_X90, OP_X90, OP_X90, OP_CZ, OP_MEASURE, OP_DELAY] if n > 1 else [
+        OP_X90, OP_X90, OP_MEASURE, OP_DELAY]
+    words = []
+    for op in rng.choice(ops, size=k).tolist():
+        ch = int(rng.integers(0, n))
+        ch2 = (ch + int(rng.integers(1, n))) % n if op == OP_CZ else 0
+        imm = int(rng.integers(0, 1 << 32)) if op == OP_DELAY else 0
+        words.append(word(op, ch, ch2, imm))
+    program = program_of(*words, n_qubits=n, shots=shots)
+    skeleton = kernels.shot_skeleton(program.words, n)
+    n_rows = 1 if rng.random() < 0.5 else shots
     if rng.random() < 0.3:
-        phases = (rng.integers(0, 4, size=total) << 30).astype(np.uint32)
+        rows = (rng.integers(0, 4, size=(n_rows, k)) << 30).astype(np.uint32)
     else:
-        phases = rng.integers(0, 1 << 32, size=total, dtype=np.uint64).astype(np.uint32)
-    phases[kinds != kernels.OP_PULSE_X90] = 0
-    times = np.zeros(total, dtype=np.int64)
-    return PulseTrace(times, channels, channels2, kinds, phases, n, shots, k)
+        rows = rng.integers(0, 1 << 32, size=(n_rows, k), dtype=np.uint64).astype(np.uint32)
+    rows[:, skeleton.kinds != OP_X90] = 0
+    return PulseTrace(skeleton, skeleton.shot_end + reset_ns, rows, n, shots)
 
 
 def reference_bits(trace, n, seed, circuit_index):
@@ -418,14 +439,16 @@ class TestSamplerMatchesReference:
 def _reference_trace_text(trace):
     """Oracle: the per-event trace dump, one indexed read per field."""
     lines = []
-    for i in range(len(trace.times)):
-        ch = int(trace.channels[i])
-        ch2 = int(trace.channels2[i])
+    times, channels, channels2 = trace.times, trace.channels, trace.channels2
+    kinds, phases = trace.kinds, trace.phases
+    for i in range(len(times)):
+        ch = int(channels[i])
+        ch2 = int(channels2[i])
         chs = f"{ch}" if ch2 < 0 else f"{ch},{ch2}"
         lines.append(
-            f"t={int(trace.times[i])} ch={chs} "
-            f"kind={kernels.EVENT_KIND_NAMES[int(trace.kinds[i])]} "
-            f"phase=0x{int(trace.phases[i]):08x}"
+            f"t={int(times[i])} ch={chs} "
+            f"kind={kernels.EVENT_KIND_NAMES[int(kinds[i])]} "
+            f"phase=0x{int(phases[i]):08x}"
         )
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -436,28 +459,114 @@ class TestTraceText:
         for _ in range(60):
             n = int(rng.integers(1, 9))
             shots = int(rng.integers(1, 4))
-            trace = random_trace(rng, n, int(rng.integers(0, 40)), shots)
-            trace.times[:] = np.cumsum(rng.integers(0, 1 << 20, size=len(trace)))
-            trace.phases[rng.random(len(trace)) < 0.2] = 0xFFFFFFFF
-            trace.phases[rng.random(len(trace)) < 0.2] = 0
+            trace = random_trace(rng, n, int(rng.integers(0, 40)), shots,
+                                 reset_ns=int(rng.integers(0, 1 << 20)))
+            rows = trace.rows.copy()
+            rows[rng.random(rows.shape) < 0.2] = 0xFFFFFFFF
+            rows[rng.random(rows.shape) < 0.2] = 0
+            trace = replace(trace, rows=rows)
             assert trace.to_text() == _reference_trace_text(trace)
 
     def test_cz_and_extreme_phases(self):
         rng = np.random.default_rng(3)
-        trace = random_trace(rng, 4, 50, 2)
-        trace.phases[::2] = 0xFFFFFFFF
-        trace.times[:] = np.arange(len(trace)) * 1_000_000_007
+        trace = random_trace(rng, 4, 50, 2, reset_ns=1_000_000_007_000)
+        rows = trace.rows.copy()
+        rows[:, ::2] = 0xFFFFFFFF
+        trace = replace(trace, rows=rows)
         text = trace.to_text()
         assert text == _reference_trace_text(trace)
         cz_at = int(np.flatnonzero(trace.channels2 >= 0)[0])
         ch, ch2 = int(trace.channels[cz_at]), int(trace.channels2[cz_at])
         assert f"ch={ch},{ch2} kind=CZ phase=0x{int(trace.phases[cz_at]):08x}\n" in text
         assert "phase=0xffffffff\n" in text
+        assert f"t={int(trace.times[-1])} " in text and trace.times[-1] > 1_000_000_007_000
 
     def test_empty_trace(self):
         empty = random_trace(np.random.default_rng(0), 2, 0, 1)
         assert len(empty) == 0
         assert empty.to_text() == _reference_trace_text(empty) == ""
+
+
+class TestCompactTrace:
+    """A trace is the program's skeleton, a period and one phase row or one
+    per shot; its expanded columns and its dump match the per-shot oracles."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(programs_and_banks(fits=("equal", "equal", "above")), st.integers(1, 5))
+    def test_executed_traces_match_the_per_shot_oracles(self, program_memory, shots):
+        # no bank underflows: counts equal to the requests per shot give one
+        # phase row, a larger count on a requested bank one row per shot
+        program, memory = program_memory
+        args = (shots, memory.banks, memory.counts, 500)
+        want = _reference_run_program(program.words, program.n_qubits, *args)
+        trace = execute(program, memory, shots=shots).trace
+        assert len(trace.rows) in (1, shots)
+        got = (trace.times, trace.channels, trace.channels2, trace.kinds, trace.phases)
+        for g, w in zip(got, want[:5]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert len(trace) == len(want[0])
+        assert trace.to_text() == _reference_trace_text(trace)
+
+    def test_one_row_equals_its_per_shot_twin(self):
+        program = program_of(word(Opcode.REQ_PARAM, 0), word(Opcode.PULSE_X90, 0),
+                             word(Opcode.MEASURE, 1), n_qubits=2, shots=4)
+        mem = ParameterMemory()
+        mem.write_params(0, [0x40000000])
+        trace = execute(program, mem).trace
+        assert trace.rows.shape == (1, 2)
+        twin = replace(trace, rows=np.repeat(trace.rows, 4, axis=0))
+        assert trace == twin and twin == trace
+        assert twin.to_text() == trace.to_text()
+        rows = twin.rows.copy()
+        rows[3, 0] = 7
+        assert replace(twin, rows=rows) != trace
+
+    def test_period_counts_only_from_the_second_shot(self):
+        one = execute(program_of(word(Opcode.PULSE_X90, 0), shots=1)).trace
+        assert replace(one, period=one.period + 1) == one
+        two = execute(program_of(word(Opcode.PULSE_X90, 0), shots=2)).trace
+        assert replace(two, period=two.period + 1) != two
+
+    def test_expansions_are_read_only(self):
+        trace = execute(program_of(word(Opcode.PULSE_X90, 0), word(Opcode.MEASURE, 1))).trace
+        for column in (trace.times, trace.channels, trace.channels2, trace.kinds, trace.phases):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        with pytest.raises(ValueError):
+            trace.skeleton.times[0] = 1
+
+    def test_a_group_shares_one_skeleton_and_builds_its_template_once(self, monkeypatch):
+        built = []
+        template = kernels.ShotSkeleton.__dict__["dump_template"]
+
+        def counted(skeleton):
+            built.append(skeleton)
+            return template.func(skeleton)
+
+        counting = functools.cached_property(counted)
+        counting.__set_name__(kernels.ShotSkeleton, "dump_template")
+        monkeypatch.setattr(kernels.ShotSkeleton, "dump_template", counting)
+        batch = gen_batch(BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 3, shots=4, seed=6))
+        outcome = run_experiment(lambda: batch, lambda b: b, "pce", seed=1)
+        groups = outcome.report.groups
+        assert any(len(g) > 1 for g in groups)
+        for g in groups:
+            assert len({id(outcome.traces[i].skeleton) for i in g}) == 1
+        texts = [outcome.traces[i].to_text() for i in sorted(outcome.traces)]
+        assert len(built) == len({id(sk) for sk in built}) == len(groups)
+        base = run_experiment(lambda: batch, lambda b: b, "baseline", seed=1)
+        assert texts == [base.traces[i].to_text() for i in sorted(base.traces)]
+
+    def test_event_times_past_int64_are_refused(self):
+        program = program_of(word(Opcode.PULSE_X90, 0), word(Opcode.MEASURE, 0), shots=3)
+        shot_end = 16 + 500
+        limit = (1 << 63) - 1
+        fits = limit // 3 - shot_end  # 3 shots end exactly inside the limit
+        trace = execute(program, timing=TimingConfig(reset_ns=fits)).trace
+        assert int(trace.times[-1]) == 2 * (shot_end + fits) + 16
+        for reset_ns in (fits + 1, 1 << 62, 10**23):
+            with pytest.raises(ConfigError, match="int64 event-time limit"):
+                execute(program, timing=TimingConfig(reset_ns=reset_ns))
 
 
 def requests_then_pulses(q, n_req, shots):
@@ -475,11 +584,12 @@ def served_stream(trace, q):
     previous one in its shot is the word the request before it added."""
     stream = []
     k = trace.events_per_shot
+    channels, kinds, phases = trace.channels, trace.kinds, trace.phases
     for shot in range(trace.shots):
         lo = shot * k
-        on_q = (trace.channels[lo : lo + k] == q) & (trace.kinds[lo : lo + k] == 1)
+        on_q = (channels[lo : lo + k] == q) & (kinds[lo : lo + k] == 1)
         prev = 0
-        for phase in trace.phases[lo : lo + k][on_q]:
+        for phase in phases[lo : lo + k][on_q]:
             stream.append((int(phase) - prev) & 0xFFFFFFFF)
             prev = int(phase)
     return stream

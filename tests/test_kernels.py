@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pce import kernels
 from pce.asm import MachineProgram, Opcode
-from pce.control import BANK_CAPACITY, N_BANKS, ParameterMemory
+from pce.control import BANK_CAPACITY, N_BANKS, ParameterMemory, PulseTrace
 from pce.errors import UnderflowError
 from pce.kernels import (
     CYCLES_PER_OP,
@@ -44,7 +44,8 @@ def _reference_run_program(
     counts,  # int64[n_banks], words each bank serves per shot
     reset_ns,  # int, passive-reset gap between shots
 ):
-    """Returns (times, channels, channels2, kinds, phases, cycles, final_clock, served)."""
+    """Returns (times, channels, channels2, kinds, phases, cycles, final_clock, served),
+    each column over all shots."""
     n_ops = words.shape[0]
     total = count_emitting_ops(words) * shots
     ev_time = np.zeros(total, np.int64)
@@ -124,11 +125,18 @@ def _reference_run_program(
     return (ev_time, ev_ch, ev_ch2, ev_kind, ev_phase, cycles, clocks[0], served)
 
 
+def expanded(ret, skeleton, n_qubits, shots):
+    """The event columns of all shots, from a ``run_program`` return."""
+    trace = PulseTrace(skeleton, ret[6], ret[4], n_qubits, shots)
+    return trace.times, trace.channels, trace.channels2, trace.kinds, trace.phases
+
+
 def run_path(machine, banks, param_counts, shots):
     skeleton = kernels.shot_skeleton(machine.words, machine.n_qubits)
     counts = np.asarray(param_counts, np.int64)
     ret = kernels.run_program(skeleton, shots, banks, counts, 500)
-    out = dict(zip(("ev_time", "ev_ch", "ev_ch2", "ev_kind", "ev_phase"), ret[:5]), served=ret[7])
+    columns = expanded(ret, skeleton, machine.n_qubits, shots)
+    out = dict(zip(("ev_time", "ev_ch", "ev_ch2", "ev_kind", "ev_phase"), columns), served=ret[7])
     return ret, out
 
 
@@ -171,9 +179,10 @@ class TestServingLawMatchesStitchUnit:
 
 
 @st.composite
-def programs_and_banks(draw):
+def programs_and_banks(draw, fits=("equal", "below", "above", "zero")):
     """A valid program on 1-8 qubits and banks whose word counts are equal to,
-    below or above the program's requests per shot on that bank, or zero."""
+    below or above the program's requests per shot on that bank, or zero
+    (each bank draws one of ``fits``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_qubits = int(rng.integers(1, N_BANKS + 1))
     words = []
@@ -194,7 +203,7 @@ def programs_and_banks(draw):
             "below": r - int(rng.integers(1, 4)),
             "above": r + int(rng.integers(1, 4)),
             "zero": 0,
-        }[draw(st.sampled_from(["equal", "below", "above", "zero"]))]
+        }[draw(st.sampled_from(fits))]
         memory.write_params(q, rng.integers(0, 1 << 32, size=min(max(pc, 0), BANK_CAPACITY)))
     return program, memory
 
@@ -213,12 +222,16 @@ class TestRunProgramMatchesReference:
             got = got.value
             assert (got.core_id, got.shot, got.op_index) == (err.core_id, err.shot, err.op_index)
             return
-        got = kernels.run_program(kernels.shot_skeleton(program.words, program.n_qubits), *args)
-        for g, w in zip(got[:5], want[:5]):
+        skeleton = kernels.shot_skeleton(program.words, program.n_qubits)
+        got = kernels.run_program(skeleton, *args)
+        assert all(g is c for g, c in zip(got[:4], (skeleton.times, skeleton.channels,
+                                                   skeleton.channels2, skeleton.kinds)))
+        assert len(got[4]) in (1, shots)  # one phase row, or one per shot
+        for g, w in zip(expanded(got, skeleton, program.n_qubits, shots), want[:5]):
             assert g.dtype == w.dtype
             assert np.array_equal(g, w)
         assert got[5] == want[5]  # cycles
-        assert got[6] == want[6]  # final clock
+        assert shots * got[6] == want[6]  # the final clock is shots periods
         assert got[7].dtype == want[7].dtype and np.array_equal(got[7], want[7])
 
     def test_a_skeleton_is_shot_zero_and_reads_no_bank(self):
