@@ -16,9 +16,8 @@ LOAD_CIRCUIT builds it, inside "Start Run", and LOAD_CIRCUIT and LOAD_DEFS
 drop it.  So pce mode pays the timing pass once per group and the baseline
 once per circuit, and every other RUN pays only the phase pass, as the
 hardware keeps a loaded pulse structure and stitches only the phases.  A
-``PulseTrace`` stays in the form the passes make (the shared skeleton, the
-period and the phase rows), and its dump fills a template the skeleton
-builds once, so in pce mode a group also formats its event lines once.
+``PulseTrace`` stays in the form the passes make: shot 0's events (shared by
+every trace run from one loaded program), the period and the phase rows.
 
 A ``MachineProgram`` obeys the word rules by construction, so the executor
 checks no word: its only runtime fault is a parameter underflow, which
@@ -36,7 +35,7 @@ as written; the passive-reset gap between shots is configurable (default
 Measurement bits are sampled noiselessly from the executed pulse trace via a
 small state-vector computation for up to 4 qubits (per-shot seeded sampler,
 one distribution per distinct phase row); wider programs run trace-only with
-all bits zero.  The sampler reads the skeleton's kinds and channels once per
+all bits zero.  The sampler reads shot 0's kinds and channels once per
 trace, builds each shot's X90 matrices in one batch and applies one
 ``np.dot`` per pulse to the state gathered with the pulsed qubit's axis first
 (index arrays built once per width); its probabilities are bit-exact to the
@@ -117,26 +116,21 @@ class ParameterMemory:
         return int(arr.size)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class PulseTrace:
     """Timestamped pulse/phase event log; the bit-exact comparison object.
 
-    It is held compact, as the executor makes it: the program's skeleton
-    (shot 0's times, channels, partner channels and kinds, shared by every
-    trace run from one loaded program), the period from one shot's start to
-    the next, and the phase rows, one uint32 row when every shot plays the
-    same words and one per shot otherwise.  The event columns ``times``,
-    ``channels``, ``channels2``, ``kinds`` and ``phases`` are read-only
-    expansions over all shots, and two traces are equal exactly when their
-    expanded columns and metadata are.
+    It is held compact, as the executor makes it: shot 0's events (times,
+    channels, partner channels and kinds, shared by every trace run from one
+    loaded program), the period from one shot's start to the next, and the
+    phase rows, one uint32 row when every shot plays the same words and one
+    per shot otherwise.  The event columns ``times``, ``channels``,
+    ``channels2``, ``kinds`` and ``phases`` are read-only expansions over
+    all shots, and two traces are equal exactly when their expanded columns
+    and metadata are.
     """
 
-    skeleton: kernels.ShotSkeleton
+    shot: kernels.ShotEvents
     period: int  # ns from one shot's start to the next: shot end plus reset gap
     rows: np.ndarray  # uint32[1 or shots, events_per_shot]
     n_qubits: int
@@ -144,7 +138,7 @@ class PulseTrace:
 
     @property
     def events_per_shot(self) -> int:
-        return len(self.skeleton.kinds)
+        return len(self.shot.kinds)
 
     def __len__(self) -> int:
         return self.events_per_shot * self.shots
@@ -152,33 +146,33 @@ class PulseTrace:
     def _shot_times(self) -> np.ndarray:
         """int64[shots, events_per_shot]: each shot's event times."""
         starts = np.arange(self.shots, dtype=np.int64) * self.period
-        return starts[:, None] + self.skeleton.times
+        return starts[:, None] + self.shot.times
 
     @property
     def times(self) -> np.ndarray:
-        return _read_only(self._shot_times().reshape(-1))
+        return kernels.read_only(self._shot_times().reshape(-1))
 
     @property
     def channels(self) -> np.ndarray:
-        return _read_only(np.tile(self.skeleton.channels, self.shots))
+        return kernels.read_only(np.tile(self.shot.channels, self.shots))
 
     @property
     def channels2(self) -> np.ndarray:
-        return _read_only(np.tile(self.skeleton.channels2, self.shots))
+        return kernels.read_only(np.tile(self.shot.channels2, self.shots))
 
     @property
     def kinds(self) -> np.ndarray:
-        return _read_only(np.tile(self.skeleton.kinds, self.shots))
+        return kernels.read_only(np.tile(self.shot.kinds, self.shots))
 
     @property
     def phases(self) -> np.ndarray:
         shape = (self.shots, self.events_per_shot)
-        return _read_only(np.broadcast_to(self.rows, shape).reshape(-1))
+        return kernels.read_only(np.broadcast_to(self.rows, shape).reshape(-1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PulseTrace):
             return NotImplemented
-        a, b = self.skeleton, other.skeleton
+        a, b = self.shot, other.shot
         return (
             self.n_qubits == other.n_qubits
             and self.shots == other.shots
@@ -199,22 +193,28 @@ class PulseTrace:
     def to_text(self) -> str:
         """The dump: one ``t=… ch=… kind=… phase=0x…`` line per event.
 
-        Each shot fills the skeleton's dump template with one ``%``: its
-        times and, when the rows differ, its phases.  A single phase row is
-        written into the template once, so each shot then gives only its
-        times."""
-        template = self.skeleton.dump_template
-        times = self._shot_times()
-        k = self.events_per_shot
-        if len(self.rows) == 1:
-            baked = ["%s"] * (2 * k)  # each time field stays a field
-            baked[1::2] = self.rows[0].tolist()
-            shot_template = template % tuple(baked)
-            return "".join([shot_template % tuple(t) for t in times.tolist()])
-        fields = np.empty((self.shots, 2 * k), np.int64)
-        fields[:, 0::2] = times
-        fields[:, 1::2] = self.rows
-        return "".join([template % tuple(f) for f in fields.tolist()])
+        One shot's lines are built once as a template, with each event's
+        time and phase left as ``%`` fields.  Each phase row fills the
+        phases with one ``%``, and each shot then fills its times into its
+        row's lines with one more, so a trace with one row formats its
+        phases once."""
+        ev = self.shot
+        template = "".join(
+            [
+                f"t=%%s ch={ch if ch2 < 0 else f'{ch},{ch2}'} "
+                f"kind={kernels.EVENT_KIND_NAMES[kind]} phase=0x%08x\n"
+                for ch, ch2, kind in zip(
+                    ev.channels.tolist(), ev.channels2.tolist(), ev.kinds.tolist()
+                )
+            ]
+        )
+        row_lines = [template % tuple(row) for row in self.rows.tolist()]
+        return "".join(
+            [
+                row_lines[0 if len(row_lines) == 1 else s] % tuple(t)
+                for s, t in enumerate(self._shot_times().tolist())
+            ]
+        )
 
 
 @dataclass(frozen=True)
@@ -269,13 +269,13 @@ def _axis_gathers(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     out = []
     for q in range(n):
         front = np.moveaxis(amps, q, 0).reshape(-1)
-        out.append((_read_only(front), _read_only(np.argsort(front))))
+        out.append((kernels.read_only(front), kernels.read_only(np.argsort(front))))
     return tuple(out)
 
 
-def _measured(skeleton: kernels.ShotSkeleton) -> tuple[int, ...]:
+def _measured(shot: kernels.ShotEvents) -> tuple[int, ...]:
     """The qubits a shot measures, sorted, one entry per MEASURE event."""
-    return tuple(sorted(skeleton.channels[skeleton.kinds == kernels.OP_MEASURE].tolist()))
+    return tuple(sorted(shot.channels[shot.kinds == kernels.OP_MEASURE].tolist()))
 
 
 def _shot_distribution(
@@ -313,19 +313,15 @@ def _shot_distribution(
     return np.abs(state) ** 2
 
 
-def _event_lists(skeleton: kernels.ShotSkeleton) -> tuple[list[int], list[int], list[int]]:
-    """A shot's kinds, channels and partner channels as lists, read once per trace."""
-    return skeleton.kinds.tolist(), skeleton.channels.tolist(), skeleton.channels2.tolist()
-
-
 def _sample_bits(
     trace: PulseTrace, n_qubits: int, shots: int, seed: int, circuit_index: int
 ) -> ShotData:
-    measured = _measured(trace.skeleton)
+    shot = trace.shot
+    measured = _measured(shot)
     bits = np.zeros((shots, len(measured)), dtype=np.uint8)
     if n_qubits > 4 or not measured:
         return ShotData(measured, bits)  # trace-only mode: deterministic zeros
-    events = _event_lists(trace.skeleton)
+    events = shot.kinds.tolist(), shot.channels.tolist(), shot.channels2.tolist()
     solved: dict[bytes, np.ndarray] = {}  # one distribution per distinct phase row
     cums = []
     for row in trace.rows:
@@ -371,7 +367,7 @@ def execute(
     *_, rows, cycles, period, served = kernels.run_program(
         skeleton, shots, memory.banks, memory.counts, timing.reset_ns
     )
-    trace = PulseTrace(skeleton, period, rows, n_qubits, shots)
+    trace = PulseTrace(skeleton.events, period, rows, n_qubits, shots)
     data = _sample_bits(trace, n_qubits, shots, seed, circuit_index)
     sim_ns = int(cycles) * CYCLE_NS + shots * period  # the last reset gap ends at shots * period
     return ExecResult(trace, data, int(cycles), served, sim_ns)

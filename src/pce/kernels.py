@@ -12,10 +12,11 @@ phase pass works on whole arrays: one increment per op (an INC_PHASE
 immediate or a served bank word), a cumulative sum per channel masked to 32
 bits, read at the X90 events.  It returns one phase row when every shot takes
 the same words and one row per shot otherwise.  Neither pass expands the
-shots: a run is the skeleton, the period and the phase rows, the compact
-trace ``control.PulseTrace`` holds.  A loaded program keeps its skeleton, so a
-run of the next circuit of its group pays only the phase pass, and all the
-group's traces share it (its arrays are read-only).
+shots: a run is shot 0's events (``ShotSkeleton.events``), the period and the
+phase rows, the compact trace ``control.PulseTrace`` holds.  A loaded program
+keeps its skeleton, so a run of the next circuit of its group pays only the
+phase pass, and all the group's traces share its ``ShotEvents`` (read-only
+arrays).  The phase-pass inputs stay with the skeleton, not the traces.
 
 Stitch serving law (the one implementation).  A bank holding ``pc`` words
 serves its ``k``-th request (``k`` from 0) from offset ``k % pc`` and
@@ -41,7 +42,6 @@ budget, raised as ``UnderflowError(bank, shot, op)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,37 +77,36 @@ _DURATIONS = np.zeros(256, np.uint64)
 _DURATIONS[[OP_PULSE_X90, OP_TWO_QUBIT, OP_MEASURE]] = [X90_NS, CZ_NS, MEASURE_NS]
 
 
-@dataclass(frozen=True, eq=False)
-class ShotSkeleton:
-    """What one shot of a program plays, apart from its phases.  Its arrays
-    are read-only: every trace run from one loaded program shares them."""
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only: traces share their arrays."""
+    arr.flags.writeable = False
+    return arr
 
-    n_ops: int
-    times: np.ndarray  # int64[events], shot 0's event times
+
+@dataclass(frozen=True, eq=False)
+class ShotEvents:
+    """Shot 0's events apart from their phases: what a trace keeps of its
+    program.  Every trace run from one loaded program shares one, so its
+    arrays are read-only."""
+
+    times: np.ndarray  # int64[events]
     channels: np.ndarray  # int16[events]
     channels2: np.ndarray  # int16[events], -1 when absent
     kinds: np.ndarray  # uint8[events], the emitting opcode
+
+
+@dataclass(frozen=True, eq=False)
+class ShotSkeleton:
+    """The timing pass of a program: shot 0's events and what the phase pass
+    reads of the words.  Its arrays are read-only."""
+
+    events: ShotEvents
     event_ops: np.ndarray  # int64[events], the op that emitted each event
     shot_end: int  # latest channel clock at the end of shot 0
+    n_ops: int
     op_channels: np.ndarray  # int64[n_ops]
     op_incs: np.ndarray  # uint64[n_ops], INC_PHASE immediate, else 0
     requests: tuple[np.ndarray, ...]  # per bank, its REQ_PARAM op indices (int64)
-
-    @cached_property
-    def dump_template(self) -> str:
-        """One shot's trace dump with each event's time and phase left as
-        ``%`` fields: ``t=%s ch=<ch>[,<ch2>] kind=<name> phase=0x%08x`` a
-        line.  Built on first use and kept, so every trace of the program
-        shares it."""
-        return "".join(
-            [
-                f"t=%s ch={ch if ch2 < 0 else f'{ch},{ch2}'} "
-                f"kind={EVENT_KIND_NAMES[kind]} phase=0x%08x\n"
-                for ch, ch2, kind in zip(
-                    self.channels.tolist(), self.channels2.tolist(), self.kinds.tolist()
-                )
-            ]
-        )
 
 
 def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
@@ -134,24 +133,23 @@ def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
             t = max(clocks[ch], clocks[ch2])
             clocks[ch] = clocks[ch2] = t + dur
         times.append(t)
-    skeleton = ShotSkeleton(
-        n_ops=len(w),
-        times=np.array(times, np.int64),
-        channels=ev_chans.astype(np.int16),
-        channels2=ev_chans2.astype(np.int16),
-        kinds=ev_ops.astype(np.uint8),
-        event_ops=event_ops,
+    return ShotSkeleton(
+        events=ShotEvents(
+            times=read_only(np.array(times, np.int64)),
+            channels=read_only(ev_chans.astype(np.int16)),
+            channels2=read_only(ev_chans2.astype(np.int16)),
+            kinds=read_only(ev_ops.astype(np.uint8)),
+        ),
+        event_ops=read_only(event_ops),
         shot_end=max(clocks, default=0),
-        op_channels=chans,
-        op_incs=np.where(ops == OP_INC_PHASE, imms, np.uint64(0)),
+        n_ops=len(w),
+        op_channels=read_only(chans),
+        op_incs=read_only(np.where(ops == OP_INC_PHASE, imms, np.uint64(0))),
         requests=tuple(
-            np.flatnonzero((ops == OP_REQ_PARAM) & (chans == q)) for q in range(n_qubits)
+            read_only(np.flatnonzero((ops == OP_REQ_PARAM) & (chans == q)))
+            for q in range(n_qubits)
         ),
     )
-    for arr in (skeleton.times, skeleton.channels, skeleton.channels2, skeleton.kinds,
-                skeleton.event_ops, skeleton.op_channels, skeleton.op_incs, *skeleton.requests):
-        arr.flags.writeable = False
-    return skeleton
 
 
 def _check_budgets(skeleton: ShotSkeleton, shots: int, counts) -> None:
@@ -189,9 +187,9 @@ def _phase_rows(skeleton: ShotSkeleton, shots: int, banks, counts) -> np.ndarray
     pos[order] = np.arange(skeleton.n_ops)
     sorted_ch = skeleton.op_channels[order]
     first = np.searchsorted(sorted_ch, sorted_ch, side="left")  # channel's first position
-    x90 = np.flatnonzero(skeleton.kinds == OP_PULSE_X90)
+    x90 = np.flatnonzero(skeleton.events.kinds == OP_PULSE_X90)
     at = pos[skeleton.event_ops[x90]]
-    rows = np.zeros((len(shot_ids), len(skeleton.kinds)), np.uint32)
+    rows = np.zeros((len(shot_ids), len(skeleton.events.kinds)), np.uint32)
     rows[:, x90] = (sums[:, at + 1] - sums[:, first[at]]) & MASK32
     return rows
 
@@ -205,7 +203,7 @@ def run_program(
 ):
     """Returns (times, channels, channels2, kinds, rows, cycles, period, served).
 
-    The first four are shot 0's columns (the skeleton's own arrays) and
+    The first four are shot 0's columns (the arrays of ``skeleton.events``) and
     ``rows`` the read-only uint32 phase rows, one or one per shot: shot ``s``
     plays them at ``times + s * period``.  ``cycles`` counts the issue cycles
     of all shots, and the last shot ends its reset gap at ``shots * period``."""
@@ -216,15 +214,15 @@ def run_program(
             f"event-time limit of {INT64_MAX} ns"
         )
     _check_budgets(skeleton, shots, counts)
-    rows = _phase_rows(skeleton, shots, banks, counts)
-    rows.flags.writeable = False
+    rows = read_only(_phase_rows(skeleton, shots, banks, counts))
     served = np.zeros(banks.shape[0], np.int64)
     served[: len(skeleton.requests)] = [len(ops) * shots for ops in skeleton.requests]
+    ev = skeleton.events
     return (
-        skeleton.times,
-        skeleton.channels,
-        skeleton.channels2,
-        skeleton.kinds,
+        ev.times,
+        ev.channels,
+        ev.channels2,
+        ev.kinds,
         rows,
         CYCLES_PER_OP * skeleton.n_ops * shots,
         period,

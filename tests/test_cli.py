@@ -489,7 +489,9 @@ def one_shot_trace(kinds, phases):
     words = [word(kind, i, (i + 1) % n if kind == kernels.OP_TWO_QUBIT else 0)
              for i, kind in enumerate(kinds)]
     skeleton = kernels.shot_skeleton(MachineProgram([*words, word(Opcode.END)], n, 1).words, n)
-    return PulseTrace(skeleton, skeleton.shot_end + 500, np.array([phases], np.uint32), n, 1)
+    return PulseTrace(
+        skeleton.events, skeleton.shot_end + 500, np.array([phases], np.uint32), n, 1
+    )
 
 
 class TestFirstTraceMismatch:

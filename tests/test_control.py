@@ -1,6 +1,5 @@
 """Tests for the control-stack model: memory, stitch, executor, session, scheduler."""
 
-import functools
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +18,6 @@ from pce.control import (
     PulseTrace,
     REQUEST_LATENCY_CYCLES,
     TimingConfig,
-    _event_lists,
     _measured,
     _shot_distribution,
     deft_run,
@@ -350,7 +348,9 @@ def _reference_distribution(trace, shot, n):
 def _trace_shot_distribution(trace, shot, n):
     """The sampler's probabilities for one shot of a trace, and its measured qubits."""
     row = trace.rows[0 if len(trace.rows) == 1 else shot]
-    return _shot_distribution(*_event_lists(trace.skeleton), row, n), _measured(trace.skeleton)
+    shot = trace.shot
+    events = shot.kinds.tolist(), shot.channels.tolist(), shot.channels2.tolist()
+    return _shot_distribution(*events, row, n), _measured(shot)
 
 
 def random_trace(rng, n, k, shots, reset_ns=500):
@@ -374,8 +374,8 @@ def random_trace(rng, n, k, shots, reset_ns=500):
         rows = (rng.integers(0, 4, size=(n_rows, k)) << 30).astype(np.uint32)
     else:
         rows = rng.integers(0, 1 << 32, size=(n_rows, k), dtype=np.uint64).astype(np.uint32)
-    rows[:, skeleton.kinds != OP_X90] = 0
-    return PulseTrace(skeleton, skeleton.shot_end + reset_ns, rows, n, shots)
+    rows[:, skeleton.events.kinds != OP_X90] = 0
+    return PulseTrace(skeleton.events, skeleton.shot_end + reset_ns, rows, n, shots)
 
 
 def reference_bits(trace, n, seed, circuit_index):
@@ -488,8 +488,8 @@ class TestTraceText:
 
 
 class TestCompactTrace:
-    """A trace is the program's skeleton, a period and one phase row or one
-    per shot; its expanded columns and its dump match the per-shot oracles."""
+    """A trace is shot 0's events, a period and one phase row or one per
+    shot; its expanded columns and its dump match the per-shot oracles."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(programs_and_banks(fits=("equal", "equal", "above")), st.integers(1, 5))
@@ -533,29 +533,19 @@ class TestCompactTrace:
             with pytest.raises(ValueError):
                 column[0] = 1
         with pytest.raises(ValueError):
-            trace.skeleton.times[0] = 1
+            trace.shot.times[0] = 1
 
-    def test_a_group_shares_one_skeleton_and_builds_its_template_once(self, monkeypatch):
-        built = []
-        template = kernels.ShotSkeleton.__dict__["dump_template"]
-
-        def counted(skeleton):
-            built.append(skeleton)
-            return template.func(skeleton)
-
-        counting = functools.cached_property(counted)
-        counting.__set_name__(kernels.ShotSkeleton, "dump_template")
-        monkeypatch.setattr(kernels.ShotSkeleton, "dump_template", counting)
+    def test_a_group_shares_one_shot(self):
         batch = gen_batch(BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 3, shots=4, seed=6))
         outcome = run_experiment(lambda: batch, lambda b: b, "pce", seed=1)
         groups = outcome.report.groups
         assert any(len(g) > 1 for g in groups)
         for g in groups:
-            assert len({id(outcome.traces[i].skeleton) for i in g}) == 1
-        texts = [outcome.traces[i].to_text() for i in sorted(outcome.traces)]
-        assert len(built) == len({id(sk) for sk in built}) == len(groups)
+            assert len({id(outcome.traces[i].shot) for i in g}) == 1
         base = run_experiment(lambda: batch, lambda b: b, "baseline", seed=1)
-        assert texts == [base.traces[i].to_text() for i in sorted(base.traces)]
+        assert len({id(t.shot) for t in base.traces.values()}) == len(base.traces)
+        for i in sorted(outcome.traces):
+            assert outcome.traces[i].to_text() == base.traces[i].to_text()
 
     def test_event_times_past_int64_are_refused(self):
         program = program_of(word(Opcode.PULSE_X90, 0), word(Opcode.MEASURE, 0), shots=3)

@@ -127,7 +127,7 @@ def _reference_run_program(
 
 def expanded(ret, skeleton, n_qubits, shots):
     """The event columns of all shots, from a ``run_program`` return."""
-    trace = PulseTrace(skeleton, ret[6], ret[4], n_qubits, shots)
+    trace = PulseTrace(skeleton.events, ret[6], ret[4], n_qubits, shots)
     return trace.times, trace.channels, trace.channels2, trace.kinds, trace.phases
 
 
@@ -224,8 +224,8 @@ class TestRunProgramMatchesReference:
             return
         skeleton = kernels.shot_skeleton(program.words, program.n_qubits)
         got = kernels.run_program(skeleton, *args)
-        assert all(g is c for g, c in zip(got[:4], (skeleton.times, skeleton.channels,
-                                                   skeleton.channels2, skeleton.kinds)))
+        ev = skeleton.events
+        assert all(g is c for g, c in zip(got[:4], (ev.times, ev.channels, ev.channels2, ev.kinds)))
         assert len(got[4]) in (1, shots)  # one phase row, or one per shot
         for g, w in zip(expanded(got, skeleton, program.n_qubits, shots), want[:5]):
             assert g.dtype == w.dtype
@@ -240,9 +240,9 @@ class TestRunProgramMatchesReference:
              word(Opcode.TWO_QUBIT, 0, 1), word(Opcode.DELAY, 0, 0, 7),
              word(Opcode.MEASURE, 1), word(Opcode.END)], 2, 1)
         sk = kernels.shot_skeleton(program.words, 2)
-        assert sk.times.tolist() == [0, 16, 116, 116]
-        assert sk.kinds.tolist() == [OP_PULSE_X90, OP_TWO_QUBIT, OP_DELAY, OP_MEASURE]
-        assert sk.channels2.tolist() == [-1, 1, -1, -1]
+        assert sk.events.times.tolist() == [0, 16, 116, 116]
+        assert sk.events.kinds.tolist() == [OP_PULSE_X90, OP_TWO_QUBIT, OP_DELAY, OP_MEASURE]
+        assert sk.events.channels2.tolist() == [-1, 1, -1, -1]
         assert sk.event_ops.tolist() == [1, 2, 3, 4]
         assert sk.shot_end == 616
         assert [r.tolist() for r in sk.requests] == [[], [0]]
