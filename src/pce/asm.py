@@ -38,6 +38,8 @@ from .rip import quantize_phases
 MACHINE_MAGIC = b"PCEM"
 MACHINE_VERSION = 1
 MACHINE_HEADER_LEN = 24
+# the u32 shot field of a PCEM header and of a RUN frame: no run can use more
+MAX_SHOTS = 0xFFFFFFFF
 
 # fixed per-word effort during assembly: the mixing rounds make assembly cost
 # scale with program size, so amortization measurements stay meaningful
@@ -209,7 +211,7 @@ def disassemble(m: MachineProgram) -> AssemblyProgram:
 
 
 def machine_to_bytes(m: MachineProgram) -> bytes:
-    if not (0 <= m.n_qubits <= 0xFFFF and 0 <= m.shots <= 0xFFFFFFFF):
+    if not (0 <= m.n_qubits <= 0xFFFF and 0 <= m.shots <= MAX_SHOTS):
         raise EncodeError(f"{m.n_qubits} qubits and {m.shots} shots do not fit a PCEM header")
     header = MACHINE_MAGIC + struct.pack(
         "<HHII8x", MACHINE_VERSION, m.n_qubits, m.shots, len(m.words)

@@ -229,11 +229,19 @@ class ShotData:
         return int(self.bits.shape[0])
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for row in self.bits:
-            key = "".join(str(int(b)) for b in row)
-            out[key] = out.get(key, 0) + 1
-        return out
+        """Shots per distinct row of bits, keyed by the row's entries written
+        one after another, in order of first appearance.  The rows are
+        counted as byte strings sliced from one ``tobytes`` of the matrix, and
+        only each distinct row is written out as a key."""
+        shots, width = self.bits.shape
+        if not width:
+            return {"": shots} if shots else {}
+        raw = np.ascontiguousarray(self.bits, dtype=np.uint8).tobytes()
+        rows: dict[bytes, int] = {}
+        for i in range(0, shots * width, width):
+            row = raw[i : i + width]
+            rows[row] = rows.get(row, 0) + 1
+        return {"".join(map(str, row)): n for row, n in rows.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ShotData):
@@ -316,27 +324,32 @@ def _shot_distribution(
 def _sample_bits(
     trace: PulseTrace, n_qubits: int, shots: int, seed: int, circuit_index: int
 ) -> ShotData:
+    """Shot ``s`` draws one uniform from ``default_rng((seed, circuit_index, s))``
+    and reads the basis state it falls in from the cumulative distribution of
+    its phase row; the lookup, the clamp and the bit unpacking run over all
+    shots of one distinct row at once."""
     shot = trace.shot
     measured = _measured(shot)
-    bits = np.zeros((shots, len(measured)), dtype=np.uint8)
     if n_qubits > 4 or not measured:
-        return ShotData(measured, bits)  # trace-only mode: deterministic zeros
+        # trace-only mode: deterministic zeros
+        return ShotData(measured, np.zeros((shots, len(measured)), dtype=np.uint8))
     events = shot.kinds.tolist(), shot.channels.tolist(), shot.channels2.tolist()
-    solved: dict[bytes, np.ndarray] = {}  # one distribution per distinct phase row
-    cums = []
-    for row in trace.rows:
-        key = row.tobytes()
-        if key not in solved:
-            solved[key] = np.cumsum(_shot_distribution(*events, row, n_qubits))
-        cums.append(solved[key])
-    for s in range(shots):
-        cum = cums[0 if len(cums) == 1 else s]
-        r = np.random.default_rng((seed, circuit_index, s)).random()
-        idx = int(np.searchsorted(cum, r * cum[-1], side="right"))
-        idx = min(idx, (1 << n_qubits) - 1)
-        for j, q in enumerate(measured):
-            bits[s, j] = (idx >> (n_qubits - 1 - q)) & 1
-    return ShotData(measured, bits)
+    draws = np.array(
+        [np.random.default_rng((seed, circuit_index, s)).random() for s in range(shots)]
+    )
+    # distinct phase row -> the indices of the rows equal to it (shot ids
+    # when there is one row per shot)
+    members: dict[bytes, list[int]] = {}
+    for i, row in enumerate(trace.rows):
+        members.setdefault(row.tobytes(), []).append(i)
+    state = np.empty(shots, dtype=np.int64)
+    for same in members.values():
+        cum = np.cumsum(_shot_distribution(*events, trace.rows[same[0]], n_qubits))
+        at = same if len(trace.rows) > 1 else slice(None)  # one row serves every shot
+        state[at] = np.searchsorted(cum, draws[at] * cum[-1], side="right")
+    np.minimum(state, (1 << n_qubits) - 1, out=state)
+    shifts = n_qubits - 1 - np.array(measured, dtype=np.int64)
+    return ShotData(measured, ((state[:, None] >> shifts) & 1).astype(np.uint8))
 
 
 def execute(

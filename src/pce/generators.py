@@ -7,6 +7,14 @@ spec.  All single-qubit content is lowered through ``u3_decompose``, which is
 what makes same-shape circuits structurally equivalent under the dedup engine
 (including the pair of readout-calibration circuits: |0...0> and |1...1>
 preparations lower to the same pulse skeleton and differ only in phases).
+
+Each lowering is computed once and its frozen ``Gate`` tuple shared: the
+fixed table entries (Cliffords, Paulis, basis preparations, CZ chains and
+measurement blocks) in module caches keyed by the entry and the qubits, and
+the RC/FRC dressings of one base in a memo that lives for one ``gen_rc``
+call.  A cached lowering is the same function of the same inputs, so the
+batch bytes do not depend on the caching.  No cache is keyed by a random
+matrix, so none grows with the batch.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .asm import MAX_SHOTS
 from .circuits import (
     _CZ,
     _MEASURE,
@@ -64,6 +73,8 @@ BASIS_PREP_PARAMS = (
 )
 
 _PAULI_MATRICES = {name: u3_matrix(p) for name, p in PAULI_PARAMS.items()}
+_IDENTITY = np.eye(2, dtype=complex)
+_IDENTITY.setflags(write=False)
 
 
 def _pauli_mul(a: str, b: str) -> str:
@@ -145,8 +156,8 @@ class BatchSpec:
             if len(rand) != len(widths) or min(rand) <= 0:
                 raise ConfigError(f"need one positive count per width, got {rand}")
             object.__setattr__(self, "randomizations", rand)
-        if self.shots <= 0:
-            raise ConfigError("shots must be positive")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ConfigError(f"shot count {self.shots} does not fit 1..{MAX_SHOTS}")
         if not 0 <= int(self.seed) < (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
 
@@ -229,8 +240,27 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), *key))
 
 
-def _measure_all(width: tuple[int, ...]) -> list[Gate]:
-    return [measure(q) for q in sorted(width)]
+# the fixed lowerings: each key is a table entry and a qubit id (or a width),
+# so on qubits 0..7 a table-keyed cache holds at most its table's size x 8
+# entries; maxsize bounds them for any other ids a caller passes
+@functools.lru_cache(maxsize=256)
+def _clifford_gates(index: int, q: int) -> tuple[Gate, ...]:
+    return tuple(u3_decompose(clifford_table().params[index], q))
+
+
+@functools.lru_cache(maxsize=256)
+def _pauli_gates(name: str, q: int) -> tuple[Gate, ...]:
+    return tuple(u3_decompose(PAULI_PARAMS[name], q))
+
+
+@functools.lru_cache(maxsize=256)
+def _basis_prep_gates(basis: int, q: int) -> tuple[Gate, ...]:
+    return tuple(u3_decompose(BASIS_PREP_PARAMS[basis], q))
+
+
+@functools.lru_cache(maxsize=256)
+def _measure_all(width: tuple[int, ...]) -> tuple[Gate, ...]:
+    return tuple(measure(q) for q in sorted(width))
 
 
 def _rb_circuit(width: tuple[int, ...], depth: int, shots: int, rng: np.random.Generator) -> Circuit:
@@ -239,15 +269,14 @@ def _rb_circuit(width: tuple[int, ...], depth: int, shots: int, rng: np.random.G
     draws = rng.integers(0, len(table), size=(depth, len(width)))
     gates: list[Gate] = []
     products = [np.eye(2, dtype=complex) for _ in width]
-    for slot in range(depth):
-        for qi, q in enumerate(width):
-            idx = int(draws[slot, qi])
-            gates.extend(u3_decompose(table.params[idx], q))
+    for row in draws.tolist():
+        for qi, (q, idx) in enumerate(zip(width, row)):
+            gates += _clifford_gates(idx, q)
             products[qi] = table.matrices[idx] @ products[qi]
     for qi, q in enumerate(width):
         inversion = u3_from_unitary(products[qi].conj().T)
         gates.extend(u3_decompose(inversion, q))
-    gates.extend(_measure_all(width))
+    gates += _measure_all(width)
     return Circuit(tuple(gates), n_qubits, shots)
 
 
@@ -255,11 +284,11 @@ def gen_read_circuits(width: tuple[int, ...], shots: int = 100) -> tuple[Circuit
     """Readout calibration pair: prepare |0...0> and |1...1>, both fully lowered."""
     n_qubits = max(width) + 1
     out = []
-    for params in (IDENTITY_PARAMS, PAULI_PARAMS["X"]):
+    for name in ("I", "X"):
         gates: list[Gate] = []
         for q in sorted(width):
-            gates.extend(u3_decompose(params, q))
-        gates.extend(_measure_all(width))
+            gates += _pauli_gates(name, q)
+        gates += _measure_all(width)
         out.append(Circuit(tuple(gates), n_qubits, shots))
     return out[0], out[1]
 
@@ -275,29 +304,28 @@ def iter_rb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
         yield read1, Label(width, 0, 1, "read1")
 
 
-def _cz_chain(width: tuple[int, ...]) -> list[Gate]:
-    return [cz(width[i], width[i + 1]) for i in range(0, len(width) - 1, 2)]
+@functools.lru_cache(maxsize=256)
+def _cz_chain(width: tuple[int, ...]) -> tuple[Gate, ...]:
+    return tuple(cz(width[i], width[i + 1]) for i in range(0, len(width) - 1, 2))
 
 
-def _pauli_layer(width: tuple[int, ...], names: list[str]) -> list[Gate]:
-    gates: list[Gate] = []
-    for q, name in zip(width, names):
-        gates.extend(u3_decompose(PAULI_PARAMS[name], q))
-    return gates
+def _pauli_layer(gates: list[Gate], width: tuple[int, ...], rng: np.random.Generator) -> None:
+    """Append one random Pauli per qubit of ``width``."""
+    for q, i in zip(width, rng.integers(0, 4, size=len(width)).tolist()):
+        gates += _pauli_gates(PAULI_NAMES[i], q)
 
 
 def _cb_circuit(width: tuple[int, ...], depth: int, shots: int, rng: np.random.Generator) -> Circuit:
     n_qubits = max(width) + 1
     gates: list[Gate] = []
-    for q, b in zip(width, rng.integers(0, 3, size=len(width))):
-        gates.extend(u3_decompose(BASIS_PREP_PARAMS[int(b)], q))
+    for q, b in zip(width, rng.integers(0, 3, size=len(width)).tolist()):
+        gates += _basis_prep_gates(b, q)
+    chain = _cz_chain(width)
     for _ in range(depth):
-        names = [PAULI_NAMES[int(i)] for i in rng.integers(0, 4, size=len(width))]
-        gates.extend(_pauli_layer(width, names))
-        gates.extend(_cz_chain(width))
-    names = [PAULI_NAMES[int(i)] for i in rng.integers(0, 4, size=len(width))]
-    gates.extend(_pauli_layer(width, names))
-    gates.extend(_measure_all(width))
+        _pauli_layer(gates, width, rng)
+        gates += chain
+    _pauli_layer(gates, width, rng)
+    gates += _measure_all(width)
     return Circuit(tuple(gates), n_qubits, shots)
 
 
@@ -316,6 +344,7 @@ def iter_cb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
 class _LayeredBase:
     easy: tuple[dict[int, np.ndarray], ...]  # per layer: qubit -> 2x2 matrix
     hard: tuple[tuple[tuple[int, int], ...], ...]  # per layer: disjoint CZ pairs
+    hard_gates: tuple[tuple[Gate, ...], ...]  # per layer: its CZs, shared by every dressing
     active: tuple[int, ...]
     n_qubits: int
     shots: int
@@ -352,7 +381,7 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
                 in_hard = False
             q = g.qubits[0]
             m = X90_MATRIX if kind is _X90 else z_matrix(g.phase)
-            easy[-1][q] = m @ easy[-1].get(q, np.eye(2, dtype=complex))
+            easy[-1][q] = m @ easy[-1].get(q, _IDENTITY)
             active.add(q)
         else:
             raise ConfigError(f"base circuit may not contain {kind.value} gates")
@@ -360,35 +389,56 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
         easy.append({})  # trailing correction layer slot
     if len(easy) != len(hard) + 1:
         raise ConfigError("base circuit does not alternate single- and two-qubit layers")
+    pairs = tuple(tuple(h) for h in hard)
     return _LayeredBase(
-        tuple(easy), tuple(tuple(h) for h in hard), tuple(sorted(active)), base.n_qubits, base.shots
+        tuple(easy),
+        pairs,
+        tuple(tuple(cz(a, b) for a, b in h) for h in pairs),
+        tuple(sorted(active)),
+        base.n_qubits,
+        base.shots,
     )
 
 
-def _dress(layers: _LayeredBase, rng: np.random.Generator) -> Circuit:
-    """Twirl every easy layer with random Paulis and fold in the corrections."""
+_Slot = tuple[int, int, str, str]  # (easy layer, qubit, twirl, correction)
+
+
+def _dress(
+    layers: _LayeredBase, rng: np.random.Generator, memo: dict[_Slot, tuple[Gate, ...]]
+) -> Circuit:
+    """Twirl every easy layer with random Paulis and fold in the corrections.
+
+    A slot's lowering depends only on its layer, qubit, twirl and correction,
+    so ``memo`` (one per base) holds at most 16 lowerings per slot and every
+    dressing of the base reuses them.
+    """
     gates: list[Gate] = []
-    corr = {q: "I" for q in layers.active}
+    active = layers.active
+    corr = {q: "I" for q in active}
     last = len(layers.easy) - 1
     for k, easy in enumerate(layers.easy):
         if k < last:
-            draws = rng.integers(0, 4, size=len(layers.active))
-            twirl = {q: PAULI_NAMES[int(d)] for q, d in zip(layers.active, draws)}
+            draws = rng.integers(0, 4, size=len(active)).tolist()
+            twirl = {q: PAULI_NAMES[d] for q, d in zip(active, draws)}
         else:
-            twirl = {q: "I" for q in layers.active}
-        for q in layers.active:
-            m = (
-                _PAULI_MATRICES[twirl[q]]
-                @ easy.get(q, np.eye(2, dtype=complex))
-                @ _PAULI_MATRICES[corr[q]]
-            )
-            gates.extend(u3_decompose(u3_from_unitary(m), q))
+            twirl = {q: "I" for q in active}
+        for q in active:
+            key = (k, q, twirl[q], corr[q])
+            lowered = memo.get(key)
+            if lowered is None:
+                m = (
+                    _PAULI_MATRICES[twirl[q]]
+                    @ easy.get(q, _IDENTITY)
+                    @ _PAULI_MATRICES[corr[q]]
+                )
+                lowered = memo[key] = tuple(u3_decompose(u3_from_unitary(m), q))
+            gates += lowered
         if k < last:
             corr = dict(twirl)
             for a, b in layers.hard[k]:
                 corr[a], corr[b] = _cz_conjugate(twirl[a], twirl[b])
-            gates.extend(cz(a, b) for a, b in layers.hard[k])
-    gates.extend(measure(q) for q in layers.active)
+            gates += layers.hard_gates[k]
+    gates += _measure_all(active)
     return Circuit(tuple(gates), layers.n_qubits, layers.shots)
 
 
@@ -402,10 +452,11 @@ def gen_rc(
     if n_rand < 1:
         raise ConfigError("n_rand must be at least 1")
     layers = _parse_layers(base)
+    memo: dict[_Slot, tuple[Gate, ...]] = {}
     circuits = []
     labels = []
     for r in range(n_rand):
-        circuits.append(_dress(layers, _rng(seed, _STREAM_RC, *stream, r)))
+        circuits.append(_dress(layers, _rng(seed, _STREAM_RC, *stream, r), memo))
         labels.append(Label(layers.active, len(layers.hard), r, "rc"))
     return CircuitBatch(tuple(circuits), tuple(labels))
 
@@ -422,8 +473,8 @@ def gen_random_base(
             angles = rng.uniform(0.0, TAU, size=3)
             gates.extend(u3_decompose(U3Params(*angles), q))
         if k < n_cycles:
-            gates.extend(_cz_chain(width))
-    gates.extend(_measure_all(width))
+            gates += _cz_chain(width)
+    gates += _measure_all(width)
     return Circuit(tuple(gates), n_qubits, shots)
 
 

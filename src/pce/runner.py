@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .asm import MachineProgram, assemble, compile_circuit
+from .asm import MAX_SHOTS, MachineProgram, assemble, compile_circuit
 from .control import (
     CYCLE_NS,
     REQUEST_LATENCY_CYCLES,
@@ -57,8 +57,8 @@ def check_run_args(seed: int, shots: int | None) -> None:
     """Refuse a seed or shot count that no run can use, before any work starts."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    if shots is not None and not 1 <= shots <= 0xFFFFFFFF:
-        raise ConfigError(f"shot count {shots} does not fit 1..{0xFFFFFFFF}")
+    if shots is not None and not 1 <= shots <= MAX_SHOTS:
+        raise ConfigError(f"shot count {shots} does not fit 1..{MAX_SHOTS}")
 
 
 def run_experiment(

@@ -99,6 +99,45 @@ class TestDumpBytesPinned:
         assert self.dump_digest(out) == digest
 
 
+class TestManifestHashPinned:
+    """The manifest hash of one small batch per kind, pinned by digest.
+
+    The digests were recorded before generation shared one lowering between
+    the circuits that use it, so a change to any circuit file's bytes fails
+    here.  The FRC batch has 20 dressings per base, so most of its slots
+    repeat a lowering."""
+
+    SPECS = {
+        "rb": (
+            "kind = RB\nwidths = 0 | 0,1\ndepths = 2,5\nrandomizations = 3\nshots = 5\nseed = 4\n",
+            "7e81e0406ce92bebc13362fd61079118540dc23573b325d71bcad9766a02af94",
+        ),
+        "cb": (
+            "kind = CB\nwidths = 0,1 | 0,1,2,3\ndepths = 2,4\nrandomizations = 3\nshots = 5\n"
+            "seed = 4\n",
+            "3d7ef8648371cb8501ea9345692102bf791af734092a2daaa3310a25697b8bcf",
+        ),
+        "rc": (
+            "kind = RC\nwidths = 0,1,2\ndepths = 1,3\nrandomizations = 4\nshots = 5\nseed = 4\n",
+            "e6b1680f5b138620d0abb0aae336c365088ce6a766ebaea5b414662604bf36dc",
+        ),
+        "frc": (
+            "kind = FRC\nwidths = 0,1 | 0,1,2,3\ndepths = 2,6\nrandomizations = 20\nshots = 1\n"
+            "seed = 4\n",
+            "c5c1e28a29f9258708d0b3a7df57d37101f392d939d62218ae4bbf76887373d0",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_manifest_hash_matches_the_pinned_digest(self, tmp_path, kind):
+        spec, digest = self.SPECS[kind]
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(spec)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        manifest = (tmp_path / "b" / "manifest.txt").read_text()
+        assert re.search(r"^hash (\w+)$", manifest, re.M).group(1) == digest
+
+
 class TestGenerate:
     def test_writes_expected_count(self, batch_dir):
         batch = read_batch(batch_dir)
@@ -360,7 +399,8 @@ class TestRun:
 class TestValuesNoHeaderFieldHolds:
     """A ``--shots`` outside 1..2^32-1, and a circuit header whose shot or
     qubit count a PCEM or PCEB header cannot hold, exit 2 with an ``error:``
-    line, in both modes and over the socket."""
+    line, in both modes and over the socket; ``generate`` refuses such a
+    shot count, from its config or its flag, before writing a file."""
 
     def exits_2_naming(self, argv, capsys, named):
         assert main(argv) == 2
@@ -374,6 +414,26 @@ class TestValuesNoHeaderFieldHolds:
         argv = ["run", "--batch", str(batch_dir), "--mode", mode, "--shots", shots,
                 "--out", str(tmp_path / "o"), *transport]
         self.exits_2_naming(argv, capsys, f"shot count {shots} does not fit")
+
+    @pytest.mark.parametrize("shots", ["5000000000", str(1 << 32)])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_generate_refuses_the_shot_count(self, tmp_path, capsys, where, shots):
+        # refused before any file is written, as pce run would refuse the batch
+        cfg = tmp_path / "spec.cfg"
+        spec = "kind = RB\nwidths = 0\ndepths = 2\nrandomizations = 1\nseed = 1\n"
+        cfg.write_text(spec + (f"shots = {shots}\n" if where == "config" else ""))
+        out = tmp_path / "b"
+        argv = ["generate", "--config", str(cfg), "--out", str(out)]
+        argv += ["--shots", shots] if where == "flag" else []
+        self.exits_2_naming(argv, capsys, f"shot count {shots} does not fit")
+        assert not out.exists()
+
+    def test_generate_takes_the_largest_shot_count(self, tmp_path):
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text("kind = RB\nwidths = 0\ndepths = 2\nrandomizations = 1\nseed = 1\n")
+        argv = ["generate", "--config", str(cfg), "--shots", str(0xFFFFFFFF)]
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert {c.shots for c in read_batch(tmp_path / "b").circuits} == {0xFFFFFFFF}
 
     @pytest.mark.parametrize("mode", ["baseline", "pce"])
     @pytest.mark.parametrize("n_qubits, shots", [(70000, 1), (1, 5000000000)])

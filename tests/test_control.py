@@ -17,8 +17,10 @@ from pce.control import (
     ParameterMemory,
     PulseTrace,
     REQUEST_LATENCY_CYCLES,
+    ShotData,
     TimingConfig,
     _measured,
+    _sample_bits,
     _shot_distribution,
     deft_run,
     execute,
@@ -403,6 +405,21 @@ class TestSamplerMatchesReference:
                 assert measured == ref_measured
                 assert np.array_equal(probs.view(np.uint64), ref_probs.view(np.uint64))
 
+    def test_sampled_bits_equal_the_per_shot_reference(self):
+        # per-shot rows are drawn from a pool of two, so shots share rows
+        rng = np.random.default_rng(29)
+        for _ in range(80):
+            n = int(rng.integers(1, 5))
+            shots = int(rng.integers(1, 9))
+            trace = random_trace(rng, n, int(rng.integers(0, 40)), shots)
+            if len(trace.rows) > 1:
+                trace = replace(trace, rows=trace.rows[rng.integers(0, 2, size=shots)])
+            seed, index = int(rng.integers(0, 1 << 32)), int(rng.integers(0, 300))
+            data = _sample_bits(trace, n, shots, seed, index)
+            assert data.measured_qubits == _measured(trace.shot)
+            assert data.bits.dtype == np.uint8
+            assert np.array_equal(data.bits, reference_bits(trace, n, seed, index))
+
     @pytest.mark.parametrize("n", [2, 6])
     def test_a_qubit_measured_twice_is_listed_twice(self, n):
         # trace-only programs (over 4 qubits) list one entry per MEASURE event too
@@ -434,6 +451,38 @@ class TestSamplerMatchesReference:
             rows = res.trace.phases.reshape(shots, -1)
             assert len({row.tobytes() for row in rows}) > 1
             assert np.array_equal(res.data.bits, reference_bits(res.trace, n, seed, 4))
+
+
+def _reference_counts(data):
+    """Oracle: the per-shot histogram, each key built bit by bit."""
+    out = {}
+    for row in data.bits:
+        key = "".join(str(int(b)) for b in row)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+class TestShotCounts:
+    @pytest.mark.parametrize(
+        "shots, width, top",
+        [(1, 0, 2), (5, 0, 2), (1, 1, 2), (1, 4, 2), (50, 4, 2), (200, 8, 2), (7, 3, 256),
+         (30, 70, 2)],
+    )
+    def test_counts_and_dump_equal_the_per_shot_reference(self, shots, width, top):
+        # bytes other than 0 and 1, and rows wider than a word, key as they read
+        rng = np.random.default_rng(shots * 1000 + width)
+        bits = rng.integers(0, top, size=(shots, width)).astype(np.uint8)
+        data = ShotData(tuple(range(width)), bits)
+        want = _reference_counts(data)
+        assert data.counts() == want
+        lines = [f"measured {' '.join(map(str, range(width)))}", f"shots {shots}"]
+        lines += [f"{k} {n}" for k, n in sorted(want.items())]
+        assert data.to_text() == "\n".join(lines) + "\n"
+
+    def test_non_contiguous_bits(self):
+        bits = np.random.default_rng(3).integers(0, 2, size=(6, 8)).astype(np.uint8)
+        data = ShotData((0, 1, 2, 3), bits[:, ::2])
+        assert data.counts() == _reference_counts(data)
 
 
 def _reference_trace_text(trace):

@@ -2,18 +2,35 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pce.generators as generators
 from pce.circuits import (
+    TAU,
     Circuit,
     GateKind,
+    U3Params,
     circuit_unitary,
+    cz,
     global_phase_distance,
+    measure,
+    u3_decompose,
+    u3_from_unitary,
     u3_matrix,
 )
 from pce.errors import ConfigError
 from pce.generators import (
+    _PAULI_MATRICES,
+    _STREAM_RC,
+    BASIS_PREP_PARAMS,
+    MAX_QUBIT_ID,
+    PAULI_NAMES,
     BatchSpec,
     PAULI_PARAMS,
+    _cz_conjugate,
+    _parse_layers,
+    _rng,
     clifford_table,
     gen_batch,
     gen_random_base,
@@ -204,6 +221,59 @@ class TestCb:
         assert len(batch) == 2 * 2 + 2 * 3 == spec.expected_count()
 
 
+def _reference_dress(layers, rng) -> Circuit:
+    """Test-only oracle: the per-slot dressing, which lowers every slot of
+    every randomization afresh and shares no gate between dressings."""
+    gates = []
+    corr = {q: "I" for q in layers.active}
+    last = len(layers.easy) - 1
+    for k, easy in enumerate(layers.easy):
+        if k < last:
+            draws = rng.integers(0, 4, size=len(layers.active))
+            twirl = {q: PAULI_NAMES[int(d)] for q, d in zip(layers.active, draws)}
+        else:
+            twirl = {q: "I" for q in layers.active}
+        for q in layers.active:
+            m = (
+                _PAULI_MATRICES[twirl[q]]
+                @ easy.get(q, np.eye(2, dtype=complex))
+                @ _PAULI_MATRICES[corr[q]]
+            )
+            gates.extend(u3_decompose(u3_from_unitary(m), q))
+        if k < last:
+            corr = dict(twirl)
+            for a, b in layers.hard[k]:
+                corr[a], corr[b] = _cz_conjugate(twirl[a], twirl[b])
+            gates.extend(cz(a, b) for a, b in layers.hard[k])
+    gates.extend(measure(q) for q in layers.active)
+    return Circuit(tuple(gates), layers.n_qubits, layers.shots)
+
+
+@st.composite
+def layered_bases(draw):
+    """A layered base on 1-4 qubit ids out of 0..7, with 1-6 CZ layers.  A
+    slot other than the first qubit's may have no single-qubit gate, and a CZ
+    layer may leave qubits idle; one that draws no pair merges its
+    neighbouring easy layers."""
+    width = tuple(draw(st.permutations(range(MAX_QUBIT_ID + 1)))[: draw(st.integers(1, 4))])
+    depth = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for k in range(depth + 1):
+        for q in width:
+            if q == width[0] or rng.random() < 0.8:
+                gates += u3_decompose(U3Params(*rng.uniform(0.0, TAU, size=3)), q)
+        if k < depth:
+            order = rng.permutation(width).tolist()
+            gates += [
+                cz(order[i], order[i + 1])
+                for i in range(0, len(order) - 1, 2)
+                if rng.random() < 0.8
+            ]
+    gates += [measure(q) for q in sorted(width)]
+    return Circuit(tuple(gates), max(width) + 1, shots=3)
+
+
 class TestRc:
     def make_base(self, width=(0, 1), cycles=3, seed=8):
         return gen_random_base(width, cycles, np.random.default_rng(seed), shots=10)
@@ -225,12 +295,67 @@ class TestRc:
         for c in gen_rc(base, n_rand=5, seed=2).circuits:
             assert global_phase_distance(circuit_unitary(strip_measures(c)), base_u) < 1e-9
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(layered_bases(), st.integers(1, 30), st.integers(0, 2**64 - 1), st.integers(0, 9))
+    def test_dressings_equal_the_per_slot_reference(self, base, n_rand, seed, stream):
+        # Gate equality compares phases as floats, so the lowerings are bit-equal
+        layers = _parse_layers(base)
+        want = tuple(
+            _reference_dress(layers, _rng(seed, _STREAM_RC, stream, r)) for r in range(n_rand)
+        )
+        assert gen_rc(base, n_rand, seed, stream=(stream,)).circuits == want
+
+    @pytest.mark.parametrize("n_rand", [1, 5, 16, 40])
+    def test_a_slot_is_lowered_at_most_once_per_twirl_and_correction(self, monkeypatch, n_rand):
+        base = self.make_base(width=(0, 1, 2), cycles=4)
+        layers = _parse_layers(base)
+        slots = len(layers.easy) * len(layers.active)
+        calls = []
+        monkeypatch.setattr(
+            generators, "u3_from_unitary", lambda m: calls.append(m) or u3_from_unitary(m)
+        )
+        gen_rc(base, n_rand, seed=6)
+        assert len(calls) <= min(n_rand, 16) * slots
+        if n_rand > 16:
+            assert len(calls) < n_rand * slots
+
     def test_malformed_base_rejected(self):
         from pce.circuits import delay, x90
 
         bad = Circuit((x90(0), delay(0, 10)), n_qubits=1)
         with pytest.raises(ConfigError):
             gen_rc(bad, 1, 0)
+
+
+class TestLoweringCaches:
+    """The module caches of fixed lowerings are keyed by table entries and
+    qubits (or widths) only: each has a maxsize, a table-keyed one stays
+    within its table's size x 8 qubits, and RC/FRC batches with new random
+    bases add no entry."""
+
+    TABLES = {
+        "_clifford_gates": 24,
+        "_pauli_gates": len(PAULI_NAMES),
+        "_basis_prep_gates": len(BASIS_PREP_PARAMS),
+    }
+    WIDTH_KEYED = ("_cz_chain", "_measure_all")
+
+    def sizes(self):
+        return {name: getattr(generators, name).cache_info().currsize
+                for name in (*self.TABLES, *self.WIDTH_KEYED)}
+
+    def test_caches_stay_bounded(self):
+        widths = ((0, 1), (2, 3, 4, 5), (7, 6))
+        for kind in ("RB", "CB", "RC", "FRC"):
+            gen_batch(BatchSpec(kind, widths, ((1, 3),), 4, shots=2, seed=0))
+        sizes = self.sizes()
+        for name, size in self.TABLES.items():
+            assert sizes[name] <= size * (MAX_QUBIT_ID + 1)
+        for name in (*self.TABLES, *self.WIDTH_KEYED):
+            assert getattr(generators, name).cache_info().maxsize is not None
+        for kind in ("RC", "FRC"):
+            gen_batch(BatchSpec(kind, widths, ((1, 3),), 4, shots=2, seed=1))
+        assert self.sizes() == sizes
 
 
 class TestSpecsAndPresets:
@@ -258,6 +383,10 @@ class TestSpecsAndPresets:
             BatchSpec("RB", ((0,),), ((1,),), 0)
         with pytest.raises(ConfigError):
             BatchSpec("RB", ((0,),), ((1,),), (2, 3))
+        # the shot field of a PCEM header and of a RUN frame is 32 bits
+        assert BatchSpec("RB", ((0,),), ((1,),), 1, shots=0xFFFFFFFF).shots == 0xFFFFFFFF
+        with pytest.raises(ConfigError, match="shot count 4294967296 does not fit"):
+            BatchSpec("RB", ((0,),), ((1,),), 1, shots=1 << 32)
 
     def test_gen_batch_dispatch(self):
         spec = BatchSpec("RC", ((0, 1),), ((2,),), 3, shots=5, seed=1)
