@@ -57,11 +57,19 @@ class Opcode(IntEnum):
     END = 0x07
 
 
-_OPCODE_VALUES = np.array(sorted(int(o) for o in Opcode), dtype=np.uint64)
+_OPCODE_VALUES = np.array(sorted(int(o) for o in Opcode), dtype=np.int64)
 # the fields of a word, one assembly column each: name, bit offset, largest value
 _FIELDS = (
     ("opcode", 56, 0xFF), ("channel", 48, 0xFF), ("channel2", 40, 0xFF), ("imm", 0, 0xFFFFFFFF)
 )
+
+
+def word_fields(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each word's opcode, channel, channel2 and imm field: the assembly columns."""
+    w = np.asarray(words, dtype=np.uint64)
+    return tuple(
+        ((w >> np.uint64(shift)) & np.uint64(limit)).astype(np.int64) for _, shift, limit in _FIELDS
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +102,7 @@ def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
     """
     if not words.size:
         return 0, "program has no END op"
-    op, ch, ch2, imm = ((words >> np.uint64(s)) & np.uint64(lim) for _, s, lim in _FIELDS)
+    op, ch, ch2, imm = word_fields(words)
     end = op == Opcode.END
     misplaced_end = end.copy()  # an END before the last word, or a last word that is not END
     misplaced_end[-1] = not end[-1]
@@ -206,8 +214,7 @@ def assemble(p: AssemblyProgram) -> MachineProgram:
 
 def disassemble(m: MachineProgram) -> AssemblyProgram:
     """Inverse of ``assemble``: the word rules zero every unused byte."""
-    columns = ((m.words >> np.uint64(shift)) & np.uint64(limit) for _, shift, limit in _FIELDS)
-    return AssemblyProgram(*(col.astype(np.int64) for col in columns), m.n_qubits, m.shots)
+    return AssemblyProgram(*word_fields(m.words), m.n_qubits, m.shots)
 
 
 def machine_to_bytes(m: MachineProgram) -> bytes:

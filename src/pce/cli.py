@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=("baseline", "pce"), default="baseline")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--shots", type=int, default=None)
-    p_run.add_argument("--reset-ns", type=int, default=500)
+    p_run.add_argument("--reset-ns", type=int, default=TimingConfig().reset_ns)
     p_run.add_argument("--socket", action="store_true", help="RPC over a local stream socket")
     p_run.add_argument("--out", type=Path, required=True)
 
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--batch", type=Path, required=True)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--shots", type=int, default=None)
-    p_ver.add_argument("--reset-ns", type=int, default=500)
+    p_ver.add_argument("--reset-ns", type=int, default=TimingConfig().reset_ns)
     p_ver.add_argument("--blob", type=Path, help="use this parameter blob instead of a fresh one")
 
     p_cmp = sub.add_parser("compare", help="speedup table from two profile reports")

@@ -3,45 +3,34 @@ scheduler.
 
 The executor plays assembled machine words with one integer phase
 accumulator per qubit (32-bit wraparound, reset each shot).  INC_PHASE adds
-its immediate, REQ_PARAM adds the next stitched word for that qubit (bank
-``q`` serves its ``counts[q]`` words once per shot, see ``kernels``), and
+its immediate, REQ_PARAM adds the next stitched word for that qubit, and
 every physical pulse is logged as a trace event stamped with the current
 accumulator.  Because both sides work on the same quantized words, a directly
 compiled circuit and its stitched representative produce bit-identical traces.
+``kernels`` describes the two passes that do this, the serving law and the
+faults of a run.
 
-It runs in two passes (``kernels``): a timing pass over the words
-(``shot_skeleton``) and a phase pass over the banks (``run_program``).  A
-``ControlSession`` keeps the loaded program's skeleton: the first RUN after a
-LOAD_CIRCUIT builds it, inside "Start Run", and LOAD_CIRCUIT and LOAD_DEFS
-drop it.  So pce mode pays the timing pass once per group and the baseline
-once per circuit, and every other RUN pays only the phase pass, as the
-hardware keeps a loaded pulse structure and stitches only the phases.  A
-``PulseTrace`` stays in the form the passes make: shot 0's events (shared by
-every trace run from one loaded program), the period and the phase rows.
+A ``ControlSession`` keeps the loaded program's timing pass
+(``kernels.ShotSkeleton``): the first RUN after a LOAD_CIRCUIT builds it,
+inside "Start Run", and LOAD_CIRCUIT and LOAD_DEFS drop it.  So pce mode pays
+the timing pass once per group and the baseline once per circuit, and every
+other RUN pays only the phase pass, as the hardware keeps a loaded pulse
+structure and stitches only the phases.  A ``PulseTrace`` stays in the form
+the passes make: shot 0's events (shared by every trace run from one loaded
+program), the period and the phase rows.
 
-A ``MachineProgram`` obeys the word rules by construction, so the executor
-checks no word: its only runtime fault is a parameter underflow, which
-``kernels.run_program`` raises as ``UnderflowError(bank, shot, op)``.  A run
-whose event times would pass int64 is refused before it starts, as
-``ConfigError``.
-
-Timing model: every instruction costs 2 cycles to issue (500 MHz, so 4 ns;
-prefetch means a parameter request costs the same as a local phase update).
-Physical durations are per-channel and fixed, stated in ``kernels``: X90
-16 ns, CZ 100 ns (with the two channels synchronized), MEASURE 500 ns, DELAY
-as written; the passive-reset gap between shots is configurable (default
-500 ns).
+Timing model: every instruction costs ``kernels.CYCLES_PER_OP`` cycles of
+``CYCLE_NS`` to issue, and a parameter request costs the same
+(``REQUEST_LATENCY_CYCLES``: prefetch always hits).  Physical durations are
+per-channel and fixed, stated in ``kernels``; the passive-reset gap between
+shots is ``TimingConfig.reset_ns``.  The bank geometry, ``N_BANKS`` banks of
+``BANK_CAPACITY`` words, is stated in ``rip`` and re-exported here.
 
 Measurement bits are sampled noiselessly from the executed pulse trace via a
 small state-vector computation for up to 4 qubits (per-shot seeded sampler,
-one distribution per distinct phase row); wider programs run trace-only with
-all bits zero.  The sampler reads shot 0's kinds and channels once per
-trace, builds each shot's X90 matrices in one batch and applies one
-``np.dot`` per pulse to the state gathered with the pulsed qubit's axis first
-(index arrays built once per width); its probabilities are bit-exact to the
-per-event reference, which builds every matrix from its own phase and
-contracts it into the state tensor one event at a time (kept in the tests as
-``_reference_distribution``).
+one distribution per distinct phase row, ``_shot_distribution``, bit-exact to
+the per-event oracle ``_reference_distribution`` in the tests); wider
+programs run trace-only with all bits zero.
 """
 
 from __future__ import annotations
@@ -60,14 +49,15 @@ from .errors import (
     ConfigError,
     RoutingError,
     SchedulingError,
+    TableCapacityError,
     UnderflowError,
     ValidationError,
 )
-from .rip import BANK_CAPACITY, debinarize, dequantize_words
+from .rip import BANK_CAPACITY, N_BANKS, debinarize, dequantize_words
 
-N_BANKS = 8
 CYCLE_NS = 2  # 500 MHz clock
-REQUEST_LATENCY_CYCLES = 2  # prefetch always hits: 4 ns per request
+# prefetch always hits: a request costs what any issued op costs
+REQUEST_LATENCY_CYCLES = kernels.CYCLES_PER_OP
 
 ENVELOPE_CAPACITY = 4096
 FREQ_CAPACITY = 64
@@ -93,12 +83,12 @@ def _fit_bank(bank: int, words) -> np.ndarray:
         raise RoutingError(f"bank {bank} outside 0..{N_BANKS - 1}")
     arr = np.asarray(words, dtype=np.uint32)
     if arr.size > BANK_CAPACITY:
-        raise CapacityError(bank, int(arr.size))
+        raise CapacityError(bank, int(arr.size), BANK_CAPACITY)
     return arr
 
 
 class ParameterMemory:
-    """Eight parallel 2048-word banks of 32-bit parameters, one per qubit.
+    """``N_BANKS`` parallel banks of ``BANK_CAPACITY`` 32-bit parameters, one per qubit.
 
     ``counts[q]`` is the number of words bank ``q`` serves per shot: the
     length of its last write, until a run consumes the parameters.
@@ -410,7 +400,6 @@ class ControlSession:
         self.current_index = -1
         self.results: dict[int, ExecResult] = {}
         self._pending: ExecResult | None = None
-        self.total_served = 0
 
     def _scope(self, name: str):
         if self.record is None:
@@ -440,9 +429,9 @@ class ControlSession:
         env = np.asarray(envelope, dtype=complex)
         frq = np.asarray(freq, dtype=np.float64)
         if env.size > ENVELOPE_CAPACITY:
-            raise CapacityError(0, int(env.size), ENVELOPE_CAPACITY)
+            raise TableCapacityError("envelope", int(env.size), ENVELOPE_CAPACITY)
         if frq.size > FREQ_CAPACITY:
-            raise CapacityError(0, int(frq.size), FREQ_CAPACITY)
+            raise TableCapacityError("frequency", int(frq.size), FREQ_CAPACITY)
         with self._scope("Load Batch"):
             with self._scope("Load definition"):
                 with self._scope("Load env."):
@@ -483,7 +472,6 @@ class ControlSession:
             raise
         self._pending = result  # get-data closes "Run Batch"
         self.results[self.current_index] = result
-        self.total_served += int(result.served.sum())
         # parameters are consumed by the run; the next circuit must reload
         self.memory.counts[:] = 0
 

@@ -25,15 +25,25 @@ class UnsupportedGateError(PceError):
 
 
 class CapacityError(PceError):
-    """A parameter memory bank (2048 words) would overflow."""
+    """A parameter memory bank of ``limit`` words would overflow."""
 
-    def __init__(self, qubit: int, count: int, limit: int = 2048, where: str = ""):
+    def __init__(self, qubit: int, count: int, limit: int, where: str = ""):
         self.qubit = qubit
         self.count = count
         self.limit = limit
         prefix = f"{where}: " if where else ""
         super().__init__(
             f"{prefix}qubit {qubit}: {count} phase words exceed the {limit}-word bank capacity"
+        )
+
+
+class TableCapacityError(CapacityError):
+    """A definition table (envelope or frequency) would overflow its memory."""
+
+    def __init__(self, table: str, count: int, limit: int):
+        self.count, self.limit = count, limit
+        PceError.__init__(
+            self, f"{table} table: {count} entries exceed the {limit}-entry table capacity"
         )
 
 

@@ -45,8 +45,9 @@ from .circuits import (
     z_matrix,
 )
 from .errors import ConfigError
+from .rip import N_BANKS
 
-MAX_QUBIT_ID = 7  # parameter memory has eight banks
+MAX_QUBIT_ID = N_BANKS - 1  # one parameter bank per qubit id
 
 # stream tags keep the per-kind PRNG streams disjoint under one seed
 _STREAM_RB = 1

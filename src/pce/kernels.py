@@ -5,18 +5,19 @@ Only the phase column of a trace depends on the parameter banks.  Event
 times, channels, partner channels and kinds follow from the words alone, and
 every shot plays them the same way: the accumulators reset each shot and all
 channels meet at the shot's end plus the reset gap.  So the timing pass
-decodes the words once and records shot 0 (``ShotSkeleton``); its only walk
-in program order is the channel clocks, in plain Python ints.  Shot ``s`` is
-shot 0 shifted by ``s * period``, with ``period = shot_end + reset_ns``.  The
-phase pass works on whole arrays: one increment per op (an INC_PHASE
-immediate or a served bank word), a cumulative sum per channel masked to 32
-bits, read at the X90 events.  It returns one phase row when every shot takes
-the same words and one row per shot otherwise.  Neither pass expands the
-shots: a run is shot 0's events (``ShotSkeleton.events``), the period and the
-phase rows, the compact trace ``control.PulseTrace`` holds.  A loaded program
-keeps its skeleton, so a run of the next circuit of its group pays only the
-phase pass, and all the group's traces share its ``ShotEvents`` (read-only
-arrays).  The phase-pass inputs stay with the skeleton, not the traces.
+decodes the words once (``asm.word_fields``) and records shot 0
+(``ShotSkeleton``); its only walk in program order is the channel clocks, in
+plain Python ints.  Shot ``s`` is shot 0 shifted by ``s * period``, with
+``period = shot_end + reset_ns``.  The phase pass works on whole arrays: one
+increment per op (an INC_PHASE immediate or a served bank word), a
+cumulative sum per channel masked to 32 bits, read at the X90 events.  It
+returns one phase row when every shot takes the same words and one row per
+shot otherwise.  Neither pass expands the shots: a run is shot 0's events
+(``ShotSkeleton.events``), the period and the phase rows, the compact trace
+``control.PulseTrace`` holds.  A loaded program keeps its skeleton, so a run
+of the next circuit of its group pays only the phase pass, and all the
+group's traces share its ``ShotEvents`` (read-only arrays).  The phase-pass
+inputs stay with the skeleton, not the traces.
 
 Stitch serving law (the one implementation).  A bank holding ``pc`` words
 serves its ``k``-th request (``k`` from 0) from offset ``k % pc`` and
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asm import Opcode
+from .asm import Opcode, word_fields
 from .errors import ConfigError, UnderflowError
 
 # opcode byte values as plain ints, not IntEnum members: callers compare
@@ -73,7 +74,7 @@ INT64_MAX = (1 << 63) - 1  # event times are int64 nanoseconds
 # per opcode byte: does it emit an event, and the duration of a fixed pulse
 _EMITS = np.zeros(256, bool)
 _EMITS[list(EVENT_KIND_NAMES)] = True
-_DURATIONS = np.zeros(256, np.uint64)
+_DURATIONS = np.zeros(256, np.int64)
 _DURATIONS[[OP_PULSE_X90, OP_TWO_QUBIT, OP_MEASURE]] = [X90_NS, CZ_NS, MEASURE_NS]
 
 
@@ -103,9 +104,8 @@ class ShotSkeleton:
     events: ShotEvents
     event_ops: np.ndarray  # int64[events], the op that emitted each event
     shot_end: int  # latest channel clock at the end of shot 0
-    n_ops: int
-    op_channels: np.ndarray  # int64[n_ops]
-    op_incs: np.ndarray  # uint64[n_ops], INC_PHASE immediate, else 0
+    op_channels: np.ndarray  # int64[ops], one entry per word
+    op_incs: np.ndarray  # uint64[ops], INC_PHASE immediate, else 0
     requests: tuple[np.ndarray, ...]  # per bank, its REQ_PARAM op indices (int64)
 
 
@@ -114,11 +114,7 @@ def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
     words alone.  Only the channel clocks need a walk in program order (a CZ
     waits for both its channels); it runs over the emitting ops as plain
     Python ints."""
-    w = np.asarray(words, dtype=np.uint64)
-    ops = (w >> np.uint64(56)).astype(np.int64)
-    chans = ((w >> np.uint64(48)) & np.uint64(0xFF)).astype(np.int64)
-    chans2 = ((w >> np.uint64(40)) & np.uint64(0xFF)).astype(np.int64)
-    imms = w & MASK32
+    ops, chans, chans2, imms = word_fields(words)
     event_ops = np.flatnonzero(_EMITS[ops])
     ev_ops, ev_chans = ops[event_ops], chans[event_ops]
     ev_chans2 = np.where(ev_ops == OP_TWO_QUBIT, chans2[event_ops], -1)
@@ -142,9 +138,8 @@ def shot_skeleton(words, n_qubits: int) -> ShotSkeleton:
         ),
         event_ops=read_only(event_ops),
         shot_end=max(clocks, default=0),
-        n_ops=len(w),
         op_channels=read_only(chans),
-        op_incs=read_only(np.where(ops == OP_INC_PHASE, imms, np.uint64(0))),
+        op_incs=read_only(np.where(ops == OP_INC_PHASE, imms, 0).astype(np.uint64)),
         requests=tuple(
             read_only(np.flatnonzero((ops == OP_REQ_PARAM) & (chans == q)))
             for q in range(n_qubits)
@@ -180,11 +175,12 @@ def _phase_rows(skeleton: ShotSkeleton, shots: int, banks, counts) -> np.ndarray
         inc[:, ops] = banks[q, offsets]
     # a running sum per channel: sort the ops by channel (stable), sum along
     # the row, and subtract the sum before each channel's first op
+    n_ops = len(skeleton.op_channels)
     order = np.argsort(skeleton.op_channels, kind="stable")
-    sums = np.zeros((len(shot_ids), skeleton.n_ops + 1), np.uint64)
+    sums = np.zeros((len(shot_ids), n_ops + 1), np.uint64)
     np.cumsum(inc[:, order], axis=1, out=sums[:, 1:])
-    pos = np.empty(skeleton.n_ops, np.int64)
-    pos[order] = np.arange(skeleton.n_ops)
+    pos = np.empty(n_ops, np.int64)
+    pos[order] = np.arange(n_ops)
     sorted_ch = skeleton.op_channels[order]
     first = np.searchsorted(sorted_ch, sorted_ch, side="left")  # channel's first position
     x90 = np.flatnonzero(skeleton.events.kinds == OP_PULSE_X90)
@@ -197,7 +193,7 @@ def _phase_rows(skeleton: ShotSkeleton, shots: int, banks, counts) -> np.ndarray
 def run_program(
     skeleton,  # ShotSkeleton of the program
     shots,  # int
-    banks,  # uint32[n_banks, 2048]
+    banks,  # uint32[N_BANKS, BANK_CAPACITY]
     counts,  # int64[n_banks], words each bank serves per shot
     reset_ns,  # int, passive-reset gap between shots
 ):
@@ -224,7 +220,7 @@ def run_program(
         ev.channels2,
         ev.kinds,
         rows,
-        CYCLES_PER_OP * skeleton.n_ops * shots,
+        CYCLES_PER_OP * len(skeleton.op_channels) * shots,
         period,
         served,
     )

@@ -32,6 +32,7 @@ import numpy as np
 from .circuits import _VZ, TAU, Circuit, Gate, param_request
 from .errors import CapacityError, DecodeError, EncodeError
 
+N_BANKS = 8  # parameter memory: one bank of 32-bit phase words per qubit
 BANK_CAPACITY = 2048
 PHASE_SCALE = 4294967296.0  # 2**32 words over one turn
 BLOB_MAGIC = b"PCEB"
@@ -152,7 +153,7 @@ def peel(c: Circuit) -> list[np.ndarray]:
     counts = np.bincount(banks, minlength=c.n_qubits)
     over = np.flatnonzero(counts > BANK_CAPACITY)
     if over.size:
-        raise CapacityError(int(over[0]), int(counts[over[0]]))
+        raise CapacityError(int(over[0]), int(counts[over[0]]), BANK_CAPACITY)
     words = quantize_phases([g.phase for g in vzs])
     return [words[banks == q] for q in range(c.n_qubits)]
 

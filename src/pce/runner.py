@@ -95,17 +95,14 @@ def run_experiment(
             _run_pce(batch, client, record, outcome, shots, blob_override)
         else:
             _run_baseline(batch, client, record, outcome, shots)
-        record.add_computed(
-            "Client/Server", channel.transfer_ns, getattr(channel, "frames", 1)
-        )
-        served = session.total_served
+        record.add_computed("Client/Server", channel.transfer_ns, channel.frames)
+        served = sum(int(r.served.sum()) for r in session.results.values())
         if served:
             record.add_computed("Stitch", served * REQUEST_LATENCY_CYCLES * CYCLE_NS, served)
         outcome.stitch_requests = served
     finally:
         record.pop("Total")
-        if hasattr(channel, "close"):
-            channel.close()
+        channel.close()
     outcome.traces = {i: session.results[i].trace for i in session.results}
     outcome.sim_time_ns = sum(r.sim_time_ns for r in session.results.values())
     return outcome
@@ -120,15 +117,21 @@ def _sort_data(record, data, outcome):
     outcome.counts = counts
 
 
+def _build(record, indexed_circuits) -> dict[int, MachineProgram]:
+    """Compile and assemble each (index, circuit) pair: the program of each index."""
+    programs: dict[int, MachineProgram] = {}
+    for i, circuit in indexed_circuits:
+        with record.scope("Compile"):
+            asm_program = compile_circuit(circuit)
+        with record.scope("Assemble"):
+            programs[i] = assemble(asm_program)
+    return programs
+
+
 def _run_baseline(batch, client, record, outcome, shots):
     record.mark_zero("Active")
     with record.scope("Build Run"):
-        programs: dict[int, MachineProgram] = {}
-        for i, circuit in enumerate(batch.circuits):
-            with record.scope("Compile"):
-                asm_program = compile_circuit(circuit)
-            with record.scope("Assemble"):
-                programs[i] = assemble(asm_program)
+        programs = _build(record, enumerate(batch.circuits))
         with record.scope("RunAll on Host"):
             with record.scope("Run on Host"):
                 client.load_defs(_DEFAULT_ENVELOPE, _DEFAULT_FREQ)
@@ -146,12 +149,7 @@ def _run_pce(batch, client, record, outcome, shots, blob_override):
         blob = binarize(result.report, result.table)
     record.mark_zero("Active")
     with record.scope("Build Run"):
-        uniques: dict[int, MachineProgram] = {}
-        for gi, group in enumerate(result.report.groups):
-            with record.scope("Compile"):
-                asm_program = compile_circuit(result.uniques[gi])
-            with record.scope("Assemble"):
-                uniques[group[0]] = assemble(asm_program)
+        uniques = _build(record, zip(result.report.unique_indices, result.uniques))
         with record.scope("RunAll on Host"):
             with record.scope("Run on Host"):
                 client.load_defs(_DEFAULT_ENVELOPE, _DEFAULT_FREQ)

@@ -18,10 +18,10 @@ from .errors import PceError
 from .generators import CircuitBatch
 from .kernels import EVENT_KIND_NAMES
 from .rip import (
+    RipResult,
     binarize,
     debinarize,
     dequantize_word,
-    identify,
     identify_bruteforce,
     modify,
     peel,
@@ -79,8 +79,8 @@ def first_trace_mismatch(a: PulseTrace, b: PulseTrace) -> str | None:
     )
 
 
-def check_dedup_oracle(batch: CircuitBatch) -> CheckResult:
-    fast = identify(batch.circuits)
+def check_dedup_oracle(batch: CircuitBatch, result: RipResult) -> CheckResult:
+    fast = result.report
     slow = identify_bruteforce(batch.circuits)
     if fast == slow:
         return CheckResult("dedup-oracle", True, f"{len(fast.groups)} groups")
@@ -91,8 +91,7 @@ def check_dedup_oracle(batch: CircuitBatch) -> CheckResult:
     )
 
 
-def check_blob_round_trip(batch: CircuitBatch) -> CheckResult:
-    result = rip(batch)
+def check_blob_round_trip(result: RipResult) -> CheckResult:
     blob = binarize(result.report, result.table)
     try:
         report2, table2 = debinarize(blob)
@@ -105,8 +104,7 @@ def check_blob_round_trip(batch: CircuitBatch) -> CheckResult:
     return CheckResult("blob-round-trip", True, f"{len(blob)} bytes")
 
 
-def check_machine_round_trip(batch: CircuitBatch) -> CheckResult:
-    result = rip(batch)
+def check_machine_round_trip(result: RipResult) -> CheckResult:
     for gi, circuit in enumerate(result.uniques):
         program = compile_circuit(circuit)
         machine = assemble(program)
@@ -117,13 +115,11 @@ def check_machine_round_trip(batch: CircuitBatch) -> CheckResult:
     return CheckResult("machine-round-trip", True, f"{len(result.uniques)} programs")
 
 
-def check_rpc_round_trip(batch: CircuitBatch) -> CheckResult:
-    result = rip(batch)
+def check_rpc_round_trip(result: RipResult) -> CheckResult:
     samples: list[object] = [GetData(), Ack(), Run(17)]
     samples.append(LoadDefs(np.exp(1j * np.linspace(0, 2, 16)), np.linspace(4e9, 5e9, 4)))
-    for idx in result.report.unique_indices[:4]:
-        gi = result.report.unique_indices.index(idx)
-        samples.append(LoadCircuit(idx, assemble(compile_circuit(result.uniques[gi]))))
+    for idx, unique in list(zip(result.report.unique_indices, result.uniques))[:4]:
+        samples.append(LoadCircuit(idx, assemble(compile_circuit(unique))))
         samples.append(LoadParams(idx, result.table.words_for(idx)))
     for msg in samples:
         decoded, consumed = rpc_decode(rpc_encode(msg))
@@ -136,9 +132,9 @@ def _strip_measures(c: Circuit) -> Circuit:
     return Circuit(tuple(g for g in c.gates if g.kind is not _MEASURE), c.n_qubits, c.shots)
 
 
-def check_unitaries(batch: CircuitBatch) -> CheckResult:
+def check_unitaries(batch: CircuitBatch, result: RipResult) -> CheckResult:
     """Role-specific logic checks on every oracle-sized circuit in the batch."""
-    rep_of = {i: g[0] for g in identify(batch.circuits).groups for i in g}
+    rep_of = {i: g[0] for g in result.report.groups for i in g}
     rep_unitaries: dict[int, np.ndarray] = {}
     checked = 0
     for i, (circuit, label) in enumerate(zip(batch.circuits, batch.labels)):
@@ -227,12 +223,13 @@ def verify_batch(
     """Every suite's result; a seed or shot count no run can use is a
     ``ConfigError`` before any suite runs, not a failed check."""
     check_run_args(seed, shots)
+    result = rip(batch)
     checks = [
-        check_dedup_oracle(batch),
-        check_blob_round_trip(batch),
-        check_machine_round_trip(batch),
-        check_rpc_round_trip(batch),
-        check_unitaries(batch),
+        check_dedup_oracle(batch, result),
+        check_blob_round_trip(result),
+        check_machine_round_trip(result),
+        check_rpc_round_trip(result),
+        check_unitaries(batch, result),
         check_peel_reinsertion(batch),
     ]
     try:

@@ -243,10 +243,6 @@ class TestExecute:
         assert str(err.value) == "word 1: program must contain exactly one END, as the last op"
 
 
-def word(op, ch=0, ch2=0, imm=0):
-    return (op << 56) | (ch << 48) | (ch2 << 40) | imm
-
-
 X90_0, END = word(Opcode.PULSE_X90), word(Opcode.END)
 BAD_OPCODE = word(0x09)
 
@@ -797,11 +793,19 @@ class TestSessionAndDeft:
             session.handle_run(2)
 
     def test_oversize_defs_rejected(self):
-        from pce.rpc import RemoteError
+        from pce.rpc import CAPACITY_CODES, RemoteError
 
         session, client = self.make_client()
-        with pytest.raises(RemoteError):
-            client.load_defs(np.zeros(100_000, dtype=complex), np.zeros(2))
+        for env_size, freq_size, message in (
+            (5000, 2, "envelope table: 5000 entries exceed the 4096-entry table capacity"),
+            (100_000, 2, "envelope table: 100000 entries exceed the 4096-entry table capacity"),
+            (64, 65, "frequency table: 65 entries exceed the 64-entry table capacity"),
+        ):
+            with pytest.raises(RemoteError) as err:
+                client.load_defs(np.zeros(env_size, dtype=complex), np.zeros(freq_size))
+            assert str(err.value) == message
+            assert err.value.code in CAPACITY_CODES  # a capacity fault: exit 3 from the CLI
+        assert session.envelope_table.size == session.freq_table.size == 0
 
     def test_get_data_without_run(self):
         from pce.rpc import RemoteError
@@ -830,6 +834,29 @@ class TestSessionAndDeft:
         client.run(3)
         client.get_data()
         assert session.results[2].trace == execute(a, shots=3).trace
+
+    @pytest.mark.parametrize("mode", ["pce", "baseline"])
+    def test_rpc_schedule(self, mode):
+        # one LOAD_DEFS; then baseline sends LOAD_CIRCUIT, RUN and GET_DATA per
+        # circuit, and pce a LOAD_CIRCUIT per group and LOAD_PARAMS, RUN and
+        # GET_DATA per circuit
+        batch = self.run_batch()
+        outcome = run_experiment(lambda: batch, lambda b: b, mode, seed=3)
+        n, groups = len(batch), len(rip(batch).report.groups)
+        assert groups < n
+        requests = batch.circuits[0].shots * sum(len(w) for c in batch.circuits for w in peel(c))
+        assert requests > 0
+        expected = {
+            "baseline": {"Client/Server": 1 + 3 * n, "Load circuit": n, "Load para": 0, "Stitch": 0},
+            "pce": {
+                "Client/Server": 1 + groups + 3 * n,
+                "Load circuit": groups,
+                "Load para": n,
+                "Stitch": requests,
+            },
+        }[mode]
+        assert {stage: outcome.record.iterations(stage) for stage in expected} == expected
+        assert outcome.stitch_requests == expected["Stitch"]
 
     @pytest.mark.parametrize("mode", ["pce", "baseline"])
     def test_timing_pass_runs_once_per_loaded_program(self, mode, monkeypatch):

@@ -66,7 +66,7 @@ def _reference_peel(c: Circuit) -> list[np.ndarray]:
     words = []
     for q, phases in enumerate(raw):
         if len(phases) > BANK_CAPACITY:
-            raise CapacityError(q, len(phases))
+            raise CapacityError(q, len(phases), BANK_CAPACITY)
         words.append(quantize_phases(phases))
     return words
 
