@@ -64,13 +64,20 @@ class TestDumpBytesPinned:
 
     The digests were recorded before the compact trace form replaced the
     per-event columns, so any change to the dump bytes fails here.  The RB
-    batch samples shot bits at 5 shots; the RC batch is 6 qubits wide and
-    runs trace-only."""
+    batches sample shot bits at 5 shots, below the array-draw crossover, and
+    at 50, above it; the 50-shot digest was recorded while every shot still
+    built its own Generator.  The RC batch is 6 qubits wide and runs
+    trace-only."""
 
     SPECS = {
         "rb": (
             "kind = RB\nwidths = 0 | 0,1\ndepths = 2,8\nrandomizations = 2\nshots = 5\nseed = 3\n",
             "718bbc7bddc6e061a9b7e8c8b9b0be362cae83afd22430cab63566752eff130a",
+        ),
+        "rb50": (
+            "kind = RB\nwidths = 0 | 0,1\ndepths = 2,8\nrandomizations = 2\nshots = 50\n"
+            "seed = 3\n",
+            "7c151e57865fd73c8316339124efc9e7e11998a0429e133f92b960d7d0a51613",
         ),
         "rc6": (
             "kind = RC\nwidths = 0,1,2,3,4,5\ndepths = 1,5\nrandomizations = 3\nshots = 4\nseed = 3\n",

@@ -11,6 +11,7 @@ from pce import kernels
 from pce.asm import MachineProgram, Opcode, assemble, compile_circuit
 from pce.circuits import Circuit, U3Params, circuit_unitary, cz, measure, u3_decompose, vz, x90
 from pce.control import (
+    ARRAY_DRAW_MIN_SHOTS,
     BANK_CAPACITY,
     ControlSession,
     N_BANKS,
@@ -19,9 +20,12 @@ from pce.control import (
     REQUEST_LATENCY_CYCLES,
     ShotData,
     TimingConfig,
+    _array_draws,
+    _entropy_words,
     _measured,
     _sample_bits,
     _shot_distribution,
+    _shot_draws,
     deft_run,
     execute,
 )
@@ -376,13 +380,19 @@ def random_trace(rng, n, k, shots, reset_ns=500):
     return PulseTrace(skeleton.events, skeleton.shot_end + reset_ns, rows, n, shots)
 
 
+def reference_draws(seed, circuit_index, shots):
+    """The draw law as written: one Generator a shot."""
+    return np.array(
+        [np.random.default_rng((seed, circuit_index, s)).random() for s in range(shots)]
+    )
+
+
 def reference_bits(trace, n, seed, circuit_index):
     """Shot bits drawn as the sampler draws them, one reference solve per shot."""
     rows = []
-    for s in range(trace.shots):
+    for s, r in enumerate(reference_draws(seed, circuit_index, trace.shots)):
         probs, measured = _reference_distribution(trace, s, n)
         cum = np.cumsum(probs)
-        r = np.random.default_rng((seed, circuit_index, s)).random()
         idx = min(int(np.searchsorted(cum, r * cum[-1], side="right")), (1 << n) - 1)
         rows.append([(idx >> (n - 1 - q)) & 1 for q in measured])
     return np.array(rows, dtype=np.uint8).reshape(trace.shots, -1)
@@ -402,11 +412,15 @@ class TestSamplerMatchesReference:
                 assert np.array_equal(probs.view(np.uint64), ref_probs.view(np.uint64))
 
     def test_sampled_bits_equal_the_per_shot_reference(self):
-        # per-shot rows are drawn from a pool of two, so shots share rows
+        # per-shot rows are drawn from a pool of two, so shots share rows; every
+        # other trace draws at or above the array-draw crossover
         rng = np.random.default_rng(29)
-        for _ in range(80):
+        for i in range(80):
             n = int(rng.integers(1, 5))
-            shots = int(rng.integers(1, 9))
+            if i % 2:
+                shots = int(rng.integers(ARRAY_DRAW_MIN_SHOTS, 200))
+            else:
+                shots = int(rng.integers(1, ARRAY_DRAW_MIN_SHOTS))
             trace = random_trace(rng, n, int(rng.integers(0, 40)), shots)
             if len(trace.rows) > 1:
                 trace = replace(trace, rows=trace.rows[rng.integers(0, 2, size=shots)])
@@ -447,6 +461,57 @@ class TestSamplerMatchesReference:
             rows = res.trace.phases.reshape(shots, -1)
             assert len({row.tobytes() for row in rows}) > 1
             assert np.array_equal(res.data.bits, reference_bits(res.trace, n, seed, 4))
+
+
+# entropy ints on both sides of each uint32 word boundary, and past two words
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 2**32 + 7, 2**100 + 3]
+
+
+def measured_x90(shots):
+    """A 1-qubit program that samples its shots: X90, then MEASURE."""
+    return assemble(compile_circuit(Circuit((x90(0), measure(0)), 1, shots=shots)))
+
+
+class TestShotDraws:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**130)),
+        st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2**70)),
+        st.sampled_from(
+            [1, ARRAY_DRAW_MIN_SHOTS - 1, ARRAY_DRAW_MIN_SHOTS, ARRAY_DRAW_MIN_SHOTS + 1, 3000]
+        ),
+    )
+    def test_draws_equal_the_per_shot_generators(self, seed, index, shots):
+        # both paths, and the array path on its own below the crossover too
+        expected = reference_draws(seed, index, shots).view(np.uint64)
+        words = _entropy_words(seed, "seed") + _entropy_words(index, "circuit index")
+        assert np.array_equal(_shot_draws(seed, index, shots).view(np.uint64), expected)
+        assert np.array_equal(_array_draws(words, shots).view(np.uint64), expected)
+
+    @pytest.mark.parametrize("shots", [1, ARRAY_DRAW_MIN_SHOTS - 1, ARRAY_DRAW_MIN_SHOTS, 200])
+    def test_generators_are_built_only_below_the_crossover(self, monkeypatch, shots):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        res = execute(measured_x90(shots), seed=3, circuit_index=2)
+        assert len(built) == (shots if shots < ARRAY_DRAW_MIN_SHOTS else 0)
+        monkeypatch.undo()
+        assert np.array_equal(res.data.bits, reference_bits(res.trace, 1, 3, 2))
+
+    @pytest.mark.parametrize("shots", [1, ARRAY_DRAW_MIN_SHOTS])
+    def test_negative_seed_is_refused(self, shots):
+        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+            execute(measured_x90(shots), seed=-1)
+
+    @pytest.mark.parametrize("shots", [1, ARRAY_DRAW_MIN_SHOTS])
+    def test_negative_circuit_index_is_refused(self, shots):
+        with pytest.raises(ValidationError, match="circuit index must be non-negative, got -1"):
+            execute(measured_x90(shots), circuit_index=-1)
 
 
 def _reference_counts(data):
