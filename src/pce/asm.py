@@ -2,7 +2,9 @@
 
 This is the deliberately costly stage whose repetition the dedup pipeline
 amortizes: compiling a batch the naive way runs it once per circuit, the
-parameterized way once per unique structure.
+parameterized way once per unique structure.  ``compile_circuit`` maps a
+circuit's ``GateTable`` columns onto the assembly columns with a few array
+gathers; the modeled cost is in ``assemble``.
 
 ``assemble`` checks only that each assembly column fits its word field.  A
 ``MachineProgram`` is valid by construction: its constructor checks the word
@@ -31,9 +33,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .circuits import Circuit, GateKind
+from .circuits import KINDS, Circuit, GateKind
 from .errors import DecodeError, EncodeError, ValidationError
-from .rip import quantize_phases
 
 MACHINE_MAGIC = b"PCEM"
 MACHINE_VERSION = 1
@@ -169,25 +170,26 @@ _GATE_TO_OPCODE = {
     GateKind.MEASURE: Opcode.MEASURE,
     GateKind.DELAY: Opcode.DELAY,
 }
+_OPCODE_OF_CODE = np.array([_GATE_TO_OPCODE[k] for k in KINDS], dtype=np.int64)
 
 
 def compile_circuit(c: Circuit) -> AssemblyProgram:
     """Map gates one-to-one onto assembly rows, preserving order, then END.
 
-    The columns are filled from the gate list with no object per op: the
-    virtual-Z phases are quantized in one call onto the INC_PHASE rows."""
-    gates = c.gates
-    opcode = np.array([_GATE_TO_OPCODE[g.kind] for g in gates] + [Opcode.END], dtype=np.int64)
-    channel = np.array([g.qubits[0] for g in gates] + [0], dtype=np.int64)
-    channel2, imm = np.zeros_like(opcode), np.zeros_like(opcode)
-    vz, two, wait = (
-        np.flatnonzero(opcode == op).tolist()
-        for op in (Opcode.INC_PHASE, Opcode.TWO_QUBIT, Opcode.DELAY)
-    )
-    imm[vz] = quantize_phases([gates[i].phase for i in vz])
-    channel2[two] = [gates[i].qubits[1] for i in two]
-    imm[wait] = [gates[i].duration_ns for i in wait]
-    return AssemblyProgram(opcode, channel, channel2, imm, c.n_qubits, c.shots)
+    Each column is one gather over the circuit's table rows: the opcode of
+    the kind, ``q0`` and ``q1`` as the channels, and as the immediate the
+    row's quantized phase plus its duration (each zero where it does not
+    apply)."""
+    table, ids = c.row_ids()
+    n = len(ids)
+    cols = np.zeros((4, n + 1), dtype=np.int64)
+    cols[0, :n] = _OPCODE_OF_CODE[table.kind[ids]]
+    cols[0, n] = Opcode.END
+    cols[1, :n] = table.q0[ids]
+    cols[2, :n] = table.q1[ids]
+    cols[3, :n] = table.words[ids]
+    cols[3, :n] += table.duration[ids]
+    return AssemblyProgram(*cols, c.n_qubits, c.shots)
 
 
 def _assembly_work(words: np.ndarray) -> None:

@@ -10,14 +10,22 @@ these are ours):
   basis state ``|q0 q1 ... >`` has index ``q0*2^(n-1) + q1*2^(n-2) + ...``.
 * Unitaries are compared up to global phase; ``global_phase_distance`` aligns
   the candidate pair before taking an elementwise max difference.
+
+A circuit is a ``Gate`` tuple when built in code, or int32 row ids into a
+``GateTable`` of distinct gates when read from text: reading, grouping,
+peeling and compiling a batch work on the table's columns and build no
+``Gate``.  ``check_gate_row`` states the gate rules once for both forms,
+``_first_misuse`` the circuit rules.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,18 +53,49 @@ _X90, _VZ, _CZ, _MEASURE = GateKind.X90, GateKind.VIRTUAL_Z, GateKind.TWO_QUBIT,
 _DELAY, _PREQ = GateKind.DELAY, GateKind.PARAM_REQUEST
 
 
+KINDS = tuple(GateKind)  # a kind's code in a row table is its index here
+_VZ_CODE, _CZ_CODE, _PREQ_CODE = KINDS.index(_VZ), KINDS.index(_CZ), KINDS.index(_PREQ)
+QUBIT_LIMIT = 1 << 15  # qubit ids fit a row table's int16 columns
+PHASE_SCALE = 4294967296.0  # 2**32 phase words over one turn
+
+
+def check_gate_row(kind, qubits, phase, duration) -> None:
+    """The one statement of the gate rules, read by ``Gate`` and the circuit-text reader.
+
+    ``kind`` is a ``GateKind``; ``qubits`` a tuple of int ids below
+    ``QUBIT_LIMIT``, two distinct ones for TWO_QUBIT (CZ) and one for every
+    other kind; ``phase`` a Python float in [0, 2*pi), never -0.0, on
+    VIRTUAL_Z and zero elsewhere; ``duration`` an int in 0..2**63-1 on DELAY
+    and zero elsewhere.  So a gate that builds writes text that reads back
+    equal and fits a ``GateTable`` row, and two gates that ``modify`` leaves
+    are equal exactly when they compile to the same assembly row.
+    """
+    if type(kind) is not GateKind:
+        raise ValidationError(f"gate kind must be a GateKind, got {kind!r}")
+    two = kind is _CZ
+    if (
+        type(qubits) is not tuple
+        or len(qubits) != 1 + two
+        or not type(qubits[0]) is type(qubits[-1]) is int
+        or not (0 <= qubits[0] < QUBIT_LIMIT and 0 <= qubits[-1] < QUBIT_LIMIT)
+        or (two and qubits[0] == qubits[1])
+    ):
+        need = "2 distinct qubits (int ids" if two else "1 qubit (an int id"
+        raise ValidationError(f"{kind.value} gate needs {need} below {QUBIT_LIMIT}), got {qubits!r}")
+    if kind is _VZ:
+        if type(phase) is not float or not 0.0 <= phase < TAU or math.copysign(1.0, phase) < 0:
+            raise ValidationError(f"VZ phase must be a float in [0, 2*pi), got {phase!r}")
+    elif kind is _DELAY and (type(duration) is not int or not 0 <= duration < 1 << 63):
+        raise ValidationError(f"DELAY duration must be a non-negative int64, got {duration!r}")
+    if (phase != 0.0 and kind is not _VZ) or (duration != 0 and kind is not _DELAY):
+        raise ValidationError(
+            f"{kind.value} gate cannot carry phase {phase!r} or duration {duration!r}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
-    """One native operation, valid by construction.
-
-    ``__post_init__`` is the one statement of the gate rules: ``kind`` is a
-    ``GateKind``; ``qubits`` is a tuple of int ids, two distinct ones for
-    TWO_QUBIT (CZ) and one for every other kind; ``phase`` is a Python float
-    in [0, 2*pi), never -0.0, on VIRTUAL_Z and zero elsewhere; ``duration_ns``
-    is a non-negative int on DELAY and zero elsewhere.  So a gate that builds
-    writes circuit text that reads back equal, and two gates that ``modify``
-    leaves are equal exactly when they compile to the same assembly row.
-    """
+    """One native operation, valid by construction (``check_gate_row``)."""
 
     kind: GateKind
     qubits: tuple[int, ...]
@@ -64,29 +103,7 @@ class Gate:
     duration_ns: int = 0
 
     def __post_init__(self):
-        kind, qubits, phase, duration = self.kind, self.qubits, self.phase, self.duration_ns
-        if type(kind) is not GateKind:
-            raise ValidationError(f"gate kind must be a GateKind, got {kind!r}")
-        if kind is _CZ:
-            if (
-                type(qubits) is not tuple
-                or len(qubits) != 2
-                or not type(qubits[0]) is type(qubits[1]) is int
-                or qubits[0] == qubits[1]
-            ):
-                raise ValidationError(f"CZ gate needs 2 distinct qubits (int ids), got {qubits!r}")
-        elif type(qubits) is not tuple or len(qubits) != 1 or type(qubits[0]) is not int:
-            raise ValidationError(f"{kind.value} gate needs 1 qubit (an int id), got {qubits!r}")
-        if kind is _VZ:
-            if type(phase) is not float or not 0.0 <= phase < TAU or math.copysign(1.0, phase) < 0:
-                raise ValidationError(f"VZ phase must be a float in [0, 2*pi), got {phase!r}")
-        elif kind is _DELAY:
-            if type(duration) is not int or duration < 0:
-                raise ValidationError(f"DELAY duration must be a non-negative int, got {duration!r}")
-        if (phase != 0.0 and kind is not _VZ) or (duration != 0 and kind is not _DELAY):
-            raise ValidationError(
-                f"{kind.value} gate cannot carry phase {phase!r} or duration {duration!r}"
-            )
+        check_gate_row(self.kind, self.qubits, self.phase, self.duration_ns)
 
 
 def x90(q: int) -> Gate:
@@ -113,29 +130,173 @@ def param_request(q: int) -> Gate:
     return Gate(_PREQ, (q,))
 
 
-@dataclass(frozen=True, slots=True)
+def quantize_phases(phases) -> np.ndarray:
+    """Quantize an array of angles to u32 words: round(canonical/2pi * 2^32) mod 2^32."""
+    arr = np.asarray(phases, dtype=np.float64)
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError("phases must be finite")
+    r = np.mod(arr, TAU)
+    r[r >= TAU] = 0.0
+    return (np.round(r / TAU * PHASE_SCALE).astype(np.int64) % (1 << 32)).astype(np.uint32)
+
+
+def _first_misuse(gates, n_qubits: int) -> str | None:
+    """The one statement of the circuit rules: each gate's qubits lie in
+    ``0..n_qubits - 1`` and no gate uses a qubit after a MEASURE on it.  The
+    fault, or None; ``gates`` yields anything with a ``kind`` and ``qubits``."""
+    measured = 0  # bitmask of qubits already measured
+    for g in gates:
+        for q in g.qubits:
+            if q >= n_qubits:
+                return f"gate {g} touches qubit {q} outside 0..{n_qubits - 1}"
+            if measured >> q & 1:
+                return f"qubit {q} is used after its measurement"
+        if g.kind is _MEASURE:
+            measured |= 1 << g.qubits[0]
+    return None
+
+
+class _Fields(NamedTuple):
+    """A row's gate fields, unchecked: what the circuit rules read without a ``Gate``."""
+
+    kind: GateKind
+    qubits: tuple[int, ...]
+    phase: float
+    duration_ns: int
+
+
+# a row: the kind's code, the qubits (q1 is zero off CZ), the phase and the duration
+ROW_DTYPE = np.dtype(
+    [("kind", "u1"), ("q0", "i2"), ("q1", "i2"), ("phase", "f8"), ("duration", "i8")], align=True
+)
+
+
+class GateTable:
+    """Distinct gates, one ``ROW_DTYPE`` row each, that circuits hold by int32 row id.
+
+    The rows are distinct, so two ids of one table are equal exactly when
+    their gates are.  Each qubit a VIRTUAL_Z row acts on has a PARAM_REQUEST
+    row too: ``erased[r]`` is the row ``modify`` makes of row ``r`` (``r``
+    itself off VIRTUAL_Z).  ``words`` holds each row's quantized phase.
+    """
+
+    def __init__(self, records):
+        rows = np.array(records, dtype=ROW_DTYPE)
+        missing = np.zeros(QUBIT_LIMIT, dtype=bool)
+        missing[rows["q0"][rows["kind"] == _VZ_CODE]] = True
+        missing[rows["q0"][rows["kind"] == _PREQ_CODE]] = False
+        twins = np.zeros(np.count_nonzero(missing), dtype=ROW_DTYPE)
+        twins["kind"], twins["q0"] = _PREQ_CODE, np.flatnonzero(missing)
+        self.rows = rows = np.concatenate([rows, twins])
+        self.kind, self.q0, self.q1, self.duration = (rows[f] for f in ("kind", "q0", "q1", "duration"))
+        self.words = quantize_phases(rows["phase"])
+        preq = np.flatnonzero(self.kind == _PREQ_CODE)
+        preq = preq[np.argsort(self.q0[preq])]
+        vz = np.flatnonzero(self.kind == _VZ_CODE)
+        self.erased = np.arange(len(rows), dtype=np.int32)
+        self.erased[vz] = preq[np.searchsorted(self.q0[preq], self.q0[vz])]
+        # each row's Gate and _Fields once built; the (n_qubits, erased ids) that pass
+        self._built: dict[type, list] = {Gate: [None] * len(rows), _Fields: [None] * len(rows)}
+        self._checked: set[tuple[int, bytes]] = set()
+
+    def gate(self, r: int, cls: type = Gate) -> Gate:
+        """Row ``r`` as a ``cls`` (``Gate`` or ``_Fields``), one object per row."""
+        built = self._built[cls]
+        if built[r] is None:
+            code, q0, q1, phase, duration = self.rows[r].item()
+            built[r] = cls(KINDS[code], (q0, q1) if code == _CZ_CODE else (q0,), phase, duration)
+        return built[r]
+
+    def misuse(self, ids: np.ndarray, n_qubits: int) -> str | None:
+        """``_first_misuse`` of the gates of ``ids``.  The circuit rules read
+        only qubits and measures, which ``modify`` keeps, so each erased
+        structure is checked once per qubit count, without building a gate."""
+        erased = self.erased[ids]
+        key = (n_qubits, erased.tobytes())
+        if key not in self._checked:
+            fields = map(functools.partial(self.gate, cls=_Fields), erased.tolist())
+            if _first_misuse(fields, n_qubits) is not None:
+                return _first_misuse(map(self.gate, ids.tolist()), n_qubits)  # named on real gates
+            self._checked.add(key)
+        return None
+
+    def erased_ids(self, space: dict) -> np.ndarray:
+        """Each row's erased row as an id in ``space``, a map from row content
+        to id that grows as it meets new content, so tables sharing it agree."""
+        rows, inverse = np.unique(self.erased, return_inverse=True)
+        ids = [space.setdefault(self.rows[r].item(), len(space)) for r in rows.tolist()]
+        return np.array(ids, dtype=np.int32)[inverse]
+
+
 class Circuit:
-    """An ordered gate sequence over ``n_qubits`` qubits, run for ``shots`` shots."""
+    """An ordered gate sequence over ``n_qubits`` qubits, run for ``shots`` shots.
 
-    gates: tuple[Gate, ...]
-    n_qubits: int
-    shots: int = 100
+    It holds its ``Gate`` tuple, or ``rows``: a ``GateTable`` and int32 row
+    ids into it (read from text, or made by ``modify``).  ``gates`` and
+    ``row_ids`` give either form on demand; equal content compares equal.
+    """
 
-    def __post_init__(self):
-        if self.n_qubits <= 0:
-            raise ValidationError(f"n_qubits must be positive, got {self.n_qubits}")
-        if self.shots <= 0:
-            raise ValidationError(f"shots must be positive, got {self.shots}")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        measured = 0  # bitmask of qubits already measured
-        for g in self.gates:
-            for q in g.qubits:
-                if q < 0 or q >= self.n_qubits:
-                    raise ValidationError(f"gate {g} touches qubit {q} outside 0..{self.n_qubits - 1}")
-                if measured >> q & 1:
-                    raise ValidationError(f"qubit {q} is used after its measurement")
-            if g.kind is _MEASURE:
-                measured |= 1 << g.qubits[0]
+    __slots__ = ("n_qubits", "shots", "_gates", "_table", "_ids")
+
+    def __init__(self, gates, n_qubits: int, shots: int = 100, rows=None):
+        if n_qubits <= 0:
+            raise ValidationError(f"n_qubits must be positive, got {n_qubits}")
+        if shots <= 0:
+            raise ValidationError(f"shots must be positive, got {shots}")
+        self.n_qubits, self.shots = n_qubits, shots
+        if rows is None:
+            self._gates, self._table, self._ids = tuple(gates), None, None
+            fault = _first_misuse(self._gates, n_qubits)
+        else:
+            (self._table, self._ids), self._gates = rows, None
+            fault = self._table.misuse(self._ids, n_qubits)
+        if fault is not None:
+            raise ValidationError(fault)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        if self._gates is None:
+            return tuple(map(self._table.gate, self._ids.tolist()))
+        return self._gates
+
+    def row_ids(self) -> tuple[GateTable, np.ndarray]:
+        """The table and row ids; a circuit of gates gets a table of its own."""
+        if self._table is None:
+            share_rows((self,))
+        return self._table, self._ids
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        if (self.n_qubits, self.shots) != (other.n_qubits, other.shots):
+            return False
+        if self._table is not None and self._table is other._table:
+            return np.array_equal(self._ids, other._ids)
+        return self.gates == other.gates
+
+    def __hash__(self) -> int:
+        return hash((self.gates, self.n_qubits, self.shots))
+
+    def __repr__(self) -> str:
+        return f"Circuit(gates={self.gates!r}, n_qubits={self.n_qubits}, shots={self.shots})"
+
+
+def share_rows(circuits) -> None:
+    """Give each circuit built from gates, and not yet in a table, row ids
+    into one new table for all of them, so a batch converts once."""
+    todo = [c for c in circuits if c._table is None]
+    if not todo:
+        return
+    index: dict[Gate, int] = {}
+    ids = [[index.setdefault(g, len(index)) for g in c._gates] for c in todo]
+    table = GateTable([
+        (KINDS.index(g.kind), g.qubits[0], g.qubits[-1] if g.kind is _CZ else 0, g.phase,
+         g.duration_ns)
+        for g in index
+    ])
+    table._built[Gate][: len(index)] = index  # its rows' gates are these
+    for c, rows in zip(todo, ids):
+        c._table, c._ids = table, np.array(rows, dtype=np.int32)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,6 +365,12 @@ def u3_from_unitary(U: np.ndarray, atol: float = 1e-8) -> U3Params:
     """Recover phases such that ``u3_matrix(result)`` equals U up to global phase."""
     U = np.asarray(U, dtype=complex)
     _assert_unitary(U, atol)
+    return u3_from_unitary_unchecked(U)
+
+
+def u3_from_unitary_unchecked(U: np.ndarray) -> U3Params:
+    """``u3_from_unitary`` without the unitarity check, for a complex 2x2
+    array that is unitary by construction (a product of unitaries)."""
     a00, a10 = abs(U[0, 0]), abs(U[1, 0])
     theta = 2.0 * math.atan2(a10, a00)
     if a00 < 1e-9:

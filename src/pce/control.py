@@ -468,7 +468,8 @@ def _sample_bits(
     shot = trace.shot
     measured = _measured(shot)
     if n_qubits > 4 or not measured:
-        # trace-only mode: deterministic zeros
+        # trace-only mode: deterministic zeros, refusing what _shot_draws refuses
+        _entropy_words(seed, "seed"), _entropy_words(circuit_index, "circuit index")
         return ShotData(measured, np.zeros((shots, len(measured)), dtype=np.uint8))
     events = shot.kinds.tolist(), shot.channels.tolist(), shot.channels2.tolist()
     draws = _shot_draws(seed, circuit_index, shots)

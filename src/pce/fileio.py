@@ -13,10 +13,12 @@ Circuit files are UTF-8 with LF endings, one gate per line after a header:
 ``#`` starts a comment.  Phases are written with ``repr`` so parsing returns
 the identical double and re-encoding is byte-stable.
 
-``read_batch`` parses each distinct raw gate line once per batch: one dict,
-shared by every file, maps the raw line to its (frozen) ``Gate``, so circuits
-share gate objects and most lines cost one lookup.  Errors name the circuit
-file's path relative to the manifest and the line.
+``read_batch`` parses each distinct raw gate line once per batch, into a row
+of one ``GateTable`` that every file of the batch shares: a dict maps the raw
+line to its row id, so most lines cost one lookup, equal gates on different
+lines share a row, and a circuit keeps only its int32 row ids.  No ``Gate``
+is built.  Errors name the circuit file's path relative to the manifest and
+the line.
 
 Batch spec configs are ``key = value`` lines; list-valued keys separate
 per-width groups with ``|`` and elements with ``,``:
@@ -34,8 +36,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
+
 from .circuits import (
-    _CZ, _DELAY, _VZ, _X90, Circuit, Gate, cz, delay, measure, param_request, vz, x90
+    _CZ, _DELAY, _VZ, _X90, KINDS, Circuit, GateTable, canonical_phase, check_gate_row
 )
 from .errors import ConfigError, DecodeError, ValidationError
 from .generators import BatchSpec, CircuitBatch, Label
@@ -67,37 +71,38 @@ def _parse_qubit(token: str, line_no: int) -> int:
     return int(token[1:])
 
 
-def _gate_from_line(raw: str, line_no: int) -> Gate | None:
-    """Parse one gate line; ``None`` for a blank or comment-only line."""
-    line = raw.split("#", 1)[0].strip()
-    if not line:
-        return None
+# a gate line's token -> its kind, its code and the parser of its last field
+_LINE_FORMS = {
+    k.value: (k, KINDS.index(k), {_VZ: float, _DELAY: int}.get(k)) for k in KINDS
+}
+
+
+def _row_of_line(line: str, line_no: int) -> tuple:
+    """The table row of one gate line, comment and outer blanks stripped; the
+    builders' conversions (``vz``, ``delay``), then the gate rules."""
     tokens = line.split()
-    op = tokens[0]
-    try:
-        if op == "X90" and len(tokens) == 2:
-            return x90(_parse_qubit(tokens[1], line_no))
-        if op == "VZ" and len(tokens) == 3:
-            return vz(_parse_qubit(tokens[1], line_no), float(tokens[2]))
-        if op == "CZ" and len(tokens) == 3:
-            return cz(_parse_qubit(tokens[1], line_no), _parse_qubit(tokens[2], line_no))
-        if op == "MEAS" and len(tokens) == 2:
-            return measure(_parse_qubit(tokens[1], line_no))
-        if op == "DELAY" and len(tokens) == 3:
-            return delay(_parse_qubit(tokens[1], line_no), int(tokens[2]))
-        if op == "PREQ" and len(tokens) == 2:
-            return param_request(_parse_qubit(tokens[1], line_no))
+    form = _LINE_FORMS.get(tokens[0])
+    if form is None or len(tokens) != 2 + (form[0] is _CZ or form[2] is not None):
         raise ConfigError(f"line {line_no}: unrecognized gate line {line!r}")
+    kind, code, parse = form
+    try:
+        q0 = _parse_qubit(tokens[1], line_no)
+        qubits = (q0, _parse_qubit(tokens[2], line_no)) if kind is _CZ else (q0,)
+        value = parse(tokens[2]) if parse else 0
+        phase = canonical_phase(value) if kind is _VZ else 0.0
+        duration = value if kind is _DELAY else 0
+        check_gate_row(kind, qubits, phase, duration)
     except (ValueError, ValidationError) as exc:
         raise ConfigError(f"line {line_no}: {exc}") from None
+    return code, q0, qubits[-1] if kind is _CZ else 0, phase, duration
 
 
-def _circuit_from_text(text: str, gate_cache: dict[str, Gate]) -> Circuit:
-    """Parse a circuit, looking each raw gate line up in ``gate_cache`` first.
+def _read_text(text: str, seen: dict[str, int], rows: dict[tuple, int]) -> tuple:
+    """A circuit text's qubit count, shots and int32 row ids.
 
-    Only successful parses enter the cache, so a bad line always fails with
-    its own line number; gates are frozen, so circuits may share them.
-    """
+    ``seen`` maps each raw line met so far to its row id (-1 for a line with
+    no gate) and ``rows`` each row's content to its id; only successful
+    parses enter them, so a bad line always fails with its own line number."""
     lines = text.splitlines()
     for header_no, raw in enumerate(lines, start=1):
         header = raw.split("#", 1)[0].strip()
@@ -112,20 +117,24 @@ def _circuit_from_text(text: str, gate_cache: dict[str, Gate]) -> Circuit:
         n_qubits, shots = int(tokens[1]), int(tokens[3])
     except ValueError:
         raise ConfigError(f"line {header_no}: non-integer header field") from None
-    gates: list[Gate] = []
-    for line_no, raw in enumerate(lines[header_no:], start=header_no + 1):
-        gate = gate_cache.get(raw)
-        if gate is None:
-            gate = _gate_from_line(raw, line_no)
-            if gate is None:
-                continue
-            gate_cache[raw] = gate
-        gates.append(gate)
-    return Circuit(tuple(gates), n_qubits, shots)
+    body = lines[header_no:]
+    ids = list(map(seen.get, body))
+    i = -1
+    for _ in range(ids.count(None)):
+        i = ids.index(None, i + 1)
+        raw = body[i]
+        if raw not in seen:  # a line new to the file may repeat in it
+            line = raw.split("#", 1)[0].strip()
+            seen[raw] = rows.setdefault(_row_of_line(line, header_no + 1 + i), len(rows)) if line else -1
+        ids[i] = seen[raw]
+    out = np.array(ids, dtype=np.int32)
+    return n_qubits, shots, out[out >= 0] if -1 in ids else out
 
 
 def circuit_from_text(text: str) -> Circuit:
-    return _circuit_from_text(text, {})
+    rows: dict[tuple, int] = {}
+    n_qubits, shots, ids = _read_text(text, {}, rows)
+    return Circuit(None, n_qubits, shots, rows=(GateTable(list(rows)), ids))
 
 
 def _width_str(width: tuple[int, ...]) -> str:
@@ -224,16 +233,26 @@ def read_batch(path: str | Path) -> CircuitBatch:
         raise ConfigError(
             f"{manifest}: declares {declared['count']} circuits, lists {len(entries)}"
         )
-    circuits = []
+    # every file's text first, into one table; then the circuits over it
+    seen: dict[str, int] = {}
+    rows: dict[tuple, int] = {}
+    parsed = []
     h = hashlib.sha256()
-    gate_cache: dict[str, Gate] = {}  # shared by every file of the batch
     for rel, _ in entries:
         data = (root / rel).read_bytes()
         h.update(data)
         try:
-            circuits.append(_circuit_from_text(_decode_utf8(data, rel), gate_cache))
-        except (ConfigError, ValidationError) as exc:
-            raise type(exc)(f"{rel}: {exc}") from None
+            parsed.append((rel, *_read_text(_decode_utf8(data, rel), seen, rows)))
+        except ConfigError as exc:
+            raise ConfigError(f"{rel}: {exc}") from None
+    del seen  # free the raw-line cache first, so it and the new table never peak together
+    table = GateTable(list(rows))
+    circuits = []
+    for rel, n_qubits, shots, ids in parsed:
+        try:
+            circuits.append(Circuit(None, n_qubits, shots, rows=(table, ids)))
+        except ValidationError as exc:
+            raise ValidationError(f"{rel}: {exc}") from None
     digest = h.hexdigest()
     if "hash" in declared and declared["hash"] != digest:
         raise DecodeError(f"{manifest}: circuit files do not match the manifest hash")

@@ -41,6 +41,7 @@ from .circuits import (
     measure,
     u3_decompose,
     u3_from_unitary,
+    u3_from_unitary_unchecked,
     u3_matrix,
     z_matrix,
 )
@@ -432,7 +433,8 @@ def _dress(
                     @ easy.get(q, _IDENTITY)
                     @ _PAULI_MATRICES[corr[q]]
                 )
-                lowered = memo[key] = tuple(u3_decompose(u3_from_unitary(m), q))
+                # a product of unitaries: no unitarity check needed
+                lowered = memo[key] = tuple(u3_decompose(u3_from_unitary_unchecked(m), q))
             gates += lowered
         if k < last:
             corr = dict(twirl)

@@ -11,17 +11,19 @@ identity because the compiled program, and so the trace, follows them.
 Grouping is in batch order: a circuit joins the group of the first earlier
 circuit with the same identity, otherwise it founds a new group.  The
 flattened groups give the execution order consumed by the scheduler.
-``identify`` makes one dict pass; ``identify_bruteforce`` compares ``modify``
-results pairwise as an independent oracle.
+``identify`` makes one dict pass keyed on the bytes of each circuit's erased
+row ids (a ``GateTable``'s VIRTUAL_Z rows point at their PARAM_REQUEST
+twins), so no ``Gate`` is built or hashed; ``identify_bruteforce`` compares
+``modify`` results pairwise as an independent oracle.  ``peel`` gathers a
+circuit's VIRTUAL_Z rows and their table-quantized words with one mask.
 
-Phase words are unsigned 32-bit fixed point over [0, 2*pi), so a stitched
-execution and a directly-compiled execution agree bit-exactly once both sides
-are quantized.
+Phase words are unsigned 32-bit fixed point over [0, 2*pi) (``quantize_phases``,
+which a ``GateTable`` applies to its rows), so a stitched execution and a
+directly-compiled execution agree bit-exactly once both sides are quantized.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,24 +31,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import _VZ, TAU, Circuit, Gate, param_request
+from .circuits import _VZ_CODE, PHASE_SCALE, TAU, Circuit, quantize_phases, share_rows
 from .errors import CapacityError, DecodeError, EncodeError
 
 N_BANKS = 8  # parameter memory: one bank of 32-bit phase words per qubit
 BANK_CAPACITY = 2048
-PHASE_SCALE = 4294967296.0  # 2**32 words over one turn
 BLOB_MAGIC = b"PCEB"
 BLOB_VERSION = 1
-
-
-def quantize_phases(phases) -> np.ndarray:
-    """Quantize an array of angles to u32 words: round(canonical/2pi * 2^32) mod 2^32."""
-    arr = np.asarray(phases, dtype=np.float64)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("phases must be finite")
-    r = np.mod(arr, TAU)
-    r[r >= TAU] = 0.0
-    return (np.round(r / TAU * PHASE_SCALE).astype(np.int64) % (1 << 32)).astype(np.uint32)
 
 
 def dequantize_word(word: int) -> float:
@@ -95,34 +86,30 @@ class EquivalenceReport:
         return 100.0 * (n - len(self.groups)) / n if n else 0.0
 
 
-@functools.cache
-def _param_request(q: int) -> Gate:
-    return param_request(q)
-
-
-def _erased_gates(c: Circuit) -> tuple[Gate, ...]:
-    """The gates ``modify`` leaves: each virtual-Z becomes a parameter request on its qubit."""
-    return tuple(
-        _param_request(g.qubits[0]) if g.kind is _VZ else g for g in c.gates
-    )
-
-
 def modify(c: Circuit) -> Circuit:
     """Replace every virtual-Z gate with a parameter request at the same position."""
-    return Circuit(_erased_gates(c), c.n_qubits, c.shots)
+    table, ids = c.row_ids()
+    return Circuit(None, c.n_qubits, c.shots, rows=(table, table.erased[ids]))
 
 
 def identify(circuits: Iterable[Circuit]) -> EquivalenceReport:
     """Group circuits by what ``modify`` leaves of them, in one dict pass.
 
-    The key is ``(n_qubits, shots, erased gates)``.  A dict keeps insertion
-    order, so groups come out in first-seen order and each group lists its
-    members in batch order; only the representatives' keys stay in memory,
-    so ``circuits`` may be a generator over a batch too large to hold.
+    The key is ``(n_qubits, shots, erased row ids)``, the ids counted in one
+    space for every table met (``GateTable.erased_ids``): a read batch has one
+    table, so its ids are mapped once.  A dict keeps insertion order, so
+    groups come out in first-seen order and each group lists its members in
+    batch order; only the representatives' keys stay in memory, so
+    ``circuits`` may be a generator over a batch too large to hold.
     """
     groups: dict[tuple, list[int]] = {}
+    space: dict[tuple, int] = {}
+    table = erased = None
     for i, c in enumerate(circuits):
-        groups.setdefault((c.n_qubits, c.shots, _erased_gates(c)), []).append(i)
+        t, ids = c.row_ids()
+        if t is not table:
+            table, erased = t, t.erased_ids(space)
+        groups.setdefault((c.n_qubits, c.shots, erased[ids].tobytes()), []).append(i)
     return EquivalenceReport(tuple(tuple(g) for g in groups.values()))
 
 
@@ -145,16 +132,18 @@ def identify_bruteforce(circuits: Iterable[Circuit]) -> EquivalenceReport:
 def peel(c: Circuit) -> list[np.ndarray]:
     """Per-qubit quantized virtual-Z phase words in encounter order.
 
-    The circuit's phases are quantized in one call, then split per bank; the
-    first bank over capacity raises ``CapacityError``.
+    One mask picks the circuit's virtual-Z rows, whose words the table
+    quantized once; they split per bank, and the first bank over capacity
+    raises ``CapacityError``.
     """
-    vzs = [g for g in c.gates if g.kind is _VZ]
-    banks = np.array([g.qubits[0] for g in vzs], dtype=np.intp)
+    table, ids = c.row_ids()
+    vz = ids[table.kind[ids] == _VZ_CODE]
+    banks = table.q0[vz]
     counts = np.bincount(banks, minlength=c.n_qubits)
     over = np.flatnonzero(counts > BANK_CAPACITY)
     if over.size:
         raise CapacityError(int(over[0]), int(counts[over[0]]), BANK_CAPACITY)
-    words = quantize_phases([g.phase for g in vzs])
+    words = table.words[vz]
     return [words[banks == q] for q in range(c.n_qubits)]
 
 
@@ -210,6 +199,7 @@ class RipResult:
 
 
 def rip(batch) -> RipResult:
+    share_rows(batch.circuits)
     report = identify(batch.circuits)
     table = build_param_table(batch.circuits)
     uniques = tuple(modify(batch.circuits[g[0]]) for g in report.groups)

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .asm import MAX_SHOTS, MachineProgram, assemble, compile_circuit
+from .circuits import share_rows
 from .control import (
     CYCLE_NS,
     REQUEST_LATENCY_CYCLES,
@@ -89,6 +90,7 @@ def run_experiment(
                 raw = get_circuits()
             with record.scope("Transpile"):
                 batch = transpile(raw)
+                share_rows(batch.circuits)  # a batch built in memory converts once
         digest = batch.file_hash if batch.file_hash is not None else batch_hash(batch)
         outcome = ExperimentOutcome(mode, batch, {}, {}, {}, record, digest)
         if mode == "pce":

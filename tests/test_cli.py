@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from pce import cli, kernels
-from pce.asm import MachineProgram, Opcode
+from pce.asm import MachineProgram, Opcode, assemble, compile_circuit, machine_to_bytes
 from pce.cli import main
 from pce.control import PulseTrace
 from pce.fileio import read_batch, write_batch
 from pce.generators import CircuitBatch, Label
-from pce.rip import binarize, debinarize, rip
+from pce.rip import binarize, debinarize, identify_bruteforce, rip
 from pce.verify import first_trace_mismatch
 from tests.test_asm import word
 from tests.test_rip import SAME_CHAINS_PAIRS
@@ -143,6 +143,74 @@ class TestManifestHashPinned:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
         manifest = (tmp_path / "b" / "manifest.txt").read_text()
         assert re.search(r"^hash (\w+)$", manifest, re.M).group(1) == digest
+
+
+class TestRipBytesPinned:
+    """What RIP and assembly make of a generated batch read back, pinned by digest.
+
+    For the four manifest-pinned batches and the 6-qubit RC batch of the dump
+    pins: the groups (their ``repr``), the PCEB blob, the PCEM images of the
+    unique programs (pce mode) and of every circuit's program (baseline mode).
+    The digests were recorded while the reader still built a ``Gate`` per gate."""
+
+    SPECS = {
+        "rb": (
+            TestManifestHashPinned.SPECS["rb"][0],
+            "dde199e4945e6eff39b62e4b9743402b02d4eba7d367cdf67d6905baac680b9b",
+            "b1523b4e896047babed1e5bb154b874cff69ff48d34b6380e0b77356f2337d7e",
+            "e3da85e81de113ac23560f9b4dbb9ee32a89856adc7976a6a77999a51f31b330",
+            "b6ff0a225e1ac7cfbab8e831493de3c9d8bb0a87d3db94241ed47c73d3183f22",
+        ),
+        "cb": (
+            TestManifestHashPinned.SPECS["cb"][0],
+            "357d60b5290c4ad27ba2a8d697fa0707f987e1fcd8bb828d4b3b168215188e64",
+            "a2746b1f229fd43b392228fa6a887fd8498a6c3937618b3fd2d5567d5b8a29e1",
+            "950a37e9b7c9b6a4bae19cdf69d43aeeede4b1a7d96fe4b4e986a639e9c026eb",
+            "2f8152e1b5c144c84c3279ef102a395ae76b472de0e515fd248b6002b894e8f4",
+        ),
+        "rc": (
+            TestManifestHashPinned.SPECS["rc"][0],
+            "eb6571113e1104319c4f13fe3310b5e099c44ebf17df544e7d706e008fae7407",
+            "ed313f36cb77dd91ed28a981fd38a77a7047835ed6a2371bfe4be257f3d88e3c",
+            "5dde6c80be7c3e8ce6476e1d4209b1364ec678497c95ce2594edb2037750cb91",
+            "7e9d502b528d34269032d05ef678e89a0b923d438f77994d4cfe3919ef7a5bad",
+        ),
+        "frc": (
+            TestManifestHashPinned.SPECS["frc"][0],
+            "f7a8c4d75e46633edb9c3e0448f75f63111cf7204d3a6cfae5a8821ce94b21d2",
+            "0a7877e89954ff9185c1aa1d4c1af48a7a317c9b92fd186a9f5c9b1897c3f39b",
+            "0e656534d9a48f0ae180931407b65a1f3b56add15c8d9d9f39f59b1a2bbddb28",
+            "8e9d94dbed688a8369dd6aac949bb8c4e9148cb1786b73e2292e1825528ed8df",
+        ),
+        "rc6": (
+            TestDumpBytesPinned.SPECS["rc6"][0],
+            "f15dccfcbf7f65a861e948e38b39ff6f0161519522fac3bd370ebf94e479a62b",
+            "efc8f493b1bcf904e30439d8c946ef3eacee6c3f75ae8c887fe289cc063f1938",
+            "2cd706ae829819230f040aa40065d491ace96449b5d702586d9f66015ac7bdff",
+            "bf3f1d974dbf7d3804c6676b4968831301b1beff44e449eb8a33c5fb1e2434e3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_groups_blob_and_programs_match_the_pinned_digests(self, tmp_path, name):
+        spec, groups, blob, pce_images, baseline_images = self.SPECS[name]
+        cfg = tmp_path / "spec.cfg"
+        cfg.write_text(spec)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        batch = read_batch(tmp_path / "b")
+        result = rip(batch)
+
+        def digest(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        def images(circuits) -> bytes:
+            return b"".join(machine_to_bytes(assemble(compile_circuit(c))) for c in circuits)
+
+        assert result.report == identify_bruteforce(batch.circuits)
+        assert digest(repr(result.report.groups).encode()) == groups
+        assert digest(binarize(result.report, result.table)) == blob
+        assert digest(images(result.uniques)) == pce_images
+        assert digest(images(batch.circuits)) == baseline_images
 
 
 class TestGenerate:

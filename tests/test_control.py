@@ -513,6 +513,21 @@ class TestShotDraws:
         with pytest.raises(ValidationError, match="circuit index must be non-negative, got -1"):
             execute(measured_x90(shots), circuit_index=-1)
 
+    # trace-only programs draw no shot, but refuse what a sampled one refuses
+    TRACE_ONLY = {
+        "wide": Circuit((*(x90(q) for q in range(5)), *(measure(q) for q in range(5))), 5, 3),
+        "unmeasured": Circuit((x90(0), vz(0, 0.5), x90(0)), 1, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRACE_ONLY))
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -3), (-1, -3)])
+    def test_trace_only_programs_refuse_a_negative_seed_or_index(self, name, seed, index):
+        program = assemble(compile_circuit(self.TRACE_ONLY[name]))
+        assert not execute(program, seed=0, circuit_index=0).data.bits.any()
+        what = "seed" if seed < 0 else "circuit index"  # the seed is checked first
+        with pytest.raises(ValidationError, match=f"{what} must be non-negative, got -"):
+            execute(program, seed=seed, circuit_index=index)
+
 
 def _reference_counts(data):
     """Oracle: the per-shot histogram, each key built bit by bit."""

@@ -1,12 +1,16 @@
 """Tests for circuit text, manifests, and config parsing."""
 
 import hashlib
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pce.asm import compile_circuit
 from pce.circuits import Circuit, Gate, cz, delay, measure, param_request, vz, x90
 from pce.errors import ConfigError, DecodeError, ValidationError
 from pce.fileio import (
@@ -17,8 +21,11 @@ from pce.fileio import (
     read_batch,
     write_batch,
 )
-from pce.generators import BatchSpec, gen_batch, gen_random_base
+from pce.generators import BatchSpec, CircuitBatch, Label, gen_batch, gen_random_base
+from pce.rip import binarize, build_param_table, identify, identify_bruteforce, peel, rip
+from tests.test_asm import _reference_compile_circuit
 from tests.test_circuits import circuits_that_build
+from tests.test_rip import _reference_peel
 
 
 def _reference_qubit(token: str, line_no: int) -> int:
@@ -257,6 +264,70 @@ class TestReaderMatchesReference:
         assert str(err.value) == (
             "circuits/c00001.txt: line 6: expected qubit token like 'q0', got '1'"
         )
+
+
+class TestColumnarReader:
+    """The reader's row table against the per-line ``Gate`` parser and the per-gate passes."""
+
+    def test_spelling_and_literal_requests_group_as_the_oracle_does(self, tmp_path):
+        texts = [
+            "qubits 2 shots 3\nX90 q0\nVZ q1 0.5\nCZ q0 q1\nMEAS q0\nMEAS q1\n",
+            "# c\nqubits 2 shots 3\n  X90   q0 # pulse\n\nVZ q1 1.25\nCZ q0  q1\nMEAS q0\nMEAS q1",
+            "qubits 2 shots 3\nX90 q0\nPREQ q1\nCZ q0 q1\n\n# tail\nMEAS q0\nMEAS q1\n",
+            "qubits 2 shots 3\nX90 q0\nVZ q1 0.5\nCZ q1 q0\nMEAS q0\nMEAS q1\n",
+            "qubits 2 shots 4\nX90 q0\nVZ q1 0.5\nCZ q0 q1\nMEAS q0\nMEAS q1\n",
+        ]
+        loaded = read_batch(write_hand_batch(tmp_path, texts))
+        reference = tuple(_reference_circuit_from_text(t) for t in texts)
+        assert loaded.circuits == reference
+        assert identify(loaded.circuits) == identify_bruteforce(reference)
+        assert identify(loaded.circuits).groups == ((0, 1, 2), (3,), (4,))
+        by_gates = CircuitBatch(reference, loaded.labels)
+        read, oracle = rip(loaded), rip(by_gates)
+        assert binarize(read.report, read.table) == binarize(oracle.report, oracle.table)
+        # equal gates share one row whatever their spelling
+        assert loaded.circuits[0].row_ids()[1][0] == loaded.circuits[1].row_ids()[1][0]
+
+    @settings(derandomize=True, max_examples=24, deadline=None)
+    @given(
+        st.sampled_from(("RB", "CB", "RC", "FRC")),
+        st.sampled_from((((0,), (0, 1)), ((0, 1),), ((1, 2, 3),), ((0, 1), (0, 1, 2, 3)))),
+        st.lists(st.integers(1, 6), min_size=1, max_size=2, unique=True),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 2**32),
+    )
+    def test_read_batches_match_the_per_gate_passes(self, kind, widths, depths, rand, shots, seed):
+        if kind == "CB":
+            widths = tuple(w for w in widths if len(w) % 2 == 0) or ((0, 1),)
+        batch = gen_batch(BatchSpec(kind, widths, (tuple(depths),), rand, shots=shots, seed=seed))
+        with tempfile.TemporaryDirectory() as tmp:
+            write_batch(batch, tmp)
+            loaded = read_batch(tmp)
+            files = sorted((Path(tmp) / "circuits").iterdir())
+            reference = [_reference_circuit_from_text(f.read_text("utf-8")) for f in files]
+        assert list(loaded.circuits) == reference == list(batch.circuits)
+        assert identify(loaded.circuits) == identify_bruteforce(loaded.circuits)
+        assert identify(loaded.circuits) == identify(batch.circuits)
+        for c, ref in zip(loaded.circuits, reference):
+            assert compile_circuit(c) == _reference_compile_circuit(ref)
+            got, want = peel(c), _reference_peel(ref)
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_reading_and_ripping_a_batch_builds_no_gate(self, tmp_path, monkeypatch):
+        # the frc_1shot benchmark batch: 300 single-shot FRC circuits on 2-4 qubits
+        spec = BatchSpec("FRC", ((0, 1), (0, 1, 2), (0, 1, 2, 3)), ((1, 10, 20, 30),), 25, 1, 3)
+        write_batch(gen_batch(spec), tmp_path)
+        built = []
+        post_init = Gate.__post_init__
+        monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g) or post_init(g))
+        batch = read_batch(tmp_path)
+        result = rip(batch)
+        binarize(result.report, result.table)
+        build_param_table(batch.circuits)
+        programs = [compile_circuit(c) for c in (*result.uniques, *batch.circuits)]
+        assert built == []
+        assert len(batch) == 300 and len(result.report.groups) == 12 and len(programs) == 312
 
 
 class TestReaderErrors:

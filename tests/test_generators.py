@@ -311,8 +311,9 @@ class TestRc:
         layers = _parse_layers(base)
         slots = len(layers.easy) * len(layers.active)
         calls = []
+        lower = generators.u3_from_unitary_unchecked
         monkeypatch.setattr(
-            generators, "u3_from_unitary", lambda m: calls.append(m) or u3_from_unitary(m)
+            generators, "u3_from_unitary_unchecked", lambda m: calls.append(m) or lower(m)
         )
         gen_rc(base, n_rand, seed=6)
         assert len(calls) <= min(n_rand, 16) * slots
