@@ -1,30 +1,31 @@
 """Command-line front end: generate, run, verify, compare.
 
+``run --socket`` serves the control session over a connected unix socket pair
+(``SocketChannel.serving``) instead of the in-process loopback; it writes
+nothing to ``--out`` beyond the outputs.
+
 Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
-operating-system error on a path included), 3 runtime capacity/underflow error.
+operating-system error on a path and a config or report that is not UTF-8
+included), 3 runtime capacity/underflow error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import socket
-import stat
 import sys
-import threading
+from dataclasses import replace
 from pathlib import Path
 
 from .control import TimingConfig
 from .errors import (
     CapacityError,
-    ConfigError,
     PceError,
     UnderflowError,
 )
-from .fileio import parse_batchspec, read_batch, write_batch
+from .fileio import parse_batchspec, read_batch, read_utf8, write_batch
 from .generators import gen_batch, preset_spec
 from .profiling import check_same_batch, compare, parse_report, report
-from .rpc import CAPACITY_CODES, ControlServer, RemoteError, SocketChannel
+from .rpc import CAPACITY_CODES, RemoteError, SocketChannel
 from .runner import run_experiment
 from .verify import verify_batch
 
@@ -75,55 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_generate(args) -> int:
     if args.preset:
-        spec = preset_spec(args.preset, seed=args.seed or 0)
+        spec = preset_spec(args.preset)
     else:
-        spec = parse_batchspec(args.config.read_text("utf-8"), str(args.config))
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.shots is not None:
-        overrides["shots"] = args.shots
-    if overrides:
-        from dataclasses import replace
-
-        spec = replace(spec, **overrides)
+        spec = parse_batchspec(read_utf8(args.config), str(args.config))
+    overrides = {"seed": args.seed, "shots": args.shots}
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     batch = gen_batch(spec)
     manifest = write_batch(batch, args.out)
     print(f"wrote {len(batch)} circuits to {args.out} (manifest {manifest.name})")
     return EXIT_OK
-
-
-class _SocketHarness:
-    """One-connection unix-socket server thread plus the matching client channel."""
-
-    def __init__(self, session, sock_dir: Path):
-        path = sock_dir / "control.sock"
-        with contextlib.suppress(FileNotFoundError):
-            if not stat.S_ISSOCK(path.lstat().st_mode):
-                raise ConfigError(f"{path} exists and is not a socket")
-            path.unlink()  # left behind by a run that was killed
-        self.path = str(path)
-        server = ControlServer(session)
-        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self.listener.bind(self.path)
-        self.listener.listen(1)
-
-        def serve():
-            conn, _ = self.listener.accept()
-            with conn:
-                server.serve_socket(conn)
-
-        self.thread = threading.Thread(target=serve, daemon=True)
-        self.thread.start()
-        client_sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        client_sock.connect(self.path)
-        self.channel = SocketChannel(client_sock)
-
-    def close(self):
-        self.channel.close()
-        self.thread.join(timeout=5)
-        self.listener.close()
-        Path(self.path).unlink(missing_ok=True)  # a later run binds the same path
 
 
 def _cmd_run(args) -> int:
@@ -131,27 +92,16 @@ def _cmd_run(args) -> int:
     out = args.out
     timing = TimingConfig(reset_ns=args.reset_ns)
     out.mkdir(parents=True, exist_ok=True)
-    harness = None
-
-    def channel_factory(session):
-        nonlocal harness
-        harness = _SocketHarness(session, out)
-        return harness.channel
-
     manifest_src = batch_path / "manifest.txt" if batch_path.is_dir() else batch_path
-    try:
-        outcome = run_experiment(
-            lambda: manifest_src,
-            lambda path: read_batch(path),
-            args.mode,
-            seed=args.seed,
-            shots=args.shots,
-            timing=timing,
-            channel_factory=channel_factory if args.socket else None,
-        )
-    finally:
-        if harness is not None:
-            harness.close()
+    outcome = run_experiment(
+        lambda: manifest_src,
+        lambda path: read_batch(path),
+        args.mode,
+        seed=args.seed,
+        shots=args.shots,
+        timing=timing,
+        channel_factory=SocketChannel.serving if args.socket else None,
+    )
     (out / "manifest.txt").write_bytes(manifest_src.read_bytes())
     traces_dir = out / "traces"
     data_dir = out / "shotdata"
@@ -198,8 +148,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rec_base, meta_base = parse_report(args.baseline_report.read_text("utf-8"))
-    rec_pce, meta_pce = parse_report(args.pce_report.read_text("utf-8"))
+    rec_base, meta_base = parse_report(read_utf8(args.baseline_report))
+    rec_pce, meta_pce = parse_report(read_utf8(args.pce_report))
     check_same_batch(meta_base, meta_pce)
     table = compare(rec_base, rec_pce)
     text = table.to_text()

@@ -42,7 +42,7 @@ from .circuits import (
     _CZ, _DELAY, _VZ, _X90, KINDS, Circuit, GateTable, canonical_phase, check_gate_row
 )
 from .errors import ConfigError, DecodeError, ValidationError
-from .generators import BatchSpec, CircuitBatch, Label
+from .generators import BatchSpec, CircuitBatch, Label, preset_spec
 
 MANIFEST_NAME = "manifest.txt"
 CIRCUIT_DIR = "circuits"
@@ -196,6 +196,11 @@ def _decode_utf8(data: bytes, where: str) -> str:
         raise DecodeError(f"{where}: not UTF-8 ({exc.reason})", exc.start) from None
 
 
+def read_utf8(path: Path) -> str:
+    """A text file's contents; bytes that are not UTF-8 are a ``DecodeError``."""
+    return _decode_utf8(path.read_bytes(), str(path))
+
+
 def read_batch(path: str | Path) -> CircuitBatch:
     """Load a batch from a manifest file or the directory containing one.
 
@@ -211,8 +216,7 @@ def read_batch(path: str | Path) -> CircuitBatch:
     root = manifest.parent
     entries: list[tuple[str, Label]] = []
     declared: dict[str, str] = {}
-    manifest_text = _decode_utf8(manifest.read_bytes(), str(manifest))
-    for line_no, raw in enumerate(manifest_text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_utf8(manifest).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -221,12 +225,20 @@ def read_batch(path: str | Path) -> CircuitBatch:
             if len(tokens) != 11 or tokens[3] != "width" or tokens[5] != "depth":
                 raise ConfigError(f"{manifest}:{line_no}: malformed circuit entry")
             try:
+                index = int(tokens[1])
                 label = Label(
                     _parse_width(tokens[4]), int(tokens[6]), int(tokens[8]), tokens[10]
                 )
             except ValueError:
                 raise ConfigError(f"{manifest}:{line_no}: malformed circuit entry") from None
+            if index != len(entries):
+                raise ConfigError(
+                    f"{manifest}:{line_no}: circuit {index} listed at position {len(entries)}"
+                )
             entries.append((tokens[2], label))
+        elif tokens[0] == "version" and tokens[1:] != ["1"]:
+            version = " ".join(tokens[1:])
+            raise ConfigError(f"{manifest}:{line_no}: unknown manifest version {version!r}")
         elif len(tokens) >= 2:
             declared[tokens[0]] = tokens[1]
     if "count" in declared and declared["count"] != str(len(entries)):
@@ -293,8 +305,6 @@ def parse_batchspec(text: str, where: str = "<config>") -> BatchSpec:
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     if "preset" in kv:
-        from .generators import preset_spec
-
         ignored = sorted(set(kv) - {"preset", "seed"})
         if ignored:
             raise ConfigError(

@@ -7,6 +7,10 @@ Message vocabulary: LOAD_CIRCUIT, LOAD_PARAMS, LOAD_DEFS, RUN, GET_DATA and
 the DATA response.  ACK and ERROR are transport-level frames so every request
 gets exactly one lock-step reply on both channel flavors (in-process loopback
 and local stream socket share this framing byte-for-byte).
+
+``SocketChannel.serving`` puts a session on a connected unix stream socket
+pair: a daemon thread serves one end and the channel owns the other, so no
+socket file or path is involved.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import socket
 import struct
+import threading
 import time
 from dataclasses import dataclass
 from enum import IntEnum
@@ -374,12 +379,31 @@ class LoopbackChannel:
 class SocketChannel:
     """Client side of the local stream-socket transport."""
 
-    def __init__(self, conn: socket.socket):
+    def __init__(self, conn: socket.socket, server_thread: threading.Thread | None = None):
         self.conn = conn
+        self.server_thread = server_thread
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames = 0
         self.transfer_ns = 0
+
+    @classmethod
+    def serving(cls, session: ControlSession) -> SocketChannel:
+        """A channel to ``session`` over a connected unix socket pair.
+
+        A daemon thread serves the far end until the channel closes (or the
+        server stops on a fault) and then closes that end; ``close`` joins it.
+        """
+        conn, far = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        server = ControlServer(session)
+
+        def serve():
+            with far:
+                server.serve_socket(far)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        return cls(conn, thread)
 
     def call(self, frame: bytes) -> bytes:
         t0 = time.perf_counter_ns()
@@ -401,6 +425,8 @@ class SocketChannel:
 
     def close(self) -> None:
         self.conn.close()
+        if self.server_thread is not None:
+            self.server_thread.join(timeout=5)
 
 
 class DeftClient:

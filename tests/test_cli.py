@@ -3,14 +3,13 @@
 import hashlib
 import json
 import re
-import socket
 import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pce import cli, kernels
+from pce import kernels
 from pce.asm import MachineProgram, Opcode, assemble, compile_circuit, machine_to_bytes
 from pce.cli import main
 from pce.control import PulseTrace
@@ -262,6 +261,14 @@ class TestGenerate:
         cfg.write_text("kind = RB\nwidths = \ndepths = 2\nrandomizations = 1\n")
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"kind = RB\n\xff\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8") and "(at byte offset 10)" in err
+        assert "Traceback" not in err
+
     def test_directory_as_config_exits_2(self, tmp_path, capsys):
         rc = main(["generate", "--config", str(tmp_path), "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -383,17 +390,18 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["baseline", "pce"])
     def test_socket_server_fault_exits_2_and_closes(self, tmp_path, capsys, monkeypatch, mode):
-        # the server refuses a 9-qubit program (8 banks); the harness still closes
+        # the server refuses a 9-qubit program (8 banks); the channel still closes
         from pce.circuits import Circuit, measure, x90
+        from pce.rpc import SocketChannel
 
         closes = []
-        close = cli._SocketHarness.close
+        close = SocketChannel.close
 
         def counting_close(self):
             closes.append(self)
             close(self)
 
-        monkeypatch.setattr(cli._SocketHarness, "close", counting_close)
+        monkeypatch.setattr(SocketChannel, "close", counting_close)
         batch = CircuitBatch((Circuit((x90(8), measure(8)), 9, 2),), (Label((8,), 1, 0, "x"),))
         bdir = tmp_path / "wide"
         write_batch(batch, bdir)
@@ -405,7 +413,7 @@ class TestRun:
         assert "9 qubits exceed the 8-bank design" in err
         assert "Traceback" not in err
         assert len(closes) == 1
-        assert not closes[0].thread.is_alive()
+        assert not closes[0].server_thread.is_alive()
 
     def test_socket_run_twice_into_one_out(self, batch_dir, tmp_path):
         out = tmp_path / "o"
@@ -414,27 +422,16 @@ class TestRun:
         assert not (out / "control.sock").exists()
         assert main(argv) == 0
 
-    def test_socket_left_by_a_killed_run_is_replaced(self, batch_dir, tmp_path):
-        # a killed run never unlinks its socket; the next run binds the path anew
-        out = tmp_path / "o"
-        out.mkdir()
-        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        stale.bind(str(out / "control.sock"))
-        stale.close()
-        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--socket", "--out", str(out)]
-        assert main(argv) == 0
-        assert not (out / "control.sock").exists()
-
-    def test_regular_file_at_socket_path_exits_2(self, batch_dir, tmp_path, capsys):
-        out = tmp_path / "o"
-        out.mkdir()
-        (out / "control.sock").write_text("not a socket")
-        argv = ["run", "--batch", str(batch_dir), "--mode", "pce", "--socket", "--out", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "control.sock exists and is not a socket" in err
-        assert "Traceback" not in err
-        assert (out / "control.sock").read_text() == "not a socket"
+    def test_socket_run_into_a_long_out_path(self, batch_dir, tmp_path):
+        # longer than any unix socket path (108 bytes): the socket pair has no path
+        loop = self.run_mode(batch_dir, tmp_path, "pce")
+        long_dir = tmp_path / ("d" * 60) / ("e" * 60)
+        sock = self.run_mode(batch_dir, long_dir, "pce", extra=("--socket",))
+        assert len(str(sock)) >= 120
+        assert tree_bytes(loop) == tree_bytes(sock)
+        made = sorted(p.relative_to(sock).as_posix() for p in sock.rglob("*"))
+        assert made == sorted(p.relative_to(loop).as_posix() for p in loop.rglob("*"))
+        assert not any(p.is_socket() for p in sock.rglob("*"))
 
     def test_socket_server_fault_outside_taxonomy_exits_2(
         self, batch_dir, tmp_path, capsys, monkeypatch
@@ -760,6 +757,14 @@ class TestVerifyAndCompare:
         assert main(["compare", str(good), str(damaged)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    def test_compare_non_utf8_report_exits_2_naming_it(self, tmp_path, capsys):
+        report = tmp_path / "profile.json"
+        report.write_bytes(b"\xff{}")
+        assert main(["compare", str(report), str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: not UTF-8") and "(at byte offset 0)" in err
+        assert "Traceback" not in err
 
     def test_self_compare_ratio_one(self, batch_dir, tmp_path, capsys):
         rc = main(

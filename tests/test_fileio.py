@@ -387,6 +387,30 @@ class TestReaderErrors:
         assert str(manifest) in str(err.value)
 
 
+class TestManifestEntries:
+    def test_declared_version_other_than_1_is_refused(self, tmp_path):
+        write_hand_batch(tmp_path, ["qubits 1 shots 5\nX90 q0\n"])
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("version 1", "version 7"))
+        with pytest.raises(ConfigError) as err:
+            read_batch(tmp_path)
+        assert str(err.value) == f"{manifest}:1: unknown manifest version '7'"
+
+    def test_manifest_without_version_line_reads(self, tmp_path):
+        write_hand_batch(tmp_path, ["qubits 1 shots 5\nX90 q0\n"])
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("version 1\n", ""))
+        assert len(read_batch(tmp_path)) == 1
+
+    def test_circuit_index_out_of_place_is_refused(self, tmp_path):
+        write_hand_batch(tmp_path, ["qubits 1 shots 5\nX90 q0\n"] * 2)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("circuit 0 ", "circuit 9 "))
+        with pytest.raises(ConfigError) as err:
+            read_batch(tmp_path)
+        assert str(err.value) == f"{manifest}:3: circuit 9 listed at position 0"
+
+
 class TestBatchSpecConfig:
     def test_parse_full(self):
         text = """

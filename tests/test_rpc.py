@@ -2,7 +2,6 @@
 
 import socket
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -212,12 +211,7 @@ class TestServerDispatch:
 
 class TestSocketTransport:
     def test_socketpair_round_trip(self):
-        session = ControlSession(seed=2)
-        server = ControlServer(session)
-        left, right = socket.socketpair()
-        thread = threading.Thread(target=server.serve_socket, args=(right,), daemon=True)
-        thread.start()
-        channel = SocketChannel(left)
+        channel = SocketChannel.serving(ControlSession(seed=2))
         client = DeftClient(channel)
         client.load_circuit(0, small_program())
         client.run(2)
@@ -226,26 +220,16 @@ class TestSocketTransport:
         assert channel.frames == 3
         assert channel.bytes_sent > 0 and channel.bytes_received > 0
         channel.close()
-        right.close()
-        thread.join(timeout=5)
+        assert not channel.server_thread.is_alive()
 
     def test_loopback_and_socket_give_identical_bytes(self):
         msgs = [LoadCircuit(4, small_program()), Run(2), GetData()]
-        session_a = ControlSession(seed=3)
-        session_b = ControlSession(seed=3)
-        loop = LoopbackChannel(ControlServer(session_a))
-        left, right = socket.socketpair()
-        thread = threading.Thread(
-            target=ControlServer(session_b).serve_socket, args=(right,), daemon=True
-        )
-        thread.start()
-        sock = SocketChannel(left)
+        loop = LoopbackChannel(ControlServer(ControlSession(seed=3)))
+        sock = SocketChannel.serving(ControlSession(seed=3))
         for msg in msgs:
             frame = rpc_encode(msg)
             assert loop.call(frame) == sock.call(frame)
         sock.close()
-        right.close()
-        thread.join(timeout=5)
 
 
 def read_to_eof(conn):
