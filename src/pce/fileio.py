@@ -11,14 +11,21 @@ Circuit files are UTF-8 with LF endings, one gate per line after a header:
     PREQ q<i>
 
 ``#`` starts a comment.  Phases are written with ``repr`` so parsing returns
-the identical double and re-encoding is byte-stable.
+the identical double and re-encoding is byte-stable.  Numbers are ASCII
+digits without ``_`` separators, though ``int`` and ``float`` take both.
 
-``read_batch`` parses each distinct raw gate line once per batch, into a row
-of one ``GateTable`` that every file of the batch shares: a dict maps the raw
-line to its row id, so most lines cost one lookup, equal gates on different
-lines share a row, and a circuit keeps only its int32 row ids.  No ``Gate``
-is built.  Errors name the circuit file's path relative to the manifest and
-the line.
+``read_batch`` reads each file in two steps: its header, then a dict lookup
+per raw body line that maps it to its index among the batch's distinct
+lines.  One pass per batch then parses each distinct line once, into a row
+of one ``GateTable`` that every file shares: the VZ lines in the form
+``circuit_to_text`` writes as columns (one regex scan, ``int`` and
+``float`` maps, numpy range masks), every other line through
+``_row_of_line``, the one statement of the line grammar and its faults.
+Equal gates on different lines share a row, rows are numbered in first
+appearance, and a circuit keeps only its int32 row ids; no ``Gate`` is
+built.  Errors name the circuit file's path relative to the manifest and the
+line; the first fault reported is the first in file and line order, and
+text faults come before circuit-rule faults.
 
 Batch spec configs are ``key = value`` lines; list-valued keys separate
 per-width groups with ``|`` and elements with ``,``:
@@ -34,12 +41,16 @@ per-width groups with ``|`` and elements with ``,``:
 from __future__ import annotations
 
 import hashlib
+import re
+from collections import deque
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .circuits import (
-    _CZ, _DELAY, _VZ, _X90, KINDS, Circuit, GateTable, canonical_phase, check_gate_row
+    _CZ, _DELAY, _VZ, _VZ_CODE, _X90, KINDS, QUBIT_LIMIT, ROW_DTYPE, TAU, Circuit, GateTable,
+    canonical_phase, check_gate_row,
 )
 from .errors import ConfigError, DecodeError, ValidationError
 from .generators import BatchSpec, CircuitBatch, Label, preset_spec
@@ -65,10 +76,25 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_qubit(token: str, line_no: int) -> int:
-    if not token.startswith("q") or not token[1:].isdigit():
-        raise ConfigError(f"line {line_no}: expected qubit token like 'q0', got {token!r}")
-    return int(token[1:])
+# the builtins' own messages, for the tokens the reader refuses beside theirs
+_NUMBER_FAULTS = {
+    int: "invalid literal for int() with base 10", float: "could not convert string to float"
+}
+
+
+def _number(parse, token: str):
+    """``parse`` (``int`` or ``float``) of a token in ASCII without ``_``
+    separators: the builtins also take other scripts' digits and ``1_000``."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"{_NUMBER_FAULTS[parse]}: {token!r}")
+    return parse(token)
+
+
+def _parse_qubit(token: str) -> int:
+    digits = token[1:]
+    if not token.startswith("q") or not (digits.isascii() and digits.isdigit()):
+        raise ConfigError(f"expected qubit token like 'q0', got {token!r}")
+    return int(digits)
 
 
 # a gate line's token -> its kind, its code and the parser of its last field
@@ -77,64 +103,135 @@ _LINE_FORMS = {
 }
 
 
-def _row_of_line(line: str, line_no: int) -> tuple:
+def _row_of_line(line: str) -> tuple:
     """The table row of one gate line, comment and outer blanks stripped; the
-    builders' conversions (``vz``, ``delay``), then the gate rules."""
+    builders' conversions (``vz``, ``delay``), then the gate rules.  A fault
+    is a ``ConfigError`` that the caller places at its line."""
     tokens = line.split()
     form = _LINE_FORMS.get(tokens[0])
     if form is None or len(tokens) != 2 + (form[0] is _CZ or form[2] is not None):
-        raise ConfigError(f"line {line_no}: unrecognized gate line {line!r}")
+        raise ConfigError(f"unrecognized gate line {line!r}")
     kind, code, parse = form
     try:
-        q0 = _parse_qubit(tokens[1], line_no)
-        qubits = (q0, _parse_qubit(tokens[2], line_no)) if kind is _CZ else (q0,)
-        value = parse(tokens[2]) if parse else 0
+        q0 = _parse_qubit(tokens[1])
+        qubits = (q0, _parse_qubit(tokens[2])) if kind is _CZ else (q0,)
+        value = _number(parse, tokens[2]) if parse else 0
         phase = canonical_phase(value) if kind is _VZ else 0.0
         duration = value if kind is _DELAY else 0
         check_gate_row(kind, qubits, phase, duration)
     except (ValueError, ValidationError) as exc:
-        raise ConfigError(f"line {line_no}: {exc}") from None
+        raise ConfigError(str(exc)) from None
     return code, q0, qubits[-1] if kind is _CZ else 0, phase, duration
 
 
-def _read_text(text: str, seen: dict[str, int], rows: dict[tuple, int]) -> tuple:
-    """A circuit text's qubit count, shots and int32 row ids.
+# per line of a "\n"-joined text: for the line ``circuit_to_text`` writes for
+# a VZ gate, a plain qubit id and an unsigned decimal phase, which ``float``
+# and ``_row_of_line`` read alike; ("", "") for any other line
+_PLAIN_VZ = re.compile(r"^(?:VZ q([0-9]{1,5}) ([0-9]+(?:\.[0-9]+)?(?:e-[0-9]+)?)$|.*)", re.M)
+_NO_GATE = 255  # the kind code of a blank or comment line
+# ROW_DTYPE without its padding, so two rows are equal exactly when their bytes are
+_PACKED_ROW = np.dtype([(name, ROW_DTYPE[name]) for name in ROW_DTYPE.names])
+_SLICE = 4096  # lines per column parse, which bounds its transient strings
 
-    ``seen`` maps each raw line met so far to its row id (-1 for a line with
-    no gate) and ``rows`` each row's content to its id; only successful
-    parses enter them, so a bad line always fails with its own line number."""
-    lines = text.splitlines()
-    for header_no, raw in enumerate(lines, start=1):
-        header = raw.split("#", 1)[0].strip()
-        if header:
-            break
-    else:
-        raise ConfigError("circuit file has no header line")
-    tokens = header.split()
-    if len(tokens) != 4 or tokens[0] != "qubits" or tokens[2] != "shots":
-        raise ConfigError(f"line {header_no}: expected header 'qubits <n> shots <s>'")
-    try:
-        n_qubits, shots = int(tokens[1]), int(tokens[3])
-    except ValueError:
-        raise ConfigError(f"line {header_no}: non-integer header field") from None
-    body = lines[header_no:]
-    ids = list(map(seen.get, body))
-    i = -1
-    for _ in range(ids.count(None)):
-        i = ids.index(None, i + 1)
-        raw = body[i]
-        if raw not in seen:  # a line new to the file may repeat in it
-            line = raw.split("#", 1)[0].strip()
-            seen[raw] = rows.setdefault(_row_of_line(line, header_no + 1 + i), len(rows)) if line else -1
-        ids[i] = seen[raw]
-    out = np.array(ids, dtype=np.int32)
-    return n_qubits, shots, out[out >= 0] if -1 in ids else out
+
+def _read_plain_vz(lines: list[str], rows: np.ndarray) -> None:
+    """Set the rows of the lines in ``_PLAIN_VZ`` form whose qubit and phase
+    are in range, each exactly as ``_row_of_line`` makes it."""
+    qubits, phases = zip(*_PLAIN_VZ.findall("\n".join(lines)))
+    found = np.fromiter(map(bool, qubits), bool, len(lines))
+    count = np.count_nonzero(found)
+    q0 = np.fromiter(map(int, compress(qubits, found)), np.int32, count)
+    phase = np.fromiter(map(float, compress(phases, found)), np.float64, count)
+    ok = (q0 < QUBIT_LIMIT) & (phase < TAU)
+    found[np.flatnonzero(found)[~ok]] = False
+    rows["kind"][found], rows["q0"][found], rows["phase"][found] = _VZ_CODE, q0[ok], phase[ok]
+
+
+class _Texts:
+    """Circuit texts read into one ``GateTable``.
+
+    ``add`` reads a text's header and maps each raw body line through
+    ``seen`` to its index among the batch's distinct lines, so a repeated
+    line costs one lookup.  ``circuits`` then parses each distinct line
+    once: lines in ``_PLAIN_VZ`` form as columns, every other line through
+    ``_row_of_line``.  Rows are numbered in first appearance, equal rows
+    share one id, and the first fault is the one a line-by-line read meets
+    first.
+    """
+
+    def __init__(self):
+        self.seen: dict[str, int] = {}
+        self.texts = deque()  # (where, header line number, n_qubits, shots, line indices)
+
+    def add(self, text: str, where: str) -> None:
+        """Read one text; ``where`` ("<file>: ", or "") prefixes its faults."""
+        lines = text.splitlines()
+        for header_no, raw in enumerate(lines, start=1):
+            header = raw.split("#", 1)[0].strip()
+            if header:
+                break
+        else:
+            raise ConfigError(f"{where}circuit file has no header line")
+        tokens = header.split()
+        if len(tokens) != 4 or tokens[0] != "qubits" or tokens[2] != "shots":
+            raise ConfigError(f"{where}line {header_no}: expected header 'qubits <n> shots <s>'")
+        try:
+            n_qubits, shots = _number(int, tokens[1]), _number(int, tokens[3])
+        except ValueError:
+            raise ConfigError(f"{where}line {header_no}: non-integer header field") from None
+        body, seen = lines[header_no:], self.seen
+        new = [raw for raw in dict.fromkeys(body) if raw not in seen]
+        seen.update(zip(new, range(len(seen), len(seen) + len(new))))
+        indices = np.fromiter(map(seen.__getitem__, body), np.int32, len(body))
+        self.texts.append((where, header_no, n_qubits, shots, indices))
+
+    def rows(self) -> np.ndarray:
+        """Each distinct line's row, kind ``_NO_GATE`` for a line without a gate."""
+        lines, self.seen = list(self.seen), None  # free the map before the parse allocates
+        rows = np.zeros(len(lines), _PACKED_ROW)
+        for lo in range(0, len(lines), _SLICE):
+            _read_plain_vz(lines[lo : lo + _SLICE], rows[lo : lo + _SLICE])
+        rest = np.flatnonzero(rows["kind"] != _VZ_CODE).tolist()
+        rows[rest] = [self._row(lines[i], i) for i in rest]
+        return rows
+
+    def _row(self, raw: str, index: int) -> tuple:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            return _NO_GATE, 0, 0, 0.0, 0
+        try:
+            return _row_of_line(line)
+        except ConfigError as exc:  # placed where the line first appears
+            where, header_no, *_, indices = next(t for t in self.texts if index in t[-1])
+            line_no = header_no + 1 + int(np.argmax(indices == index))
+            raise ConfigError(f"{where}line {line_no}: {exc}") from None
+
+    def circuits(self) -> list[Circuit]:
+        """The circuits over one table; a circuit-rule fault after every text fault."""
+        rows = self.rows()
+        gate = rows["kind"] != _NO_GATE
+        _, index, inverse = np.unique(
+            rows[gate].view(f"V{_PACKED_ROW.itemsize}"), return_index=True, return_inverse=True
+        )
+        order = np.argsort(index)  # the distinct rows in first appearance
+        table = GateTable(rows[gate][index[order]])
+        line_row = np.full(len(rows), -1, np.int32)
+        line_row[gate] = np.argsort(order)[inverse]
+        out = []
+        while self.texts:  # in order, freeing each text's line indices once its ids are made
+            where, _, n_qubits, shots, indices = self.texts.popleft()
+            ids = line_row[indices]
+            try:
+                out.append(Circuit(None, n_qubits, shots, rows=(table, ids[ids >= 0])))
+            except ValidationError as exc:
+                raise ValidationError(f"{where}{exc}") from None
+        return out
 
 
 def circuit_from_text(text: str) -> Circuit:
-    rows: dict[tuple, int] = {}
-    n_qubits, shots, ids = _read_text(text, {}, rows)
-    return Circuit(None, n_qubits, shots, rows=(GateTable(list(rows)), ids))
+    texts = _Texts()
+    texts.add(text, "")
+    return texts.circuits()[0]
 
 
 def _width_str(width: tuple[int, ...]) -> str:
@@ -245,26 +342,17 @@ def read_batch(path: str | Path) -> CircuitBatch:
         raise ConfigError(
             f"{manifest}: declares {declared['count']} circuits, lists {len(entries)}"
         )
-    # every file's text first, into one table; then the circuits over it
-    seen: dict[str, int] = {}
-    rows: dict[tuple, int] = {}
-    parsed = []
+    texts = _Texts()
     h = hashlib.sha256()
     for rel, _ in entries:
         data = (root / rel).read_bytes()
         h.update(data)
         try:
-            parsed.append((rel, *_read_text(_decode_utf8(data, rel), seen, rows)))
-        except ConfigError as exc:
-            raise ConfigError(f"{rel}: {exc}") from None
-    del seen  # free the raw-line cache first, so it and the new table never peak together
-    table = GateTable(list(rows))
-    circuits = []
-    for rel, n_qubits, shots, ids in parsed:
-        try:
-            circuits.append(Circuit(None, n_qubits, shots, rows=(table, ids)))
-        except ValidationError as exc:
-            raise ValidationError(f"{rel}: {exc}") from None
+            texts.add(_decode_utf8(data, rel), f"{rel}: ")
+        except (ConfigError, DecodeError):
+            texts.rows()  # a bad line in an earlier file comes first
+            raise
+    circuits = texts.circuits()
     digest = h.hexdigest()
     if "hash" in declared and declared["hash"] != digest:
         raise DecodeError(f"{manifest}: circuit files do not match the manifest hash")

@@ -147,10 +147,12 @@ class TestManifestHashPinned:
 class TestRipBytesPinned:
     """What RIP and assembly make of a generated batch read back, pinned by digest.
 
-    For the four manifest-pinned batches and the 6-qubit RC batch of the dump
-    pins: the groups (their ``repr``), the PCEB blob, the PCEM images of the
-    unique programs (pce mode) and of every circuit's program (baseline mode).
-    The digests were recorded while the reader still built a ``Gate`` per gate."""
+    For the four manifest-pinned batches, the 6-qubit RC batch of the dump
+    pins and the three benchmark workload batches at seed 3: the groups (their
+    ``repr``), the PCEB blob, the PCEM images of the unique programs (pce mode)
+    and of every circuit's program (baseline mode).  The first five digests
+    were recorded while the reader still built a ``Gate`` per gate, the
+    workload ones while it still parsed each distinct line on its own."""
 
     SPECS = {
         "rb": (
@@ -187,6 +189,30 @@ class TestRipBytesPinned:
             "efc8f493b1bcf904e30439d8c946ef3eacee6c3f75ae8c887fe289cc063f1938",
             "2cd706ae829819230f040aa40065d491ace96449b5d702586d9f66015ac7bdff",
             "bf3f1d974dbf7d3804c6676b4968831301b1beff44e449eb8a33c5fb1e2434e3",
+        ),
+        "rb_shots": (
+            "kind = RB\nwidths = 0 | 0,1 | 0,1,2 | 0,1,2,3\ndepths = 2,8,16\nrandomizations = 3\n"
+            "shots = 50\nseed = 3\n",
+            "aa2c3b85042896971a60a59c660f3408ec37b1d06966c3f26d6b93bbedf5ae19",
+            "9b36b37864c9bef702c5625c9a398e5486b23d174124dbf048000dcbac0b83c5",
+            "f4a0ff1f55098ee6663768a948237f1e806d075bfd73e32335e7028c7f507f15",
+            "bdecde31357de28b25bd42a606ec0a227a8dccbe1c1284a76cea601b7957c69e",
+        ),
+        "frc_1shot": (
+            "kind = FRC\nwidths = 0,1 | 0,1,2 | 0,1,2,3\ndepths = 1,10,20,30\nrandomizations = 25\n"
+            "shots = 1\nseed = 3\n",
+            "e0d7760b98f630d14859c3aa3b65fac03c5be4665a19dfe69189319e1d09aeb8",
+            "3e0a48b298ffccab8dc8e5de2b5eae762da269dd55c23cbe85f0c2efc9fb2b1c",
+            "1d09002cedf5162cf7af2c2c3bf01a5010af7c1fe8fc0239d2c4af50e9fc7574",
+            "8126a5b709c679a93c5221369cd03257a9b5206e1de97d50258b7ab1b618cc12",
+        ),
+        "rc_wide_socket": (
+            "kind = RC\nwidths = 0,1,2,3,4,5 | 0,1,2,3,4,5,6,7\ndepths = 1,5,10,20\n"
+            "randomizations = 4\nshots = 20\nseed = 3\n",
+            "62332e163590170b5170b6d3cd86b498b0902d5657df96bf5877b232d14840e7",
+            "4346011bb490c9c316e1142a22f9601a24a35fe268cc2957cf8a44d6acc78e40",
+            "33d0833c1f5c4594602ab0bf87ee1e98d1d09ef2ff03bec93c61202efebee743",
+            "cc4449570722495119686103a081319f2461d1faca25bbc09dd80eedc9d80c91",
         ),
     }
 

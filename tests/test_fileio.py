@@ -1,6 +1,7 @@
 """Tests for circuit text, manifests, and config parsing."""
 
 import hashlib
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,9 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pce.asm import compile_circuit
-from pce.circuits import Circuit, Gate, cz, delay, measure, param_request, vz, x90
-from pce.errors import ConfigError, DecodeError, ValidationError
+from pce.circuits import (
+    QUBIT_LIMIT,
+    ROW_DTYPE,
+    TAU,
+    Circuit,
+    Gate,
+    cz,
+    delay,
+    measure,
+    param_request,
+    share_rows,
+    vz,
+    x90,
+)
+from pce.errors import ConfigError, DecodeError, PceError, ValidationError
 from pce.fileio import (
+    _row_of_line,
     batch_hash,
     circuit_from_text,
     circuit_to_text,
@@ -330,6 +345,82 @@ class TestColumnarReader:
         assert len(batch) == 300 and len(result.report.groups) == 12 and len(programs) == 312
 
 
+# VZ lines in the form circuit_to_text writes, and near misses of it
+_PHASE_EDGES = (0.0, 5e-324, 1e-05, math.nextafter(TAU, 0.0))
+_VZ_FORMS = (
+    "VZ q{q} {p}", "VZ q00{q} {p}", "VZ q{q} {p} # turn", "VZ  q{q} {p}", "VZ q{q}  {p}",
+    " VZ q{q} {p}", "VZ q{q} -{p}", "VZ q{q} {p}0", "VZ q{q} {p}x",
+)
+_NEAR_MISSES = (
+    f"VZ q0 {TAU!r}", "VZ q0 -0.0", "VZ q0 -1.0", "VZ q0 .5", "VZ q0 1.", "VZ q007 0.5",
+    "VZ q32767 0.5", "VZ q32768 0.5", "VZ q0 1e-400", "VZ q0 1e400", "VZ q0 nan", "VZ q0 1.5e+2",
+    "X90 q3", "CZ q1 q2", "", "   ", "# comment",
+)
+vz_lines = st.one_of(
+    st.builds(
+        lambda form, q, p: form.format(q=q, p=repr(p)),
+        st.sampled_from(_VZ_FORMS),
+        st.integers(0, QUBIT_LIMIT - 1) | st.sampled_from((0, 7, 32767)),
+        st.floats(0.0, TAU, exclude_max=True) | st.sampled_from(_PHASE_EDGES),
+    ),
+    st.sampled_from(_NEAR_MISSES),
+)
+_WIDE_HEADER = f"qubits {QUBIT_LIMIT} shots 1\n"
+
+
+def _line_row(line: str):
+    """The per-line parser's row of a raw body line (None for no gate), or its fault."""
+    line = line.split("#", 1)[0].strip()
+    try:
+        return _row_of_line(line) if line else None
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestPlainVzColumns:
+    """The column pass over plain VZ lines against ``_row_of_line`` and the per-line reader."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(vz_lines)
+    def test_a_line_alone_reads_as_the_per_line_parser_reads_it(self, line):
+        want = _line_row(line)
+        try:
+            c = circuit_from_text(_WIDE_HEADER + line + "\n")
+        except ConfigError as exc:
+            assert str(exc) == f"line 2: {want}"
+            return
+        table, ids = c.row_ids()
+        assert [table.rows[i].item() for i in ids.tolist()] == ([] if want is None else [want])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(vz_lines, min_size=1, max_size=8), st.data())
+    def test_lines_over_several_files_read_as_the_per_line_reader_reads_them(self, pool, data):
+        picks = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(picks)), max_size=3)))
+        parts = [picks[a:b] for a, b in zip([0, *cuts], [*cuts, len(picks)])]
+        texts = [_WIDE_HEADER + "".join(f"{l}\n" for l in part) for part in parts]
+        fault = next(
+            (f"circuits/c{k:05d}.txt: line {n}: {row}"
+             for k, part in enumerate(parts) for n, row in enumerate(map(_line_row, part), 2)
+             if isinstance(row, str)),
+            None,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            if fault is not None:
+                with pytest.raises(ConfigError) as err:
+                    read_batch(write_hand_batch(Path(tmp), texts))
+                assert str(err.value) == fault
+                return
+            loaded = read_batch(write_hand_batch(Path(tmp), texts)).circuits
+        reference = [_reference_circuit_from_text(t) for t in texts]
+        share_rows(reference)
+        (table, _), (want, _) = loaded[0].row_ids(), reference[0].row_ids()
+        for name in ROW_DTYPE.names:
+            assert np.array_equal(table.rows[name], want.rows[name])
+        for c, ref in zip(loaded, reference):
+            assert np.array_equal(c.row_ids()[1], ref.row_ids()[1])
+
+
 class TestReaderErrors:
     @pytest.mark.parametrize(
         "gate_line, reason",
@@ -375,6 +466,59 @@ class TestReaderErrors:
             read_batch(write_hand_batch(tmp_path, [data]))
         assert err.value.offset == data.index(b"\xff")
         assert str(err.value).startswith("circuits/c00000.txt: not UTF-8")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("X90 q\u0661", "line 2: expected qubit token like 'q0', got 'q\u0661'"),
+            ("qubits 1_0 shots 1", "line 1: non-integer header field"),
+            ("DELAY q0 1_000", "line 2: invalid literal for int() with base 10: '1_000'"),
+            ("VZ q0 1_0.5", "line 2: could not convert string to float: '1_0.5'"),
+            ("VZ q0 \uff11", "line 2: could not convert string to float: '\uff11'"),
+        ],
+    )
+    def test_numbers_are_ascii_without_separators(self, line, message):
+        # int() and float() take non-ASCII digits and "_" separators; the reader does not
+        text = f"{line}\nX90 q0\n" if line.startswith("qubits") else f"qubits 1 shots 1\n{line}\n"
+        with pytest.raises(ConfigError) as err:
+            circuit_from_text(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "texts, error, message",
+        [
+            (  # a bad line in file 1 before a bad header in file 3
+                ["qubits 1 shots 1\nX90 q0\n", "qubits 1 shots 1\nX90 q0\nFOO q0\n",
+                 "qubits 1 shots 1\nX90 q0\n", "qubits x shots 1\n"],
+                ConfigError,
+                "circuits/c00001.txt: line 3: unrecognized gate line 'FOO q0'",
+            ),
+            (  # every text fault before any circuit-rule fault
+                ["qubits 1 shots 1\nX90 q3\n", "qubits 1 shots 1\nX90 q0\n",
+                 "qubits 1 shots 1\nVZ q0 x\n"],
+                ConfigError,
+                "circuits/c00002.txt: line 2: could not convert string to float: 'x'",
+            ),
+            (  # a bad line in file 1 before a non-UTF-8 file 2
+                ["qubits 2 shots 1\nX90 q0\n", "qubits 2 shots 1\nCZ q0 q0\n",
+                 b"qubits 2 shots 1\nX90 q0\xff\n"],
+                ConfigError,
+                "circuits/c00001.txt: line 2: CZ gate needs 2 distinct qubits",
+            ),
+            (  # a non-UTF-8 file 1 before a bad line in file 2
+                ["qubits 1 shots 1\nX90 q0\n", b"qubits 1 shots 1\nX90 q0\xff\n",
+                 "qubits 1 shots 1\nFOO q0\n"],
+                DecodeError,
+                "circuits/c00001.txt: not UTF-8",
+            ),
+        ],
+    )
+    def test_the_first_fault_in_file_order_is_reported(self, tmp_path, texts, error, message):
+        with pytest.raises(PceError) as err:
+            read_batch(write_hand_batch(tmp_path, texts))
+        assert type(err.value) is error and str(err.value).startswith(message)
+        if error is DecodeError:
+            assert err.value.offset == texts[1].index(b"\xff")
 
     def test_non_utf8_manifest(self, tmp_path):
         write_hand_batch(tmp_path, ["qubits 1 shots 5\nX90 q0\n"])
