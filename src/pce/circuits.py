@@ -12,10 +12,10 @@ these are ours):
   the candidate pair before taking an elementwise max difference.
 
 A circuit is a ``Gate`` tuple when built in code, or int32 row ids into a
-``GateTable`` of distinct gates when read from text: reading, grouping,
-peeling and compiling a batch work on the table's columns and build no
-``Gate``.  ``check_gate_row`` states the gate rules once for both forms,
-``_first_misuse`` the circuit rules.
+``GateTable`` of distinct gates when read from text or dressed by RC/FRC,
+and is then read, made, grouped, peeled, compiled and written per table row
+(columns, or ``GateTable.each``), not per gate.  ``check_gate_row`` states the
+gate rules once, ``_first_misuse`` the circuit rules, ``u3_phases`` the lowering.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ _DELAY, _PREQ = GateKind.DELAY, GateKind.PARAM_REQUEST
 
 KINDS = tuple(GateKind)  # a kind's code in a row table is its index here
 _VZ_CODE, _CZ_CODE, _PREQ_CODE = KINDS.index(_VZ), KINDS.index(_CZ), KINDS.index(_PREQ)
+_X90_CODE, _MEASURE_CODE = KINDS.index(_X90), KINDS.index(_MEASURE)
 QUBIT_LIMIT = 1 << 15  # qubit ids fit a row table's int16 columns
 PHASE_SCALE = 4294967296.0  # 2**32 phase words over one turn
 
@@ -171,6 +172,11 @@ ROW_DTYPE = np.dtype(
 )
 
 
+def row_fields(code: int, q0: int, q1: int, phase: float, duration: int) -> tuple:
+    """A row's gate fields (kind, qubits, phase, duration), as ``check_gate_row`` takes them."""
+    return KINDS[code], (q0, q1) if code == _CZ_CODE else (q0,), phase, duration
+
+
 class GateTable:
     """Distinct gates, one ``ROW_DTYPE`` row each, that circuits hold by int32 row id.
 
@@ -197,15 +203,21 @@ class GateTable:
         self.erased[vz] = preq[np.searchsorted(self.q0[preq], self.q0[vz])]
         # each row's Gate and _Fields once built; the (n_qubits, erased ids) that pass
         self._built: dict[type, list] = {Gate: [None] * len(rows), _Fields: [None] * len(rows)}
+        self._each: dict = {}  # the lists ``each`` made
         self._checked: set[tuple[int, bytes]] = set()
 
     def gate(self, r: int, cls: type = Gate) -> Gate:
         """Row ``r`` as a ``cls`` (``Gate`` or ``_Fields``), one object per row."""
         built = self._built[cls]
         if built[r] is None:
-            code, q0, q1, phase, duration = self.rows[r].item()
-            built[r] = cls(KINDS[code], (q0, q1) if code == _CZ_CODE else (q0,), phase, duration)
+            built[r] = cls(*row_fields(*self.rows[r].item()))
         return built[r]
+
+    def each(self, build) -> list:
+        """Every row as ``build(kind, qubits, phase, duration)``, made once per table and ``build``."""
+        if build not in self._each:
+            self._each[build] = [build(*row_fields(*row)) for row in self.rows.tolist()]
+        return self._each[build]
 
     def misuse(self, ids: np.ndarray, n_qubits: int) -> str | None:
         """``_first_misuse`` of the gates of ``ids``.  The circuit rules read
@@ -232,46 +244,43 @@ class Circuit:
     """An ordered gate sequence over ``n_qubits`` qubits, run for ``shots`` shots.
 
     It holds its ``Gate`` tuple, or ``rows``: a ``GateTable`` and int32 row
-    ids into it (read from text, or made by ``modify``).  ``gates`` and
-    ``row_ids`` give either form on demand; equal content compares equal.
+    ids into it (read from text, dressed by ``generators.gen_rc``, or made by
+    ``modify``), None for a circuit of gates.  ``gates`` and ``row_ids``
+    give either form on demand; equal content compares equal.
     """
 
-    __slots__ = ("n_qubits", "shots", "_gates", "_table", "_ids")
+    __slots__ = ("n_qubits", "shots", "_gates", "rows")
 
     def __init__(self, gates, n_qubits: int, shots: int = 100, rows=None):
         if n_qubits <= 0:
             raise ValidationError(f"n_qubits must be positive, got {n_qubits}")
         if shots <= 0:
             raise ValidationError(f"shots must be positive, got {shots}")
-        self.n_qubits, self.shots = n_qubits, shots
-        if rows is None:
-            self._gates, self._table, self._ids = tuple(gates), None, None
-            fault = _first_misuse(self._gates, n_qubits)
-        else:
-            (self._table, self._ids), self._gates = rows, None
-            fault = self._table.misuse(self._ids, n_qubits)
+        self.n_qubits, self.shots, self.rows = n_qubits, shots, rows
+        self._gates = tuple(gates) if rows is None else None
+        fault = rows[0].misuse(rows[1], n_qubits) if rows else _first_misuse(self._gates, n_qubits)
         if fault is not None:
             raise ValidationError(fault)
 
     @property
     def gates(self) -> tuple[Gate, ...]:
         if self._gates is None:
-            return tuple(map(self._table.gate, self._ids.tolist()))
+            return tuple(map(self.rows[0].gate, self.rows[1].tolist()))
         return self._gates
 
     def row_ids(self) -> tuple[GateTable, np.ndarray]:
         """The table and row ids; a circuit of gates gets a table of its own."""
-        if self._table is None:
+        if self.rows is None:
             share_rows((self,))
-        return self._table, self._ids
+        return self.rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
         if (self.n_qubits, self.shots) != (other.n_qubits, other.shots):
             return False
-        if self._table is not None and self._table is other._table:
-            return np.array_equal(self._ids, other._ids)
+        if self.rows is not None and other.rows is not None and self.rows[0] is other.rows[0]:
+            return np.array_equal(self.rows[1], other.rows[1])
         return self.gates == other.gates
 
     def __hash__(self) -> int:
@@ -284,7 +293,7 @@ class Circuit:
 def share_rows(circuits) -> None:
     """Give each circuit built from gates, and not yet in a table, row ids
     into one new table for all of them, so a batch converts once."""
-    todo = [c for c in circuits if c._table is None]
+    todo = [c for c in circuits if c.rows is None]
     if not todo:
         return
     index: dict[Gate, int] = {}
@@ -296,7 +305,7 @@ def share_rows(circuits) -> None:
     ])
     table._built[Gate][: len(index)] = index  # its rows' gates are these
     for c, rows in zip(todo, ids):
-        c._table, c._ids = table, np.array(rows, dtype=np.int32)
+        c.rows = table, np.array(rows, dtype=np.int32)
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,30 +335,29 @@ def z_matrix(alpha: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * alpha)]], dtype=complex)
 
 
+def u3_phases(params: U3Params) -> tuple[float, float, float]:
+    """The VZ angles of the lowering Z(phi-pi/2) X90 Z(pi-theta) X90 Z(lam-pi/2), rightmost first."""
+    return params.lam - math.pi / 2, math.pi - params.theta, params.phi - math.pi / 2
+
+
 def u3_matrix(params: U3Params) -> np.ndarray:
-    """2x2 matrix of the lowered gate: Z(phi-pi/2) X90 Z(pi-theta) X90 Z(lam-pi/2)."""
-    return (
-        z_matrix(params.phi - math.pi / 2)
-        @ X90_MATRIX
-        @ z_matrix(math.pi - params.theta)
-        @ X90_MATRIX
-        @ z_matrix(params.lam - math.pi / 2)
-    )
+    """2x2 matrix of the lowered gate (``u3_phases``)."""
+    first, middle, last = u3_phases(params)
+    return z_matrix(last) @ X90_MATRIX @ z_matrix(middle) @ X90_MATRIX @ z_matrix(first)
 
 
 def u3_decompose(params: U3Params, q: int) -> list[Gate]:
-    """Lower an arbitrary single-qubit gate to 2 X90 pulses and 3 virtual-Z phases.
+    """Lower an arbitrary single-qubit gate to 2 X90 pulses and 3 virtual-Z
+    phases (``u3_phases``), in application order."""
+    first, middle, last = u3_phases(params)
+    return [vz(q, first), x90(q), vz(q, middle), x90(q), vz(q, last)]
 
-    Gates come back in application order, i.e. the rightmost factor of the
-    operator product first.
-    """
-    return [
-        vz(q, params.lam - math.pi / 2),
-        x90(q),
-        vz(q, math.pi - params.theta),
-        x90(q),
-        vz(q, params.phi - math.pi / 2),
-    ]
+
+def u3_rows(params: U3Params, q: int) -> tuple[tuple, ...]:
+    """``u3_decompose`` as ``GateTable`` rows, its phases made by the same calls."""
+    first, middle, last = map(canonical_phase, u3_phases(params))
+    x = (_X90_CODE, q, 0, 0.0, 0)
+    return (_VZ_CODE, q, 0, first, 0), x, (_VZ_CODE, q, 0, middle, 0), x, (_VZ_CODE, q, 0, last, 0)
 
 
 def _assert_unitary(U: np.ndarray, atol: float) -> None:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -67,12 +66,19 @@ ENVELOPE_CAPACITY = 4096
 FREQ_CAPACITY = 64
 
 
+def require_int(value, what: str, error: type = ValidationError) -> int:
+    """``value`` as an int if it is a Python or numpy integer (not a bool): nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimingConfig:
     reset_ns: int = 500
 
     def __post_init__(self):
-        if self.reset_ns < 0:
+        if require_int(self.reset_ns, "reset gap", ConfigError) < 0:
             raise ConfigError(f"reset gap must be non-negative, got {self.reset_ns} ns")
 
 
@@ -82,10 +88,14 @@ def _check_width(n_qubits: int) -> None:
 
 
 def _fit_bank(bank: int, words) -> np.ndarray:
-    """The words as uint32, if they fit bank ``bank``."""
+    """The words as uint32, if they are integers in 0..2**32-1 that fit bank ``bank``."""
     if not 0 <= bank < N_BANKS:
         raise RoutingError(f"bank {bank} outside 0..{N_BANKS - 1}")
-    arr = np.asarray(words, dtype=np.uint32)
+    arr = np.asarray(words)  # an array as it is
+    if arr.dtype != np.uint32:
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > _M32):
+            raise ValidationError(f"bank {bank}: parameter words must be integers in 0..2**32-1")
+        arr = arr.astype(np.uint32)
     if arr.size > BANK_CAPACITY:
         raise CapacityError(bank, int(arr.size), BANK_CAPACITY)
     return arr
@@ -371,7 +381,7 @@ _AFFINE_HI = np.array([[c >> 64] for c in _AFFINE], dtype=np.uint64)
 
 def _entropy_words(n: int, what: str) -> list[int]:
     """The little-endian uint32 words SeedSequence splits an entropy int into."""
-    n = operator.index(n)
+    n = require_int(n, what)
     if n < 0:
         raise ValidationError(f"{what} must be non-negative, got {n}")
     words = [n & _M32]
@@ -505,7 +515,7 @@ def execute(
     here when not given.
     """
     n_qubits = program.n_qubits
-    shots = int(shots if shots is not None else program.shots)
+    shots = require_int(program.shots if shots is None else shots, "shot count")
     if shots <= 0:
         raise ValidationError("shots must be positive")
     if memory is None:
@@ -535,7 +545,7 @@ class ControlSession:
         timing: TimingConfig = TimingConfig(),
         record=None,
     ):
-        self.seed = int(seed)
+        self.seed = require_int(seed, "seed")
         self.timing = timing
         self.record = record
         self.memory = ParameterMemory()

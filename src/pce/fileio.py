@@ -13,6 +13,9 @@ Circuit files are UTF-8 with LF endings, one gate per line after a header:
 ``#`` starts a comment.  Phases are written with ``repr`` so parsing returns
 the identical double and re-encoding is byte-stable.  Numbers are ASCII
 digits without ``_`` separators, though ``int`` and ``float`` take both.
+``circuit_to_text`` is the one writer and ``_gate_line`` the one statement
+of a line: a circuit in table form joins the lines its ``GateTable``
+formats once per row, a circuit of gates formats each gate's line.
 
 ``read_batch`` reads each file in two steps: its header, then a dict lookup
 per raw body line that maps it to its index among the batch's distinct
@@ -59,21 +62,27 @@ MANIFEST_NAME = "manifest.txt"
 CIRCUIT_DIR = "circuits"
 
 
+def _gate_line(kind, qubits, phase, duration) -> str:
+    """The one statement of a gate's line in circuit text, newline included."""
+    if kind is _X90:
+        return f"X90 q{qubits[0]}\n"
+    if kind is _VZ:
+        return f"VZ q{qubits[0]} {phase!r}\n"
+    if kind is _CZ:
+        return f"CZ q{qubits[0]} q{qubits[1]}\n"
+    if kind is _DELAY:
+        return f"DELAY q{qubits[0]} {duration}\n"
+    return f"{kind.value} q{qubits[0]}\n"  # MEAS, PREQ: the kind's token and its qubit
+
+
 def circuit_to_text(c: Circuit) -> str:
-    lines = [f"qubits {c.n_qubits} shots {c.shots}"]
-    for g in c.gates:
-        kind = g.kind
-        if kind is _X90:
-            lines.append(f"X90 q{g.qubits[0]}")
-        elif kind is _VZ:
-            lines.append(f"VZ q{g.qubits[0]} {g.phase!r}")
-        elif kind is _CZ:
-            lines.append(f"CZ q{g.qubits[0]} q{g.qubits[1]}")
-        elif kind is _DELAY:
-            lines.append(f"DELAY q{g.qubits[0]} {g.duration_ns}")
-        else:  # MEAS, PREQ: the kind's token and its qubit
-            lines.append(f"{kind.value} q{g.qubits[0]}")
-    return "\n".join(lines) + "\n"
+    """The header, then each gate's line; a circuit of gates gets no table."""
+    head = f"qubits {c.n_qubits} shots {c.shots}\n"
+    if c.rows is None:
+        return head + "".join([_gate_line(g.kind, g.qubits, g.phase, g.duration_ns) for g in c.gates])
+    table, ids = c.rows
+    lines = table.each(_gate_line)
+    return head + "".join([lines[i] for i in ids.tolist()])
 
 
 # the builtins' own messages, for the tokens the reader refuses beside theirs

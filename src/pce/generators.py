@@ -8,13 +8,14 @@ what makes same-shape circuits structurally equivalent under the dedup engine
 (including the pair of readout-calibration circuits: |0...0> and |1...1>
 preparations lower to the same pulse skeleton and differ only in phases).
 
-Each lowering is computed once and its frozen ``Gate`` tuple shared: the
-fixed table entries (Cliffords, Paulis, basis preparations, CZ chains and
-measurement blocks) in module caches keyed by the entry and the qubits, and
-the RC/FRC dressings of one base in a memo that lives for one ``gen_rc``
-call.  A cached lowering is the same function of the same inputs, so the
-batch bytes do not depend on the caching.  No cache is keyed by a random
-matrix, so none grows with the batch.
+Each lowering is computed once and shared: the fixed table entries
+(Cliffords, Paulis, basis preparations, CZ chains and measurement blocks) as
+frozen ``Gate`` tuples in module caches keyed by the entry and the qubits,
+and the RC/FRC dressings of one base as row ids (``u3_rows``) into one
+``GateTable`` per ``gen_rc`` call, in a memo that lives for that call.  A
+cached lowering is the same function of the same inputs, so the batch bytes
+do not depend on the caching.  No cache is keyed by a random matrix, so
+none grows with the batch.
 """
 
 from __future__ import annotations
@@ -29,20 +30,26 @@ import numpy as np
 from .asm import MAX_SHOTS
 from .circuits import (
     _CZ,
+    _CZ_CODE,
     _MEASURE,
+    _MEASURE_CODE,
     _VZ,
     _X90,
     TAU,
     X90_MATRIX,
     Circuit,
     Gate,
+    GateTable,
     U3Params,
+    check_gate_row,
     cz,
     measure,
+    row_fields,
     u3_decompose,
     u3_from_unitary,
     u3_from_unitary_unchecked,
     u3_matrix,
+    u3_rows,
     z_matrix,
 )
 from .errors import ConfigError
@@ -346,7 +353,6 @@ def iter_cb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
 class _LayeredBase:
     easy: tuple[dict[int, np.ndarray], ...]  # per layer: qubit -> 2x2 matrix
     hard: tuple[tuple[tuple[int, int], ...], ...]  # per layer: disjoint CZ pairs
-    hard_gates: tuple[tuple[Gate, ...], ...]  # per layer: its CZs, shared by every dressing
     active: tuple[int, ...]
     n_qubits: int
     shots: int
@@ -391,39 +397,41 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
         easy.append({})  # trailing correction layer slot
     if len(easy) != len(hard) + 1:
         raise ConfigError("base circuit does not alternate single- and two-qubit layers")
-    pairs = tuple(tuple(h) for h in hard)
     return _LayeredBase(
         tuple(easy),
-        pairs,
-        tuple(tuple(cz(a, b) for a, b in h) for h in pairs),
+        tuple(tuple(h) for h in hard),
         tuple(sorted(active)),
         base.n_qubits,
         base.shots,
     )
 
 
-_Slot = tuple[int, int, str, str]  # (easy layer, qubit, twirl, correction)
+def _row_ids(index: dict[tuple, int], rows) -> tuple[int, ...]:
+    """Each row's id in ``index``, which numbers rows in first appearance; a new row is checked."""
+    for row in rows:
+        if row not in index:
+            check_gate_row(*row_fields(*row))
+            index[row] = len(index)
+    return tuple(map(index.__getitem__, rows))
 
 
-def _dress(
-    layers: _LayeredBase, rng: np.random.Generator, memo: dict[_Slot, tuple[Gate, ...]]
-) -> Circuit:
-    """Twirl every easy layer with random Paulis and fold in the corrections.
+def _dress(layers: _LayeredBase, rng: np.random.Generator, memo: dict, index: dict) -> list[int]:
+    """Twirl every easy layer with random Paulis and fold in the corrections;
+    the dressing's row ids in ``index``.
 
     A slot's lowering depends only on its layer, qubit, twirl and correction,
     so ``memo`` (one per base) holds at most 16 lowerings per slot and every
-    dressing of the base reuses them.
+    dressing of the base reuses them; ``memo[k]`` holds the rows after easy
+    layer ``k``, its CZ layer or (the last) the measurements.
     """
-    gates: list[Gate] = []
+    ids: list[int] = []
     active = layers.active
     corr = {q: "I" for q in active}
     last = len(layers.easy) - 1
+    # one call draws what one call per layer would; the last layer is not twirled
+    draws = rng.integers(0, 4, size=(last, len(active))).tolist() + [[0] * len(active)]
     for k, easy in enumerate(layers.easy):
-        if k < last:
-            draws = rng.integers(0, 4, size=len(active)).tolist()
-            twirl = {q: PAULI_NAMES[d] for q, d in zip(active, draws)}
-        else:
-            twirl = {q: "I" for q in active}
+        twirl = {q: PAULI_NAMES[d] for q, d in zip(active, draws[k])}
         for q in active:
             key = (k, q, twirl[q], corr[q])
             lowered = memo.get(key)
@@ -434,15 +442,14 @@ def _dress(
                     @ _PAULI_MATRICES[corr[q]]
                 )
                 # a product of unitaries: no unitarity check needed
-                lowered = memo[key] = tuple(u3_decompose(u3_from_unitary_unchecked(m), q))
-            gates += lowered
+                lowered = memo[key] = _row_ids(index, u3_rows(u3_from_unitary_unchecked(m), q))
+            ids += lowered
         if k < last:
             corr = dict(twirl)
             for a, b in layers.hard[k]:
                 corr[a], corr[b] = _cz_conjugate(twirl[a], twirl[b])
-            gates += layers.hard_gates[k]
-    gates += _measure_all(active)
-    return Circuit(tuple(gates), layers.n_qubits, layers.shots)
+        ids += memo[k]
+    return ids
 
 
 def gen_rc(
@@ -451,17 +458,21 @@ def gen_rc(
     seed: int,
     stream: tuple[int, ...] = (),
 ) -> CircuitBatch:
-    """Generate ``n_rand`` logically-equivalent dressings of a layered base circuit."""
+    """``n_rand`` logically-equivalent dressings of a layered base circuit, in one ``GateTable``."""
     if n_rand < 1:
         raise ConfigError("n_rand must be at least 1")
     layers = _parse_layers(base)
-    memo: dict[_Slot, tuple[Gate, ...]] = {}
-    circuits = []
-    labels = []
-    for r in range(n_rand):
-        circuits.append(_dress(layers, _rng(seed, _STREAM_RC, *stream, r), memo))
-        labels.append(Label(layers.active, len(layers.hard), r, "rc"))
-    return CircuitBatch(tuple(circuits), tuple(labels))
+    index: dict[tuple, int] = {}
+    fixed = [[(_CZ_CODE, a, b, 0.0, 0) for a, b in h] for h in layers.hard]
+    fixed.append([(_MEASURE_CODE, q, 0, 0.0, 0) for q in layers.active])
+    memo: dict = {k: _row_ids(index, rows) for k, rows in enumerate(fixed)}
+    # every dressing lowers every slot to 5 rows, so they are one 2-D array
+    rngs = (_rng(seed, _STREAM_RC, *stream, r) for r in range(n_rand))
+    ids = np.array([_dress(layers, rng, memo, index) for rng in rngs], dtype=np.int32)
+    table = GateTable(list(index))
+    circuits = tuple(Circuit(None, layers.n_qubits, layers.shots, rows=(table, i)) for i in ids)
+    labels = tuple(Label(layers.active, len(layers.hard), r, "rc") for r in range(n_rand))
+    return CircuitBatch(circuits, labels)
 
 
 def gen_random_base(

@@ -25,6 +25,7 @@ from .control import (
     ShotData,
     TimingConfig,
     deft_run,
+    require_int,
 )
 from .errors import ConfigError
 from .fileio import batch_hash
@@ -56,9 +57,9 @@ class ExperimentOutcome:
 
 def check_run_args(seed: int, shots: int | None) -> None:
     """Refuse a seed or shot count that no run can use, before any work starts."""
-    if seed < 0:
+    if require_int(seed, "seed", ConfigError) < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    if shots is not None and not 1 <= shots <= MAX_SHOTS:
+    if shots is not None and not 1 <= require_int(shots, "shot count", ConfigError) <= MAX_SHOTS:
         raise ConfigError(f"shot count {shots} does not fit 1..{MAX_SHOTS}")
 
 

@@ -21,6 +21,7 @@ from pce.control import (
     ShotData,
     TimingConfig,
     _array_draws,
+    _fit_bank,
     _entropy_words,
     _measured,
     _sample_bits,
@@ -77,6 +78,68 @@ class TestParameterMemory:
     def test_exactly_full_bank_accepted(self):
         mem = ParameterMemory()
         assert mem.write_params(0, np.zeros(BANK_CAPACITY, dtype=np.uint32)) == BANK_CAPACITY
+
+    @pytest.mark.parametrize("words", [[-1], [5, 2**32], [1.5], ["7"], [True], [2**64]])
+    def test_a_word_outside_u32_or_not_an_integer_is_refused(self, words):
+        mem = ParameterMemory()
+        with pytest.raises(ValidationError, match="^bank 2: parameter words must be integers"):
+            mem.write_params(2, words)
+        assert not mem.banks.any() and not mem.counts.any()
+
+    def test_integer_words_of_any_dtype_are_taken(self):
+        mem = ParameterMemory()
+        assert mem.write_params(1, [0, 2**32 - 1]) == 2
+        assert mem.write_params(2, np.array([7], np.int64)) == 1
+        assert mem.write_params(3, []) == 0
+        assert mem.banks[1, :2].tolist() == [0, 2**32 - 1] and mem.banks[2, 0] == 7
+
+    def test_a_uint32_array_is_taken_without_a_pass(self):
+        words = np.arange(5, dtype=np.uint32)
+        assert _fit_bank(0, words) is words
+
+
+class TestIntegerArguments:
+    """A seed, shot count or reset gap that is not an integer is refused, not
+    truncated; a bool is not an integer here, a numpy integer is."""
+
+    BATCH = BatchSpec("RB", ((0,),), ((2,),), 1, shots=3, seed=1)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"shots": 2.5}, {"seed": 1.5}, {"shots": True}, {"seed": False}, {"shots": "3"}]
+    )
+    def test_run_experiment(self, kwargs):
+        batch = gen_batch(self.BATCH)
+        with pytest.raises(ConfigError, match="must be an integer, got"):
+            run_experiment(lambda: batch, lambda b: b, "pce", **kwargs)
+
+    def test_run_experiment_takes_numpy_integers(self):
+        batch = gen_batch(self.BATCH)
+        got = run_experiment(lambda: batch, lambda b: b, "pce", seed=np.int64(1), shots=np.int32(2))
+        want = run_experiment(lambda: batch, lambda b: b, "pce", seed=1, shots=2)
+        assert got.data == want.data
+
+    @pytest.mark.parametrize("shots", [2.5, True])
+    def test_execute(self, shots):
+        prog = program_of(word(Opcode.PULSE_X90, 0), n_qubits=1, shots=2)
+        with pytest.raises(ValidationError, match=f"shot count must be an integer, got {shots}"):
+            execute(prog, shots=shots)
+        assert execute(prog, shots=np.uint32(3)).trace.shots == 3
+
+    @pytest.mark.parametrize("reset_ns", [1.5, True, "500"])
+    def test_timing_config(self, reset_ns):
+        with pytest.raises(ConfigError, match="reset gap must be an integer"):
+            TimingConfig(reset_ns=reset_ns)
+        assert TimingConfig(reset_ns=np.int64(4)).reset_ns == 4
+
+    def test_session_seed(self):
+        with pytest.raises(ValidationError, match="seed must be an integer, got 1.5"):
+            ControlSession(seed=1.5)
+
+    @pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"seed": True}, {"circuit_index": 2.0}])
+    def test_execute_seed_and_circuit_index(self, kwargs):
+        prog = program_of(word(Opcode.PULSE_X90, 0), word(Opcode.MEASURE, 0), n_qubits=1, shots=2)
+        with pytest.raises(ValidationError, match="must be an integer, got"):
+            execute(prog, **kwargs)
 
 
 class TestStitchUnit:

@@ -18,6 +18,7 @@ from pce.circuits import (
     TAU,
     Circuit,
     Gate,
+    GateKind,
     cz,
     delay,
     measure,
@@ -37,7 +38,7 @@ from pce.fileio import (
     write_batch,
 )
 from pce.generators import BatchSpec, CircuitBatch, Label, gen_batch, gen_random_base
-from pce.rip import binarize, build_param_table, identify, identify_bruteforce, peel, rip
+from pce.rip import binarize, build_param_table, identify, identify_bruteforce, modify, peel, rip
 from tests.test_asm import _reference_compile_circuit
 from tests.test_circuits import circuits_that_build
 from tests.test_rip import _reference_peel
@@ -89,6 +90,24 @@ def _reference_circuit_from_text(text: str) -> Circuit:
     if n_qubits is None:
         raise ConfigError("circuit file has no header line")
     return Circuit(tuple(gates), n_qubits, shots)
+
+
+def _reference_circuit_to_text(c: Circuit) -> str:
+    """Oracle: the per-gate writer, one branch and one format per gate."""
+    lines = [f"qubits {c.n_qubits} shots {c.shots}"]
+    for g in c.gates:
+        kind = g.kind
+        if kind is GateKind.X90:
+            lines.append(f"X90 q{g.qubits[0]}")
+        elif kind is GateKind.VIRTUAL_Z:
+            lines.append(f"VZ q{g.qubits[0]} {g.phase!r}")
+        elif kind is GateKind.TWO_QUBIT:
+            lines.append(f"CZ q{g.qubits[0]} q{g.qubits[1]}")
+        elif kind is GateKind.DELAY:
+            lines.append(f"DELAY q{g.qubits[0]} {g.duration_ns}")
+        else:  # MEAS, PREQ: the kind's token and its qubit
+            lines.append(f"{kind.value} q{g.qubits[0]}")
+    return "\n".join(lines) + "\n"
 
 
 def write_hand_batch(root, texts):
@@ -419,6 +438,56 @@ class TestPlainVzColumns:
             assert np.array_equal(table.rows[name], want.rows[name])
         for c, ref in zip(loaded, reference):
             assert np.array_equal(c.row_ids()[1], ref.row_ids()[1])
+
+
+@st.composite
+def hand_built_circuits(draw):
+    """A circuit that builds, then on two fresh qubits VZ lines at the phase
+    edges, a DELAY, a PREQ, a CZ and the MEAS lines."""
+    c = draw(circuits_that_build())
+    a, b = c.n_qubits, c.n_qubits + 1
+    phases = draw(st.lists(st.sampled_from(_PHASE_EDGES) | st.floats(0.0, TAU), max_size=6))
+    tail = (*(vz(a, p) for p in phases), delay(a, draw(st.integers(0, 2**63 - 1))),
+            param_request(b), cz(a, b), measure(a), measure(b))
+    return Circuit((*c.gates, *tail), c.n_qubits + 2, c.shots)
+
+
+def _table_form(c: Circuit) -> Circuit:
+    copy = Circuit(c.gates, c.n_qubits, c.shots)
+    share_rows((copy,))
+    return copy
+
+
+class TestWriterMatchesReference:
+    """``circuit_to_text`` writes a circuit of gates and one in table form
+    byte-equal to the per-gate reference writer."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from(sorted(TestReaderMatchesReference.SPECS)), st.integers(0, 2**64 - 1))
+    def test_generated_batches_of_every_kind(self, kind, seed):
+        batch = gen_batch(replace(TestReaderMatchesReference.SPECS[kind], seed=seed))
+        assert all((c.rows is not None) == (kind in ("RC", "FRC")) for c in batch.circuits)
+        for c in batch.circuits:
+            text = circuit_to_text(c)
+            assert text == _reference_circuit_to_text(c)
+            assert circuit_to_text(_table_form(c)) == text
+        assert batch_hash(batch) == hashlib.sha256(
+            "".join(map(_reference_circuit_to_text, batch.circuits)).encode()
+        ).hexdigest()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hand_built_circuits())
+    def test_hand_built_circuits(self, c):
+        text = _reference_circuit_to_text(c)
+        assert circuit_to_text(c) == text
+        assert circuit_to_text(_table_form(c)) == text
+        erased = modify(c)  # PREQ rows the table added
+        assert circuit_to_text(erased) == _reference_circuit_to_text(erased)
+
+    def test_phase_edges_are_written_as_repr(self):
+        c = Circuit(tuple(vz(0, p) for p in _PHASE_EDGES), 1, 1)
+        want = "qubits 1 shots 1\nVZ q0 0.0\nVZ q0 5e-324\nVZ q0 1e-05\nVZ q0 6.283185307179585\n"
+        assert circuit_to_text(c) == circuit_to_text(_table_form(c)) == want
 
 
 class TestReaderErrors:

@@ -1,14 +1,20 @@
 """Tests for the batch generators: Clifford table, RB/CB/RC construction laws."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pce.generators as generators
+from pce.asm import compile_circuit
 from pce.circuits import (
+    _PREQ_CODE,
     TAU,
     Circuit,
+    Gate,
+    GateTable,
     GateKind,
     U3Params,
     circuit_unitary,
@@ -38,7 +44,8 @@ from pce.generators import (
     gen_read_circuits,
     preset_spec,
 )
-from pce.rip import identify, modify
+from pce.fileio import write_batch
+from pce.rip import identify, modify, peel
 
 X_PAULI = np.array([[0, 1], [1, 0]], dtype=complex)
 Y_PAULI = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -303,7 +310,9 @@ class TestRc:
         want = tuple(
             _reference_dress(layers, _rng(seed, _STREAM_RC, stream, r)) for r in range(n_rand)
         )
-        assert gen_rc(base, n_rand, seed, stream=(stream,)).circuits == want
+        got = gen_rc(base, n_rand, seed, stream=(stream,)).circuits
+        assert got == want
+        assert len({id(c.rows[0]) for c in got}) == 1  # row ids into one table per base
 
     @pytest.mark.parametrize("n_rand", [1, 5, 16, 40])
     def test_a_slot_is_lowered_at_most_once_per_twirl_and_correction(self, monkeypatch, n_rand):
@@ -326,6 +335,46 @@ class TestRc:
         bad = Circuit((x90(0), delay(0, 10)), n_qubits=1)
         with pytest.raises(ConfigError):
             gen_rc(bad, 1, 0)
+
+
+class TestColumnarDressing:
+    """RC/FRC dressings are row ids into one ``GateTable`` per base: they
+    build no ``Gate``, and compiling or peeling them builds no table."""
+
+    # the frc_1shot benchmark batch: 300 single-shot FRC circuits, 12 bases
+    FRC_1SHOT = BatchSpec("FRC", ((0, 1), (0, 1, 2), (0, 1, 2, 3)), ((1, 10, 20, 30),), 25, 1, 3)
+
+    def test_one_at_a_time_compile_and_peel_build_no_table(self, monkeypatch):
+        tables = []
+        init = GateTable.__init__
+        monkeypatch.setattr(GateTable, "__init__", lambda t, r: tables.append(t) or init(t, r))
+        batch = gen_batch(self.FRC_1SHOT)
+        for c in batch.circuits:  # no share_rows
+            compile_circuit(c)
+            peel(c)
+        assert len(batch) == 300
+        assert len(tables) <= 12 and {id(c.rows[0]) for c in batch.circuits} == set(map(id, tables))
+
+    def test_generating_and_writing_builds_no_gate_per_dressing(self, tmp_path, monkeypatch):
+        built = []
+        post_init = Gate.__post_init__
+        monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g) or post_init(g))
+
+        def gates_built(randomizations):
+            built.clear()
+            spec = replace(self.FRC_1SHOT, randomizations=randomizations)
+            write_batch(gen_batch(spec), tmp_path / str(randomizations))
+            return len(built)
+
+        gates_built(5)  # fills the module caches of fixed lowerings
+        assert 0 < gates_built(5) == gates_built(25)  # the random bases' gates only
+
+    def test_a_new_row_is_checked_by_the_gate_rules(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(generators, "check_gate_row", lambda *f: checked.append(f))
+        base = gen_random_base((0, 1), 2, np.random.default_rng(5), shots=2)
+        table, _ = gen_rc(base, 6, seed=1).circuits[0].rows
+        assert len(checked) == len(set(checked)) == int(np.count_nonzero(table.kind != _PREQ_CODE))
 
 
 class TestLoweringCaches:
