@@ -180,7 +180,7 @@ def compile_circuit(c: Circuit) -> AssemblyProgram:
     the kind, ``q0`` and ``q1`` as the channels, and as the immediate the
     row's quantized phase plus its duration (each zero where it does not
     apply)."""
-    table, ids = c.row_ids()
+    table, ids = c.table, c.ids
     n = len(ids)
     cols = np.zeros((4, n + 1), dtype=np.int64)
     cols[0, :n] = _OPCODE_OF_CODE[table.kind[ids]]

@@ -11,21 +11,20 @@ these are ours):
 * Unitaries are compared up to global phase; ``global_phase_distance`` aligns
   the candidate pair before taking an elementwise max difference.
 
-A circuit is a ``Gate`` tuple when built in code, or int32 row ids into a
-``GateTable`` of distinct gates when read from text or dressed by RC/FRC,
-and is then read, made, grouped, peeled, compiled and written per table row
-(columns, or ``GateTable.each``), not per gate.  ``check_gate_row`` states the
-gate rules once, ``_first_misuse`` the circuit rules, ``u3_phases`` the lowering.
+A circuit has one form: int32 row ids into a ``GateTable`` of distinct
+gates, whether read from text, generated, made by ``modify`` or built from
+``Gate``s, and is read, made, grouped, peeled, compiled and written per
+table row (columns, or ``GateTable.each``), not per gate; ``Gate`` is the
+value type a row builds on demand.  ``check_gate_row`` states the gate
+rules once, ``GateTable.misuse`` the circuit rules, ``u3_phases`` the lowering.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +46,8 @@ class GateKind(Enum):
     PARAM_REQUEST = "PREQ"
 
 
-# module names for the kinds, read by the per-gate paths here and in fileio, rip,
-# generators and verify: a GateKind.<member> lookup costs far more than a global
+# module names for the kinds, read by the per-gate paths here and in fileio and
+# verify: a GateKind.<member> lookup costs far more than a global
 _X90, _VZ, _CZ, _MEASURE = GateKind.X90, GateKind.VIRTUAL_Z, GateKind.TWO_QUBIT, GateKind.MEASURE
 _DELAY, _PREQ = GateKind.DELAY, GateKind.PARAM_REQUEST
 
@@ -141,31 +140,6 @@ def quantize_phases(phases) -> np.ndarray:
     return (np.round(r / TAU * PHASE_SCALE).astype(np.int64) % (1 << 32)).astype(np.uint32)
 
 
-def _first_misuse(gates, n_qubits: int) -> str | None:
-    """The one statement of the circuit rules: each gate's qubits lie in
-    ``0..n_qubits - 1`` and no gate uses a qubit after a MEASURE on it.  The
-    fault, or None; ``gates`` yields anything with a ``kind`` and ``qubits``."""
-    measured = 0  # bitmask of qubits already measured
-    for g in gates:
-        for q in g.qubits:
-            if q >= n_qubits:
-                return f"gate {g} touches qubit {q} outside 0..{n_qubits - 1}"
-            if measured >> q & 1:
-                return f"qubit {q} is used after its measurement"
-        if g.kind is _MEASURE:
-            measured |= 1 << g.qubits[0]
-    return None
-
-
-class _Fields(NamedTuple):
-    """A row's gate fields, unchecked: what the circuit rules read without a ``Gate``."""
-
-    kind: GateKind
-    qubits: tuple[int, ...]
-    phase: float
-    duration_ns: int
-
-
 # a row: the kind's code, the qubits (q1 is zero off CZ), the phase and the duration
 ROW_DTYPE = np.dtype(
     [("kind", "u1"), ("q0", "i2"), ("q1", "i2"), ("phase", "f8"), ("duration", "i8")], align=True
@@ -201,17 +175,15 @@ class GateTable:
         vz = np.flatnonzero(self.kind == _VZ_CODE)
         self.erased = np.arange(len(rows), dtype=np.int32)
         self.erased[vz] = preq[np.searchsorted(self.q0[preq], self.q0[vz])]
-        # each row's Gate and _Fields once built; the (n_qubits, erased ids) that pass
-        self._built: dict[type, list] = {Gate: [None] * len(rows), _Fields: [None] * len(rows)}
+        self._built: list[Gate | None] = [None] * len(rows)  # each row's Gate once built
         self._each: dict = {}  # the lists ``each`` made
-        self._checked: set[tuple[int, bytes]] = set()
+        self._checked: set[tuple[int, bytes]] = set()  # the (n_qubits, erased ids) that pass
 
-    def gate(self, r: int, cls: type = Gate) -> Gate:
-        """Row ``r`` as a ``cls`` (``Gate`` or ``_Fields``), one object per row."""
-        built = self._built[cls]
-        if built[r] is None:
-            built[r] = cls(*row_fields(*self.rows[r].item()))
-        return built[r]
+    def gate(self, r: int) -> Gate:
+        """Row ``r`` as a ``Gate``, one object per row."""
+        if self._built[r] is None:
+            self._built[r] = Gate(*row_fields(*self.rows[r].item()))
+        return self._built[r]
 
     def each(self, build) -> list:
         """Every row as ``build(kind, qubits, phase, duration)``, made once per table and ``build``."""
@@ -220,17 +192,31 @@ class GateTable:
         return self._each[build]
 
     def misuse(self, ids: np.ndarray, n_qubits: int) -> str | None:
-        """``_first_misuse`` of the gates of ``ids``.  The circuit rules read
-        only qubits and measures, which ``modify`` keeps, so each erased
-        structure is checked once per qubit count, without building a gate."""
+        """The one statement of the circuit rules: each gate of ``ids`` acts on
+        qubits in ``0..n_qubits - 1``, and none uses a qubit after a MEASURE
+        on it.  The first fault, or None.  The rules read only qubits and
+        measures, which ``modify`` keeps, so each erased structure is checked
+        once per qubit count, over columns; only a fault builds a ``Gate``."""
         erased = self.erased[ids]
         key = (n_qubits, erased.tobytes())
-        if key not in self._checked:
-            fields = map(functools.partial(self.gate, cls=_Fields), erased.tolist())
-            if _first_misuse(fields, n_qubits) is not None:
-                return _first_misuse(map(self.gate, ids.tolist()), n_qubits)  # named on real gates
+        if key in self._checked:
+            return None
+        kind, q0, q1 = self.kind[erased], self.q0[erased], self.q1[erased]
+        at = np.arange(len(ids))
+        measures = np.flatnonzero(kind == _MEASURE_CODE)
+        measured_at = np.full(int(max(q0.max(initial=0), q1.max(initial=0))) + 1, len(ids))
+        np.minimum.at(measured_at, q0[measures], measures)  # each qubit's first MEASURE
+        late = (q0 >= n_qubits) | (measured_at[q0] < at)
+        late |= (kind == _CZ_CODE) & ((q1 >= n_qubits) | (measured_at[q1] < at))
+        if not late.any():
             self._checked.add(key)
-        return None
+            return None
+        i = int(np.argmax(late))
+        g = self.gate(int(ids[i]))
+        q = next(q for q in g.qubits if q >= n_qubits or measured_at[q] < i)
+        if q >= n_qubits:
+            return f"gate {g} touches qubit {q} outside 0..{n_qubits - 1}"
+        return f"qubit {q} is used after its measurement"
 
     def erased_ids(self, space: dict) -> np.ndarray:
         """Each row's erased row as an id in ``space``, a map from row content
@@ -243,69 +229,59 @@ class GateTable:
 class Circuit:
     """An ordered gate sequence over ``n_qubits`` qubits, run for ``shots`` shots.
 
-    It holds its ``Gate`` tuple, or ``rows``: a ``GateTable`` and int32 row
-    ids into it (read from text, dressed by ``generators.gen_rc``, or made by
-    ``modify``), None for a circuit of gates.  ``gates`` and ``row_ids``
-    give either form on demand; equal content compares equal.
+    It holds int32 row ids ``ids`` into a ``GateTable`` ``table``: read from
+    text, made by ``generators``, or by ``modify``.  Built from ``Gate``s, it
+    numbers their distinct gates in first appearance in a table of its own.
+    ``gates`` is a view on demand; equal content compares and hashes equal.
     """
 
-    __slots__ = ("n_qubits", "shots", "_gates", "rows")
+    __slots__ = ("n_qubits", "shots", "table", "ids")
 
-    def __init__(self, gates, n_qubits: int, shots: int = 100, rows=None):
-        if n_qubits <= 0:
-            raise ValidationError(f"n_qubits must be positive, got {n_qubits}")
-        if shots <= 0:
-            raise ValidationError(f"shots must be positive, got {shots}")
-        self.n_qubits, self.shots, self.rows = n_qubits, shots, rows
-        self._gates = tuple(gates) if rows is None else None
-        fault = rows[0].misuse(rows[1], n_qubits) if rows else _first_misuse(self._gates, n_qubits)
+    def __init__(self, gates, n_qubits: int, shots: int = 100, table: GateTable | None = None):
+        """``gates`` are ``Gate``s, or the row ids into ``table`` when one is given."""
+        self.n_qubits, self.shots = require_int(n_qubits, "n_qubits"), require_int(shots, "shots")
+        for what, n in (("n_qubits", self.n_qubits), ("shots", self.shots)):
+            if n <= 0:
+                raise ValidationError(f"{what} must be positive, got {n}")
+        if table is None:
+            index: dict[Gate, int] = {}
+            gates = [index.setdefault(g, len(index)) for g in gates]
+            table = GateTable([
+                (KINDS.index(g.kind), g.qubits[0], g.qubits[-1] if g.kind is _CZ else 0, g.phase,
+                 g.duration_ns)
+                for g in index
+            ])
+            table._built[: len(index)] = index  # its rows' gates are these
+        self.table, self.ids = table, np.asarray(gates, dtype=np.int32)
+        fault = table.misuse(self.ids, self.n_qubits)
         if fault is not None:
             raise ValidationError(fault)
 
     @property
     def gates(self) -> tuple[Gate, ...]:
-        if self._gates is None:
-            return tuple(map(self.rows[0].gate, self.rows[1].tolist()))
-        return self._gates
-
-    def row_ids(self) -> tuple[GateTable, np.ndarray]:
-        """The table and row ids; a circuit of gates gets a table of its own."""
-        if self.rows is None:
-            share_rows((self,))
-        return self.rows
+        return tuple(map(self.table.gate, self.ids.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Circuit):
             return NotImplemented
         if (self.n_qubits, self.shots) != (other.n_qubits, other.shots):
             return False
-        if self.rows is not None and other.rows is not None and self.rows[0] is other.rows[0]:
-            return np.array_equal(self.rows[1], other.rows[1])
-        return self.gates == other.gates
+        if self.table is other.table:
+            return np.array_equal(self.ids, other.ids)
+        return np.array_equal(self.table.rows[self.ids], other.table.rows[other.ids])
 
     def __hash__(self) -> int:
-        return hash((self.gates, self.n_qubits, self.shots))
+        return hash((self.n_qubits, self.shots, tuple(self.table.rows[self.ids].tolist())))
 
     def __repr__(self) -> str:
         return f"Circuit(gates={self.gates!r}, n_qubits={self.n_qubits}, shots={self.shots})"
 
 
-def share_rows(circuits) -> None:
-    """Give each circuit built from gates, and not yet in a table, row ids
-    into one new table for all of them, so a batch converts once."""
-    todo = [c for c in circuits if c.rows is None]
-    if not todo:
-        return
-    index: dict[Gate, int] = {}
-    ids = [[index.setdefault(g, len(index)) for g in c._gates] for c in todo]
-    table = GateTable([
-        (KINDS.index(g.kind), g.qubits[0], g.qubits[-1] if g.kind is _CZ else 0, g.phase,
-         g.duration_ns)
-        for g in index
-    ])
-    table._built[Gate][: len(index)] = index  # its rows' gates are these
-    for c, rows in zip(todo, ids):
-        c.rows = table, np.array(rows, dtype=np.int32)
+def require_int(value, what: str, error: type = ValidationError) -> int:
+    """``value`` as an int if it is a Python or numpy integer (not a bool): nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, slots=True)

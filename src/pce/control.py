@@ -47,6 +47,7 @@ import numpy as np
 
 from . import kernels
 from .asm import MachineProgram
+from .circuits import require_int
 from .errors import (
     CapacityError,
     ConfigError,
@@ -64,13 +65,6 @@ REQUEST_LATENCY_CYCLES = kernels.CYCLES_PER_OP
 
 ENVELOPE_CAPACITY = 4096
 FREQ_CAPACITY = 64
-
-
-def require_int(value, what: str, error: type = ValidationError) -> int:
-    """``value`` as an int if it is a Python or numpy integer (not a bool): nothing is truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,11 @@ def _fit_bank(bank: int, words) -> np.ndarray:
         raise RoutingError(f"bank {bank} outside 0..{N_BANKS - 1}")
     arr = np.asarray(words)  # an array as it is
     if arr.dtype != np.uint32:
-        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > _M32):
+        # np.asarray makes the list [5, True] int64: its bools are found by their type
+        mixed = arr is not words and arr.ndim == 1 and any(
+            isinstance(w, (bool, np.bool_)) for w in words
+        )
+        if mixed or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > _M32):
             raise ValidationError(f"bank {bank}: parameter words must be integers in 0..2**32-1")
         arr = arr.astype(np.uint32)
     if arr.size > BANK_CAPACITY:

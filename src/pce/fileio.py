@@ -14,8 +14,8 @@ Circuit files are UTF-8 with LF endings, one gate per line after a header:
 the identical double and re-encoding is byte-stable.  Numbers are ASCII
 digits without ``_`` separators, though ``int`` and ``float`` take both.
 ``circuit_to_text`` is the one writer and ``_gate_line`` the one statement
-of a line: a circuit in table form joins the lines its ``GateTable``
-formats once per row, a circuit of gates formats each gate's line.
+of a line: every circuit, whatever made it, joins the lines its
+``GateTable`` formats once per row.
 
 ``read_batch`` reads each file in two steps: its header, then a dict lookup
 per raw body line that maps it to its index among the batch's distinct
@@ -76,13 +76,9 @@ def _gate_line(kind, qubits, phase, duration) -> str:
 
 
 def circuit_to_text(c: Circuit) -> str:
-    """The header, then each gate's line; a circuit of gates gets no table."""
-    head = f"qubits {c.n_qubits} shots {c.shots}\n"
-    if c.rows is None:
-        return head + "".join([_gate_line(g.kind, g.qubits, g.phase, g.duration_ns) for g in c.gates])
-    table, ids = c.rows
-    lines = table.each(_gate_line)
-    return head + "".join([lines[i] for i in ids.tolist()])
+    """The header, then each gate's line, as its table formats it once per row."""
+    lines = c.table.each(_gate_line)
+    return f"qubits {c.n_qubits} shots {c.shots}\n" + "".join([lines[i] for i in c.ids.tolist()])
 
 
 # the builtins' own messages, for the tokens the reader refuses beside theirs
@@ -231,7 +227,7 @@ class _Texts:
             where, _, n_qubits, shots, indices = self.texts.popleft()
             ids = line_row[indices]
             try:
-                out.append(Circuit(None, n_qubits, shots, rows=(table, ids[ids >= 0])))
+                out.append(Circuit(ids[ids >= 0], n_qubits, shots, table=table))
             except ValidationError as exc:
                 raise ValidationError(f"{where}{exc}") from None
         return out

@@ -3,16 +3,19 @@
 Every generator draws from a named 64-bit seeded PRNG (numpy PCG64 behind
 ``np.random.default_rng``) with the stream split per circuit index, so a batch
 is reproducible circuit-by-circuit and byte-identical across runs for the same
-spec.  All single-qubit content is lowered through ``u3_decompose``, which is
+spec.  All single-qubit content is lowered through ``u3_rows``, which is
 what makes same-shape circuits structurally equivalent under the dedup engine
 (including the pair of readout-calibration circuits: |0...0> and |1...1>
 preparations lower to the same pulse skeleton and differ only in phases).
 
-Each lowering is computed once and shared: the fixed table entries
-(Cliffords, Paulis, basis preparations, CZ chains and measurement blocks) as
-frozen ``Gate`` tuples in module caches keyed by the entry and the qubits,
-and the RC/FRC dressings of one base as row ids (``u3_rows``) into one
-``GateTable`` per ``gen_rc`` call, in a memo that lives for that call.  A
+Every kind emits rows, and builds no ``Gate``: ``_Rows`` numbers the rows
+of one ``GateTable`` in first appearance, checks each new one, and makes the
+circuits of an RB or CB (width, depth) cell, an RB readout pair, a random
+base or the dressings of a base over one table.  Each lowering is computed
+once and shared: the fixed table entries (Cliffords, Paulis, basis
+preparations, CZ chains and measurement blocks) as row tuples in module
+caches keyed by the entry and the qubits, mapped to ids once per table, and
+the RC/FRC dressing slots in a memo that lives for one ``gen_rc`` call.  A
 cached lowering is the same function of the same inputs, so the batch bytes
 do not depend on the caching.  No cache is keyed by a random matrix, so
 none grows with the batch.
@@ -28,24 +31,19 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .asm import MAX_SHOTS
+from .circuits import KINDS as GATE_KINDS
 from .circuits import (
-    _CZ,
     _CZ_CODE,
-    _MEASURE,
     _MEASURE_CODE,
-    _VZ,
-    _X90,
+    _VZ_CODE,
+    _X90_CODE,
     TAU,
     X90_MATRIX,
     Circuit,
-    Gate,
     GateTable,
     U3Params,
     check_gate_row,
-    cz,
-    measure,
     row_fields,
-    u3_decompose,
     u3_from_unitary,
     u3_from_unitary_unchecked,
     u3_matrix,
@@ -249,101 +247,100 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng((int(seed), *key))
 
 
-# the fixed lowerings: each key is a table entry and a qubit id (or a width),
-# so on qubits 0..7 a table-keyed cache holds at most its table's size x 8
-# entries; maxsize bounds them for any other ids a caller passes
+# the fixed lowerings as GateTable rows: each key is a table entry and a qubit
+# id (or a width), so on qubits 0..7 a table-keyed cache holds at most its
+# table's size x 8 entries; maxsize bounds them for any other ids a caller passes
 @functools.lru_cache(maxsize=256)
-def _clifford_gates(index: int, q: int) -> tuple[Gate, ...]:
-    return tuple(u3_decompose(clifford_table().params[index], q))
-
-
-@functools.lru_cache(maxsize=256)
-def _pauli_gates(name: str, q: int) -> tuple[Gate, ...]:
-    return tuple(u3_decompose(PAULI_PARAMS[name], q))
+def _clifford_rows(index: int, q: int) -> tuple[tuple, ...]:
+    return u3_rows(clifford_table().params[index], q)
 
 
 @functools.lru_cache(maxsize=256)
-def _basis_prep_gates(basis: int, q: int) -> tuple[Gate, ...]:
-    return tuple(u3_decompose(BASIS_PREP_PARAMS[basis], q))
+def _pauli_rows(name: str, q: int) -> tuple[tuple, ...]:
+    return u3_rows(PAULI_PARAMS[name], q)
 
 
 @functools.lru_cache(maxsize=256)
-def _measure_all(width: tuple[int, ...]) -> tuple[Gate, ...]:
-    return tuple(measure(q) for q in sorted(width))
+def _basis_prep_rows(basis: int, q: int) -> tuple[tuple, ...]:
+    return u3_rows(BASIS_PREP_PARAMS[basis], q)
 
 
-def _rb_circuit(width: tuple[int, ...], depth: int, shots: int, rng: np.random.Generator) -> Circuit:
+@functools.lru_cache(maxsize=256)
+def _measure_rows(width: tuple[int, ...]) -> tuple[tuple, ...]:
+    return tuple((_MEASURE_CODE, q, 0, 0.0, 0) for q in sorted(width))
+
+
+@functools.lru_cache(maxsize=256)
+def _cz_rows(width: tuple[int, ...]) -> tuple[tuple, ...]:
+    return tuple((_CZ_CODE, width[i], width[i + 1], 0.0, 0) for i in range(0, len(width) - 1, 2))
+
+
+class _Rows(dict):
+    """The rows of one ``GateTable`` in the making, numbered in first
+    appearance in ``index``, each new one checked once by the gate rules.
+    As a dict it maps a fixed lowering ``(lower, *args)`` to the ids of the
+    rows ``lower(*args)`` makes; ``circuits`` makes circuits of id lists."""
+
+    def __init__(self):
+        super().__init__()
+        self.index: dict[tuple, int] = {}
+
+    def __missing__(self, key: tuple) -> tuple[int, ...]:
+        ids = self[key] = self.ids(key[0](*key[1:]))
+        return ids
+
+    def ids(self, rows) -> tuple[int, ...]:
+        index = self.index
+        for row in rows:
+            if row not in index:
+                check_gate_row(*row_fields(*row))
+                index[row] = len(index)
+        return tuple(map(index.__getitem__, rows))
+
+    def circuits(self, ids, n_qubits: int, shots: int) -> list[Circuit]:
+        """One circuit per id list (all of one length) over one table of the rows."""
+        table = GateTable(list(self.index))
+        return [Circuit(i, n_qubits, shots, table=table) for i in np.array(ids, dtype=np.int32)]
+
+
+def _rb_ids(width: tuple[int, ...], depth: int, rng: np.random.Generator, rows: _Rows) -> list[int]:
     table = clifford_table()
-    n_qubits = max(width) + 1
     draws = rng.integers(0, len(table), size=(depth, len(width)))
-    gates: list[Gate] = []
+    ids: list[int] = []
     products = [np.eye(2, dtype=complex) for _ in width]
     for row in draws.tolist():
         for qi, (q, idx) in enumerate(zip(width, row)):
-            gates += _clifford_gates(idx, q)
+            ids += rows[_clifford_rows, idx, q]
             products[qi] = table.matrices[idx] @ products[qi]
     for qi, q in enumerate(width):
-        inversion = u3_from_unitary(products[qi].conj().T)
-        gates.extend(u3_decompose(inversion, q))
-    gates += _measure_all(width)
-    return Circuit(tuple(gates), n_qubits, shots)
+        ids += rows.ids(u3_rows(u3_from_unitary(products[qi].conj().T), q))
+    ids += rows[_measure_rows, width]
+    return ids
 
 
 def gen_read_circuits(width: tuple[int, ...], shots: int = 100) -> tuple[Circuit, Circuit]:
     """Readout calibration pair: prepare |0...0> and |1...1>, both fully lowered."""
-    n_qubits = max(width) + 1
-    out = []
-    for name in ("I", "X"):
-        gates: list[Gate] = []
-        for q in sorted(width):
-            gates += _pauli_gates(name, q)
-        gates += _measure_all(width)
-        out.append(Circuit(tuple(gates), n_qubits, shots))
-    return out[0], out[1]
+    rows = _Rows()
+    ids = [
+        [i for q in sorted(width) for i in rows[_pauli_rows, name, q]]
+        + list(rows[_measure_rows, width])
+        for name in ("I", "X")
+    ]
+    read0, read1 = rows.circuits(ids, max(width) + 1, shots)
+    return read0, read1
 
 
-def iter_rb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
-    for wi, width in enumerate(spec.widths):
-        for di, depth in enumerate(spec.depths[wi]):
-            for r in range(spec.rand_for(wi)):
-                rng = _rng(spec.seed, _STREAM_RB, wi, di, r)
-                yield _rb_circuit(width, depth, spec.shots, rng), Label(width, depth, r, "rb")
-        read0, read1 = gen_read_circuits(width, spec.shots)
-        yield read0, Label(width, 0, 0, "read0")
-        yield read1, Label(width, 0, 1, "read1")
-
-
-@functools.lru_cache(maxsize=256)
-def _cz_chain(width: tuple[int, ...]) -> tuple[Gate, ...]:
-    return tuple(cz(width[i], width[i + 1]) for i in range(0, len(width) - 1, 2))
-
-
-def _pauli_layer(gates: list[Gate], width: tuple[int, ...], rng: np.random.Generator) -> None:
-    """Append one random Pauli per qubit of ``width``."""
-    for q, i in zip(width, rng.integers(0, 4, size=len(width)).tolist()):
-        gates += _pauli_gates(PAULI_NAMES[i], q)
-
-
-def _cb_circuit(width: tuple[int, ...], depth: int, shots: int, rng: np.random.Generator) -> Circuit:
-    n_qubits = max(width) + 1
-    gates: list[Gate] = []
+def _cb_ids(width: tuple[int, ...], depth: int, rng: np.random.Generator, rows: _Rows) -> list[int]:
+    ids: list[int] = []
     for q, b in zip(width, rng.integers(0, 3, size=len(width)).tolist()):
-        gates += _basis_prep_gates(b, q)
-    chain = _cz_chain(width)
-    for _ in range(depth):
-        _pauli_layer(gates, width, rng)
-        gates += chain
-    _pauli_layer(gates, width, rng)
-    gates += _measure_all(width)
-    return Circuit(tuple(gates), n_qubits, shots)
-
-
-def iter_cb(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
-    for wi, width in enumerate(spec.widths):
-        for di, depth in enumerate(spec.depths[wi]):
-            for r in range(spec.rand_for(wi)):
-                rng = _rng(spec.seed, _STREAM_CB, wi, di, r)
-                yield _cb_circuit(width, depth, spec.shots, rng), Label(width, depth, r, "cb")
+        ids += rows[_basis_prep_rows, b, q]
+    for k in range(depth + 1):  # a random Pauli per qubit, then the CZ chain but after the last
+        for q, i in zip(width, rng.integers(0, 4, size=len(width)).tolist()):
+            ids += rows[_pauli_rows, PAULI_NAMES[i], q]
+        if k < depth:
+            ids += rows[_cz_rows, width]
+    ids += rows[_measure_rows, width]
+    return ids
 
 
 # --- randomized dressing of a layered base circuit ---------------------------
@@ -359,22 +356,22 @@ class _LayeredBase:
 
 
 def _parse_layers(base: Circuit) -> _LayeredBase:
-    """Split a base circuit into alternating single-qubit and CZ layers."""
+    """Split a base circuit into alternating single-qubit and CZ layers, from its table's columns."""
     easy: list[dict[int, np.ndarray]] = [{}]
     hard: list[list[tuple[int, int]]] = []
     active: set[int] = set()
     seen_measure = False
     in_hard = False
-    for g in base.gates:
-        kind = g.kind
-        if kind is _MEASURE:
+    table, ids = base.table, base.ids
+    columns = (table.kind[ids], table.q0[ids], table.q1[ids], table.rows["phase"][ids])
+    for code, a, b, phase in zip(*(col.tolist() for col in columns)):
+        if code == _MEASURE_CODE:
             seen_measure = True
-            active.add(g.qubits[0])
+            active.add(a)
             continue
         if seen_measure:
             raise ConfigError("base circuit has gates after measurement")
-        if kind is _CZ:
-            a, b = g.qubits
+        if code == _CZ_CODE:
             if not in_hard:
                 hard.append([])
                 in_hard = True
@@ -383,16 +380,15 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
                 raise ConfigError(f"hard layer reuses qubit in CZ({a},{b})")
             hard[-1].append((a, b))
             active.update((a, b))
-        elif kind is _X90 or kind is _VZ:
+        elif code == _X90_CODE or code == _VZ_CODE:
             if in_hard:
                 easy.append({})
                 in_hard = False
-            q = g.qubits[0]
-            m = X90_MATRIX if kind is _X90 else z_matrix(g.phase)
-            easy[-1][q] = m @ easy[-1].get(q, _IDENTITY)
-            active.add(q)
+            m = X90_MATRIX if code == _X90_CODE else z_matrix(phase)
+            easy[-1][a] = m @ easy[-1].get(a, _IDENTITY)
+            active.add(a)
         else:
-            raise ConfigError(f"base circuit may not contain {kind.value} gates")
+            raise ConfigError(f"base circuit may not contain {GATE_KINDS[code].value} gates")
     if in_hard:
         easy.append({})  # trailing correction layer slot
     if len(easy) != len(hard) + 1:
@@ -406,18 +402,9 @@ def _parse_layers(base: Circuit) -> _LayeredBase:
     )
 
 
-def _row_ids(index: dict[tuple, int], rows) -> tuple[int, ...]:
-    """Each row's id in ``index``, which numbers rows in first appearance; a new row is checked."""
-    for row in rows:
-        if row not in index:
-            check_gate_row(*row_fields(*row))
-            index[row] = len(index)
-    return tuple(map(index.__getitem__, rows))
-
-
-def _dress(layers: _LayeredBase, rng: np.random.Generator, memo: dict, index: dict) -> list[int]:
+def _dress(layers: _LayeredBase, rng: np.random.Generator, memo: dict, rows: _Rows) -> list[int]:
     """Twirl every easy layer with random Paulis and fold in the corrections;
-    the dressing's row ids in ``index``.
+    the dressing's row ids in ``rows``.
 
     A slot's lowering depends only on its layer, qubit, twirl and correction,
     so ``memo`` (one per base) holds at most 16 lowerings per slot and every
@@ -442,7 +429,7 @@ def _dress(layers: _LayeredBase, rng: np.random.Generator, memo: dict, index: di
                     @ _PAULI_MATRICES[corr[q]]
                 )
                 # a product of unitaries: no unitarity check needed
-                lowered = memo[key] = _row_ids(index, u3_rows(u3_from_unitary_unchecked(m), q))
+                lowered = memo[key] = rows.ids(u3_rows(u3_from_unitary_unchecked(m), q))
             ids += lowered
         if k < last:
             corr = dict(twirl)
@@ -462,15 +449,14 @@ def gen_rc(
     if n_rand < 1:
         raise ConfigError("n_rand must be at least 1")
     layers = _parse_layers(base)
-    index: dict[tuple, int] = {}
+    rows = _Rows()
     fixed = [[(_CZ_CODE, a, b, 0.0, 0) for a, b in h] for h in layers.hard]
     fixed.append([(_MEASURE_CODE, q, 0, 0.0, 0) for q in layers.active])
-    memo: dict = {k: _row_ids(index, rows) for k, rows in enumerate(fixed)}
-    # every dressing lowers every slot to 5 rows, so they are one 2-D array
+    memo: dict = {k: rows.ids(fixed_rows) for k, fixed_rows in enumerate(fixed)}
     rngs = (_rng(seed, _STREAM_RC, *stream, r) for r in range(n_rand))
-    ids = np.array([_dress(layers, rng, memo, index) for rng in rngs], dtype=np.int32)
-    table = GateTable(list(index))
-    circuits = tuple(Circuit(None, layers.n_qubits, layers.shots, rows=(table, i)) for i in ids)
+    # every dressing lowers every slot to 5 rows, so all have one length
+    dressings = [_dress(layers, rng, memo, rows) for rng in rngs]
+    circuits = tuple(rows.circuits(dressings, layers.n_qubits, layers.shots))
     labels = tuple(Label(layers.active, len(layers.hard), r, "rc") for r in range(n_rand))
     return CircuitBatch(circuits, labels)
 
@@ -480,33 +466,43 @@ def gen_random_base(
 ) -> Circuit:
     """Random layered circuit: n_cycles of (random single-qubit layer, CZ chain),
     plus a closing single-qubit layer and measurements."""
-    n_qubits = max(width) + 1
-    gates: list[Gate] = []
+    rows = _Rows()
+    ids: list[int] = []
     for k in range(n_cycles + 1):
         for q in width:
             angles = rng.uniform(0.0, TAU, size=3)
-            gates.extend(u3_decompose(U3Params(*angles), q))
+            ids += rows.ids(u3_rows(U3Params(*angles), q))
         if k < n_cycles:
-            gates += _cz_chain(width)
-    gates += _measure_all(width)
-    return Circuit(tuple(gates), n_qubits, shots)
+            ids += rows[_cz_rows, width]
+    ids += rows[_measure_rows, width]
+    (base,) = rows.circuits([ids], max(width) + 1, shots)
+    return base
 
 
-def iter_rc(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
-    for wi, width in enumerate(spec.widths):
-        for di, depth in enumerate(spec.depths[wi]):
-            base = gen_random_base(width, depth, _rng(spec.seed, _STREAM_BASE, wi, di), spec.shots)
-            batch = gen_rc(base, spec.rand_for(wi), spec.seed, stream=(wi, di))
-            for c, label in zip(batch.circuits, batch.labels):
-                yield c, Label(width, depth, label.randomization, "rc")
+def _cell(spec: BatchSpec, wi: int, di: int) -> tuple[Circuit, ...]:
+    """The circuits of one (width, depth) cell, over one table."""
+    width, depth = spec.widths[wi], spec.depths[wi][di]
+    if spec.kind in ("RC", "FRC"):
+        base = gen_random_base(width, depth, _rng(spec.seed, _STREAM_BASE, wi, di), spec.shots)
+        return gen_rc(base, spec.rand_for(wi), spec.seed, stream=(wi, di)).circuits
+    stream, make = (_STREAM_RB, _rb_ids) if spec.kind == "RB" else (_STREAM_CB, _cb_ids)
+    rows = _Rows()
+    rngs = (_rng(spec.seed, stream, wi, di, r) for r in range(spec.rand_for(wi)))
+    return rows.circuits([make(width, depth, rng, rows) for rng in rngs], max(width) + 1, spec.shots)
 
 
 def iter_batch(spec: BatchSpec) -> Iterator[tuple[Circuit, Label]]:
-    if spec.kind == "RB":
-        return iter_rb(spec)
-    if spec.kind == "CB":
-        return iter_cb(spec)
-    return iter_rc(spec)
+    """Each circuit and its label, a (width, depth) cell at a time; RB
+    follows each width's cells with its readout pair."""
+    role = "rc" if spec.kind == "FRC" else spec.kind.lower()
+    for wi, width in enumerate(spec.widths):
+        for di, depth in enumerate(spec.depths[wi]):
+            for r, c in enumerate(_cell(spec, wi, di)):
+                yield c, Label(width, depth, r, role)
+        if spec.kind == "RB":
+            read0, read1 = gen_read_circuits(width, spec.shots)
+            yield read0, Label(width, 0, 0, "read0")
+            yield read1, Label(width, 0, 1, "read1")
 
 
 def gen_batch(spec: BatchSpec) -> CircuitBatch:

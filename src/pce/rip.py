@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .circuits import _VZ_CODE, PHASE_SCALE, TAU, Circuit, quantize_phases, share_rows
+from .circuits import _VZ_CODE, PHASE_SCALE, TAU, Circuit, quantize_phases
 from .errors import CapacityError, DecodeError, EncodeError
 
 N_BANKS = 8  # parameter memory: one bank of 32-bit phase words per qubit
@@ -88,8 +88,7 @@ class EquivalenceReport:
 
 def modify(c: Circuit) -> Circuit:
     """Replace every virtual-Z gate with a parameter request at the same position."""
-    table, ids = c.row_ids()
-    return Circuit(None, c.n_qubits, c.shots, rows=(table, table.erased[ids]))
+    return Circuit(c.table.erased[c.ids], c.n_qubits, c.shots, table=c.table)
 
 
 def identify(circuits: Iterable[Circuit]) -> EquivalenceReport:
@@ -106,10 +105,9 @@ def identify(circuits: Iterable[Circuit]) -> EquivalenceReport:
     space: dict[tuple, int] = {}
     table = erased = None
     for i, c in enumerate(circuits):
-        t, ids = c.row_ids()
-        if t is not table:
-            table, erased = t, t.erased_ids(space)
-        groups.setdefault((c.n_qubits, c.shots, erased[ids].tobytes()), []).append(i)
+        if c.table is not table:
+            table, erased = c.table, c.table.erased_ids(space)
+        groups.setdefault((c.n_qubits, c.shots, erased[c.ids].tobytes()), []).append(i)
     return EquivalenceReport(tuple(tuple(g) for g in groups.values()))
 
 
@@ -136,7 +134,7 @@ def peel(c: Circuit) -> list[np.ndarray]:
     quantized once; they split per bank, and the first bank over capacity
     raises ``CapacityError``.
     """
-    table, ids = c.row_ids()
+    table, ids = c.table, c.ids
     vz = ids[table.kind[ids] == _VZ_CODE]
     banks = table.q0[vz]
     counts = np.bincount(banks, minlength=c.n_qubits)
@@ -179,9 +177,17 @@ def _padded_row(words: list[np.ndarray], n_qubits: int) -> tuple[np.ndarray, ...
     return tuple(words[q] if q < len(words) else empty for q in range(n_qubits))
 
 
+def _check_header_qubits(n_qubits: int) -> None:
+    if n_qubits > 0xFFFF:
+        raise EncodeError(f"{n_qubits} qubits do not fit a PCEB header")
+
+
 def build_param_table(circuits) -> ParamTable:
+    """Each circuit's peeled words, in banks padded to the widest circuit;
+    a width the PCEB header cannot hold is refused before any bank is made."""
     cs = list(circuits)
     n_qubits = max((c.n_qubits for c in cs), default=0)
+    _check_header_qubits(n_qubits)
     rows = []
     for i, c in enumerate(cs):
         try:
@@ -199,7 +205,6 @@ class RipResult:
 
 
 def rip(batch) -> RipResult:
-    share_rows(batch.circuits)
     report = identify(batch.circuits)
     table = build_param_table(batch.circuits)
     uniques = tuple(modify(batch.circuits[g[0]]) for g in report.groups)
@@ -211,8 +216,7 @@ def binarize(report: EquivalenceReport, table: ParamTable) -> bytes:
     n = table.n_circuits
     if report.n_circuits != n:
         raise ValueError(f"report covers {report.n_circuits} circuits, table {n}")
-    if table.n_qubits > 0xFFFF:
-        raise EncodeError(f"{table.n_qubits} qubits do not fit a PCEB header")
+    _check_header_qubits(table.n_qubits)
     out = bytearray()
     out += BLOB_MAGIC
     out += struct.pack("<HHII", BLOB_VERSION, table.n_qubits, n, len(report.groups))

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .asm import MAX_SHOTS, MachineProgram, assemble, compile_circuit
-from .circuits import share_rows
+from .circuits import require_int
 from .control import (
     CYCLE_NS,
     REQUEST_LATENCY_CYCLES,
@@ -25,7 +25,6 @@ from .control import (
     ShotData,
     TimingConfig,
     deft_run,
-    require_int,
 )
 from .errors import ConfigError
 from .fileio import batch_hash
@@ -91,7 +90,6 @@ def run_experiment(
                 raw = get_circuits()
             with record.scope("Transpile"):
                 batch = transpile(raw)
-                share_rows(batch.circuits)  # a batch built in memory converts once
         digest = batch.file_hash if batch.file_hash is not None else batch_hash(batch)
         outcome = ExperimentOutcome(mode, batch, {}, {}, {}, record, digest)
         if mode == "pce":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asm import assemble, compile_circuit, disassemble, machine_from_bytes, machine_to_bytes
-from .circuits import _MEASURE, _PREQ, Circuit, circuit_unitary, global_phase_distance, vz
+from .circuits import _MEASURE_CODE, _PREQ, Circuit, circuit_unitary, global_phase_distance, vz
 from .control import PulseTrace, TimingConfig
 from .errors import PceError
 from .generators import CircuitBatch
@@ -129,7 +129,7 @@ def check_rpc_round_trip(result: RipResult) -> CheckResult:
 
 
 def _strip_measures(c: Circuit) -> Circuit:
-    return Circuit(tuple(g for g in c.gates if g.kind is not _MEASURE), c.n_qubits, c.shots)
+    return Circuit(c.ids[c.table.kind[c.ids] != _MEASURE_CODE], c.n_qubits, c.shots, table=c.table)
 
 
 def check_unitaries(batch: CircuitBatch, result: RipResult) -> CheckResult:

@@ -56,6 +56,8 @@ def test_probe_counters_read_real_return_values():
     from pce.asm import assemble, compile_circuit
     from pce.circuits import Circuit, measure, x90
     from pce.control import ParameterMemory
+    from pce.fileio import circuit_to_text
+    from pce.generators import BatchSpec, gen_batch
     from tests.test_kernels import requests_program, run_path
 
     counts = Counter()
@@ -66,6 +68,12 @@ def test_probe_counters_read_real_return_values():
     status, _ = run_path(requests_program(2, shots=3), memory.banks, memory.counts, 3)
     tracer._count_ops(counts, (), status)
     assert counts["kernels.ops_issued"] == 4 * 3  # REQ_PARAM, REQ_PARAM, X90, END a shot
+    for kind in ("RB", "RC"):  # one gate per gate line of the batch's text
+        batch = gen_batch(BatchSpec(kind, ((0, 1), (0, 1, 2)), ((2, 5),), 2, shots=3, seed=4))
+        lines = sum(circuit_to_text(c).count("\n") - 1 for c in batch.circuits)
+        counts["generators.gates"] = 0
+        tracer._count_gates(counts, (), batch)
+        assert counts["generators.gates"] == lines > 0
 
 
 def names_read_by_run_py() -> tuple[set[str], set[str]]:

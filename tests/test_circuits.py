@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pce.circuits import (
@@ -119,6 +120,20 @@ class TestCanonicalPhase:
             canonical_phase(float("inf"))
 
 
+def _reference_misuse(gates, n_qubits: int) -> str | None:
+    """Oracle for the circuit rules: one pass over the gates with a bitmask of measured qubits."""
+    measured = 0
+    for g in gates:
+        for q in g.qubits:
+            if q >= n_qubits:
+                return f"gate {g} touches qubit {q} outside 0..{n_qubits - 1}"
+            if measured >> q & 1:
+                return f"qubit {q} is used after its measurement"
+        if g.kind is GateKind.MEASURE:
+            measured |= 1 << g.qubits[0]
+    return None
+
+
 class TestGateAndCircuitInvariants:
     def test_two_qubit_needs_distinct_pair(self):
         with pytest.raises(ValidationError):
@@ -178,6 +193,32 @@ class TestGateAndCircuitInvariants:
             Circuit((measure(0), x90(0)), n_qubits=1)
         # measuring another qubit is fine
         Circuit((measure(0), x90(1), measure(1)), n_qubits=2)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(gates_that_build(n + 1), max_size=10))
+    ))
+    def test_the_circuit_rules_name_the_fault_the_per_gate_pass_names(self, case):
+        n_qubits, gates = case
+        want = _reference_misuse(gates, n_qubits)
+        try:
+            c = Circuit(gates, n_qubits)
+        except ValidationError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None and c.gates == tuple(gates)
+
+    @pytest.mark.parametrize(
+        "n_qubits, shots",
+        [(1, 2.5), (1, True), (True, 2), (1.0, 2), (1, "2"), (1, np.float64(2.0))],
+    )
+    def test_a_count_that_is_not_an_integer_is_refused(self, n_qubits, shots):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            Circuit([x90(0), measure(0)], n_qubits, shots=shots)
+
+    def test_numpy_integer_counts_are_taken_as_ints(self):
+        c = Circuit([x90(0), measure(0)], np.int64(1), shots=np.uint32(2))
+        assert (type(c.n_qubits), type(c.shots), c.n_qubits, c.shots) == (int, int, 1, 2)
 
 
 class TestU3:

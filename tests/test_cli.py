@@ -534,7 +534,9 @@ class TestValuesNoHeaderFieldHolds:
         assert {c.shots for c in read_batch(tmp_path / "b").circuits} == {0xFFFFFFFF}
 
     @pytest.mark.parametrize("mode", ["baseline", "pce"])
-    @pytest.mark.parametrize("n_qubits, shots", [(70000, 1), (1, 5000000000)])
+    @pytest.mark.parametrize(
+        "n_qubits, shots", [(70000, 1), (100000000000, 1), (1, 5000000000)]
+    )
     def test_circuit_file_header(self, tmp_path, capsys, n_qubits, shots, mode):
         # pce mode meets the qubit count first in the PCEB parameter blob
         from pce.circuits import Circuit, measure, x90

@@ -79,7 +79,9 @@ class TestParameterMemory:
         mem = ParameterMemory()
         assert mem.write_params(0, np.zeros(BANK_CAPACITY, dtype=np.uint32)) == BANK_CAPACITY
 
-    @pytest.mark.parametrize("words", [[-1], [5, 2**32], [1.5], ["7"], [True], [2**64]])
+    @pytest.mark.parametrize(
+        "words", [[-1], [5, 2**32], [1.5], ["7"], [True], [2**64], [5, True], [True, 5]]
+    )
     def test_a_word_outside_u32_or_not_an_integer_is_refused(self, words):
         mem = ParameterMemory()
         with pytest.raises(ValidationError, match="^bank 2: parameter words must be integers"):

@@ -14,16 +14,17 @@ from hypothesis import strategies as st
 from pce.asm import compile_circuit
 from pce.circuits import (
     QUBIT_LIMIT,
+    KINDS,
     ROW_DTYPE,
     TAU,
     Circuit,
     Gate,
+    GateTable,
     GateKind,
     cz,
     delay,
     measure,
     param_request,
-    share_rows,
     vz,
     x90,
 )
@@ -320,7 +321,7 @@ class TestColumnarReader:
         read, oracle = rip(loaded), rip(by_gates)
         assert binarize(read.report, read.table) == binarize(oracle.report, oracle.table)
         # equal gates share one row whatever their spelling
-        assert loaded.circuits[0].row_ids()[1][0] == loaded.circuits[1].row_ids()[1][0]
+        assert loaded.circuits[0].ids[0] == loaded.circuits[1].ids[0]
 
     @settings(derandomize=True, max_examples=24, deadline=None)
     @given(
@@ -408,8 +409,7 @@ class TestPlainVzColumns:
         except ConfigError as exc:
             assert str(exc) == f"line 2: {want}"
             return
-        table, ids = c.row_ids()
-        assert [table.rows[i].item() for i in ids.tolist()] == ([] if want is None else [want])
+        assert [c.table.rows[i].item() for i in c.ids.tolist()] == ([] if want is None else [want])
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(vz_lines, min_size=1, max_size=8), st.data())
@@ -432,12 +432,19 @@ class TestPlainVzColumns:
                 return
             loaded = read_batch(write_hand_batch(Path(tmp), texts)).circuits
         reference = [_reference_circuit_from_text(t) for t in texts]
-        share_rows(reference)
-        (table, _), (want, _) = loaded[0].row_ids(), reference[0].row_ids()
+        # the reference gates of every file, numbered in first appearance over the batch
+        index: dict[Gate, int] = {}
+        ids = [[index.setdefault(g, len(index)) for g in ref.gates] for ref in reference]
+        want = GateTable([
+            (KINDS.index(g.kind), g.qubits[0], g.qubits[-1] if len(g.qubits) > 1 else 0, g.phase,
+             g.duration_ns)
+            for g in index
+        ])
+        assert len({id(c.table) for c in loaded}) == 1
         for name in ROW_DTYPE.names:
-            assert np.array_equal(table.rows[name], want.rows[name])
-        for c, ref in zip(loaded, reference):
-            assert np.array_equal(c.row_ids()[1], ref.row_ids()[1])
+            assert np.array_equal(loaded[0].table.rows[name], want.rows[name])
+        for c, want_ids in zip(loaded, ids):
+            assert c.ids.tolist() == want_ids
 
 
 @st.composite
@@ -452,25 +459,24 @@ def hand_built_circuits(draw):
     return Circuit((*c.gates, *tail), c.n_qubits + 2, c.shots)
 
 
-def _table_form(c: Circuit) -> Circuit:
-    copy = Circuit(c.gates, c.n_qubits, c.shots)
-    share_rows((copy,))
-    return copy
-
-
 class TestWriterMatchesReference:
-    """``circuit_to_text`` writes a circuit of gates and one in table form
+    """``circuit_to_text`` writes generated, read and gate-built circuits
     byte-equal to the per-gate reference writer."""
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.sampled_from(sorted(TestReaderMatchesReference.SPECS)), st.integers(0, 2**64 - 1))
     def test_generated_batches_of_every_kind(self, kind, seed):
         batch = gen_batch(replace(TestReaderMatchesReference.SPECS[kind], seed=seed))
-        assert all((c.rows is not None) == (kind in ("RC", "FRC")) for c in batch.circuits)
+        # one table per (width, depth) cell, the readout pair of a width being one cell
+        cells: dict[tuple, set[int]] = {}
+        for c, label in zip(batch.circuits, batch.labels):
+            cells.setdefault((label.width, label.depth), set()).add(id(c.table))
+        assert all(len(tables) == 1 for tables in cells.values())
+        assert len({id(c.table) for c in batch.circuits}) == len(cells)
         for c in batch.circuits:
             text = circuit_to_text(c)
             assert text == _reference_circuit_to_text(c)
-            assert circuit_to_text(_table_form(c)) == text
+            assert circuit_to_text(Circuit(c.gates, c.n_qubits, c.shots)) == text
         assert batch_hash(batch) == hashlib.sha256(
             "".join(map(_reference_circuit_to_text, batch.circuits)).encode()
         ).hexdigest()
@@ -480,14 +486,21 @@ class TestWriterMatchesReference:
     def test_hand_built_circuits(self, c):
         text = _reference_circuit_to_text(c)
         assert circuit_to_text(c) == text
-        assert circuit_to_text(_table_form(c)) == text
         erased = modify(c)  # PREQ rows the table added
         assert circuit_to_text(erased) == _reference_circuit_to_text(erased)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(hand_built_circuits())
+    def test_a_read_back_twin_compares_and_hashes_equal(self, c):
+        twin = circuit_from_text(circuit_to_text(c))
+        assert twin.table is not c.table
+        assert twin == c and c == twin and hash(twin) == hash(c) and len({c, twin}) == 1
+        assert twin != Circuit(c.gates, c.n_qubits, c.shots + 1)
 
     def test_phase_edges_are_written_as_repr(self):
         c = Circuit(tuple(vz(0, p) for p in _PHASE_EDGES), 1, 1)
         want = "qubits 1 shots 1\nVZ q0 0.0\nVZ q0 5e-324\nVZ q0 1e-05\nVZ q0 6.283185307179585\n"
-        assert circuit_to_text(c) == circuit_to_text(_table_form(c)) == want
+        assert circuit_to_text(c) == want
 
 
 class TestReaderErrors:

@@ -312,7 +312,7 @@ class TestRc:
         )
         got = gen_rc(base, n_rand, seed, stream=(stream,)).circuits
         assert got == want
-        assert len({id(c.rows[0]) for c in got}) == 1  # row ids into one table per base
+        assert len({id(c.table) for c in got}) == 1  # row ids into one table per base
 
     @pytest.mark.parametrize("n_rand", [1, 5, 16, 40])
     def test_a_slot_is_lowered_at_most_once_per_twirl_and_correction(self, monkeypatch, n_rand):
@@ -338,42 +338,37 @@ class TestRc:
 
 
 class TestColumnarDressing:
-    """RC/FRC dressings are row ids into one ``GateTable`` per base: they
-    build no ``Gate``, and compiling or peeling them builds no table."""
+    """Generated circuits are row ids into one ``GateTable`` per base or cell:
+    they build no ``Gate``, and compiling or peeling them builds no table."""
 
     # the frc_1shot benchmark batch: 300 single-shot FRC circuits, 12 bases
     FRC_1SHOT = BatchSpec("FRC", ((0, 1), (0, 1, 2), (0, 1, 2, 3)), ((1, 10, 20, 30),), 25, 1, 3)
 
     def test_one_at_a_time_compile_and_peel_build_no_table(self, monkeypatch):
+        batch = gen_batch(self.FRC_1SHOT)
         tables = []
         init = GateTable.__init__
         monkeypatch.setattr(GateTable, "__init__", lambda t, r: tables.append(t) or init(t, r))
-        batch = gen_batch(self.FRC_1SHOT)
-        for c in batch.circuits:  # no share_rows
+        for c in batch.circuits:
             compile_circuit(c)
             peel(c)
-        assert len(batch) == 300
-        assert len(tables) <= 12 and {id(c.rows[0]) for c in batch.circuits} == set(map(id, tables))
+        assert len(batch) == 300 and tables == []
+        assert len({id(c.table) for c in batch.circuits}) == 12  # one table per base
 
     def test_generating_and_writing_builds_no_gate_per_dressing(self, tmp_path, monkeypatch):
         built = []
         post_init = Gate.__post_init__
         monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g) or post_init(g))
-
-        def gates_built(randomizations):
-            built.clear()
-            spec = replace(self.FRC_1SHOT, randomizations=randomizations)
-            write_batch(gen_batch(spec), tmp_path / str(randomizations))
-            return len(built)
-
-        gates_built(5)  # fills the module caches of fixed lowerings
-        assert 0 < gates_built(5) == gates_built(25)  # the random bases' gates only
+        for kind in ("RB", "CB", "RC", "FRC"):  # every kind, the readout pairs and bases too
+            spec = BatchSpec(kind, ((0, 1), (0, 1, 2, 3)), ((1, 10),), 5, 1, 3)
+            write_batch(gen_batch(spec), tmp_path / kind)
+        assert built == []
 
     def test_a_new_row_is_checked_by_the_gate_rules(self, monkeypatch):
+        base = gen_random_base((0, 1), 2, np.random.default_rng(5), shots=2)
         checked = []
         monkeypatch.setattr(generators, "check_gate_row", lambda *f: checked.append(f))
-        base = gen_random_base((0, 1), 2, np.random.default_rng(5), shots=2)
-        table, _ = gen_rc(base, 6, seed=1).circuits[0].rows
+        table = gen_rc(base, 6, seed=1).circuits[0].table
         assert len(checked) == len(set(checked)) == int(np.count_nonzero(table.kind != _PREQ_CODE))
 
 
@@ -384,11 +379,11 @@ class TestLoweringCaches:
     bases add no entry."""
 
     TABLES = {
-        "_clifford_gates": 24,
-        "_pauli_gates": len(PAULI_NAMES),
-        "_basis_prep_gates": len(BASIS_PREP_PARAMS),
+        "_clifford_rows": 24,
+        "_pauli_rows": len(PAULI_NAMES),
+        "_basis_prep_rows": len(BASIS_PREP_PARAMS),
     }
-    WIDTH_KEYED = ("_cz_chain", "_measure_all")
+    WIDTH_KEYED = ("_cz_rows", "_measure_rows")
 
     def sizes(self):
         return {name: getattr(generators, name).cache_info().currsize
