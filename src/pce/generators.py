@@ -297,10 +297,10 @@ class _Rows(dict):
                 index[row] = len(index)
         return tuple(map(index.__getitem__, rows))
 
-    def circuits(self, ids, n_qubits: int, shots: int) -> list[Circuit]:
+    def circuits(self, ids, n_qubits: int, shots: int) -> tuple[Circuit, ...]:
         """One circuit per id list (all of one length) over one table of the rows."""
         table = GateTable(list(self.index))
-        return [Circuit(i, n_qubits, shots, table=table) for i in np.array(ids, dtype=np.int32)]
+        return tuple(Circuit(i, n_qubits, shots, table=table) for i in np.array(ids, dtype=np.int32))
 
 
 def _rb_ids(width: tuple[int, ...], depth: int, rng: np.random.Generator, rows: _Rows) -> list[int]:
@@ -456,7 +456,7 @@ def gen_rc(
     rngs = (_rng(seed, _STREAM_RC, *stream, r) for r in range(n_rand))
     # every dressing lowers every slot to 5 rows, so all have one length
     dressings = [_dress(layers, rng, memo, rows) for rng in rngs]
-    circuits = tuple(rows.circuits(dressings, layers.n_qubits, layers.shots))
+    circuits = rows.circuits(dressings, layers.n_qubits, layers.shots)
     labels = tuple(Label(layers.active, len(layers.hard), r, "rc") for r in range(n_rand))
     return CircuitBatch(circuits, labels)
 
