@@ -105,8 +105,10 @@ def _cmd_run(args) -> int:
     (out / "manifest.txt").write_bytes(manifest_src.read_bytes())
     traces_dir = out / "traces"
     data_dir = out / "shotdata"
-    traces_dir.mkdir(exist_ok=True)
-    data_dir.mkdir(exist_ok=True)
+    for d in (traces_dir, data_dir):
+        d.mkdir(exist_ok=True)
+        for stale in d.glob("c*.txt"):  # a previous run's dumps into a reused --out
+            stale.unlink()
     for i in sorted(outcome.traces):
         (traces_dir / f"c{i:05d}.txt").write_text(outcome.traces[i].to_text(), "utf-8")
         (data_dir / f"c{i:05d}.txt").write_text(outcome.data[i].to_text(), "utf-8")

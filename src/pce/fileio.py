@@ -364,16 +364,28 @@ def read_batch(path: str | Path) -> CircuitBatch:
     return CircuitBatch(tuple(circuits), tuple(l for _, l in entries), file_hash=digest)
 
 
+_SPEC_KEYS = ("kind", "widths", "depths", "randomizations", "shots", "seed", "preset")
+
+
 def _parse_keyvals(text: str, where: str) -> dict[str, str]:
+    """The config's ``key = value`` lines; an unknown or repeated key is refused."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{where}:{line_no}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SPEC_KEYS:
+            raise ConfigError(
+                f"{where}:{line_no}: unknown key {key!r}, expected one of {', '.join(_SPEC_KEYS)}"
+            )
+        if key in first_line:
+            raise ConfigError(f"{where}:{line_no}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = line_no
+        out[key] = value
     return out
 
 

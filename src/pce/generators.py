@@ -43,6 +43,7 @@ from .circuits import (
     GateTable,
     U3Params,
     check_gate_row,
+    require_int,
     row_fields,
     u3_from_unitary,
     u3_from_unitary_unchecked,
@@ -111,6 +112,10 @@ class Label(NamedTuple):
     role: str
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    return tuple(require_int(v, what, ConfigError) for v in values)
+
+
 @dataclass(frozen=True)
 class BatchSpec:
     """Configuration for one generated batch.
@@ -132,7 +137,7 @@ class BatchSpec:
             raise ConfigError(f"unknown batch kind {self.kind!r}, expected one of {KINDS}")
         if not self.widths:
             raise ConfigError("widths must be non-empty")
-        widths = tuple(tuple(int(q) for q in w) for w in self.widths)
+        widths = tuple(_ints(w, "qubit id") for w in self.widths)
         for w in widths:
             if not w:
                 raise ConfigError("empty width tuple")
@@ -143,7 +148,7 @@ class BatchSpec:
             if self.kind == "CB" and len(w) % 2:
                 raise ConfigError(f"CB width {w} must pair all qubits (even size)")
         object.__setattr__(self, "widths", widths)
-        depths = tuple(tuple(int(d) for d in d_list) for d_list in self.depths)
+        depths = tuple(_ints(d_list, "depth") for d_list in self.depths)
         if len(depths) == 1:
             depths = depths * len(widths)
         if len(depths) != len(widths):
@@ -153,20 +158,25 @@ class BatchSpec:
                 raise ConfigError(f"depths must be positive, got {d_list}")
         object.__setattr__(self, "depths", depths)
         rand = self.randomizations
-        if isinstance(rand, int):
+        if np.ndim(rand) == 0:
+            rand = require_int(rand, "randomization count", ConfigError)
             if rand <= 0:
                 raise ConfigError("randomizations must be positive")
         else:
-            rand = tuple(int(r) for r in rand)
+            rand = _ints(rand, "randomization count")
             if self.kind != "CB":
                 raise ConfigError("per-width randomization counts are only meaningful for CB")
             if len(rand) != len(widths) or min(rand) <= 0:
                 raise ConfigError(f"need one positive count per width, got {rand}")
-            object.__setattr__(self, "randomizations", rand)
-        if not 1 <= self.shots <= MAX_SHOTS:
-            raise ConfigError(f"shot count {self.shots} does not fit 1..{MAX_SHOTS}")
-        if not 0 <= int(self.seed) < (1 << 64):
+        object.__setattr__(self, "randomizations", rand)
+        shots = require_int(self.shots, "shot count", ConfigError)
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ConfigError(f"shot count {shots} does not fit 1..{MAX_SHOTS}")
+        object.__setattr__(self, "shots", shots)
+        seed = require_int(self.seed, "seed", ConfigError)
+        if not 0 <= seed < (1 << 64):
             raise ConfigError("seed must fit in 64 bits")
+        object.__setattr__(self, "seed", seed)
 
     def rand_for(self, width_index: int) -> int:
         r = self.randomizations

@@ -20,6 +20,7 @@ import json
 import time
 from dataclasses import dataclass
 
+from .asm import MODELED_ASSEMBLE_NS
 from .errors import ComparisonError, IncompleteRecordError, InstrumentationError
 
 ROOT_STAGE = "Total"
@@ -252,6 +253,16 @@ class SpeedupTable:
             return None
         return self.baseline_total_ns / self.pce_total_ns
 
+    @property
+    def modeled_assembly_ns(self) -> tuple[int, int]:
+        a = next((r for r in self.rows if r.name == "Assemble"), StageRow("", 0, 0, 0, 0))
+        return MODELED_ASSEMBLE_NS * a.baseline_iters, MODELED_ASSEMBLE_NS * a.pce_iters
+
+    @property
+    def modeled_classical_speedup(self) -> float | None:
+        (mb, mp), cp = self.modeled_assembly_ns, self.pce_classical_ns
+        return None if cp + mp <= 0 else (self.baseline_classical_ns + mb) / (cp + mp)
+
     def row(self, name: str) -> StageRow:
         for r in self.rows:
             if r.name == name:
@@ -279,6 +290,10 @@ class SpeedupTable:
             lines.append(f"classical speedup          {self.classical_speedup:.2f}x")
         if self.overall_speedup is not None:
             lines.append(f"overall speedup            {self.overall_speedup:.2f}x")
+        mb, mp = self.modeled_assembly_ns
+        lines.append(f"modeled assembly           baseline {mb} ns, pce {mp} ns")
+        if (speedup := self.modeled_classical_speedup) is not None:
+            lines.append(f"modeled classical speedup  {speedup:.2f}x")
         return "\n".join(lines) + "\n"
 
 

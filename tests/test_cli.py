@@ -10,11 +10,19 @@ import numpy as np
 import pytest
 
 from pce import kernels
-from pce.asm import MachineProgram, Opcode, assemble, compile_circuit, machine_to_bytes
+from pce.asm import (
+    MODELED_ASSEMBLE_NS,
+    MachineProgram,
+    Opcode,
+    assemble,
+    compile_circuit,
+    machine_to_bytes,
+)
 from pce.cli import main
 from pce.control import PulseTrace
 from pce.fileio import read_batch, write_batch
 from pce.generators import CircuitBatch, Label
+from pce.profiling import compare, parse_report
 from pce.rip import binarize, debinarize, identify_bruteforce, rip
 from pce.verify import first_trace_mismatch
 from tests.test_asm import word
@@ -282,6 +290,19 @@ class TestGenerate:
         assert err.startswith("error: ") and "randomizations" in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "last, named",
+        [("shotz = 5", "bad.cfg:5: unknown key 'shotz'"),
+         ("kind = CB", "bad.cfg:5: key 'kind' repeats line 1")],
+        ids=["unknown", "repeated"],
+    )
+    def test_unknown_or_repeated_key_exits_2(self, tmp_path, capsys, last, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"kind = RB\nwidths = 0\ndepths = 2\nrandomizations = 1\n{last}\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_empty_widths_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("kind = RB\nwidths = \ndepths = 2\nrandomizations = 1\n")
@@ -447,6 +468,19 @@ class TestRun:
         assert main(argv) == 0
         assert not (out / "control.sock").exists()
         assert main(argv) == 0
+
+    def test_smaller_run_into_a_reused_out_leaves_only_its_dumps(self, batch_dir, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("kind = RB\nwidths = 0\ndepths = 2\nrandomizations = 1\nshots = 2\n")
+        small = tmp_path / "small"
+        assert main(["generate", "--config", str(cfg), "--out", str(small)]) == 0
+        out = tmp_path / "o"
+        for batch, count in ((batch_dir, 12), (small, 3)):
+            assert main(["run", "--batch", str(batch), "--mode", "pce", "--out", str(out)]) == 0
+            for sub in ("traces", "shotdata"):
+                names = sorted(p.name for p in (out / sub).iterdir())
+                assert names == [f"c{i:05d}.txt" for i in range(count)]
+        assert json.loads((out / "profile.json").read_text())["meta"]["circuits"] == 3
 
     def test_socket_run_into_a_long_out_path(self, batch_dir, tmp_path):
         # longer than any unix socket path (108 bytes): the socket pair has no path
@@ -734,6 +768,22 @@ class TestVerifyAndCompare:
         text = (tmp_path / "cmp.txt").read_text()
         assert "Compile" in text and "classical reduction" in text
 
+    def test_modeled_assembly_is_the_constant_per_group(self, batch_dir, tmp_path, capsys):
+        reports = []
+        for mode in ("baseline", "pce"):
+            out = tmp_path / mode
+            argv = ["run", "--batch", str(batch_dir), "--mode", mode, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(out / "profile.json")
+        (rec_b, meta_b), (rec_p, meta_p) = (parse_report(r.read_text()) for r in reports)
+        assert meta_b["groups"] == meta_b["circuits"] == 12 and meta_p["groups"] == 6
+        modeled = (MODELED_ASSEMBLE_NS * meta_b["groups"], MODELED_ASSEMBLE_NS * meta_p["groups"])
+        assert compare(rec_b, rec_p).modeled_assembly_ns == modeled
+        capsys.readouterr()
+        assert main(["compare", *map(str, reports)]) == 0
+        line = f"modeled assembly           baseline {modeled[0]} ns, pce {modeled[1]} ns\n"
+        assert line in capsys.readouterr().out
+
     def test_compare_mismatched_batches_errors(self, batch_dir, tmp_path):
         rc = main(
             ["run", "--batch", str(batch_dir), "--mode", "baseline", "--seed", "5",
@@ -804,4 +854,6 @@ class TestVerifyAndCompare:
             ["compare", str(tmp_path / "x" / "profile.json"), str(tmp_path / "x" / "profile.json")]
         )
         assert rc == 0
-        assert "overall speedup            1.00x" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "overall speedup            1.00x" in out
+        assert "modeled classical speedup  1.00x" in out

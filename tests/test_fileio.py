@@ -683,3 +683,18 @@ class TestBatchSpecConfig:
     def test_bad_line(self):
         with pytest.raises(ConfigError):
             parse_batchspec("kind RB\n")
+
+    def test_unknown_key_is_named_with_its_line(self):
+        text = "kind = RB\nwidths = 0\ndepths = 2\nrandomizations = 1\nshotz = 5\n"
+        with pytest.raises(ConfigError, match=r"^spec\.cfg:5: unknown key 'shotz'"):
+            parse_batchspec(text, "spec.cfg")
+
+    def test_unknown_key_beside_a_preset_is_named(self):
+        with pytest.raises(ConfigError, match=r"^spec\.cfg:2: unknown key 'sead'"):
+            parse_batchspec("preset = rb\nsead = 4\n", "spec.cfg")
+
+    def test_repeated_key_is_named_with_both_lines(self):
+        text = "kind = RB\nwidths = 0\ndepths = 2\nrandomizations = 1\nkind = CB\n"
+        with pytest.raises(ConfigError) as err:
+            parse_batchspec(text, "spec.cfg")
+        assert str(err.value) == "spec.cfg:5: key 'kind' repeats line 1"

@@ -432,6 +432,27 @@ class TestSpecsAndPresets:
         assert BatchSpec("RB", ((0,),), ((1,),), 1, shots=0xFFFFFFFF).shots == 0xFFFFFFFF
         with pytest.raises(ConfigError, match="shot count 4294967296 does not fit"):
             BatchSpec("RB", ((0,),), ((1,),), 1, shots=1 << 32)
+        # a field that is not an integer is refused, never truncated
+        not_ints = [
+            dict(seed=1.5),
+            dict(widths=((0.7, 1.2),)),
+            dict(depths=((2.9,),)),
+            dict(randomizations=True),
+            dict(randomizations=1.5),
+            dict(kind="CB", randomizations=(2.5,)),
+            dict(shots=3.0),
+        ]
+        for bad in not_ints:
+            fields = {"kind": "RB", "widths": ((0, 1),), "depths": ((2,),), "randomizations": 1}
+            with pytest.raises(ConfigError, match="must be an integer"):
+                BatchSpec(**{**fields, **bad})
+        spec = BatchSpec(
+            "CB", ((np.int64(0), np.int16(1)),), ((np.int32(2),),), (np.int64(2),),
+            shots=np.int64(3), seed=np.uint64(5),
+        )
+        assert spec == BatchSpec("CB", ((0, 1),), ((2,),), (2,), shots=3, seed=5)
+        assert type(spec.seed) is int and type(spec.randomizations[0]) is int
+        assert BatchSpec("RB", ((0,),), ((1,),), np.int64(2)).randomizations == 2
 
     def test_gen_batch_dispatch(self):
         spec = BatchSpec("RC", ((0, 1),), ((2,),), 3, shots=5, seed=1)

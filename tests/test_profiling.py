@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from pce.asm import MODELED_ASSEMBLE_NS
 from pce.errors import ComparisonError, IncompleteRecordError, InstrumentationError
 from pce.profiling import (
     ProfileRecord,
@@ -333,6 +334,48 @@ class TestCompare:
         pce = self.synthetic(5, 1, 3, 50)
         text = compare(base, pce).to_text()
         assert "Compile" in text and "classical reduction" in text
+
+    def assembled_pair(self, base_assembles, pce_assembles):
+        """The hand-computed pair, plus Assemble iterations (7 ns each) on each side."""
+        base = self.synthetic(compile_ns=2000, compile_iters=20, startrun_ns=400, total_ns=3000)
+        pce = self.synthetic(compile_ns=100, compile_iters=1, startrun_ns=400, total_ns=900)
+        for rec, iters in ((base, base_assembles), (pce, pce_assembles)):
+            if iters:
+                rec.add_computed("Assemble", 7 * iters, iters)
+        return base, pce
+
+    def test_modeled_ns_and_speedup(self):
+        table = compare(*self.assembled_pair(20, 1))
+        assert MODELED_ASSEMBLE_NS == 141_000
+        assert table.modeled_assembly_ns == (2_820_000, 141_000)
+        # host classical 2600 and 500 ns: Total - Start Run, as before
+        assert table.baseline_classical_ns == 2600 and table.pce_classical_ns == 500
+        assert table.modeled_classical_speedup == pytest.approx(2_822_600 / 141_500)
+        # the host-clock lines keep their format; the two modeled lines come last
+        assert table.to_text().split("\n\n")[1] == (
+            "classical time    baseline 86.67% of total\n"
+            "classical time    pce      55.56% of total\n"
+            "classical reduction        80.77%\n"
+            "classical speedup          5.20x\n"
+            "overall speedup            3.33x\n"
+            "modeled assembly           baseline 2820000 ns, pce 141000 ns\n"
+            "modeled classical speedup  19.95x\n"
+        )
+
+    def test_record_without_assemble_models_zero(self):
+        table = compare(*self.assembled_pair(0, 0))
+        assert table.modeled_assembly_ns == (0, 0)
+        assert table.modeled_classical_speedup == pytest.approx(table.classical_speedup)
+        assert "modeled assembly           baseline 0 ns, pce 0 ns\n" in table.to_text()
+
+    def test_no_classical_time_and_no_assemble_prints_no_modeled_speedup(self):
+        base = self.synthetic(10, 2, 100, 100)
+        pce = self.synthetic(5, 1, 50, 50)
+        table = compare(base, pce)
+        assert table.modeled_classical_speedup is None
+        text = table.to_text()
+        assert "modeled assembly           baseline 0 ns, pce 0 ns\n" in text
+        assert "modeled classical speedup" not in text
 
 
 class TestBatchIdentity:
