@@ -3,10 +3,6 @@
 ``run --socket`` serves the control session over a connected unix socket pair
 (``SocketChannel.serving``) instead of the in-process loopback; it writes
 nothing to ``--out`` beyond the outputs.
-
-Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
-operating-system error on a path and a config or report that is not UTF-8
-included), 3 runtime capacity/underflow error.
 """
 
 from __future__ import annotations
@@ -17,22 +13,18 @@ from dataclasses import replace
 from pathlib import Path
 
 from .control import TimingConfig
-from .errors import (
-    CapacityError,
-    PceError,
-    UnderflowError,
-)
-from .fileio import parse_batchspec, read_batch, read_utf8, write_batch
+from .errors import PceError
+from .fileio import MANIFEST_NAME, parse_batchspec, read_batch, read_utf8, write_batch
 from .generators import gen_batch, preset_spec
 from .profiling import check_same_batch, compare, parse_report, report
-from .rpc import CAPACITY_CODES, RemoteError, SocketChannel
-from .runner import run_experiment
+from .rpc import CAPACITY_CODES, SocketChannel, fault_code
+from .runner import MODES, run_experiment
 from .verify import verify_batch
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
-EXIT_RUNTIME = 3
+EXIT_USAGE = 2  # any non-capacity fault: usage, config, non-UTF-8 bytes, an OSError on a path
+EXIT_RUNTIME = 3  # a capacity fault: its RPC error code (``rpc.fault_code``) is in CAPACITY_CODES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,20 +42,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--shots", type=int, default=None)
     p_gen.add_argument("--out", type=Path, required=True)
 
-    p_run = sub.add_parser("run", help="execute a batch in baseline or pce mode")
-    p_run.add_argument("--batch", type=Path, required=True, help="batch dir or manifest path")
-    p_run.add_argument("--mode", choices=("baseline", "pce"), default="baseline")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--shots", type=int, default=None)
-    p_run.add_argument("--reset-ns", type=int, default=TimingConfig().reset_ns)
+    # the options of every command that runs a batch
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--batch", type=Path, required=True, help="batch dir or manifest path")
+    runs.add_argument("--seed", type=int, default=0)
+    runs.add_argument("--shots", type=int, default=None)
+    runs.add_argument("--reset-ns", type=int, default=TimingConfig().reset_ns)
+
+    p_run = sub.add_parser("run", parents=[runs], help="execute a batch in baseline or pce mode")
+    p_run.add_argument("--mode", choices=MODES, default="baseline")
     p_run.add_argument("--socket", action="store_true", help="RPC over a local stream socket")
     p_run.add_argument("--out", type=Path, required=True)
 
-    p_ver = sub.add_parser("verify", help="run the oracle suites against a batch")
-    p_ver.add_argument("--batch", type=Path, required=True)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--shots", type=int, default=None)
-    p_ver.add_argument("--reset-ns", type=int, default=TimingConfig().reset_ns)
+    p_ver = sub.add_parser("verify", parents=[runs], help="run the oracle suites against a batch")
     p_ver.add_argument("--blob", type=Path, help="use this parameter blob instead of a fresh one")
 
     p_cmp = sub.add_parser("compare", help="speedup table from two profile reports")
@@ -88,21 +79,19 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    batch_path = args.batch
     out = args.out
-    timing = TimingConfig(reset_ns=args.reset_ns)
+    timing = TimingConfig(reset_ns=args.reset_ns)  # a bad gap fails before --out is made
     out.mkdir(parents=True, exist_ok=True)
-    manifest_src = batch_path / "manifest.txt" if batch_path.is_dir() else batch_path
+    manifest_src = args.batch / MANIFEST_NAME if args.batch.is_dir() else args.batch
     outcome = run_experiment(
-        lambda: manifest_src,
-        lambda path: read_batch(path),
+        manifest_src,
         args.mode,
         seed=args.seed,
         shots=args.shots,
         timing=timing,
         channel_factory=SocketChannel.serving if args.socket else None,
     )
-    (out / "manifest.txt").write_bytes(manifest_src.read_bytes())
+    (out / MANIFEST_NAME).write_bytes(manifest_src.read_bytes())
     traces_dir = out / "traces"
     data_dir = out / "shotdata"
     for d in (traces_dir, data_dir):
@@ -176,18 +165,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CapacityError, UnderflowError) as exc:
+    except (PceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except RemoteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME if exc.code in CAPACITY_CODES else EXIT_USAGE
-    except PceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # a missing or unreadable path, or one of the wrong kind
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_RUNTIME if fault_code(exc) in CAPACITY_CODES else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import deque
+from functools import partial
 from itertools import compress
 from pathlib import Path
 
@@ -243,13 +244,6 @@ def _width_str(width: tuple[int, ...]) -> str:
     return ",".join(str(q) for q in width)
 
 
-def _parse_width(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad width {text!r}") from None
-
-
 def batch_hash(batch: CircuitBatch) -> str:
     """sha256 of the canonical text of every circuit: for a batch that
     ``write_batch`` wrote, the manifest hash and the read batch's ``file_hash``."""
@@ -324,14 +318,13 @@ def read_batch(path: str | Path) -> CircuitBatch:
             continue
         tokens = line.split()
         if tokens[0] == "circuit":
-            if len(tokens) != 11 or tokens[3] != "width" or tokens[5] != "depth":
+            if len(tokens) != 11 or tokens[3:10:2] != ["width", "depth", "rand", "role"]:
                 raise ConfigError(f"{manifest}:{line_no}: malformed circuit entry")
             try:
-                index = int(tokens[1])
-                label = Label(
-                    _parse_width(tokens[4]), int(tokens[6]), int(tokens[8]), tokens[10]
-                )
-            except ValueError:
+                index, depth, rand = (_number(int, tokens[k]) for k in (1, 6, 8))
+                (width,) = _parse_groups(tokens[4])  # one group: a ValueError otherwise
+                label = Label(width, depth, rand, tokens[10])
+            except (ValueError, ConfigError):
                 raise ConfigError(f"{manifest}:{line_no}: malformed circuit entry") from None
             if index != len(entries):
                 raise ConfigError(
@@ -367,8 +360,8 @@ def read_batch(path: str | Path) -> CircuitBatch:
 _SPEC_KEYS = ("kind", "widths", "depths", "randomizations", "shots", "seed", "preset")
 
 
-def _parse_keyvals(text: str, where: str) -> dict[str, str]:
-    """The config's ``key = value`` lines; an unknown or repeated key is refused."""
+def _parse_keyvals(text: str, where: str) -> tuple[dict[str, str], dict[str, int]]:
+    """Each ``key = value`` line's value and line; an unknown or repeated key is refused."""
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -386,7 +379,7 @@ def _parse_keyvals(text: str, where: str) -> dict[str, str]:
             raise ConfigError(f"{where}:{line_no}: key {key!r} repeats line {first_line[key]}")
         first_line[key] = line_no
         out[key] = value
-    return out
+    return out, first_line
 
 
 def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
@@ -396,19 +389,24 @@ def _parse_groups(text: str) -> tuple[tuple[int, ...], ...]:
         if not part:
             raise ConfigError(f"empty group in {text!r}")
         try:
-            groups.append(tuple(int(t.strip()) for t in part.split(",")))
+            groups.append(tuple(_number(int, t.strip()) for t in part.split(",")))
         except ValueError:
             raise ConfigError(f"bad integer group {part!r}") from None
     return tuple(groups)
 
 
 def parse_batchspec(text: str, where: str = "<config>") -> BatchSpec:
-    kv = _parse_keyvals(text, where)
-    try:
-        shots = int(kv.get("shots", 100))
-        seed = int(kv.get("seed", 0))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    kv, line_of = _parse_keyvals(text, where)
+
+    def parsed(parse, key):
+        """``parse`` of the key's value; a fault names the file and the key's line."""
+        try:
+            return parse(kv[key])
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{where}:{line_of[key]}: {key}: {exc}") from None
+
+    shots = parsed(partial(_number, int), "shots") if "shots" in kv else 100
+    seed = parsed(partial(_number, int), "seed") if "seed" in kv else 0
     if "preset" in kv:
         ignored = sorted(set(kv) - {"preset", "seed"})
         if ignored:
@@ -420,7 +418,7 @@ def parse_batchspec(text: str, where: str = "<config>") -> BatchSpec:
     missing = {"kind", "widths", "depths", "randomizations"} - set(kv)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    rand_groups = _parse_groups(kv["randomizations"])
+    rand_groups = parsed(_parse_groups, "randomizations")
     if any(len(g) != 1 for g in rand_groups):
         raise ConfigError(
             f"{where}: randomizations takes one integer per group, got {kv['randomizations']!r}"
@@ -428,8 +426,8 @@ def parse_batchspec(text: str, where: str = "<config>") -> BatchSpec:
     rand = rand_groups[0][0] if len(rand_groups) == 1 else tuple(g[0] for g in rand_groups)
     return BatchSpec(
         kind=kv["kind"].upper(),
-        widths=_parse_groups(kv["widths"]),
-        depths=_parse_groups(kv["depths"]),
+        widths=parsed(_parse_groups, "widths"),
+        depths=parsed(_parse_groups, "depths"),
         randomizations=rand,
         shots=shots,
         seed=seed,

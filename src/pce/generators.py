@@ -116,6 +116,14 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return tuple(require_int(v, what, ConfigError) for v in values)
 
 
+def _groups(values, field: str, what: str) -> tuple[tuple[int, ...], ...]:
+    """A field of integer tuples; a flat or scalar shape is refused by name."""
+    try:
+        return tuple(_ints(group, what) for group in values)
+    except TypeError:  # a value where a tuple belongs
+        raise ConfigError(f"{field} must be a tuple of {what} tuples, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class BatchSpec:
     """Configuration for one generated batch.
@@ -137,7 +145,7 @@ class BatchSpec:
             raise ConfigError(f"unknown batch kind {self.kind!r}, expected one of {KINDS}")
         if not self.widths:
             raise ConfigError("widths must be non-empty")
-        widths = tuple(_ints(w, "qubit id") for w in self.widths)
+        widths = _groups(self.widths, "widths", "qubit id")
         for w in widths:
             if not w:
                 raise ConfigError("empty width tuple")
@@ -148,7 +156,7 @@ class BatchSpec:
             if self.kind == "CB" and len(w) % 2:
                 raise ConfigError(f"CB width {w} must pair all qubits (even size)")
         object.__setattr__(self, "widths", widths)
-        depths = tuple(_ints(d_list, "depth") for d_list in self.depths)
+        depths = _groups(self.depths, "depths", "depth")
         if len(depths) == 1:
             depths = depths * len(widths)
         if len(depths) != len(widths):

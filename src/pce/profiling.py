@@ -5,8 +5,9 @@ application layer owns the root ("Total") with pre-compilation, the dedup
 pass, and the host handoff below it; the host layer times compilation,
 assembly, and the run; the control layer times circuit/parameter loading and
 the shot loop.  "Client/Server" and "Stitch" are computed after the fact from
-channel counters rather than scoped, and "Active" exists in the taxonomy but
-always records zero here.
+channel counters rather than scoped.  "Active" and "Get circuit" exist in
+the taxonomy but always record zero here: the run is handed its batch, and
+"Transpile" times reading it.
 
 Only the monotonic clock is used; wall-clock time never enters a duration.
 The load-bearing outputs are the iteration counts: under parameterized

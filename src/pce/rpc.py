@@ -145,7 +145,10 @@ _ERROR_CODES = (
 CAPACITY_CODES = (_ERR_CAPACITY, _ERR_UNDERFLOW)
 
 
-def _error_code(exc: Exception) -> int:
+def fault_code(exc: Exception) -> int:
+    """A fault's ERROR-frame code; a ``RemoteError`` keeps the code it came with."""
+    if isinstance(exc, RemoteError):
+        return exc.code
     for cls, code in _ERROR_CODES:
         if isinstance(exc, cls):
             return code
@@ -286,7 +289,7 @@ class ControlServer:
                 raise DecodeError("frame carries trailing bytes", consumed)
             return rpc_encode(self._dispatch(msg))
         except PceError as exc:
-            return rpc_encode(ErrorMsg(_error_code(exc), str(exc)))
+            return rpc_encode(ErrorMsg(fault_code(exc), str(exc)))
 
     def _dispatch(self, msg):
         s = self.session

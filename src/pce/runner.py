@@ -11,6 +11,7 @@ amortization story.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -27,7 +28,7 @@ from .control import (
     deft_run,
 )
 from .errors import ConfigError
-from .fileio import batch_hash
+from .fileio import batch_hash, read_batch
 from .generators import CircuitBatch
 from .profiling import ProfileRecord
 from .rip import EquivalenceReport, binarize, rip
@@ -40,7 +41,7 @@ _DEFAULT_FREQ = np.linspace(4.0e9, 6.0e9, 8)
 MODES = ("baseline", "pce")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentOutcome:
     mode: str
     batch: CircuitBatch
@@ -49,9 +50,9 @@ class ExperimentOutcome:
     traces: dict[int, PulseTrace]
     record: ProfileRecord
     batch_hash: str
-    report: EquivalenceReport | None = None
-    stitch_requests: int = 0
-    sim_time_ns: int = 0
+    report: EquivalenceReport | None
+    stitch_requests: int
+    sim_time_ns: int
 
 
 def check_run_args(seed: int, shots: int | None) -> None:
@@ -63,8 +64,7 @@ def check_run_args(seed: int, shots: int | None) -> None:
 
 
 def run_experiment(
-    get_circuits: Callable[[], object],
-    transpile: Callable[[object], CircuitBatch],
+    batch: CircuitBatch | str | Path,
     mode: str,
     seed: int = 0,
     shots: int | None = None,
@@ -72,7 +72,11 @@ def run_experiment(
     channel_factory: Callable[[ControlSession], object] | None = None,
     blob_override: bytes | None = None,
 ) -> ExperimentOutcome:
-    """Run one experiment end to end and return its data, traces, and profile."""
+    """Run one experiment end to end and return its data, traces, and profile.
+
+    ``batch`` is a ``CircuitBatch``, or a batch directory or manifest path
+    that "Transpile" reads; "Get circuit", like "Active", records zero.
+    """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     check_run_args(seed, shots)
@@ -86,36 +90,36 @@ def run_experiment(
     record.push("Total")
     try:
         with record.scope("Pre-compile"):
-            with record.scope("Get circuit"):
-                raw = get_circuits()
+            record.mark_zero("Get circuit")
             with record.scope("Transpile"):
-                batch = transpile(raw)
+                if not isinstance(batch, CircuitBatch):
+                    batch = read_batch(batch)
         digest = batch.file_hash if batch.file_hash is not None else batch_hash(batch)
-        outcome = ExperimentOutcome(mode, batch, {}, {}, {}, record, digest)
+        report = None
         if mode == "pce":
-            _run_pce(batch, client, record, outcome, shots, blob_override)
+            report, data, counts = _run_pce(batch, client, record, shots, blob_override)
         else:
-            _run_baseline(batch, client, record, outcome, shots)
+            data, counts = _run_baseline(batch, client, record, shots)
         record.add_computed("Client/Server", channel.transfer_ns, channel.frames)
         served = sum(int(r.served.sum()) for r in session.results.values())
         if served:
             record.add_computed("Stitch", served * REQUEST_LATENCY_CYCLES * CYCLE_NS, served)
-        outcome.stitch_requests = served
     finally:
         record.pop("Total")
         channel.close()
-    outcome.traces = {i: session.results[i].trace for i in session.results}
-    outcome.sim_time_ns = sum(r.sim_time_ns for r in session.results.values())
-    return outcome
+    results = session.results
+    return ExperimentOutcome(
+        mode, batch, data, counts, {i: r.trace for i, r in results.items()}, record, digest,
+        report, served, sum(r.sim_time_ns for r in results.values()),
+    )
 
 
-def _sort_data(record, data, outcome):
+def _sort_data(record, data) -> dict[int, dict[str, int]]:
     counts = {}
     for idx in sorted(data):
         with record.scope("Data Sort"):
             counts[idx] = data[idx].counts()
-    outcome.data = data
-    outcome.counts = counts
+    return counts
 
 
 def _build(record, indexed_circuits) -> dict[int, MachineProgram]:
@@ -129,7 +133,7 @@ def _build(record, indexed_circuits) -> dict[int, MachineProgram]:
     return programs
 
 
-def _run_baseline(batch, client, record, outcome, shots):
+def _run_baseline(batch, client, record, shots):
     record.mark_zero("Active")
     with record.scope("Build Run"):
         programs = _build(record, enumerate(batch.circuits))
@@ -141,10 +145,10 @@ def _run_baseline(batch, client, record, outcome, shots):
                     client.load_circuit(i, program)
                     client.run(shots if shots is not None else program.shots)
                     data[i] = client.get_data()
-            _sort_data(record, data, outcome)
+            return data, _sort_data(record, data)
 
 
-def _run_pce(batch, client, record, outcome, shots, blob_override):
+def _run_pce(batch, client, record, shots, blob_override):
     with record.scope("RIP"):
         result = rip(batch)
         blob = binarize(result.report, result.table)
@@ -161,5 +165,4 @@ def _run_pce(batch, client, record, outcome, shots, blob_override):
                     client,
                     shots=shots,
                 )
-            _sort_data(record, data, outcome)
-    outcome.report = result.report
+            return result.report, data, _sort_data(record, data)

@@ -8,6 +8,7 @@ word or a broken grouping is nameable, not just boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -122,8 +123,9 @@ def check_rpc_round_trip(result: RipResult) -> CheckResult:
         samples.append(LoadCircuit(idx, assemble(compile_circuit(unique))))
         samples.append(LoadParams(idx, result.table.words_for(idx)))
     for msg in samples:
-        decoded, consumed = rpc_decode(rpc_encode(msg))
-        if decoded != msg or consumed != len(rpc_encode(msg)):
+        frame = rpc_encode(msg)
+        decoded, consumed = rpc_decode(frame)
+        if decoded != msg or consumed != len(frame):
             return CheckResult("rpc-round-trip", False, f"{type(msg).__name__} mismatch")
     return CheckResult("rpc-round-trip", True, f"{len(samples)} frames")
 
@@ -133,35 +135,38 @@ def _strip_measures(c: Circuit) -> Circuit:
 
 
 def check_unitaries(batch: CircuitBatch, result: RipResult) -> CheckResult:
-    """Role-specific logic checks on every oracle-sized circuit in the batch."""
+    """Role-specific logic checks on the oracle-sized circuits of the roles
+    that have one: an ``rb`` sequence inverts, and an ``rc`` circuit equals
+    its group's representative.  Only the circuits compared are counted."""
     rep_of = {i: g[0] for g in result.report.groups for i in g}
     rep_unitaries: dict[int, np.ndarray] = {}
     checked = 0
     for i, (circuit, label) in enumerate(zip(batch.circuits, batch.labels)):
-        if circuit.n_qubits > UNITARY_ORACLE_MAX_QUBITS:
+        if circuit.n_qubits > UNITARY_ORACLE_MAX_QUBITS or label.role not in ("rb", "rc"):
             continue
         U = circuit_unitary(_strip_measures(circuit))
         checked += 1
         if label.role == "rb":
             if global_phase_distance(U, np.eye(U.shape[0])) > 1e-9:
                 return CheckResult("unitary", False, f"circuit {i}: sequence does not invert")
-        elif label.role == "rc":
-            rep = rep_of[i]
-            if rep not in rep_unitaries:
-                rep_unitaries[rep] = circuit_unitary(_strip_measures(batch.circuits[rep]))
-            if global_phase_distance(U, rep_unitaries[rep]) > 1e-9:
-                return CheckResult(
-                    "unitary", False, f"circuit {i}: not equivalent to representative {rep}"
-                )
+            continue
+        rep = rep_of[i]
+        if rep not in rep_unitaries:
+            rep_unitaries[rep] = (
+                U if rep == i else circuit_unitary(_strip_measures(batch.circuits[rep]))
+            )
+        if global_phase_distance(U, rep_unitaries[rep]) > 1e-9:
+            return CheckResult(
+                "unitary", False, f"circuit {i}: not equivalent to representative {rep}"
+            )
     return CheckResult("unitary", True, f"{checked} circuits checked")
 
 
 def check_peel_reinsertion(batch: CircuitBatch, limit: int = 50) -> CheckResult:
     """Re-inserting dequantized words at request positions reproduces each unitary."""
     checked = 0
-    for i, circuit in enumerate(batch.circuits):
-        if circuit.n_qubits > UNITARY_ORACLE_MAX_QUBITS or checked >= limit:
-            continue
+    small = ((i, c) for i, c in enumerate(batch.circuits) if c.n_qubits <= UNITARY_ORACLE_MAX_QUBITS)
+    for i, circuit in islice(small, limit):
         words = peel(circuit)
         cursors = [0] * circuit.n_qubits
         rebuilt = []
@@ -188,10 +193,9 @@ def check_trace_equivalence(
     blob_override: bytes | None = None,
 ) -> CheckResult:
     """The central check: stitched execution must replay the baseline bit-for-bit."""
-    base = run_experiment(lambda: batch, lambda b: b, "baseline", seed=seed, shots=shots, timing=timing)
+    base = run_experiment(batch, "baseline", seed=seed, shots=shots, timing=timing)
     stitched = run_experiment(
-        lambda: batch,
-        lambda b: b,
+        batch,
         "pce",
         seed=seed,
         shots=shots,

@@ -156,8 +156,8 @@ def test_criterion_5_central_pce_equivalence():
     with criterion(5, "stitched trace and shot data bit-exact vs baseline on desk batches"):
         for spec in (desk_rb_spec(), desk_cb_spec(), desk_rc_spec()):
             batch = gen_batch(spec)
-            base = run_experiment(lambda: batch, lambda b: b, "baseline", seed=5, shots=10)
-            pce = run_experiment(lambda: batch, lambda b: b, "pce", seed=5, shots=10)
+            base = run_experiment(batch, "baseline", seed=5, shots=10)
+            pce = run_experiment(batch, "pce", seed=5, shots=10)
             for i in range(len(batch)):
                 mismatch = first_trace_mismatch(base.traces[i], pce.traces[i])
                 assert mismatch is None, f"{spec.kind} circuit {i}: {mismatch}"
@@ -174,8 +174,8 @@ def test_criterion_5_central_pce_equivalence():
 def test_criterion_6_amortization_invariant():
     with criterion(6, "Compile/Assemble/Load-circuit iterations amortize to group count"):
         batch = gen_batch(desk_rc_spec())
-        base = run_experiment(lambda: batch, lambda b: b, "baseline", seed=6, shots=10)
-        pce = run_experiment(lambda: batch, lambda b: b, "pce", seed=6, shots=10)
+        base = run_experiment(batch, "baseline", seed=6, shots=10)
+        pce = run_experiment(batch, "pce", seed=6, shots=10)
         n, groups = len(batch), len(pce.report.groups)
         assert n == 200 and groups == 10
         for stage in ("Compile", "Assemble", "Load circuit"):

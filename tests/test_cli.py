@@ -280,6 +280,16 @@ class TestGenerate:
         assert err.startswith("error: ") and "'abc'" in err
 
     @pytest.mark.parametrize(
+        "key, value", [("depths", "1_0"), ("shots", "1_0"), ("seed", "\u0663")]
+    )
+    def test_number_outside_the_circuit_text_rule_exits_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        keys = {"kind": "RB", "widths": "0", "depths": "2", "randomizations": "1", key: value}
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), "utf-8")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:")
+
+    @pytest.mark.parametrize(
         "widths, rand", [("0,1", "2,9"), ("0,1 | 0,1", "2,9 | 3")], ids=["one", "two"]
     )
     def test_randomization_group_of_several_integers_exits_2(self, tmp_path, capsys, widths, rand):
@@ -397,8 +407,25 @@ class TestRun:
         from pce.runner import run_experiment
 
         batch = replace(read_batch(batch_dir), file_hash=None)
-        outcome = run_experiment(lambda: batch, lambda b: b, "baseline", shots=1)
+        outcome = run_experiment(batch, "baseline", shots=1)
         assert outcome.batch_hash == batch_hash(batch)
+
+    @pytest.mark.parametrize("mode", ["baseline", "pce"])
+    def test_a_batch_path_runs_as_the_batch_it_names(self, batch_dir, mode):
+        from dataclasses import FrozenInstanceError
+
+        from pce.runner import run_experiment
+
+        by_path = run_experiment(str(batch_dir), mode, seed=2)
+        by_batch = run_experiment(read_batch(batch_dir / "manifest.txt"), mode, seed=2)
+        assert (by_path.traces, by_path.data) == (by_batch.traces, by_batch.data)
+        assert by_path.batch_hash == by_batch.batch_hash
+        for outcome in (by_path, by_batch):  # reading counts as Transpile; Get circuit is zero
+            record = outcome.record
+            assert (record.duration_ns("Get circuit"), record.iterations("Get circuit")) == (0, 1)
+            assert record.iterations("Transpile") == 1
+        with pytest.raises(FrozenInstanceError):
+            by_path.counts = {}
 
     @pytest.mark.parametrize("name", sorted(SAME_CHAINS_PAIRS))
     def test_same_chains_pair_modes_agree(self, tmp_path, name):
@@ -673,6 +700,15 @@ class TestUnreadableBatch:
     def test_bad_gate_line_names_file_and_line(self, batch_dir, tmp_path, capsys, command):
         (batch_dir / "circuits" / "c00003.txt").write_text("qubits 2 shots 4\nCZ q1 q1\n")
         self.exits_2_naming(batch_dir, tmp_path, capsys, command, "circuits/c00003.txt: line 2: ")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("old, new", [("depth 2 ", "depth 1_0 "), (" rand ", " XXXX ")])
+    def test_bad_circuit_entry_names_manifest_and_line(
+        self, batch_dir, tmp_path, capsys, command, old, new
+    ):
+        manifest = batch_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(old, new, 1), "utf-8")
+        self.exits_2_naming(batch_dir, tmp_path, capsys, command, "malformed circuit entry")
 
 
 def one_shot_trace(kinds, phases):

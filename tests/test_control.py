@@ -112,12 +112,12 @@ class TestIntegerArguments:
     def test_run_experiment(self, kwargs):
         batch = gen_batch(self.BATCH)
         with pytest.raises(ConfigError, match="must be an integer, got"):
-            run_experiment(lambda: batch, lambda b: b, "pce", **kwargs)
+            run_experiment(batch, "pce", **kwargs)
 
     def test_run_experiment_takes_numpy_integers(self):
         batch = gen_batch(self.BATCH)
-        got = run_experiment(lambda: batch, lambda b: b, "pce", seed=np.int64(1), shots=np.int32(2))
-        want = run_experiment(lambda: batch, lambda b: b, "pce", seed=1, shots=2)
+        got = run_experiment(batch, "pce", seed=np.int64(1), shots=np.int32(2))
+        want = run_experiment(batch, "pce", seed=1, shots=2)
         assert got.data == want.data
 
     @pytest.mark.parametrize("shots", [2.5, True])
@@ -727,12 +727,12 @@ class TestCompactTrace:
 
     def test_a_group_shares_one_shot(self):
         batch = gen_batch(BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 3, shots=4, seed=6))
-        outcome = run_experiment(lambda: batch, lambda b: b, "pce", seed=1)
+        outcome = run_experiment(batch, "pce", seed=1)
         groups = outcome.report.groups
         assert any(len(g) > 1 for g in groups)
         for g in groups:
             assert len({id(outcome.traces[i].shot) for i in g}) == 1
-        base = run_experiment(lambda: batch, lambda b: b, "baseline", seed=1)
+        base = run_experiment(batch, "baseline", seed=1)
         assert len({id(t.shot) for t in base.traces.values()}) == len(base.traces)
         for i in sorted(outcome.traces):
             assert outcome.traces[i].to_text() == base.traces[i].to_text()
@@ -986,7 +986,7 @@ class TestSessionAndDeft:
         # circuit, and pce a LOAD_CIRCUIT per group and LOAD_PARAMS, RUN and
         # GET_DATA per circuit
         batch = self.run_batch()
-        outcome = run_experiment(lambda: batch, lambda b: b, mode, seed=3)
+        outcome = run_experiment(batch, mode, seed=3)
         n, groups = len(batch), len(rip(batch).report.groups)
         assert groups < n
         requests = batch.circuits[0].shots * sum(len(w) for c in batch.circuits for w in peel(c))
@@ -1016,7 +1016,7 @@ class TestSessionAndDeft:
 
         monkeypatch.setattr(kernels, "shot_skeleton", counted)
         batch = self.run_batch()
-        outcome = run_experiment(lambda: batch, lambda b: b, mode, seed=3)
+        outcome = run_experiment(batch, mode, seed=3)
         n_groups = len(rip(batch).report.groups)
         assert n_groups < len(batch)
         assert len(calls) == (n_groups if mode == "pce" else len(batch))
@@ -1039,7 +1039,7 @@ def test_run_path_imports_no_numpy_ma():
         "from pce.runner import run_experiment\n"
         "batch = gen_batch(BatchSpec('RB', ((0,), (0, 1)), ((2, 3),), 2, shots=3, seed=1))\n"
         "for mode in ('baseline', 'pce'):\n"
-        "    run_experiment(lambda: batch, lambda b: b, mode, seed=1)\n"
+        "    run_experiment(batch, mode, seed=1)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(pce.__file__).resolve().parents[1]))

@@ -636,6 +636,25 @@ class TestManifestEntries:
             read_batch(tmp_path)
         assert str(err.value) == f"{manifest}:3: circuit 9 listed at position 0"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("depth 1 ", "depth 1_0 "),  # the circuit-text number rule: no `_` separators
+            ("circuit 0 ", "circuit \u0661 "),  # ... and only ASCII digits
+            ("width 0 ", "width 0_0 "),
+            ("rand 0 ", "rand \u0660 "),
+            ("rand 0 ", "XXXX 0 "),  # the keywords are read, not skipped
+            ("role hand", "YYYY hand"),
+        ],
+    )
+    def test_circuit_entry_fields_are_checked(self, tmp_path, old, new):
+        write_hand_batch(tmp_path, ["qubits 1 shots 5\nX90 q0\n"] * 2)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace(old, new, 1), "utf-8")
+        with pytest.raises(ConfigError) as err:
+            read_batch(tmp_path)
+        assert str(err.value) == f"{manifest}:3: malformed circuit entry"
+
 
 class TestBatchSpecConfig:
     def test_parse_full(self):
@@ -698,3 +717,30 @@ class TestBatchSpecConfig:
         with pytest.raises(ConfigError) as err:
             parse_batchspec(text, "spec.cfg")
         assert str(err.value) == "spec.cfg:5: key 'kind' repeats line 1"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("depths", "1_0", "spec.cfg:3: depths: bad integer group '1_0'"),
+            ("widths", "0,\u0661", "spec.cfg:2: widths: bad integer group '0,\u0661'"),
+            ("randomizations", "1_0", "spec.cfg:4: randomizations: bad integer group '1_0'"),
+            ("shots", "1_0", "spec.cfg:5: shots: invalid literal for int() with base 10: '1_0'"),
+            ("seed", "\u0663", "spec.cfg:5: seed: invalid literal for int() with base 10: "
+             "'\u0663'"),
+        ],
+    )
+    def test_numbers_follow_the_circuit_text_rule(self, key, value, message):
+        keys = {"kind": "RB", "widths": "0", "depths": "2", "randomizations": "1"}
+        text = "".join(f"{k} = {v}\n" for k, v in {**keys, key: value}.items())
+        with pytest.raises(ConfigError) as err:
+            parse_batchspec(text, "spec.cfg")
+        assert str(err.value) == message
+
+    def test_preset_seed_follows_the_circuit_text_rule(self):
+        with pytest.raises(ConfigError, match=r"^spec\.cfg:2: seed: invalid literal"):
+            parse_batchspec("preset = rb\nseed = 1_0\n", "spec.cfg")
+
+    def test_defaults_are_ints(self):
+        spec = parse_batchspec("kind = RB\nwidths = 0\ndepths = 2\nrandomizations = 1\n")
+        assert (spec.shots, spec.seed) == (100, 0)
+        assert type(spec.shots) is int and type(spec.seed) is int

@@ -428,6 +428,11 @@ class TestSpecsAndPresets:
             BatchSpec("RB", ((0,),), ((1,),), 0)
         with pytest.raises(ConfigError):
             BatchSpec("RB", ((0,),), ((1,),), (2, 3))
+        # a flat shape where a tuple of tuples belongs names its field
+        with pytest.raises(ConfigError, match="widths must be a tuple of qubit id tuples"):
+            BatchSpec("RB", (0, 1), ((2,),), 1)
+        with pytest.raises(ConfigError, match="depths must be a tuple of depth tuples"):
+            BatchSpec("RB", ((0, 1),), (2, 3), 1)
         # the shot field of a PCEM header and of a RUN frame is 32 bits
         assert BatchSpec("RB", ((0,),), ((1,),), 1, shots=0xFFFFFFFF).shots == 0xFFFFFFFF
         with pytest.raises(ConfigError, match="shot count 4294967296 does not fit"):
