@@ -13,9 +13,11 @@ Word layout (little-endian files, one word per op):
 
     bits 63-56  opcode        bits 47-40  second channel (TWO_QUBIT, else zero)
     bits 55-48  channel       bits 39-32  reserved, zero
-    bits 31-0   immediate (phase word, delay ns, else zero)
+    bits 31-0   immediate (INC_PHASE phase word, DELAY ns, else zero)
 
-END carries no channel.  Every byte an op does not use is zero, so
+Which of channel, second channel and immediate each op carries is stated
+once, in ``_CARRIES``: END carries none, and PULSE_X90, REQ_PARAM and MEASURE
+carry only a channel.  Every field an op does not carry is zero, so
 ``disassemble`` loses nothing.
 
 The opcode numbering below is a published compatibility contract:
@@ -56,7 +58,23 @@ class Opcode(IntEnum):
     END = 0x07
 
 
-_OPCODE_VALUES = np.array(sorted(int(o) for o in Opcode), dtype=np.int64)
+# the operand fields each op carries; every other field of its word is zero
+_CARRIES = {
+    Opcode.PULSE_X90: ("channel",),
+    Opcode.INC_PHASE: ("channel", "imm"),
+    Opcode.REQ_PARAM: ("channel",),
+    Opcode.TWO_QUBIT: ("channel", "channel2"),
+    Opcode.MEASURE: ("channel",),
+    Opcode.DELAY: ("channel", "imm"),
+    Opcode.END: (),
+}
+# per opcode byte, one row each: is an opcode, carries a channel, a second
+# channel, an immediate; a word's row is one gather by its opcode byte
+_OP_TABLE = np.zeros((4, 256), dtype=bool)
+for _op, _fields in _CARRIES.items():
+    _OP_TABLE[:, _op] = True, "channel" in _fields, "channel2" in _fields, "imm" in _fields
+# plain ints, not IntEnum members: IntEnum comparison is slower
+_OP_END = int(Opcode.END)
 # the fields of a word, one assembly column each: name, bit offset, largest value
 _FIELDS = (
     ("opcode", 56, 0xFF), ("channel", 48, 0xFF), ("channel2", 40, 0xFF), ("imm", 0, 0xFFFFFFFF)
@@ -93,34 +111,38 @@ class AssemblyProgram:
 def _word_fault(words: np.ndarray, n_qubits: int) -> tuple[int, str] | None:
     """First word that breaks a word rule, with the reason; None if none.
 
-    The one statement of the rules: a known opcode, a zero reserved byte,
-    zero in every byte the op does not use (an immediate on REQ_PARAM or
-    TWO_QUBIT, a second channel on any op but TWO_QUBIT, any operand on END),
-    one END as the last word, and channels (a distinct pair for TWO_QUBIT)
-    inside ``0..n_qubits - 1``.
+    The one statement of the rules, in the order a word is checked: a known
+    opcode, a zero reserved byte, zero in every field ``_CARRIES`` does not
+    give the op (an immediate on PULSE_X90, REQ_PARAM, TWO_QUBIT or MEASURE,
+    a second channel on any op but TWO_QUBIT, any operand on END), one END as
+    the last word, and channels (a distinct pair for TWO_QUBIT) inside
+    ``0..n_qubits - 1``.  What each word's op carries is one gather from
+    ``_OP_TABLE``.
     """
     if not words.size:
         return 0, "program has no END op"
     op, ch, ch2, imm = word_fields(words)
-    end = op == Opcode.END
+    known, has_ch, has_ch2, has_imm = _OP_TABLE[:, op]
+    end = op == _OP_END
     misplaced_end = end.copy()  # an END before the last word, or a last word that is not END
     misplaced_end[-1] = not end[-1]
+    stray_imm = imm != 0
     checks = (
-        (~np.isin(op, _OPCODE_VALUES), "unknown opcode"),
+        (~known, "unknown opcode"),
         ((words >> np.uint64(32)) & np.uint64(0xFF) != 0, "nonzero reserved byte"),
-        ((op == Opcode.REQ_PARAM) & (imm != 0), "REQ_PARAM carries an immediate"),
-        ((op == Opcode.TWO_QUBIT) & (imm != 0), "TWO_QUBIT carries an immediate"),
-        ((op != Opcode.TWO_QUBIT) & (ch2 != 0), "only TWO_QUBIT carries a second channel"),
-        (end & ((ch != 0) | (imm != 0)), "END carries an operand"),
+        (has_ch & ~has_imm & stray_imm, None),  # "<op> carries an immediate", built below
+        (~has_ch2 & (ch2 != 0), "only TWO_QUBIT carries a second channel"),
+        (~has_ch & ((ch != 0) | stray_imm), "END carries an operand"),
         (misplaced_end, "program must contain exactly one END, as the last op"),
-        (~end & (ch >= n_qubits), f"channel outside 0..{n_qubits - 1}"),
-        ((op == Opcode.TWO_QUBIT) & ((ch2 >= n_qubits) | (ch2 == ch)), "invalid channel pair"),
+        (has_ch & (ch >= n_qubits), f"channel outside 0..{n_qubits - 1}"),
+        (has_ch2 & ((ch2 >= n_qubits) | (ch2 == ch)), "invalid channel pair"),
     )
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    return i, next(reason for mask, reason in checks if mask[i])
+    reason = next(reason for mask, reason in checks if mask[i])
+    return i, reason or f"{Opcode(op[i]).name} carries an immediate"
 
 
 class _WordFault(ValidationError):

@@ -57,7 +57,7 @@ from .errors import (
     UnderflowError,
     ValidationError,
 )
-from .rip import BANK_CAPACITY, N_BANKS, debinarize, dequantize_words
+from .rip import BANK_CAPACITY, N_BANKS, bank_words, debinarize, dequantize_words
 
 CYCLE_NS = 2  # 500 MHz clock
 # prefetch always hits: a request costs what any issued op costs
@@ -82,18 +82,11 @@ def _check_width(n_qubits: int) -> None:
 
 
 def _fit_bank(bank: int, words) -> np.ndarray:
-    """The words as uint32, if they are integers in 0..2**32-1 that fit bank ``bank``."""
+    """The words as uint32, if they obey the bank-word rule (``rip.bank_words``)
+    and fit bank ``bank``."""
     if not 0 <= bank < N_BANKS:
         raise RoutingError(f"bank {bank} outside 0..{N_BANKS - 1}")
-    arr = np.asarray(words)  # an array as it is
-    if arr.dtype != np.uint32:
-        # np.asarray makes the list [5, True] int64: its bools are found by their type
-        mixed = arr is not words and arr.ndim == 1 and any(
-            isinstance(w, (bool, np.bool_)) for w in words
-        )
-        if mixed or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > _M32):
-            raise ValidationError(f"bank {bank}: parameter words must be integers in 0..2**32-1")
-        arr = arr.astype(np.uint32)
+    arr = bank_words(words, bank)
     if arr.size > BANK_CAPACITY:
         raise CapacityError(bank, int(arr.size), BANK_CAPACITY)
     return arr
@@ -561,14 +554,16 @@ class ControlSession:
         return self.record.scope(name)
 
     def handle_load_circuit(self, index: int, program: MachineProgram) -> None:
+        index = require_int(index, "circuit index")
         _check_width(program.n_qubits)
         with self._scope("Load Batch"):
             with self._scope("Load circuit"):
                 self.program = program
                 self.skeleton = None  # built by the first run of this program
-                self.current_index = int(index)
+                self.current_index = index
 
     def handle_load_params(self, index: int, words_per_bank: Sequence) -> None:
+        index = require_int(index, "circuit index")
         # every bank is checked before any is written; a refused load leaves none counted
         self.memory.counts[:] = 0
         if len(words_per_bank) > N_BANKS:
@@ -577,7 +572,7 @@ class ControlSession:
             arrays = [_fit_bank(bank, words) for bank, words in enumerate(words_per_bank)]
             for bank, arr in enumerate(arrays):
                 self.memory.write_params(bank, arr)
-            self.current_index = int(index)
+            self.current_index = index
 
     def handle_load_defs(self, envelope, freq) -> None:
         env = np.asarray(envelope, dtype=complex)
@@ -643,17 +638,15 @@ class ControlSession:
 
 
 def deft_run(
-    order: Sequence[int],
     uniques: Mapping[int, MachineProgram],
     blob: bytes,
     client,
     shots: int | None = None,
 ) -> dict[int, ShotData]:
-    """Schedule a batch: load a circuit only at each group's representative,
-    load parameters for every circuit, run, and collect the data."""
+    """Schedule a batch in the blob's own order: load a circuit only at each
+    group's representative, load parameters for every circuit, run, and
+    collect the data."""
     report, table = debinarize(blob)
-    if tuple(order) != report.order:
-        raise SchedulingError("supplied order disagrees with the parameter blob")
     if set(uniques) != set(report.unique_indices):
         missing = set(report.unique_indices) - set(uniques)
         extra = set(uniques) - set(report.unique_indices)
@@ -662,7 +655,7 @@ def deft_run(
         )
     data: dict[int, ShotData] = {}
     run_shots = shots
-    for idx in order:
+    for idx in report.order:
         program = uniques.get(idx)
         if program is not None:
             client.load_circuit(idx, program)

@@ -312,6 +312,7 @@ def read_batch(path: str | Path) -> CircuitBatch:
     root = manifest.parent
     entries: list[tuple[str, Label]] = []
     declared: dict[str, str] = {}
+    widths: dict[str, tuple[int, ...]] = {}  # width token -> width, once it parsed
     for line_no, raw in enumerate(read_utf8(manifest).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -322,7 +323,10 @@ def read_batch(path: str | Path) -> CircuitBatch:
                 raise ConfigError(f"{manifest}:{line_no}: malformed circuit entry")
             try:
                 index, depth, rand = (_number(int, tokens[k]) for k in (1, 6, 8))
-                (width,) = _parse_groups(tokens[4])  # one group: a ValueError otherwise
+                width = widths.get(tokens[4])
+                if width is None:
+                    (width,) = _parse_groups(tokens[4])  # one group: a ValueError otherwise
+                    widths[tokens[4]] = width
                 label = Label(width, depth, rand, tokens[10])
             except (ValueError, ConfigError):
                 raise ConfigError(f"{manifest}:{line_no}: malformed circuit entry") from None

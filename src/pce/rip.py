@@ -32,12 +32,33 @@ from typing import Iterable
 import numpy as np
 
 from .circuits import _VZ_CODE, PHASE_SCALE, TAU, Circuit, quantize_phases
-from .errors import CapacityError, DecodeError, EncodeError
+from .errors import CapacityError, DecodeError, EncodeError, ValidationError
 
 N_BANKS = 8  # parameter memory: one bank of 32-bit phase words per qubit
 BANK_CAPACITY = 2048
 BLOB_MAGIC = b"PCEB"
 BLOB_VERSION = 1
+_M32 = 0xFFFF_FFFF
+
+
+def bank_words(words, bank: int) -> np.ndarray:
+    """The bank-word rule: bank ``bank``'s words as a one-dimensional uint32
+    array, if they are integers in 0..2**32-1; anything else (a float, a bool,
+    a string, a nested bank) is a ``ValidationError`` naming the bank, and no
+    word is wrapped or truncated.  A uint32 array is taken as it is."""
+    try:
+        arr = np.asarray(words)  # an array as it is
+    except (TypeError, ValueError):  # a ragged bank, say
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise ValidationError(f"bank {bank}: parameter words must be one flat sequence")
+    if arr.dtype != np.uint32:
+        # np.asarray makes the list [5, True] int64: its bools are found by their type
+        mixed = arr is not words and any(isinstance(w, (bool, np.bool_)) for w in words)
+        if mixed or arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() > _M32):
+            raise ValidationError(f"bank {bank}: parameter words must be integers in 0..2**32-1")
+        arr = arr.astype(np.uint32)
+    return arr
 
 
 def dequantize_word(word: int) -> float:
@@ -225,19 +246,23 @@ def binarize(report: EquivalenceReport, table: ParamTable) -> bytes:
     for i in report.unique_indices:
         flags[i // 8] |= 1 << (i % 8)
     out += flags
-    for row in table.rows:
-        for words in row:
-            out += encode_words(words)
+    for i, row in enumerate(table.rows):
+        try:
+            for bank, words in enumerate(row):
+                out += encode_words(words, bank)
+        except ValidationError as exc:
+            raise ValidationError(f"circuit {i}: {exc}") from None
     out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
     return bytes(out)
 
 
-def encode_words(words) -> bytes:
-    """One bank as PCEB rows and LOAD_PARAMS frames carry it: u16 count, then u32 words."""
-    arr = np.asarray(words, dtype="<u4")
+def encode_words(words, bank: int = 0) -> bytes:
+    """Bank ``bank`` as PCEB rows and LOAD_PARAMS frames carry it: u16 count,
+    then u32 words; the words obey ``bank_words``."""
+    arr = bank_words(words, bank)
     if arr.size > 0xFFFF:
         raise EncodeError(f"{arr.size} words do not fit a u16 bank count")
-    return struct.pack("<H", arr.size) + arr.tobytes()
+    return struct.pack("<H", arr.size) + arr.astype("<u4", copy=False).tobytes()
 
 
 class ByteReader:

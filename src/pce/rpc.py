@@ -8,6 +8,12 @@ the DATA response.  ACK and ERROR are transport-level frames so every request
 gets exactly one lock-step reply on both channel flavors (in-process loopback
 and local stream socket share this framing byte-for-byte).
 
+A message is encoded from its fields as given, and a frame decodes whole:
+``rpc_encode`` refuses a value its slot cannot hold instead of casting it,
+and ``rpc_decode`` takes exactly one frame, so ``DeftClient`` and
+``ControlServer`` add no check of their own.  LOAD_PARAMS banks obey the
+bank-word rule (``rip.bank_words``) through ``rip.encode_words``.
+
 ``SocketChannel.serving`` puts a session on a connected unix stream socket
 pair: a daemon thread serves one end and the channel owns the other, so no
 socket file or path is involved.
@@ -26,6 +32,7 @@ from enum import IntEnum
 import numpy as np
 
 from .asm import MachineProgram, machine_from_bytes, machine_to_bytes
+from .circuits import require_int
 from .control import ControlSession, ShotData
 from .rip import ByteReader, encode_words
 from .errors import (
@@ -155,17 +162,31 @@ def fault_code(exc: Exception) -> int:
     return _ERR_GENERIC
 
 
+def _table(values, kinds: str, dtype, what: str) -> np.ndarray:
+    """A definition table as ``dtype``, if it is one flat sequence of numbers
+    of a dtype kind in ``kinds``."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged table, say
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in kinds:
+        raise EncodeError(f"{what} table must be one flat sequence of numbers")
+    return arr.astype(dtype, copy=False)
+
+
 def _encode_payload(msg) -> tuple[MsgType, bytes]:
     if isinstance(msg, LoadCircuit):
-        return MsgType.LOAD_CIRCUIT, struct.pack("<I", msg.index) + machine_to_bytes(msg.program)
+        index = require_int(msg.index, "circuit index", EncodeError)
+        return MsgType.LOAD_CIRCUIT, struct.pack("<I", index) + machine_to_bytes(msg.program)
     if isinstance(msg, LoadParams):
-        out = bytearray(struct.pack("<IH", msg.index, len(msg.words)))
-        for words in msg.words:
-            out += encode_words(words)
+        index = require_int(msg.index, "circuit index", EncodeError)
+        out = bytearray(struct.pack("<IH", index, len(msg.words)))
+        for bank, words in enumerate(msg.words):
+            out += encode_words(words, bank)
         return MsgType.LOAD_PARAMS, bytes(out)
     if isinstance(msg, LoadDefs):
-        env = np.asarray(msg.envelope, dtype=complex)
-        frq = np.asarray(msg.freq, dtype="<f8")
+        env = _table(msg.envelope, "iufc", complex, "envelope")
+        frq = _table(msg.freq, "iuf", "<f8", "frequency")
         pairs = np.empty(2 * env.size, dtype="<f8")
         pairs[0::2] = env.real
         pairs[1::2] = env.imag
@@ -177,7 +198,7 @@ def _encode_payload(msg) -> tuple[MsgType, bytes]:
             + frq.tobytes(),
         )
     if isinstance(msg, Run):
-        return MsgType.RUN, struct.pack("<I", msg.shots)
+        return MsgType.RUN, struct.pack("<I", require_int(msg.shots, "shot count", EncodeError))
     if isinstance(msg, GetData):
         return MsgType.GET_DATA, b""
     if isinstance(msg, Data):
@@ -196,7 +217,13 @@ def _encode_payload(msg) -> tuple[MsgType, bytes]:
 
 
 def rpc_encode(msg) -> bytes:
-    """One frame for ``msg``; a field too wide for its wire slot is an ``EncodeError``."""
+    """One frame for ``msg``, built from its fields as given.
+
+    A field too wide for its wire slot, a shot count or circuit index that
+    is not an integer (a float or a bool), or a LOAD_DEFS table that is not
+    one flat sequence of numbers is an ``EncodeError``; a LOAD_PARAMS bank
+    that breaks the bank-word rule is a ``ValidationError`` naming the bank.
+    Nothing is truncated or wrapped."""
     try:
         mtype, payload = _encode_payload(msg)
     except struct.error as exc:
@@ -214,20 +241,22 @@ def _check_length(header: bytes) -> int:
     return length
 
 
-def rpc_decode(buf: bytes) -> tuple[object, int]:
-    """Decode one frame; returns (message, bytes consumed)."""
-    if len(buf) < 4:
+def rpc_decode(frame: bytes) -> object:
+    """Decode one whole frame: its message; a byte past the declared length
+    is a ``DecodeError`` like any other fault."""
+    if len(frame) < 4:
         raise DecodeError("frame shorter than its length prefix", 0)
-    length = _check_length(buf[:4])
-    if len(buf) < 4 + length:
-        raise DecodeError(f"frame declares {length} bytes but only {len(buf) - 4} follow", 4)
-    (raw_type,) = struct.unpack_from("<H", buf, 4)
-    payload = buf[6 : 4 + length]
+    length = _check_length(frame[:4])
+    if len(frame) < 4 + length:
+        raise DecodeError(f"frame declares {length} bytes but only {len(frame) - 4} follow", 4)
+    if len(frame) > 4 + length:
+        raise DecodeError("frame carries trailing bytes", 4 + length)
+    (raw_type,) = struct.unpack_from("<H", frame, 4)
     try:
         mtype = MsgType(raw_type)
     except ValueError:
         raise DecodeError(f"unknown message type {raw_type}", 4) from None
-    return _decode_payload(mtype, payload), 4 + length
+    return _decode_payload(mtype, frame[6:])
 
 
 def _decode_payload(mtype: MsgType, payload: bytes):
@@ -284,10 +313,7 @@ class ControlServer:
 
     def handle_frame(self, frame: bytes) -> bytes:
         try:
-            msg, consumed = rpc_decode(frame)
-            if consumed != len(frame):
-                raise DecodeError("frame carries trailing bytes", consumed)
-            return rpc_encode(self._dispatch(msg))
+            return rpc_encode(self._dispatch(rpc_decode(frame)))
         except PceError as exc:
             return rpc_encode(ErrorMsg(fault_code(exc), str(exc)))
 
@@ -439,7 +465,7 @@ class DeftClient:
         self.channel = channel
 
     def _rpc(self, msg, expect):
-        resp, _ = rpc_decode(self.channel.call(rpc_encode(msg)))
+        resp = rpc_decode(self.channel.call(rpc_encode(msg)))
         if isinstance(resp, ErrorMsg):
             raise RemoteError(resp.code, resp.message)
         if not isinstance(resp, expect):
@@ -450,13 +476,13 @@ class DeftClient:
         self._rpc(LoadCircuit(index, program), Ack)
 
     def load_params(self, index: int, words) -> None:
-        self._rpc(LoadParams(index, tuple(np.asarray(w, dtype=np.uint32) for w in words)), Ack)
+        self._rpc(LoadParams(index, tuple(words)), Ack)
 
     def load_defs(self, envelope, freq) -> None:
-        self._rpc(LoadDefs(np.asarray(envelope, dtype=complex), np.asarray(freq, dtype=np.float64)), Ack)
+        self._rpc(LoadDefs(envelope, freq), Ack)
 
     def run(self, shots: int) -> None:
-        self._rpc(Run(int(shots)), Ack)
+        self._rpc(Run(shots), Ack)
 
     def get_data(self) -> ShotData:
         return self._rpc(GetData(), Data).data

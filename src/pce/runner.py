@@ -27,7 +27,7 @@ from .control import (
     TimingConfig,
     deft_run,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SchedulingError
 from .fileio import batch_hash, read_batch
 from .generators import CircuitBatch
 from .profiling import ProfileRecord
@@ -159,10 +159,10 @@ def _run_pce(batch, client, record, shots, blob_override):
             with record.scope("Run on Host"):
                 client.load_defs(_DEFAULT_ENVELOPE, _DEFAULT_FREQ)
                 data = deft_run(
-                    result.report.order,
-                    uniques,
-                    blob_override if blob_override is not None else blob,
-                    client,
-                    shots=shots,
+                    uniques, blob_override if blob_override is not None else blob, client, shots
+                )
+            if len(data) != len(batch):  # the blob's order is a permutation of its circuits
+                raise SchedulingError(
+                    f"parameter blob schedules {len(data)} circuits, batch has {len(batch)}"
                 )
             return result.report, data, _sort_data(record, data)

@@ -123,9 +123,7 @@ def check_rpc_round_trip(result: RipResult) -> CheckResult:
         samples.append(LoadCircuit(idx, assemble(compile_circuit(unique))))
         samples.append(LoadParams(idx, result.table.words_for(idx)))
     for msg in samples:
-        frame = rpc_encode(msg)
-        decoded, consumed = rpc_decode(frame)
-        if decoded != msg or consumed != len(frame):
+        if rpc_decode(rpc_encode(msg)) != msg:
             return CheckResult("rpc-round-trip", False, f"{type(msg).__name__} mismatch")
     return CheckResult("rpc-round-trip", True, f"{len(samples)} frames")
 

@@ -110,6 +110,10 @@ def _reference_word_fault(words, n_qubits):
             return i, "REQ_PARAM carries an immediate"
         if code == Opcode.TWO_QUBIT and w & 0xFFFFFFFF:
             return i, "TWO_QUBIT carries an immediate"
+        if code == Opcode.PULSE_X90 and w & 0xFFFFFFFF:
+            return i, "PULSE_X90 carries an immediate"
+        if code == Opcode.MEASURE and w & 0xFFFFFFFF:
+            return i, "MEASURE carries an immediate"
         if code != Opcode.TWO_QUBIT and ch2:
             return i, "only TWO_QUBIT carries a second channel"
         if code == Opcode.END and (ch or w & 0xFFFFFFFF):
@@ -380,11 +384,26 @@ class TestDisassemble:
 
     def test_unused_bytes_are_not_silently_dropped(self):
         # disassembling would drop these bytes, so the word rules refuse them
-        words = [word(Opcode.PULSE_X90, 0, 3, 7), word(Opcode.END, 9)]
+        words = [word(Opcode.PULSE_X90, 0, 3), word(Opcode.END, 9)]
         with pytest.raises(ValidationError, match="word 0: only TWO_QUBIT carries a second channel"):
             MachineProgram(words, 1, 1)
         with pytest.raises(ValidationError, match="word 1: END carries an operand"):
-            MachineProgram([word(Opcode.PULSE_X90, 0, 0, 7), word(Opcode.END, 9)], 1, 1)
+            MachineProgram([word(Opcode.PULSE_X90, 0, 0), word(Opcode.END, 9)], 1, 1)
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda o: o.name)
+    def test_an_immediate_is_refused_on_every_op_that_carries_none(self, op):
+        ch2 = 1 if op is Opcode.TWO_QUBIT else 0
+        words = [word(op, 0, ch2, 5)] + ([] if op is Opcode.END else [word(Opcode.END)])
+        if op in (Opcode.INC_PHASE, Opcode.DELAY):
+            assert MachineProgram(words, 2, 1).words[0] & 0xFFFFFFFF == 5
+            return
+        reason = "END carries an operand" if op is Opcode.END else f"{op.name} carries an immediate"
+        assert _reference_word_fault(words, 2) == (0, reason)
+        with pytest.raises(ValidationError, match=f"^word 0: {reason}$"):
+            MachineProgram(words, 2, 1)
+        with pytest.raises(DecodeError) as err:
+            machine_from_bytes(image_of(words, 2))
+        assert err.value.offset == 24
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(machine_words())

@@ -789,6 +789,24 @@ class TestVerifyAndCompare:
         assert "circuit 0" in out and "qubit 0" in out
         assert re.search(r"phase word 0x[0-9a-f]{8} vs 0x[0-9a-f]{8}\)", out)
 
+    def test_verify_given_another_batchs_blob_fails_the_trace_check(
+        self, batch_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(
+            "kind = RB\nwidths = 0 | 0,1\ndepths = 2,3\nrandomizations = 3\nshots = 4\nseed = 11\n"
+        )
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "other")]) == 0
+        capsys.readouterr()
+        other = rip(read_batch(tmp_path / "other"))
+        blob_file = tmp_path / "other.blob"
+        blob_file.write_bytes(binarize(other.report, other.table))
+        rc = main(["verify", "--batch", str(batch_dir), "--blob", str(blob_file)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert re.search(r"^CHECK trace-equivalence: FAIL \(.+\)$", out, re.M)
+        assert "Traceback" not in out + err
+
     def test_compare_reports(self, batch_dir, tmp_path, capsys):
         for mode in ("baseline", "pce"):
             rc = main(

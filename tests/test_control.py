@@ -40,7 +40,16 @@ from pce.errors import (
 )
 from pce.generators import BatchSpec, gen_batch
 from pce.profiling import ProfileRecord, parse_report, report
-from pce.rip import binarize, dequantize_words, modify, peel, rip
+from pce.rip import (
+    EquivalenceReport,
+    ParamTable,
+    binarize,
+    debinarize,
+    dequantize_words,
+    modify,
+    peel,
+    rip,
+)
 from pce.rpc import ControlServer, DeftClient, LoopbackChannel
 from pce.runner import run_experiment
 from tests.test_asm import word
@@ -86,6 +95,13 @@ class TestParameterMemory:
         mem = ParameterMemory()
         with pytest.raises(ValidationError, match="^bank 2: parameter words must be integers"):
             mem.write_params(2, words)
+        assert not mem.banks.any() and not mem.counts.any()
+
+    @pytest.mark.parametrize("words", [[[1, 2]], np.zeros((2, 2)), np.zeros((1, 2), np.uint32), 7])
+    def test_a_bank_that_is_not_one_flat_sequence_is_refused(self, words):
+        mem = ParameterMemory()
+        with pytest.raises(ValidationError, match="^bank 0: parameter words must be one flat sequence"):
+            mem.write_params(0, words)
         assert not mem.banks.any() and not mem.counts.any()
 
     def test_integer_words_of_any_dtype_are_taken(self):
@@ -849,7 +865,7 @@ class TestSessionAndDeft:
         }
         record = self.open_record()
         _, client = self.make_client(record=record)
-        data = deft_run(result.report.order, uniques, blob, client)
+        data = deft_run(uniques, blob, client)
         assert record.iterations("Load circuit") == len(result.report.groups)
         assert record.iterations("Load para") == len(batch)
         assert sorted(data) == list(range(len(batch)))
@@ -863,7 +879,7 @@ class TestSessionAndDeft:
         uniques = {0: assemble(compile_circuit(result.uniques[0]))}
         record = self.open_record()
         _, client = self.make_client(record=record)
-        deft_run(result.report.order, uniques, binarize(result.report, result.table), client)
+        deft_run(uniques, binarize(result.report, result.table), client)
         assert record.iterations("Load circuit") == 1
         assert record.iterations("Load para") == 1
 
@@ -876,23 +892,38 @@ class TestSessionAndDeft:
             for gi, g in enumerate(result.report.groups)
         }
         session, client = self.make_client(seed=4)
-        data = deft_run(result.report.order, uniques, blob, client)
+        data = deft_run(uniques, blob, client)
         for i, c in enumerate(batch.circuits):
             base = execute(assemble(compile_circuit(c)), seed=4, circuit_index=i)
             assert data[i] == base.data
 
-    def test_order_mismatch_rejected(self):
+    def test_a_blob_listing_members_in_another_order_replays_the_baseline(self):
+        # the blob is the schedule: groups and their non-representative members reversed
         batch = self.run_batch()
         result = rip(batch)
-        blob = binarize(result.report, result.table)
-        uniques = {
-            g[0]: assemble(compile_circuit(result.uniques[gi]))
-            for gi, g in enumerate(result.report.groups)
-        }
-        _, client = self.make_client()
-        wrong = tuple(reversed(result.report.order))
-        with pytest.raises(SchedulingError):
-            deft_run(wrong, uniques, blob, client)
+        groups = tuple((g[0], *reversed(g[1:])) for g in reversed(result.report.groups))
+        assert any(len(g) > 2 for g in groups)
+        blob = binarize(EquivalenceReport(groups), result.table)
+        order = [i for g in groups for i in g]
+        assert debinarize(blob)[0].order == tuple(order) != result.report.order
+        base = run_experiment(batch, "baseline", seed=4)
+        stitched = run_experiment(batch, "pce", seed=4, blob_override=blob)
+        assert list(stitched.data) == order
+        assert all(stitched.traces[i] == base.traces[i] for i in range(len(batch)))
+        assert all(stitched.data[i] == base.data[i] for i in range(len(batch)))
+        assert stitched.sim_time_ns == base.sim_time_ns
+
+    def test_a_blob_that_skips_a_circuit_is_refused(self):
+        # the batch's own groups and words without its last circuit, a group member
+        batch = self.run_batch()
+        result = rip(batch)
+        last = len(batch) - 1
+        assert last not in result.report.unique_indices
+        groups = tuple(tuple(i for i in g if i != last) for g in result.report.groups)
+        table = ParamTable(result.table.n_qubits, result.table.rows[:last])
+        blob = binarize(EquivalenceReport(groups), table)
+        with pytest.raises(SchedulingError, match=f"schedules {last} circuits, batch has {last + 1}"):
+            run_experiment(batch, "pce", blob_override=blob)
 
     def test_uniques_mismatch_rejected(self):
         batch = self.run_batch()
@@ -900,7 +931,7 @@ class TestSessionAndDeft:
         blob = binarize(result.report, result.table)
         _, client = self.make_client()
         with pytest.raises(SchedulingError):
-            deft_run(result.report.order, {}, blob, client)
+            deft_run({}, blob, client)
 
     def test_run_consumes_loaded_counts(self):
         session, _ = self.make_client()

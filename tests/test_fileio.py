@@ -655,6 +655,37 @@ class TestManifestEntries:
             read_batch(tmp_path)
         assert str(err.value) == f"{manifest}:3: malformed circuit entry"
 
+    def test_each_distinct_width_token_is_parsed_once(self, tmp_path, monkeypatch):
+        import pce.fileio
+
+        spec = BatchSpec("RB", ((0,), (0, 1)), ((2, 3),), 3, shots=2, seed=4)
+        batch = gen_batch(spec)
+        write_batch(batch, tmp_path)
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_groups(text)
+
+        parse_groups = pce.fileio._parse_groups
+        monkeypatch.setattr(pce.fileio, "_parse_groups", counting)
+        assert read_batch(tmp_path).labels == batch.labels
+        assert sorted(parsed) == ["0", "0,1"] and len(batch) == 16
+
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_a_bad_width_names_its_own_line_after_equal_tokens(self, tmp_path, entry):
+        # the width cache holds only parsed tokens: a repeated bad token fails every time
+        write_hand_batch(tmp_path, ["qubits 1 shots 5\nX90 q0\n"] * 3)
+        manifest = tmp_path / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[2 + entry] = lines[2 + entry].replace("width 0 ", "width 0,x ")
+        if entry == 0:
+            lines[3] = lines[3].replace("width 0 ", "width 0,x ")
+        manifest.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(ConfigError) as err:
+            read_batch(tmp_path)
+        assert str(err.value) == f"{manifest}:{3 + entry}: malformed circuit entry"
+
 
 class TestBatchSpecConfig:
     def test_parse_full(self):

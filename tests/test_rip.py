@@ -25,7 +25,7 @@ from pce.circuits import (
     vz,
     x90,
 )
-from pce.errors import CapacityError, DecodeError, EncodeError
+from pce.errors import CapacityError, DecodeError, EncodeError, ValidationError
 from pce.generators import BatchSpec, CircuitBatch, Label, gen_batch
 from pce.rip import (
     BANK_CAPACITY,
@@ -36,6 +36,7 @@ from pce.rip import (
     debinarize,
     dequantize_word,
     dequantize_words,
+    encode_words,
     identify,
     identify_bruteforce,
     modify,
@@ -543,6 +544,36 @@ class TestBlob:
         table = ParamTable(1, ((np.zeros(70_000, dtype=np.uint32),),))
         with pytest.raises(EncodeError, match="70000 words do not fit"):
             binarize(EquivalenceReport(((0,),)), table)
+
+    @pytest.mark.parametrize(
+        "words",
+        [[-1], np.array([-1]), [2**32], np.array([2**40]), [0.5], [True], [3, True], ["7"],
+         [[1, 2]], np.zeros((2, 2), np.uint32), 5, [[1], [1, 2]], [2**64]],
+        ids=repr,
+    )
+    def test_encode_words_refuses_what_a_bank_cannot_hold(self, words):
+        with pytest.raises(ValidationError, match=r"^bank 3: parameter words must be"):
+            encode_words(words, 3)
+        with pytest.raises(ValidationError, match=r"^bank 0: "):
+            encode_words(words)
+
+    @pytest.mark.parametrize(
+        "words", [np.array([0, 7, 2**32 - 1], np.uint32), [0, 7, 2**32 - 1], np.array([0, 7, 2**32 - 1])]
+    )
+    def test_encode_words_writes_integer_words_unchanged(self, words):
+        assert encode_words(words) == struct.pack("<H3I", 3, 0, 7, 2**32 - 1)
+
+    def test_binarize_refuses_a_bad_word_naming_circuit_and_bank(self):
+        good = np.array([5], np.uint32)
+        table = ParamTable(2, ((good, good), (good, np.array([-1], np.int64))))
+        with pytest.raises(ValidationError, match=r"^circuit 1: bank 1: parameter words must be"):
+            binarize(EquivalenceReport(((0, 1),)), table)
+
+    def test_binarize_takes_integer_words_of_any_dtype_unchanged(self):
+        as_uint32 = ParamTable(1, ((np.array([1, 2], np.uint32),),))
+        as_int64 = ParamTable(1, ((np.array([1, 2], np.int64),),))
+        report = EquivalenceReport(((0,),))
+        assert binarize(report, as_int64) == binarize(report, as_uint32)
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(damaged_blobs())

@@ -95,9 +95,7 @@ class TestFraming:
         for _ in range(300):
             msg = random_message(rng)
             frame = rpc_encode(msg)
-            decoded, consumed = rpc_decode(frame)
-            assert decoded == msg
-            assert consumed == len(frame)
+            assert rpc_decode(frame) == msg
 
     def test_bank_count_over_u16_is_an_encode_error(self):
         msg = LoadParams(0, (np.zeros(70_000, dtype=np.uint32),))
@@ -134,8 +132,7 @@ class TestFraming:
             ErrorMsg(65_535, "boom"),
             Run(2**32 - 1),
         ):
-            frame = rpc_encode(msg)
-            assert rpc_decode(frame) == (msg, len(frame))
+            assert rpc_decode(rpc_encode(msg)) == msg
 
     def test_truncated_frame(self):
         frame = rpc_encode(Run(7))
@@ -205,8 +202,7 @@ class TestServerDispatch:
     def test_malformed_frame_gets_error_reply(self):
         server = ControlServer(ControlSession())
         resp = server.handle_frame(struct.pack("<IH", 2, 999))
-        msg, _ = rpc_decode(resp)
-        assert isinstance(msg, ErrorMsg)
+        assert isinstance(rpc_decode(resp), ErrorMsg)
 
 
 class TestSocketTransport:
@@ -262,8 +258,7 @@ class TestSocketPeerFaults:
         right.close()
         reply = read_to_eof(left)
         left.close()
-        msg, consumed = rpc_decode(reply)
-        assert consumed == len(reply)
+        msg = rpc_decode(reply)
         assert isinstance(msg, ErrorMsg)
         assert msg.code == 7  # decode error
 
@@ -276,3 +271,199 @@ class TestSocketPeerFaults:
             SocketChannel(left).call(rpc_encode(GetData()))
         left.close()
         right.close()
+
+
+class TestWholeFrames:
+    def test_trailing_bytes_are_refused_at_the_frame_end(self):
+        frame = rpc_encode(Ack())
+        with pytest.raises(DecodeError, match="frame carries trailing bytes") as err:
+            rpc_decode(frame + b"junk")
+        assert err.value.offset == len(frame) == 6
+
+    def test_a_reply_with_trailing_bytes_is_refused_by_the_client(self):
+        class Padded:
+            def call(self, frame):
+                return rpc_encode(Ack()) + b"\0"
+
+        with pytest.raises(DecodeError, match="trailing bytes"):
+            DeftClient(Padded()).run(3)
+
+    def test_the_server_answers_trailing_bytes_with_a_decode_error(self):
+        reply = rpc_decode(ControlServer(ControlSession()).handle_frame(rpc_encode(GetData()) + b"x"))
+        assert isinstance(reply, ErrorMsg) and reply.code == 7
+        assert "frame carries trailing bytes (at byte offset 6)" in reply.message
+
+
+def _is_word(w) -> bool:
+    """The bank-word rule, restated for the tests: an integer (not a bool) in 0..2**32-1."""
+    return isinstance(w, (int, np.integer)) and not isinstance(w, (bool, np.bool_)) and (
+        0 <= w <= 0xFFFFFFFF
+    )
+
+
+drawn_words = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(-(2**70), -1),
+    st.integers(2**32, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def drawn_banks(draw):
+    """A bank as a caller might give one: a list of any words, an int64 array
+    of any int64 values, or a uint32 array."""
+    form = draw(st.sampled_from(("list", "list", "int64", "uint32")))
+    if form == "list":
+        return draw(st.lists(drawn_words, max_size=5))
+    if form == "int64":
+        return np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5)), np.int64)
+    return np.array(draw(st.lists(st.integers(0, 2**32 - 1), max_size=5)), np.uint32)
+
+
+def loaded_session():
+    """A session with a circuit loaded and banks 0 and 1 written, and its client."""
+    session = ControlSession()
+    client = DeftClient(LoopbackChannel(ControlServer(session)))
+    client.load_circuit(4, small_program())
+    client.load_params(4, [np.array([9, 8], np.uint32), [7]])
+    return session, client
+
+
+def session_state(session):
+    return (
+        session.memory.banks.copy(), session.memory.counts.copy(), session.current_index,
+        session.program, dict(session.results),
+    )
+
+
+def assert_state_is(session, state):
+    banks, counts, index, program, results = state
+    assert np.array_equal(session.memory.banks, banks)
+    assert np.array_equal(session.memory.counts, counts)
+    assert (session.current_index, session.program, session.results) == (index, program, results)
+
+
+class TestArgumentsAreSentAsGiven:
+    """The client builds each frame from its arguments as given: a bank word,
+    shot count or index that the machine cannot hold is refused with a
+    ``PceError``, never wrapped, truncated or rounded, and the session is left
+    as it was."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.lists(drawn_banks(), max_size=3))
+    def test_load_params_stores_the_given_words_or_names_the_refused_bank(self, banks):
+        session, client = loaded_session()
+        before = session_state(session)
+        refused = [b for b, words in enumerate(banks) if not all(_is_word(w) for w in words)]
+        try:
+            client.load_params(0, banks)
+        except PceError as exc:
+            assert refused and str(exc).startswith(f"bank {refused[0]}: parameter words")
+            assert_state_is(session, before)
+            return
+        assert not refused
+        assert session.memory.counts.tolist() == [len(w) for w in banks] + [0] * (8 - len(banks))
+        for b, words in enumerate(banks):
+            assert session.memory.banks[b, : len(words)].tolist() == [int(w) for w in words]
+
+    @pytest.mark.parametrize(
+        "banks",
+        [
+            [np.array([-1])], [[2**32]], [[0.5]], [[True]], [["x"]], [np.zeros((2, 2))],
+            [np.array([-1, 2**33 + 5])], [[0.5, 1.7]], [[1], [1, 2.0]], [[[1, 2]]],
+        ],
+        ids=repr,
+    )
+    def test_a_bank_the_machine_cannot_hold_is_refused(self, banks):
+        session, client = loaded_session()
+        before = session_state(session)
+        with pytest.raises(PceError, match=r"^bank \d: parameter words must be"):
+            client.load_params(0, banks)
+        assert_state_is(session, before)
+
+    @pytest.mark.parametrize(
+        "banks",
+        [[np.array([1, 2**32 - 1], np.uint32)], [[0, 2**32 - 1], []], [np.array([5], np.int64)]],
+        ids=repr,
+    )
+    def test_integer_banks_are_stored_unchanged(self, banks):
+        session, client = loaded_session()
+        client.load_params(3, banks)
+        for b, words in enumerate(banks):
+            assert session.memory.banks[b, : len(words)].tolist() == [int(w) for w in words]
+        assert session.current_index == 3
+
+    REFUSED = [2.7, 3.0, np.float64(3.0), True, False, "3", None]
+    TAKEN = [3, np.int64(3), np.uint32(3)]
+
+    @pytest.mark.parametrize("shots", REFUSED, ids=repr)
+    def test_a_shot_count_that_is_not_an_integer_is_refused(self, shots):
+        session, client = loaded_session()
+        before = session_state(session)
+        with pytest.raises(EncodeError, match="shot count must be an integer"):
+            client.run(shots)
+        assert_state_is(session, before)
+
+    @pytest.mark.parametrize("shots", TAKEN, ids=repr)
+    def test_integer_shot_counts_run_that_many_shots(self, shots):
+        session, client = loaded_session()
+        client.run(shots)
+        assert client.get_data().shots == 3
+
+    @pytest.mark.parametrize("index", REFUSED, ids=repr)
+    @pytest.mark.parametrize("load", ["load_circuit", "load_params"])
+    def test_a_circuit_index_that_is_not_an_integer_is_refused(self, load, index):
+        session, client = loaded_session()
+        before = session_state(session)
+        arg = small_program() if load == "load_circuit" else [[1]]
+        with pytest.raises(EncodeError, match="circuit index must be an integer"):
+            getattr(client, load)(index, arg)
+        assert_state_is(session, before)
+
+    @pytest.mark.parametrize("index", TAKEN, ids=repr)
+    def test_integer_circuit_indices_are_taken(self, index):
+        session, client = loaded_session()
+        client.load_circuit(index, small_program())
+        assert session.current_index == 3
+        client.load_params(index, [[1]])
+        client.run(2)
+        assert list(session.results) == [3]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.handle_load_circuit(2.7, small_program()),
+            lambda s: s.handle_load_circuit(True, small_program()),
+            lambda s: s.handle_load_params(True, [[]]),
+            lambda s: s.handle_load_params(1.0, [[1]]),
+            lambda s: s.handle_run(2.7),
+            lambda s: s.handle_run(True),
+        ],
+    )
+    def test_the_session_refuses_them_too(self, call):
+        session, _ = loaded_session()
+        before = session_state(session)
+        with pytest.raises(PceError, match="must be an integer"):
+            call(session)
+        assert_state_is(session, before)
+
+    @pytest.mark.parametrize(
+        "envelope, freq",
+        [(["a"], [1.0]), ([1.0], ["b"]), ([[1.0], [1.0, 2.0]], [1.0]), (np.ones((2, 2)), [1.0]),
+         ([1.0], [1j]), (1.0, [1.0]), ([True], [1.0])],
+        ids=repr,
+    )
+    def test_a_definition_table_that_is_not_numbers_is_an_encode_error(self, envelope, freq):
+        session, client = loaded_session()
+        with pytest.raises(EncodeError, match="table must be one flat sequence of numbers"):
+            client.load_defs(envelope, freq)
+        assert session.program is not None  # no LOAD_DEFS reached the session
+
+    def test_numeric_definition_tables_are_sent(self):
+        session, client = loaded_session()
+        client.load_defs([1, 2.5, 1j], np.array([4, 5], np.int64))
+        assert session.envelope_table.tolist() == [1, 2.5, 1j]
+        assert session.freq_table.tolist() == [4.0, 5.0]
